@@ -90,7 +90,7 @@ class AttackStrategy:
         return exponent_attack(h_ae, h_eb, params, self.x, self.y)
 
 
-def _combined_error_rates(psi, gamma, theta, epsilon):
+def _combined_accept(psi, gamma, theta, epsilon):
     accept = (psi <= theta) & (np.abs(gamma) <= epsilon)
     return accept
 
@@ -142,7 +142,7 @@ def optimize_attack_exponents(
             h_hat = gx + gy + noise2
             psi = 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / s2, axis=-1)
             gamma = np.sum(np.abs(h_bar) - np.abs(h_hat), axis=-1)
-            pmd = float(np.mean(_combined_error_rates(psi, gamma, theta, epsilon)))
+            pmd = float(np.mean(_combined_accept(psi, gamma, theta, epsilon)))
             cand = (pmd, x, y)
             if best is None or cand > best:
                 best = cand

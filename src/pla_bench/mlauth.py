@@ -7,7 +7,10 @@ Feature vectors are the interleaved real and imaginary parts of the
 estimated channel coefficients, so a vector over N subcarriers has 2N
 features. All solvers here are written out in full (pairwise-update dual
 solvers, Lloyd iterations) because their exact decision geometry is what
-the benchmark measures.
+the benchmark measures. The one-class SVM dual solver works on a batch of
+problems over one Gram matrix in lockstep: a single fit is a batch of one,
+and cross-validation solves every (nu, fold) problem of one kernel width
+in one call, each fold's validation points masked out of its rows.
 """
 from __future__ import annotations
 
@@ -296,6 +299,80 @@ class OcsvmModel:
         object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
 
 
+_BOX = 1e-12
+
+
+def _ocsvm_solve(kmat, train, ub, tol: float, max_iter: int):
+    """Solve a batch of one-class SVM duals over one Gram matrix in lockstep.
+
+    Row b solves min 1/2 l^T K l, 0 <= l_i <= ub[b], sum l = 1 over the
+    points where train[b] is set and keeps l = 0 on the others. Each step
+    moves mass, in every row at once, between the pair of coordinates that
+    most violates the KKT conditions; a row whose violation is within tol
+    takes steps of 0 from then on. Returns l, the gradient K l over all
+    columns (held-out ones included) and the offset xi of each row: the
+    mean gradient over its margin support vectors, or over all its support
+    vectors when none lies on the margin.
+    """
+    rows, m = train.shape
+    ub_lo = ub - _BOX
+    lam = np.where(train, 1.0 / train.sum(axis=1, keepdims=True), 0.0)
+    # A pair step leaves its two gradients equal up to rounding, so the next
+    # choice of pair is decided by the last bits: each row starts from the
+    # product a lone solve on its points computes, in the same layout.
+    masks, which = np.unique(train, axis=0, return_inverse=True)
+    starts = np.empty(masks.shape)
+    for s, mask in enumerate(masks):
+        idx = np.flatnonzero(mask)
+        lam0 = np.full(idx.size, 1.0 / idx.size)
+        starts[s, idx] = kmat[np.ix_(idx, idx)] @ lam0
+        starts[s, ~mask] = kmat[np.ix_(~mask, idx)] @ lam0
+    grad = starts[which.ravel()]  # numpy 2.0.0 returns the inverse as a column
+    diag = kmat.diagonal()
+    # 0 where a coordinate may move up (down), inf (-inf) where it may not;
+    # gradient plus penalty is the masked gradient the pair is chosen from
+    up_pen = np.where(train & (lam < ub_lo[:, None]), 0.0, np.inf)
+    dn_pen = np.where(lam > _BOX, 0.0, -np.inf)
+    up, dn = np.empty_like(grad), np.empty_like(grad)
+    # per-row scalars are read and written through flat views at row * m + i
+    lam_f, up_f, dn_f = lam.reshape(-1), up.reshape(-1), dn.reshape(-1)
+    up_pen_f, dn_pen_f, train_f = up_pen.reshape(-1), dn_pen.reshape(-1), train.reshape(-1)
+    row0 = np.arange(rows) * m
+    ub_lo2 = np.concatenate([ub_lo, ub_lo])
+    for _ in range(max_iter):
+        i = np.add(grad, up_pen, out=up).argmin(axis=1)
+        j = np.add(grad, dn_pen, out=dn).argmax(axis=1)
+        fi, fj = row0 + i, row0 + j
+        viol = dn_f[fj] - up_f[fi]
+        active = viol > tol
+        if not active.any():
+            break
+        lam_i = lam_f[fi]
+        denom = diag[i] + diag[j] - 2.0 * kmat[i, j]
+        t_max = np.minimum(ub - lam_i, lam_f[fj])
+        step = np.divide(viol, denom, out=np.full(rows, np.inf), where=denom > 1e-15)
+        t = np.where(active, np.minimum(t_max, step), 0.0)
+        lam_f[fi] = lam_i + t
+        lam_f[fj] -= t
+        # kmat is symmetric, so row gathers stand in for its columns
+        delta = kmat[i]
+        np.subtract(delta, kmat[j], out=delta)
+        grad += np.multiply(delta, t[:, None], out=delta)
+        # only the pair's two coordinates can have reached or left a bound
+        fk = np.concatenate([fi, fj])
+        lam_k = lam_f[fk]
+        up_pen_f[fk] = np.where(train_f[fk] & (lam_k < ub_lo2), 0.0, np.inf)
+        dn_pen_f[fk] = np.where(lam_k > _BOX, 0.0, -np.inf)
+    else:
+        raise NumericError("one-class SVM solver hit its iteration cap")
+    xi = np.empty(rows)
+    for b in range(rows):
+        sv = lam[b] > _BOX
+        margin = sv & (lam[b] < ub_lo[b])
+        xi[b] = np.mean(grad[b, margin if margin.any() else sv])
+    return lam, grad, xi
+
+
 def ocsvm_train(
     positives,
     nu: float,
@@ -309,7 +386,8 @@ def ocsvm_train(
 
     At each step mass moves between the pair of coordinates that most
     violates the KKT conditions; the offset xi is the mean decision value
-    over the margin support vectors.
+    over the margin support vectors. This is the one-row case of the
+    batched solver that ocsvm_train_cv runs.
     """
     x = np.atleast_2d(np.asarray(positives, dtype=float))
     m = x.shape[0]
@@ -319,38 +397,14 @@ def ocsvm_train(
         raise ConfigError("need at least two training points")
     if nu * m < 1.0:
         raise ConfigError("nu * m must be at least 1")
-    ub = 1.0 / (nu * m)
-    kmat = _gram(x, x, kernel, sigma_svm, degree)
-    lam = np.full(m, 1.0 / m)
-    grad = kmat @ lam
-    box = 1e-12
     if max_iter is None:
         max_iter = max(200 * m, 20_000)
-    for _ in range(max_iter):
-        can_up = lam < ub - box
-        can_dn = lam > box
-        i = np.argmin(np.where(can_up, grad, np.inf))
-        j = np.argmax(np.where(can_dn, grad, -np.inf))
-        viol = grad[j] - grad[i]
-        if viol <= tol:
-            break
-        denom = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
-        t_max = min(ub - lam[i], lam[j])
-        t = t_max if denom <= 1e-15 else min(t_max, viol / denom)
-        lam[i] += t
-        lam[j] -= t
-        grad += t * (kmat[:, i] - kmat[:, j])
-    else:
-        raise NumericError("one-class SVM solver hit its iteration cap")
-    margin = (lam > box) & (lam < ub - box)
-    if margin.any():
-        xi = float(np.mean(grad[margin]))
-    else:
-        sv = lam > box
-        xi = float(np.mean(grad[sv]))
-    keep = lam > box
+    kmat = _gram(x, x, kernel, sigma_svm, degree)
+    lam, _, xi = _ocsvm_solve(kmat, np.ones((1, m), dtype=bool),
+                              np.array([1.0 / (nu * m)]), tol, max_iter)
+    keep = lam[0] > _BOX
     return OcsvmModel(
-        support=x[keep], lambdas=lam[keep], xi=xi, nu=nu,
+        support=x[keep], lambdas=lam[0, keep], xi=float(xi[0]), nu=nu,
         sigma_svm=sigma_svm, kernel=kernel, degree=degree,
     )
 
@@ -382,6 +436,48 @@ def median_heuristic(x, cap: int = 256) -> float:
     return med if med > 0 else 1.0
 
 
+def _ocsvm_cv_scores(sel, neg_sel, folds: int, nus, sigmas, kernel: str,
+                     degree: int, tol: float) -> np.ndarray:
+    """Cross-validated score of every (nu, sigma), shape (len(nus), len(sigmas)).
+
+    For each kernel width one Gram matrix over sel serves every (nu, fold)
+    problem: they run as one lockstep batch, each fold's validation points
+    masked out of its rows. Held-out positives are scored from the
+    solver's gradient and negatives from one product with their kernel
+    block. A nu with nu * n_train < 1 on any fold scores -1.
+    """
+    m = sel.shape[0]
+    pos_slices = _fold_slices(m, folds)
+    neg_slices = _fold_slices(neg_sel.shape[0], folds)
+    held = np.zeros((folds, m), dtype=bool)
+    for f, s in enumerate(pos_slices):
+        held[f, s] = True
+    n_train = m - held.sum(axis=1)
+    fit = [a for a, nu in enumerate(nus) if np.all(nu * n_train >= 1.0)]
+    score = np.full((len(nus), len(sigmas)), -1.0)
+    if not fit:
+        return score
+    # row k * folds + f solves nus[fit[k]] on fold f
+    train = np.tile(~held, (len(fit), 1))
+    ub = 1.0 / (np.repeat([nus[a] for a in fit], folds) * np.tile(n_train, len(fit)))
+    max_iter = max(200 * int(n_train.max()), 20_000)
+    for s, sig in enumerate(sigmas):
+        # the Gram matrix is freed before the negatives' block is built
+        lam, grad, xi = _ocsvm_solve(_gram(sel, sel, kernel, sig, degree),
+                                     train, ub, tol, max_iter)
+        f_pos = grad - xi[:, None]
+        f_neg = lam @ _gram(neg_sel, sel, kernel, sig, degree).T - xi[:, None]
+        for k, a in enumerate(fit):
+            total = 0.0
+            for f in range(folds):
+                b = k * folds + f
+                tpr = float(np.mean(f_pos[b, pos_slices[f]] > 0))
+                tnr = float(np.mean(f_neg[b, neg_slices[f]] <= 0))
+                total += np.sqrt(tpr * tnr)
+            score[a, s] = total
+    return score
+
+
 def ocsvm_train_cv(
     positives,
     cv: CvConfig,
@@ -390,15 +486,14 @@ def ocsvm_train_cv(
     sigma_factors=(0.5, 1.0, 2.0),
     kernel: str = "gaussian",
     degree: int = 3,
-    selection_cap: int | None = None,
     selection_tol: float = 1e-3,
 ) -> tuple[OcsvmModel, float, float]:
     """Tune (nu, sigma_svm) by the same cross-validated score as ocnn_train.
 
-    Selection fits run at a loose solver tolerance; the returned model is
-    refit on the full positive set at full tolerance. selection_cap can
-    bound the number of positives used while tuning (deterministic
-    permuted subset) if the grid ever needs to be cheaper.
+    Selection solves every (nu, fold) problem of one kernel width as one
+    lockstep batch at a loose solver tolerance; ties resolve to the
+    smallest nu, then the smallest sigma_svm. The returned model is refit
+    on the full positive set at full tolerance.
     """
     pos = np.atleast_2d(np.asarray(positives, dtype=float))
     m = pos.shape[0]
@@ -406,28 +501,12 @@ def ocsvm_train_cv(
     sigmas = [base * f for f in sigma_factors] if kernel == "gaussian" else [1.0]
     perm = rng.permutation(m)
     neg = cv.negatives[rng.permutation(cv.negatives.shape[0])]
-    cap = m if selection_cap is None else min(m, selection_cap)
-    sel = pos[perm[:cap]]
-    neg_sel = neg[:min(neg.shape[0], cap)]
-    pos_slices = _fold_slices(sel.shape[0], cv.folds)
-    neg_slices = _fold_slices(neg_sel.shape[0], cv.folds)
+    score = _ocsvm_cv_scores(pos[perm], neg[:min(neg.shape[0], m)], cv.folds, nus,
+                             sigmas, kernel, degree, selection_tol)
     best = None
-    for nu in nus:
-        for sig in sigmas:
-            total = 0.0
-            for f in range(cv.folds):
-                va = pos_slices[f]
-                tr_idx = np.concatenate(
-                    [np.arange(s.start, s.stop) for i, s in enumerate(pos_slices) if i != f])
-                if nu * tr_idx.size < 1.0:
-                    total = -1.0
-                    break
-                model = ocsvm_train(sel[tr_idx], nu, sig, kernel=kernel,
-                                    degree=degree, tol=selection_tol)
-                tpr = float(np.mean(ocsvm_classify(model, sel[va])))
-                tnr = float(np.mean(~ocsvm_classify(model, neg_sel[neg_slices[f]])))
-                total += np.sqrt(tpr * tnr)
-            cand = (total, -nu, -sig)
+    for a, nu in enumerate(nus):
+        for s, sig in enumerate(sigmas):
+            cand = (score[a, s], -nu, -sig)
             if best is None or cand > best[0]:
                 best = (cand, nu, sig)
     _, nu, sig = best

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pla_bench.errors import ConfigError
+from pla_bench.errors import ConfigError, NumericError
 from pla_bench.mlauth import (
     BinarySvmModel,
     CvConfig,
@@ -24,6 +24,7 @@ from pla_bench.mlauth import (
     ocsvm_train_cv,
     unfeaturize,
 )
+from pla_bench.mlauth import _fold_slices, _gram, _ocsvm_cv_scores, _ocsvm_solve
 from pla_bench.rng import Rng
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,103 @@ def test_ocsvm_train_cv_grids_and_determinism():
     assert model.nu == nu and model.sigma_svm == sig
     _, nu2, sig2 = ocsvm_train_cv(pos, cv, Rng(24), nus=nus, sigma_factors=factors)
     assert (nu, sig) == (nu2, sig2)
+
+
+def _per_fold_scores(sel, neg_sel, folds, nus, sigmas, kernel, tol=1e-3):
+    """The cross-validated score grid fitted one (nu, sigma, fold) at a time."""
+    pos_slices = _fold_slices(sel.shape[0], folds)
+    neg_slices = _fold_slices(neg_sel.shape[0], folds)
+    score = np.full((len(nus), len(sigmas)), -1.0)
+    for a, nu in enumerate(nus):
+        for s, sig in enumerate(sigmas):
+            total = 0.0
+            for f in range(folds):
+                tr = np.concatenate([np.arange(q.start, q.stop)
+                                     for i, q in enumerate(pos_slices) if i != f])
+                if nu * tr.size < 1.0:
+                    total = -1.0
+                    break
+                model = ocsvm_train(sel[tr], nu, sig, kernel=kernel, tol=tol)
+                tpr = float(np.mean(ocsvm_classify(model, sel[pos_slices[f]])))
+                tnr = float(np.mean(~ocsvm_classify(model, neg_sel[neg_slices[f]])))
+                total += np.sqrt(tpr * tnr)
+            score[a, s] = total
+    return score
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "poly", "linear"])
+def test_ocsvm_cv_batch_matches_per_fold_loop(kernel):
+    # m = 43 gives uneven folds (9, 9, 9, 8, 8), so 34 or 35 training points:
+    # nu = 0.029 falls short of one point on the folds of 34 only, 0.02 on all
+    rng = Rng(26)
+    pos = rng.standard_normal((43, 2))
+    neg = rng.standard_normal((50, 2)) + 1.5
+    cv = CvConfig(negatives=neg)
+    nus = (0.02, 0.029, 0.05, 0.1, 0.3)
+    factors = (0.5, 1.0, 2.0)
+    model, nu, sig = ocsvm_train_cv(pos, cv, Rng(27), nus=nus, sigma_factors=factors,
+                                    kernel=kernel)
+
+    # the same permutations ocsvm_train_cv draws
+    perm_rng = Rng(27)
+    sel = pos[perm_rng.permutation(43)]
+    neg_sel = neg[perm_rng.permutation(50)][:43]
+    base = median_heuristic(pos)
+    sigmas = [base * f for f in factors] if kernel == "gaussian" else [1.0]
+    ref = _per_fold_scores(sel, neg_sel, 5, nus, sigmas, kernel)
+    got = _ocsvm_cv_scores(sel, neg_sel, 5, nus, sigmas, kernel, 3, 1e-3)
+    assert np.all(ref[:2] == -1.0)
+    assert np.all(ref[2:] >= 0.0)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+    cands = [((ref[a, s], -n, -g), n, g) for a, n in enumerate(nus) for s, g in enumerate(sigmas)]
+    _, ref_nu, ref_sig = max(cands, key=lambda c: c[0])
+    assert (nu, sig) == (ref_nu, ref_sig)
+    assert (model.nu, model.sigma_svm, model.kernel) == (nu, sig, kernel)
+
+
+def test_ocsvm_masked_rows_match_lone_fits():
+    rng = Rng(28)
+    x = rng.standard_normal((40, 2))
+    sigma = median_heuristic(x)
+    kmat = _gram(x, x, "gaussian", sigma, 3)
+    held = np.zeros((3, 40), dtype=bool)
+    held[0, :7] = True
+    held[1, 15:31] = True
+    held[2, ::3] = True
+    train = ~held
+    nus = np.array([0.1, 0.3, 0.5])
+    ub = 1.0 / (nus * train.sum(axis=1))
+    lam, grad, xi = _ocsvm_solve(kmat, train, ub, 1e-6, 20_000)
+    for b in range(3):
+        sub = x[train[b]]
+        lone = ocsvm_train(sub, nus[b], sigma)
+        keep = (sub[:, None, :] == lone.support[None]).all(axis=2).any(axis=1)
+        want = np.zeros(sub.shape[0])
+        want[keep] = lone.lambdas
+        assert np.all(lam[b, held[b]] == 0.0)
+        assert np.max(np.abs(lam[b, train[b]] - want)) <= 1e-9
+        assert abs(xi[b] - lone.xi) <= 1e-9
+        # held-out columns of the gradient are the lone model's decision values
+        f_held = grad[b, held[b]] - xi[b]
+        assert np.max(np.abs(f_held - ocsvm_decision(lone, x[held[b]]))) <= 1e-9
+
+
+def test_ocsvm_nu_one_returns_the_uniform_point():
+    # nu = 1 puts the bound at 1/m, so the uniform multipliers are the only
+    # feasible point and no coordinate may move up
+    x = Rng(30).standard_normal((20, 2))
+    model = ocsvm_train(x, 1.0, 1.0)
+    assert np.array_equal(model.lambdas, np.full(20, 1.0 / 20))
+
+
+def test_ocsvm_solve_iteration_cap():
+    rng = Rng(29)
+    x = rng.standard_normal((30, 2))
+    kmat = _gram(x, x, "gaussian", 1.0, 3)
+    train = np.ones((2, 30), dtype=bool)
+    with pytest.raises(NumericError):
+        _ocsvm_solve(kmat, train, np.array([1.0 / 3.0, 1.0 / 15.0]), 1e-10, 2)
 
 
 def test_median_heuristic_hand_case_and_degenerate():

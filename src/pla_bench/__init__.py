@@ -16,17 +16,14 @@ from .attacks import (
     simplified_attack,
 )
 from .channel import (
-    ReferenceEstimate,
     ScenarioParams,
     alice_estimate_phase2,
-    average_estimates,
     bob_estimate_phase1,
-    bob_training_set,
     complex_gaussian,
     eve_observations,
     forged_observation,
-    reference_estimate,
     sample_channel,
+    simulate_trials,
 )
 from .errors import (
     ConfigError,
@@ -46,7 +43,7 @@ from .harness import (
     reproduce,
     run_experiment,
 )
-from .metrics import ConfusionMatrix, accuracy, binomial_se, g_mean, p_fa, p_md, record
+from .metrics import ConfusionMatrix, accuracy, binomial_se, g_mean, p_fa, p_md
 from .mlauth import (
     CvConfig,
     DistanceMetric,
@@ -69,23 +66,18 @@ from .mlauth import (
 )
 from .rng import Rng
 from .statdec import (
-    CombinedTest,
-    Hypothesis,
-    IdealBoundTest,
-    LlrTest,
-    NoncentralChi2,
     ThresholdResult,
+    accepts,
     analytic_pfa_pmd,
     calibrate_threshold,
-    combined_decide,
     ideal_llr,
-    llr_decide,
     llr_statistic,
     modulus_statistic,
     ncx2_cdf,
     ncx2_inv,
     noncentrality_beta,
     noncentrality_mu,
+    nominal_mu,
     normal_upper_quantile,
     optimize_thresholds,
     per_dim_variance,

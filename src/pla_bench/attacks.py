@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScenarioParams, complex_gaussian, eve_observations, sample_channel
+from .channel import ScenarioParams, eve_observations, simulate_trials
 from .errors import ConfigError
 from .rng import Rng
-from .statdec import CombinedTest, per_dim_variance
+from .statdec import accepts, per_dim_variance
 
 
 def ml_attack(h_ae, h_eb, params: ScenarioParams) -> np.ndarray:
@@ -90,13 +90,8 @@ class AttackStrategy:
         return exponent_attack(h_ae, h_eb, params, self.x, self.y)
 
 
-def _combined_accept(psi, gamma, theta, epsilon):
-    accept = (psi <= theta) & (np.abs(gamma) <= epsilon)
-    return accept
-
-
 def optimize_attack_exponents(
-    bob: CombinedTest | tuple[float, float],
+    bob: tuple[float, float],
     scenario: ScenarioParams,
     grid_step: float = 0.1,
     n_mc: int = 20_000,
@@ -104,45 +99,37 @@ def optimize_attack_exponents(
 ) -> tuple[float, float, float]:
     """Exhaustive search of the exponent grid against a fixed combined test.
 
-    ``bob`` supplies the defender's (theta, epsilon) pair, either as a
-    CombinedTest or a bare tuple. All grid cells are evaluated on the same
-    Monte Carlo draws (common random numbers), so the landscape is smooth
-    and the argmax is reproducible; ties prefer larger x, then larger y.
-    Returns (x, y, estimated P_MD at the optimum).
+    ``bob`` is the defender's (theta, epsilon) pair. All grid cells are
+    evaluated on the same Monte Carlo draws (common random numbers), so the
+    landscape is smooth and the argmax is reproducible; ties prefer larger
+    x, then larger y. Returns (x, y, estimated P_MD at the optimum).
     """
     if rng is None:
         raise ConfigError("an Rng is required")
     steps = round(2.0 / grid_step)
     if abs(steps * grid_step - 2.0) > 1e-9:
         raise ConfigError("grid_step must divide the interval [-1, 1] evenly")
-    if isinstance(bob, CombinedTest):
-        theta, epsilon = bob.llr.theta, bob.epsilon
-    else:
-        theta, epsilon = bob
+    theta, epsilon = bob
     grid = np.round(np.linspace(-1.0, 1.0, steps + 1), 12)
 
-    n = scenario.n_subcarriers
     s2 = per_dim_variance(scenario)
-    a_bar = scenario.alpha_I
-    r = rng.derive(0)
-    h = sample_channel(scenario, r, size=n_mc)
-    fade_ref = sample_channel(scenario, r, size=n_mc)
-    noise_ref = complex_gaussian(r, (n_mc, n), scenario.sigma2_I)
-    h_bar = a_bar * h + np.sqrt(1.0 - a_bar**2) * fade_ref + noise_ref
-    h_ae, h_eb = eve_observations(h, scenario, r, size=n_mc)
-    fade_g = sample_channel(scenario, r, size=n_mc)
-    noise2 = (np.sqrt(1.0 - scenario.alpha_II**2) * fade_g
-              + complex_gaussian(r, (n_mc, n), scenario.sigma2_II))
+    observed = []
+
+    def observe(h, r):
+        # every cell forges from the same observations, so the trial kernel
+        # forges zeros and its forged arrival is the phase-II perturbation
+        observed.extend(eve_observations(h, scenario, r))
+        return np.zeros_like(h)
+
+    h_bar, _, noise2 = simulate_trials(scenario, rng.derive(0), n_mc, forge=observe, genuine=False)
+    h_ae, h_eb = observed
 
     best = None
     for x in grid:
         gx = (scenario.rho_AE**x) * h_ae if scenario.rho_AE > 0 else np.zeros_like(h_ae)
         for y in grid:
             gy = (scenario.rho_EB**y) * h_eb if scenario.rho_EB > 0 else np.zeros_like(h_eb)
-            h_hat = gx + gy + noise2
-            psi = 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / s2, axis=-1)
-            gamma = np.sum(np.abs(h_bar) - np.abs(h_hat), axis=-1)
-            pmd = float(np.mean(_combined_accept(psi, gamma, theta, epsilon)))
+            pmd = float(np.mean(accepts(gx + gy + noise2, h_bar, s2, theta, epsilon)))
             cand = (pmd, x, y)
             if best is None or cand > best:
                 best = cand
@@ -169,23 +156,8 @@ def mismatched_eval(
         raise ConfigError("defender must be 'llr' or 'combined'")
     if defender == "combined" and epsilon is None:
         raise ConfigError("combined defender needs epsilon")
-    n = scenario.n_subcarriers
-    s2 = per_dim_variance(scenario)
-    a_bar = scenario.alpha_I
-    r = rng.derive(0)
-    h = sample_channel(scenario, r, size=n_mc)
-    fade_ref = sample_channel(scenario, r, size=n_mc)
-    noise_ref = complex_gaussian(r, (n_mc, n), scenario.sigma2_I)
-    h_bar = a_bar * h + np.sqrt(1.0 - a_bar**2) * fade_ref + noise_ref
-    h_ae, h_eb = eve_observations(h, scenario, r, size=n_mc)
-    g = attack.forge(h_ae, h_eb, scenario)
-    fade_g = sample_channel(scenario, r, size=n_mc)
-    h_hat = (g + np.sqrt(1.0 - scenario.alpha_II**2) * fade_g
-             + complex_gaussian(r, (n_mc, n), scenario.sigma2_II))
-    psi = 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / s2, axis=-1)
-    if defender == "llr":
-        accept = psi <= theta
-    else:
-        gamma = np.sum(np.abs(h_bar) - np.abs(h_hat), axis=-1)
-        accept = (psi <= theta) & (np.abs(gamma) <= epsilon)
-    return float(np.mean(accept))
+    h_bar, _, h_hat = simulate_trials(
+        scenario, rng.derive(0), n_mc, genuine=False,
+        forge=lambda h, r: attack.forge(*eve_observations(h, scenario, r), scenario))
+    eps = epsilon if defender == "combined" else None
+    return float(np.mean(accepts(h_hat, h_bar, per_dim_variance(scenario), theta, eps)))

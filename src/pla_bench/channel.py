@@ -111,25 +111,6 @@ class ScenarioParams:
         return -10.0 * math.log10(self.sigma2_II) if self.sigma2_II > 0 else math.inf
 
 
-@dataclass(frozen=True)
-class ReferenceEstimate:
-    """The verifier's enrollment-phase reference: averaged estimate plus
-    the mean fading coefficient that produced it."""
-
-    h_bar: ChannelVector
-    alpha_bar_I: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h_bar, dtype=complex)
-        a = np.asarray(self.alpha_bar_I, dtype=float)
-        if h.shape != a.shape or h.ndim != 1:
-            raise ConfigError("h_bar and alpha_bar_I must be 1-d with equal length")
-        if not np.all(np.isfinite(h.view(float))) or not np.all(np.isfinite(a)):
-            raise ConfigError("reference estimate must be finite")
-        object.__setattr__(self, "h_bar", h)
-        object.__setattr__(self, "alpha_bar_I", a)
-
-
 def complex_gaussian(rng: Rng, shape, variance=1.0) -> np.ndarray:
     """Circularly symmetric complex Gaussian, total variance per component."""
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
@@ -162,37 +143,6 @@ def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams, alpha_m,
     return alpha * h_ab + np.sqrt(1.0 - alpha**2) * fade + noise
 
 
-def average_estimates(estimates, alphas) -> ReferenceEstimate:
-    """Arithmetic mean of enrollment estimates and of their fading coefficients."""
-    est = [np.asarray(e, dtype=complex) for e in estimates]
-    if len(est) == 0:
-        raise ConfigError("average_estimates needs at least one estimate")
-    n = est[0].shape
-    if any(e.shape != n for e in est):
-        raise ConfigError("estimates must share one dimension")
-    al = [np.atleast_1d(np.asarray(a, dtype=float)) for a in alphas]
-    if len(al) != len(est):
-        raise ConfigError("one alpha vector per estimate is required")
-    h_bar = np.mean(est, axis=0)
-    alpha_bar = np.mean([np.full(n[0], a) if a.size == 1 else a for a in al], axis=0)
-    return ReferenceEstimate(h_bar=h_bar, alpha_bar_I=alpha_bar)
-
-
-def reference_estimate(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> ReferenceEstimate:
-    """Single-shot enrollment reference (one phase-I estimate, M=1).
-
-    The statistical tests model the reference as one full-variance
-    enrollment observation; this helper packages that convention.
-    """
-    est = bob_estimate_phase1(h_ab, params, params.alpha_I, rng)
-    return ReferenceEstimate(h_bar=est, alpha_bar_I=np.array(params.alpha_I, copy=True))
-
-
-def bob_training_set(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> np.ndarray:
-    """All M enrollment estimates as rows (used by the learned authenticators)."""
-    return bob_estimate_phase1(h_ab, params, params.alpha_I, rng, size=params.m_training)
-
-
 def alice_estimate_phase2(h_ab: ChannelVector, params: ScenarioParams,
                           rng: Rng, size: int | None = None) -> ChannelVector:
     """Classification-phase estimate of a genuine packet."""
@@ -205,23 +155,19 @@ def alice_estimate_phase2(h_ab: ChannelVector, params: ScenarioParams,
 
 
 def eve_observations(h_ab: ChannelVector, params: ScenarioParams,
-                     rng: Rng, size: int | None = None,
-                     independent_r: bool = False) -> tuple[ChannelVector, ChannelVector]:
+                     rng: Rng, size: int | None = None) -> tuple[ChannelVector, ChannelVector]:
     """The adversary's correlated estimates of the two links she can probe.
 
     Both observations share one innovation draw per packet, which is what
-    couples them beyond their common dependence on the true channel. Pass
-    ``independent_r=True`` to draw separate innovations per link instead
-    (a sensitivity-check variant, not the default model).
+    couples them beyond their common dependence on the true channel.
     """
     h_ab = np.asarray(h_ab, dtype=complex)
     shape = h_ab.shape if size is None else (size, params.n_subcarriers)
     r = complex_gaussian(rng, shape, params.power_delay)
-    r2 = complex_gaussian(rng, shape, params.power_delay) if independent_r else r
     w_ae = complex_gaussian(rng, shape, params.sigma2_AE)
     w_eb = complex_gaussian(rng, shape, params.sigma2_EB)
     h_ae = params.rho_AE * h_ab + np.sqrt(1.0 - params.rho_AE**2) * r + w_ae
-    h_eb = params.rho_EB * h_ab + np.sqrt(1.0 - params.rho_EB**2) * r2 + w_eb
+    h_eb = params.rho_EB * h_ab + np.sqrt(1.0 - params.rho_EB**2) * r + w_eb
     return h_ae, h_eb
 
 
@@ -229,15 +175,36 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
                        phase: str = "II") -> ChannelVector:
     """What the verifier estimates when the adversary transmits ``g``.
 
-    phase "II" is the classification phase (the usual case); phase "I"
-    models forged packets injected during enrollment, as used by the
-    ideal-knowledge bound.
+    phase "II" is the classification phase (the usual case): the forged
+    vector keeps its mean but collects the same fading innovation as any
+    packet crossing the epoch boundary, which keeps the closed-form error
+    rates exact for every alpha_II. Phase "I" models forged packets
+    injected during enrollment, as used by the ideal-knowledge bound.
     """
     g = np.asarray(g, dtype=complex)
     if phase == "II":
-        var = params.sigma2_II
-    elif phase == "I":
-        var = params.sigma2_I
-    else:
-        raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
-    return g + complex_gaussian(rng, g.shape, var)
+        fade = complex_gaussian(rng, g.shape, params.power_delay)
+        noise = complex_gaussian(rng, g.shape, params.sigma2_II)
+        return g + np.sqrt(1.0 - params.alpha_II**2) * fade + noise
+    if phase == "I":
+        return g + complex_gaussian(rng, g.shape, params.sigma2_I)
+    raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
+
+
+def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,
+                    genuine: bool = True):
+    """n independent authentication trials, one fresh channel per trial.
+
+    Returns ``(ref, alice, eve)``, each of shape (n, N): the verifier's
+    single-shot enrollment reference, a genuine classification-phase
+    packet (None unless ``genuine``) and the arrival of a forged packet
+    (None unless ``forge`` is given). ``forge(h, rng)`` maps the channel
+    rows to the vectors the adversary transmits. The draw order (channel,
+    reference, genuine packet, forgery, forged arrival) is part of the
+    stream contract of every caller.
+    """
+    h = sample_channel(params, rng, size=n)
+    ref = bob_estimate_phase1(h, params, params.alpha_I, rng)
+    alice = alice_estimate_phase2(h, params, rng) if genuine else None
+    eve = forged_observation(forge(h, rng), params, rng) if forge is not None else None
+    return ref, alice, eve

@@ -29,12 +29,12 @@ from .channel import (
     ScenarioParams,
     alice_estimate_phase2,
     bob_estimate_phase1,
-    complex_gaussian,
     eve_observations,
     forged_observation,
     sample_channel,
+    simulate_trials,
 )
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, SingularTestError, UndefinedMetricError
 from .metrics import ConfusionMatrix, binomial_se
 from .mlauth import (
     CvConfig,
@@ -53,8 +53,12 @@ from .mlauth import (
 )
 from .rng import Rng
 from .statdec import (
+    accepts,
     calibrate_threshold,
+    ideal_llr,
+    modulus_statistic,
     ncx2_inv,
+    nominal_mu,
     normal_upper_quantile,
     optimize_thresholds,
     per_dim_variance,
@@ -82,6 +86,9 @@ class DefenderSpec:
             raise ConfigError(f"unknown defender kind {self.kind!r}")
         if self.metric not in ("euclidean", "llr"):
             raise ConfigError(f"unknown defender metric {self.metric!r}")
+        for v in (self.ideal_sigma2, self.ideal_sigma2_E):
+            if v is not None and not v > 0:
+                raise SingularTestError("ideal-bound variances must be positive")
 
     def label(self) -> str:
         if self.kind == "ocnn":
@@ -172,50 +179,32 @@ def _scenario_for(point: dict) -> ScenarioParams:
     )
 
 
-def _eve_stream(g, scn: ScenarioParams, rng: Rng, n: int) -> np.ndarray:
-    """Phase-II arrivals of forged packets.
+def _forge(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
+           n: int | None = None) -> np.ndarray:
+    """Forged vectors, one per row of h or n of them for a single channel h.
 
-    The forged vector keeps its mean but collects the same fading
-    innovation variance as any packet crossing the epoch boundary, which
-    is what makes the closed-form error rates exact for every alpha_II.
+    The first form draws a fresh universe per trial; the second serves the
+    trained defenders, whose packets all cross one fixed channel. When the
+    adversary averages her m_training observation pairs, the mean is drawn
+    directly from a scenario whose innovation and noise variances are
+    scaled by 1/m. That samples the average exactly because everything is
+    Gaussian and the two links share each draw's innovation; the single
+    averaged forgery is then sent n times.
     """
-    fade = complex_gaussian(rng, (n, scn.n_subcarriers), scn.power_delay)
-    noise = complex_gaussian(rng, (n, scn.n_subcarriers), scn.sigma2_II)
-    return g + np.sqrt(1.0 - scn.alpha_II**2) * fade + noise
-
-
-def _forge_batch(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
-                 h: np.ndarray) -> np.ndarray:
-    """Forged vectors for n packets.
-
-    ``h`` is either one channel vector (shared by all packets, the trained
-    defenders' setting) or one row per packet (fresh universe per trial).
-    When the adversary averages her m_training observation pairs, the mean
-    is drawn directly with variances scaled by 1/m, which is an exact
-    sampling of the average because everything is Gaussian and the two
-    links share each draw's innovation.
-    """
-    h = np.asarray(h, dtype=complex)
-    per_row = h.ndim > 1
+    obs_scn = scn
     if attacker.averaged:
         m = scn.m_training
-        shape = h.shape if per_row else (1, scn.n_subcarriers)
-        r = complex_gaussian(rng, shape, scn.power_delay / m)
-        w_ae = complex_gaussian(rng, shape, scn.sigma2_AE / m)
-        w_eb = complex_gaussian(rng, shape, scn.sigma2_EB / m)
-        h_ae = scn.rho_AE * h + np.sqrt(1.0 - scn.rho_AE**2) * r + w_ae
-        h_eb = scn.rho_EB * h + np.sqrt(1.0 - scn.rho_EB**2) * r + w_eb
-        g = attacker.strategy.forge(h_ae, h_eb, scn)
-        return g if per_row else np.repeat(g, n, axis=0)
-    h_ae, h_eb = eve_observations(h, scn, rng, size=None if per_row else n)
-    return attacker.strategy.forge(h_ae, h_eb, scn)
+        obs_scn = replace(scn, power_delay=scn.power_delay / m,
+                          sigma2_AE=scn.sigma2_AE / m, sigma2_EB=scn.sigma2_EB / m)
+    size = None if n is None else 1 if attacker.averaged else n
+    g = attacker.strategy.forge(*eve_observations(h, obs_scn, rng, size=size), scn)
+    return np.repeat(g, n, axis=0) if n is not None and attacker.averaged else g
 
 
-def _reference_batch(scn: ScenarioParams, rng: Rng, h: np.ndarray) -> np.ndarray:
-    """One enrollment reference per row of h (full single-shot variance)."""
-    fade = complex_gaussian(rng, h.shape, scn.power_delay)
-    noise = complex_gaussian(rng, h.shape, scn.sigma2_I)
-    return scn.alpha_I * h + np.sqrt(1.0 - scn.alpha_I**2) * fade + noise
+def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
+                    n: int, phase: str = "II") -> np.ndarray:
+    """n forged packets over the fixed channel h, as the verifier receives them."""
+    return forged_observation(_forge(scn, attacker, h, rng, n), scn, rng, phase=phase)
 
 
 def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
@@ -224,22 +213,20 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
 
     Every trial is a fresh universe: the verifier holds an enrollment
     reference of the genuine channel and one of the adversary's forgery,
-    and scores phase-II packets against both.
+    and scores phase-II packets against both. The forged reference is
+    enrolled before the genuine packet arrives, so both are drawn inside
+    the forge step.
     """
-    nsub = scn.n_subcarriers
-    h = sample_channel(scn, rng, size=n)
-    ref = _reference_batch(scn, rng, h)
-    g0 = _forge_batch(scn, attacker, rng, n, h)
-    eve_ref = g0 + complex_gaussian(rng, (n, nsub), scn.sigma2_I)
-    alice = alice_estimate_phase2(h, scn, rng)
-    g = _forge_batch(scn, attacker, rng, n, h)
-    eve = _eve_stream(g, scn, rng, n)
-    const = nsub * math.log(math.sqrt(s_b) / math.sqrt(s_e))
-    psi_a = (const + np.sum(np.abs(alice - ref) ** 2, axis=-1) / (2.0 * s_b)
-             - np.sum(np.abs(alice - eve_ref) ** 2, axis=-1) / (2.0 * s_e))
-    psi_e = (const + np.sum(np.abs(eve - ref) ** 2, axis=-1) / (2.0 * s_b)
-             - np.sum(np.abs(eve - eve_ref) ** 2, axis=-1) / (2.0 * s_e))
-    return psi_a, psi_e
+    drawn = {}
+
+    def enrol_then_forge(h, r):
+        drawn["eve_ref"] = forged_observation(_forge(scn, attacker, h, r), scn, r, phase="I")
+        drawn["alice"] = alice_estimate_phase2(h, scn, r)
+        return _forge(scn, attacker, h, r)
+
+    ref, _, eve = simulate_trials(scn, rng, n, forge=enrol_then_forge, genuine=False)
+    return (ideal_llr(drawn["alice"], ref, drawn["eve_ref"], s_b, s_e),
+            ideal_llr(eve, ref, drawn["eve_ref"], s_b, s_e))
 
 
 # --------------------------------------------------------------------------
@@ -257,18 +244,9 @@ def _combined_calibration(scn, target, calib_trials, attacker, rng):
             attack=lambda ae, eb, p: attacker.strategy.forge(ae, eb, p),
         )
         return thr.theta, thr.epsilon
-    dof = 2 * scn.n_subcarriers
-    s2 = per_dim_variance(scn)
-    mu_nom = float(np.sum((2.0 / s2) * (scn.alpha_II - scn.alpha_I) ** 2 * scn.power_delay))
-    theta = ncx2_inv(1.0 - target / 2.0, dof, mu_nom)
-    n_probe = 100_000
-    h = sample_channel(scn, rng, size=n_probe)
-    ref = scn.alpha_I * h + np.sqrt(1.0 - scn.alpha_I**2) * sample_channel(scn, rng, size=n_probe) \
-        + complex_gaussian(rng, (n_probe, scn.n_subcarriers), scn.sigma2_I)
-    ali = scn.alpha_II * h + np.sqrt(1.0 - scn.alpha_II**2) * sample_channel(scn, rng, size=n_probe) \
-        + complex_gaussian(rng, (n_probe, scn.n_subcarriers), scn.sigma2_II)
-    gam = np.sum(np.abs(ref) - np.abs(ali), axis=-1)
-    eps = float(np.std(gam)) * normal_upper_quantile(target / 4.0)
+    theta = ncx2_inv(1.0 - target / 2.0, 2 * scn.n_subcarriers, nominal_mu(scn))
+    ref, alice, _ = simulate_trials(scn, rng, 100_000)
+    eps = float(np.std(modulus_statistic(ref, alice))) * normal_upper_quantile(target / 4.0)
     return theta, eps
 
 
@@ -294,12 +272,8 @@ def _run_shard(payload: dict) -> dict:
 
     kind = defender.kind
     if kind in STAT_DEFENDERS:
-        s2 = per_dim_variance(scn)
         if kind == "llr":
-            mu_nom = float(np.sum((2.0 / s2) * (scn.alpha_II - scn.alpha_I) ** 2
-                                  * scn.power_delay))
-            theta = ncx2_inv(1.0 - target, 2 * n, mu_nom)
-            trained["theta"] = theta
+            trained["theta"] = ncx2_inv(1.0 - target, 2 * n, nominal_mu(scn))
         elif kind == "combined":
             theta, eps = payload["combined_thresholds"]
             trained["theta"], trained["epsilon"] = theta, eps
@@ -318,38 +292,19 @@ def _run_shard(payload: dict) -> dict:
             acc_a = psi_a <= trained["theta"]
             acc_e = psi_e <= trained["theta"]
         else:
-            h = sample_channel(scn, r_eval, size=n_eval)
-            ref = _reference_batch(scn, r_eval, h)
-            alice = alice_estimate_phase2(h, scn, r_eval)
-            g_ev = _forge_batch(scn, attacker, r_eval, n_eval, h)
-            eve = _eve_stream(g_ev, scn, r_eval, n_eval)
-            psi_a = 2.0 * np.sum(np.abs(alice - ref) ** 2 / s2, axis=-1)
-            psi_e = 2.0 * np.sum(np.abs(eve - ref) ** 2 / s2, axis=-1)
-            acc_a = psi_a <= trained["theta"]
-            acc_e = psi_e <= trained["theta"]
-            if kind == "combined":
-                gam_a = np.sum(np.abs(ref) - np.abs(alice), axis=-1)
-                gam_e = np.sum(np.abs(ref) - np.abs(eve), axis=-1)
-                acc_a &= np.abs(gam_a) <= trained["epsilon"]
-                acc_e &= np.abs(gam_e) <= trained["epsilon"]
-        cm = ConfusionMatrix(
-            tp=int(np.sum(acc_a)), fn=int(n_eval - np.sum(acc_a)),
-            fp=int(np.sum(acc_e)), tn=int(n_eval - np.sum(acc_e)),
-        )
-        return {
-            "point_idx": payload["point_idx"],
-            "dataset_idx": payload["dataset_idx"],
-            "tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn,
-            "trained": trained,
-            "train_seconds": train_seconds,
-        }
+            ref, alice, eve = simulate_trials(
+                scn, r_eval, n_eval, forge=lambda h, r: _forge(scn, attacker, h, r))
+            s2 = per_dim_variance(scn)
+            acc_a = accepts(alice, ref, s2, trained["theta"], trained.get("epsilon"))
+            acc_e = accepts(eve, ref, s2, trained["theta"], trained.get("epsilon"))
+        return _shard_result(payload, acc_a, acc_e, trained, train_seconds)
 
     # learned defenders: one model per dataset on a fixed channel
     h = sample_channel(scn, rng.derive(0))
     train_pos = bob_estimate_phase1(h, scn, scn.alpha_I, rng.derive(1), size=scn.m_training)
     if kind in ("ocnn", "ocsvm"):
-        g_neg = _forge_batch(scn, attacker, rng.derive(2), scn.m_training, h)
-        negatives = featurize(_eve_stream(g_neg, scn, rng.derive(2), scn.m_training))
+        g_neg = _forge(scn, attacker, h, rng.derive(2), scn.m_training)
+        negatives = featurize(forged_observation(g_neg, scn, rng.derive(2)))
         cv = CvConfig(negatives=negatives)
         metric = (DistanceMetric("llr", per_dim_variance(scn))
                   if defender.metric == "llr" else DistanceMetric("euclidean"))
@@ -363,7 +318,7 @@ def _run_shard(payload: dict) -> dict:
     else:
         m_half = scn.m_training // 2
         pos = featurize(train_pos[:m_half])
-        g_tr = _forge_batch(scn, attacker, rng.derive(2), m_half, h)
+        g_tr = _forge(scn, attacker, h, rng.derive(2), m_half)
         neg = featurize(forged_observation(g_tr, scn, rng.derive(2), phase="I"))
         x_tr = np.vstack([pos, neg])
         y_tr = np.concatenate([np.ones(m_half, dtype=int), np.zeros(m_half, dtype=int)])
@@ -392,8 +347,7 @@ def _run_shard(payload: dict) -> dict:
 
     r_eval = rng.derive(9)
     alice = alice_estimate_phase2(h, scn, r_eval, size=n_eval)
-    g_ev = _forge_batch(scn, attacker, r_eval, n_eval, h)
-    eve = _eve_stream(g_ev, scn, r_eval, n_eval)
+    eve = _forged_packets(scn, attacker, h, r_eval, n_eval)
 
     if kind == "ocnn":
         acc_a = ocnn_classify(model, featurize(alice))
@@ -408,6 +362,12 @@ def _run_shard(payload: dict) -> dict:
         acc_a = np.asarray(binary_svm_classify(svm, featurize(alice))) == 1
         acc_e = np.asarray(binary_svm_classify(svm, featurize(eve))) == 1
 
+    return _shard_result(payload, acc_a, acc_e, trained, train_seconds)
+
+
+def _shard_result(payload: dict, acc_a, acc_e, trained: dict, train_seconds: float) -> dict:
+    """Confusion counts of one shard from its genuine and forged accept masks."""
+    n_eval = payload["n_eval"]
     cm = ConfusionMatrix(
         tp=int(np.sum(acc_a)), fn=int(n_eval - np.sum(acc_a)),
         fp=int(np.sum(acc_e)), tn=int(n_eval - np.sum(acc_e)),

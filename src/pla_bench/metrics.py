@@ -14,12 +14,6 @@ import math
 
 from .errors import UndefinedMetricError
 
-ALICE = "alice"
-EVE = "eve"
-ACCEPT = "accept"
-REJECT = "reject"
-
-
 @dataclass
 class ConfusionMatrix:
     tp: int = 0
@@ -43,21 +37,6 @@ class ConfusionMatrix:
             tp=self.tp + other.tp, fn=self.fn + other.fn,
             fp=self.fp + other.fp, tn=self.tn + other.tn,
         )
-
-
-def record(cm: ConfusionMatrix, truth: str, decision: str) -> ConfusionMatrix:
-    """Count one classified packet; returns cm for chaining."""
-    if truth == ALICE and decision == ACCEPT:
-        cm.tp += 1
-    elif truth == ALICE and decision == REJECT:
-        cm.fn += 1
-    elif truth == EVE and decision == ACCEPT:
-        cm.fp += 1
-    elif truth == EVE and decision == REJECT:
-        cm.tn += 1
-    else:
-        raise ValueError(f"unknown truth/decision pair ({truth!r}, {decision!r})")
-    return cm
 
 
 def p_fa(cm: ConfusionMatrix) -> Fraction:

@@ -195,12 +195,16 @@ def _fold_slices(n: int, folds: int):
     return out
 
 
-def _ocnn_ratio_tables(metric, train, queries, jmax, kmax):
-    """ratio[q, j-1, k-1] for all (j, k) up to the caps; inf where dyz = 0."""
+def _ocnn_yz_table(metric, train, kmax):
+    """yz[i, k-1]: mean distance from training point i to its k nearest others."""
     t_all = metric.pairwise(train, train)
     np.fill_diagonal(t_all, np.inf)
     t_sorted = np.sort(t_all, axis=1)[:, :kmax]
-    yz = np.cumsum(t_sorted, axis=1) / np.arange(1, kmax + 1)  # (m, kmax)
+    return np.cumsum(t_sorted, axis=1) / np.arange(1, kmax + 1)  # (m, kmax)
+
+
+def _ocnn_ratio_tables(metric, train, yz, queries, jmax):
+    """ratio[q, j-1, k-1] for all (j, k) up to the caps; inf where dyz = 0."""
     d = metric.pairwise(queries, train)
     order = np.argsort(d, axis=1)[:, :jmax]
     dxy_sorted = np.take_along_axis(d, order, axis=1)
@@ -244,8 +248,9 @@ def ocnn_train(positives, variant: str, metric: DistanceMetric, cv: CvConfig, rn
         ne = neg[neg_slices[f]]
         if va.shape[0] == 0 or ne.shape[0] == 0:
             raise ConfigError("folds leave an empty validation set")
-        r_pos = _ocnn_ratio_tables(metric, tr, va, jmax, kmax)
-        r_neg = _ocnn_ratio_tables(metric, tr, ne, jmax, kmax)
+        yz = _ocnn_yz_table(metric, tr, kmax)
+        r_pos = _ocnn_ratio_tables(metric, tr, yz, va, jmax)
+        r_neg = _ocnn_ratio_tables(metric, tr, yz, ne, jmax)
         tpr = np.mean(r_pos[:, :, :, None] < thetas, axis=0)
         tnr = np.mean(r_neg[:, :, :, None] >= thetas, axis=0)
         score += np.sqrt(tpr * tnr)

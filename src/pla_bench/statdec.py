@@ -11,25 +11,13 @@ beyond numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import enum
 import math
 
 import numpy as np
 
-from .channel import (
-    ReferenceEstimate,
-    ScenarioParams,
-    complex_gaussian,
-    eve_observations,
-    sample_channel,
-)
+from .channel import ScenarioParams, eve_observations, simulate_trials
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
 from .rng import Rng
-
-
-class Hypothesis(enum.Enum):
-    H0 = "H0"  # legitimate transmitter
-    H1 = "H1"  # impersonation
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +185,6 @@ def ncx2_inv(p: float, dof: int, delta: float) -> float:
     raise NumericError("quantile bisection did not converge")
 
 
-@dataclass(frozen=True)
-class NoncentralChi2:
-    """Distribution object bundling degrees of freedom and noncentrality."""
-
-    dof: int
-    delta: float
-
-    def __post_init__(self):
-        if int(self.dof) < 1:
-            raise ConfigError("dof must be a positive integer")
-        if self.delta < 0:
-            raise ConfigError("delta must be nonnegative")
-        object.__setattr__(self, "dof", int(self.dof))
-        object.__setattr__(self, "delta", float(self.delta))
-
-    def cdf(self, x):
-        return ncx2_cdf(x, self.dof, self.delta)
-
-    def inv(self, p: float) -> float:
-        return ncx2_inv(p, self.dof, self.delta)
-
-
 def normal_upper_quantile(q: float) -> float:
     """z with P[Z > z] = q for standard normal Z, via the chi-square link."""
     if not 0.0 < q < 0.5:
@@ -243,28 +209,15 @@ def per_dim_variance(params: ScenarioParams, alpha_bar_I=None) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class LlrTest:
-    reference: ReferenceEstimate
-    sigma2_n: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.sigma2_n, dtype=float))
-        if s.shape != self.reference.h_bar.shape:
-            raise ConfigError("sigma2_n must match the reference dimension")
-        if np.any(s <= 0):
-            raise SingularTestError("per-dimension variance must be strictly positive")
-        if not self.theta > 0:
-            raise ConfigError("theta must be positive")
-        object.__setattr__(self, "sigma2_n", s)
-
-
-def llr_statistic(h_hat, test: LlrTest):
+def llr_statistic(h_hat, h_bar, sigma2_n):
     """Psi = 2 * sum_n |h_hat_n - h_bar_n|^2 / sigma_n^2 (batched over rows)."""
-    h_hat = np.asarray(h_hat, dtype=complex)
-    diff = h_hat - test.reference.h_bar
-    return 2.0 * np.sum(np.abs(diff) ** 2 / test.sigma2_n, axis=-1)
+    return 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / sigma2_n, axis=-1)
+
+
+def nominal_mu(params: ScenarioParams) -> float:
+    """Noncentrality of the genuine-packet statistic averaged over channels."""
+    s2 = per_dim_variance(params)
+    return float(np.sum((2.0 / s2) * (params.alpha_II - params.alpha_I) ** 2 * params.power_delay))
 
 
 def noncentrality_mu(params: ScenarioParams, h_ab, alpha_bar_I=None) -> float:
@@ -284,13 +237,6 @@ def noncentrality_beta(g, params: ScenarioParams, h_ab, alpha_bar_I=None) -> flo
     return float(np.sum((2.0 / s2) * np.abs(g - a_bar * h_ab) ** 2))
 
 
-def llr_decide(psi: float, theta: float) -> Hypothesis:
-    """Accept (H0) if and only if the statistic does not exceed the threshold."""
-    if not theta > 0:
-        raise ConfigError("theta must be positive")
-    return Hypothesis.H0 if psi <= theta else Hypothesis.H1
-
-
 def analytic_pfa_pmd(theta: float, mu: float, beta, n_subcarriers: int):
     """Closed-form error rates of the LLR test at threshold theta.
 
@@ -306,26 +252,21 @@ def analytic_pfa_pmd(theta: float, mu: float, beta, n_subcarriers: int):
 # ---------------------------------------------------------------------------
 # combined LLR + modulus test
 
-def modulus_statistic(reference: ReferenceEstimate, h_hat):
-    """Gamma = sum_n (|h_bar_n| - |h_hat_n|), batched over rows of h_hat."""
-    h_hat = np.asarray(h_hat, dtype=complex)
-    return np.sum(np.abs(reference.h_bar) - np.abs(h_hat), axis=-1)
+def modulus_statistic(h_bar, h_hat):
+    """Gamma = sum_n (|h_bar_n| - |h_hat_n|), batched over rows."""
+    return np.sum(np.abs(h_bar) - np.abs(h_hat), axis=-1)
 
 
-@dataclass(frozen=True)
-class CombinedTest:
-    llr: LlrTest
-    epsilon: float
+def accepts(h_hat, h_bar, sigma2_n, theta: float, epsilon: float | None = None):
+    """Where the LLR test (and, given epsilon, the modulus test) accepts h_hat.
 
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be strictly positive")
-
-
-def combined_decide(psi: float, gamma: float, test: CombinedTest) -> Hypothesis:
-    """Accept only when both the LLR and the modulus conditions hold."""
-    ok = psi <= test.llr.theta and -test.epsilon <= gamma <= test.epsilon
-    return Hypothesis.H0 if ok else Hypothesis.H1
+    The packet passes when Psi <= theta and, for the combined test,
+    |Gamma| <= epsilon.
+    """
+    ok = llr_statistic(h_hat, h_bar, sigma2_n) <= theta
+    if epsilon is not None:
+        ok &= np.abs(modulus_statistic(h_bar, h_hat)) <= epsilon
+    return ok
 
 
 @dataclass(frozen=True)
@@ -378,20 +319,13 @@ def optimize_thresholds(
     if np.any(s2 <= 0):
         raise SingularTestError("scenario gives zero per-dimension variance")
 
-    # H0 calibration sample, fresh channel per trial
-    r_h0 = rng.derive(0)
-    h = sample_channel(scenario, r_h0, size=n_mc)
-    fade_ref = sample_channel(scenario, r_h0, size=n_mc)
-    noise_ref = complex_gaussian(r_h0, (n_mc, n), scenario.sigma2_I)
-    a_bar = scenario.alpha_I
-    h_bar = a_bar * h + np.sqrt(1.0 - a_bar**2) * fade_ref + noise_ref
-    fade2 = sample_channel(scenario, r_h0, size=n_mc)
-    noise2 = complex_gaussian(r_h0, (n_mc, n), scenario.sigma2_II)
-    h_hat = scenario.alpha_II * h + np.sqrt(1.0 - scenario.alpha_II**2) * fade2 + noise2
-    psi0 = 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / s2, axis=-1)
-    gam0 = np.abs(np.sum(np.abs(h_bar) - np.abs(h_hat), axis=-1))
+    def statistics(ref, pkt):
+        return llr_statistic(pkt, ref, s2), np.abs(modulus_statistic(ref, pkt))
 
-    mu_nominal = float(np.sum((2.0 / s2) * (scenario.alpha_II - a_bar) ** 2 * scenario.power_delay))
+    # H0 calibration sample, fresh channel per trial
+    psi0, gam0 = statistics(*simulate_trials(scenario, rng.derive(0), n_mc)[:2])
+
+    mu_nominal = nominal_mu(scenario)
     theta_grid = np.linspace(
         ncx2_inv(1.0 - min(2.0 * target_pfa, 1.0 - 1e-9), dof, mu_nominal),
         ncx2_inv(1.0 - target_pfa / 10.0, dof, mu_nominal),
@@ -414,20 +348,10 @@ def optimize_thresholds(
         )
 
     # H1 sample under the configured attack
-    r_h1 = rng.derive(1)
-    h1 = sample_channel(scenario, r_h1, size=n_mc)
-    fade_ref1 = sample_channel(scenario, r_h1, size=n_mc)
-    noise_ref1 = complex_gaussian(r_h1, (n_mc, n), scenario.sigma2_I)
-    h_bar1 = a_bar * h1 + np.sqrt(1.0 - a_bar**2) * fade_ref1 + noise_ref1
-    h_ae, h_eb = eve_observations(h1, scenario, r_h1, size=n_mc)
-    g = attack(h_ae, h_eb, scenario)
-    # forged packets cross the epoch boundary too: keep the mean at g but
-    # add the fading innovation so the closed forms stay exact at alpha_II < 1
-    fade_g = sample_channel(scenario, r_h1, size=n_mc)
-    h_hat1 = (g + np.sqrt(1.0 - scenario.alpha_II**2) * fade_g
-              + complex_gaussian(r_h1, (n_mc, n), scenario.sigma2_II))
-    psi1 = 2.0 * np.sum(np.abs(h_hat1 - h_bar1) ** 2 / s2, axis=-1)
-    gam1 = np.abs(np.sum(np.abs(h_bar1) - np.abs(h_hat1), axis=-1))
+    ref, _, eve = simulate_trials(
+        scenario, rng.derive(1), n_mc, genuine=False,
+        forge=lambda h, r: attack(*eve_observations(h, scenario, r), scenario))
+    psi1, gam1 = statistics(ref, eve)
     pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
 
     best = None
@@ -451,33 +375,18 @@ def optimize_thresholds(
 # ---------------------------------------------------------------------------
 # ideal-knowledge bound
 
-@dataclass(frozen=True)
-class IdealBoundTest:
-    reference: ReferenceEstimate
-    eve_reference: np.ndarray
-    sigma2: float
-    sigma2_E: float
-    theta_bar: float
-
-    def __post_init__(self):
-        if not (self.sigma2 > 0 and self.sigma2_E > 0):
-            raise SingularTestError("ideal-bound variances must be positive")
-        object.__setattr__(self, "eve_reference", np.asarray(self.eve_reference, dtype=complex))
-
-
-def ideal_llr(h_hat, test: IdealBoundTest):
+def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float, sigma2_E: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
-    Accept when the value does not exceed theta_bar.
+    Accept when the value does not exceed the calibrated threshold.
     """
-    h_hat = np.asarray(h_hat, dtype=complex)
-    n = test.reference.h_bar.shape[0]
-    d0 = np.sum(np.abs(h_hat - test.reference.h_bar) ** 2, axis=-1)
-    d1 = np.sum(np.abs(h_hat - test.eve_reference) ** 2, axis=-1)
+    n = np.shape(h_hat)[-1]
+    d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
+    d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)
     return (
-        n * math.log(math.sqrt(test.sigma2) / math.sqrt(test.sigma2_E))
-        + d0 / (2.0 * test.sigma2)
-        - d1 / (2.0 * test.sigma2_E)
+        n * math.log(math.sqrt(sigma2) / math.sqrt(sigma2_E))
+        + d0 / (2.0 * sigma2)
+        - d1 / (2.0 * sigma2_E)
     )
 
 

@@ -15,8 +15,6 @@ from pla_bench.attacks import (
 from pla_bench.channel import ScenarioParams, sample_channel
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
-from pla_bench.statdec import CombinedTest, LlrTest
-from pla_bench.channel import ReferenceEstimate
 
 
 def _pinned_params(**kw):
@@ -171,14 +169,13 @@ def test_optimize_attack_exponents_deterministic_and_bounded():
     assert 0.0 <= pmd <= 1.0
 
 
-def test_optimize_attack_exponents_accepts_combined_test():
-    scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.9, rho_EB=0.9)
-    ref = ReferenceEstimate(h_bar=np.array([1.0 + 0j]), alpha_bar_I=np.ones(1))
-    bob = CombinedTest(llr=LlrTest(reference=ref, sigma2_n=np.ones(1), theta=5.0),
-                       epsilon=0.5)
-    a = optimize_attack_exponents(bob, scn, grid_step=0.5, n_mc=4000, rng=Rng(6))
-    b = optimize_attack_exponents((5.0, 0.5), scn, grid_step=0.5, n_mc=4000, rng=Rng(6))
-    assert a == b
+def test_optimize_attack_exponents_agrees_with_mismatched_eval():
+    # both draw their trials from the kernel on rng.derive(0), so the grid's
+    # optimum scores exactly what evaluating that exponent attack scores
+    scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.7, rho_EB=0.6, alpha_II=0.9)
+    x, y, pmd = optimize_attack_exponents((9.0, 0.8), scn, grid_step=0.5, n_mc=4000, rng=Rng(7))
+    atk = AttackStrategy("exponent", x=x, y=y)
+    assert mismatched_eval(atk, "combined", scn, 4000, Rng(7), 9.0, 0.8) == pmd
 
 
 # ---------------------------------------------------------------------------

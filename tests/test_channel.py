@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from pla_bench.channel import (
-    ReferenceEstimate,
     ScenarioParams,
     alice_estimate_phase2,
-    average_estimates,
     bob_estimate_phase1,
-    bob_training_set,
     complex_gaussian,
     eve_observations,
     forged_observation,
-    reference_estimate,
     sample_channel,
+    simulate_trials,
 )
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
@@ -69,57 +66,28 @@ def test_bob_estimate_phase1_alpha_validation():
         bob_estimate_phase1(h, params, np.array([0.5, 0.5, 0.5]), Rng(0))
 
 
-def test_average_estimates_reduces_noise():
-    # n_subcarriers doubles as a batch axis here: every component is an
-    # independent replica of the same scalar channel
-    reps = 50_000
-    params = ScenarioParams(n_subcarriers=reps, alpha_I=1.0)
-    h = np.full(reps, 2.0 + 1.0j)
-    m = 16
-    ests = bob_estimate_phase1(h, params, 1.0, Rng(4), size=m)
-    ref = average_estimates(list(ests), [1.0] * m)
-    # with alpha == 1 the only spread left is the averaged estimation noise
-    want_var = params.sigma2_I / m
-    assert abs(ref.h_bar.mean() - h[0]) < 3.0 * np.sqrt(want_var / reps)
-    assert abs(np.var(ref.h_bar) - want_var) < _three_se_of_variance(want_var, reps)
-
-
-def test_average_estimates_alpha_bar_exact():
-    est = [np.array([1.0 + 0j]), np.array([2.0 + 0j])]
-    ref = average_estimates(est, [0.6, 1.0])
-    assert ref.alpha_bar_I[0] == pytest.approx(0.8)
-    assert ref.h_bar[0] == pytest.approx(1.5 + 0j)
-
-
-def test_average_estimates_validation():
-    with pytest.raises(ConfigError):
-        average_estimates([], [])
-    with pytest.raises(ConfigError):
-        average_estimates([np.array([1 + 0j]), np.array([1 + 0j, 2 + 0j])], [1.0, 1.0])
-    with pytest.raises(ConfigError):
-        average_estimates([np.array([1 + 0j])], [1.0, 1.0])
-
-
 def test_reference_estimate_has_full_phase1_variance():
-    reps = 50_000
-    params = ScenarioParams(n_subcarriers=reps, alpha_I=1.0)
-    h = np.full(reps, 1.0 - 2.0j)
-    ref = reference_estimate(h, params, Rng(50))
-    want_var = params.sigma2_I
-    assert abs(np.var(ref.h_bar) - want_var) < _three_se_of_variance(want_var, reps)
+    # the kernel's reference is one full-variance enrollment estimate, not
+    # an average of m_training of them
+    params = ScenarioParams(n_subcarriers=1, alpha_I=1.0, m_training=100)
+    ref, _, _ = simulate_trials(params, Rng(50), N_SAMPLES, genuine=False)
+    want_var = 1.0 + params.sigma2_I
+    assert abs(np.var(ref) - want_var) < _three_se_of_variance(want_var, N_SAMPLES)
 
 
 def test_reference_estimate_alpha_bar_matches_scenario():
-    params = ScenarioParams(n_subcarriers=3, alpha_I=0.9)
-    ref = reference_estimate(sample_channel(params, Rng(6)), params, Rng(7))
-    assert np.allclose(ref.alpha_bar_I, 0.9)
-    assert ref.h_bar.shape == (3,)
+    # reference and genuine packet share only alpha_I * alpha_II of the channel
+    params = ScenarioParams(n_subcarriers=3, alpha_I=0.9, alpha_II=0.8)
+    ref, alice, eve = simulate_trials(params, Rng(7), N_SAMPLES)
+    assert ref.shape == alice.shape == (N_SAMPLES, 3) and eve is None
+    cross = np.mean(ref * np.conj(alice), axis=0)
+    assert np.all(np.abs(cross - 0.9 * 0.8) < 5.0 / np.sqrt(N_SAMPLES))
 
 
 def test_bob_training_set_shape():
     params = ScenarioParams(n_subcarriers=2, m_training=100)
     h = sample_channel(params, Rng(8))
-    train = bob_training_set(h, params, Rng(9))
+    train = bob_estimate_phase1(h, params, params.alpha_I, Rng(9), size=params.m_training)
     assert train.shape == (100, 2)
 
 
@@ -152,16 +120,6 @@ def test_eve_observations_correlations_shared_innovation():
     assert abs(np.var(h_eb) - 1.0) < _three_se_of_variance(1.0, N_SAMPLES)
 
 
-def test_eve_observations_independent_innovations():
-    rho_ae, rho_eb = 0.6, 0.3
-    params = ScenarioParams(n_subcarriers=1, rho_AE=rho_ae, rho_EB=rho_eb)
-    rng = Rng(12)
-    h = sample_channel(params, rng, size=N_SAMPLES)
-    h_ae, h_eb = eve_observations(h, params, rng, size=N_SAMPLES, independent_r=True)
-    tol = 5.0 / np.sqrt(N_SAMPLES)
-    assert abs(_corr(h_ae, h_eb) - rho_ae * rho_eb) < tol
-
-
 def test_eve_observations_estimation_noise_adds_variance():
     params = ScenarioParams(n_subcarriers=1, rho_AE=0.5, rho_EB=0.5,
                             sigma2_AE=0.2, sigma2_EB=0.1)
@@ -182,6 +140,36 @@ def test_forged_observation_phases():
     assert abs(got2.mean() - g[0]) < 3.0 * np.sqrt(params.sigma2_II / N_SAMPLES)
     with pytest.raises(ConfigError):
         forged_observation(g, params, Rng(16), phase="III")
+
+
+def test_forged_observation_phase2_collects_fading():
+    params = ScenarioParams(n_subcarriers=1, alpha_II=0.8)
+    g = np.full((N_SAMPLES, 1), 1.0 - 1.0j)
+    got = forged_observation(g, params, Rng(17))
+    want_var = (1.0 - 0.8**2) + params.sigma2_II
+    assert abs(got.mean() - g[0, 0]) < 3.0 * np.sqrt(want_var / N_SAMPLES)
+    assert abs(np.var(got) - want_var) < _three_se_of_variance(want_var, N_SAMPLES)
+
+
+def test_simulate_trials_draws_in_stream_order():
+    params = ScenarioParams(n_subcarriers=2, alpha_I=0.9, alpha_II=0.7, rho_AE=0.5)
+
+    def forge(h, rng):
+        return 0.5 * eve_observations(h, params, rng)[0]
+
+    ref, alice, eve = simulate_trials(params, Rng(18), 6, forge=forge)
+    rng = Rng(18)
+    h = sample_channel(params, rng, size=6)
+    assert np.array_equal(ref, bob_estimate_phase1(h, params, params.alpha_I, rng))
+    assert np.array_equal(alice, alice_estimate_phase2(h, params, rng))
+    assert np.array_equal(eve, forged_observation(forge(h, rng), params, rng))
+    # skipping the genuine packet leaves the rest of the stream in order
+    ref2, alice2, eve2 = simulate_trials(params, Rng(18), 6, forge=forge, genuine=False)
+    rng = Rng(18)
+    h = sample_channel(params, rng, size=6)
+    assert np.array_equal(ref2, ref) and alice2 is None
+    bob_estimate_phase1(h, params, params.alpha_I, rng)
+    assert np.array_equal(eve2, forged_observation(forge(h, rng), params, rng))
 
 
 def test_scenario_params_validation():
@@ -209,15 +197,6 @@ def test_from_snr_maps_db_to_variance():
     assert params.sigma2_II == pytest.approx(10**-2.0)
     assert params.snr_I_db == pytest.approx(15.0)
     assert params.snr_II_db == pytest.approx(20.0)
-
-
-def test_reference_estimate_validation():
-    with pytest.raises(ConfigError):
-        ReferenceEstimate(h_bar=np.ones((2, 2), dtype=complex), alpha_bar_I=np.ones((2, 2)))
-    with pytest.raises(ConfigError):
-        ReferenceEstimate(h_bar=np.array([1 + 0j, np.nan + 0j]), alpha_bar_I=np.array([1.0, 1.0]))
-    with pytest.raises(ConfigError):
-        ReferenceEstimate(h_bar=np.array([1 + 0j]), alpha_bar_I=np.array([1.0, 1.0]))
 
 
 def test_channel_functions_deterministic_under_seed():

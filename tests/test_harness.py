@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from pla_bench.attacks import AttackStrategy
-from pla_bench.errors import ConfigError
+from pla_bench.channel import ScenarioParams, eve_observations
+from pla_bench.errors import ConfigError, SingularTestError
 from pla_bench.harness import (
     _BASE_COLUMNS,
+    _forge,
+    _shard_result,
     REPRODUCE_TARGETS,
     AttackerSpec,
     DefenderSpec,
@@ -19,6 +22,7 @@ from pla_bench.harness import (
     reproduce,
     run_experiment,
 )
+from pla_bench.rng import Rng
 
 # ---------------------------------------------------------------------------
 # specs
@@ -29,6 +33,14 @@ def test_defender_spec_validation():
         DefenderSpec(kind="oracle")
     with pytest.raises(ConfigError):
         DefenderSpec(kind="ocnn", metric="cosine")
+
+
+def test_ideal_bound_requires_positive_variances():
+    with pytest.raises(SingularTestError):
+        DefenderSpec(kind="ideal", ideal_sigma2=0.0)
+    with pytest.raises(SingularTestError):
+        DefenderSpec(kind="ideal", ideal_sigma2=0.1, ideal_sigma2_E=-1.0)
+    assert DefenderSpec(kind="ideal", ideal_sigma2=0.1, ideal_sigma2_E=0.2).ideal_sigma2 == 0.1
 
 
 def test_defender_labels():
@@ -150,6 +162,64 @@ def test_run_experiment_shard_rounding():
     # 2000 trials over 3 datasets becomes 3 shards of ceil(2000/3) = 667
     table = run_experiment(_tiny_llr_config(n_datasets=3))
     assert table.rows[0]["n_alice"] == 3 * 667
+
+
+def test_shard_result_maps_all_four_outcomes():
+    payload = {"point_idx": 3, "dataset_idx": 1, "n_eval": 4}
+    genuine = np.array([True, True, True, False])
+    forged = np.array([True, False, False, False])
+    got = _shard_result(payload, genuine, forged, {"theta": 1.0}, 0.5)
+    assert (got["tp"], got["fn"], got["fp"], got["tn"]) == (3, 1, 1, 3)
+    assert (got["point_idx"], got["dataset_idx"], got["trained"]) == (3, 1, {"theta": 1.0})
+
+
+class _Observer:
+    """Forging strategy that keeps the adversary's observations."""
+
+    def __init__(self):
+        self.seen = []
+
+    def forge(self, h_ae, h_eb, params):
+        self.seen.append((h_ae, h_eb))
+        return h_ae
+
+
+def test_averaged_attacker_matches_explicit_average():
+    # the averaged draw must follow the law of the mean of m observation
+    # pairs: same means, variances and cross-correlation
+    m, n = 8, 40_000
+    scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.6, rho_EB=0.3,
+                                  sigma2_AE=0.2, sigma2_EB=0.1, m_training=m)
+    h = np.full((n, 1), 0.8 - 0.6j)
+    observer = _Observer()
+    _forge(scn, AttackerSpec(observer, averaged=True), h, Rng(30))
+    ae, eb = (x[:, 0] for x in observer.seen[0])
+    rng = Rng(31)
+    pairs = [eve_observations(h, scn, rng) for _ in range(m)]
+    ae_ref = np.mean([p[0] for p in pairs], axis=0)[:, 0]
+    eb_ref = np.mean([p[1] for p in pairs], axis=0)[:, 0]
+
+    def cov(a, b):
+        return np.mean((a - a.mean()) * np.conj(b - b.mean()))
+
+    var_ae = ((1 - 0.6**2) + 0.2) / m
+    var_eb = ((1 - 0.3**2) + 0.1) / m
+    cross = np.sqrt(1 - 0.6**2) * np.sqrt(1 - 0.3**2) / m
+    # two independent estimates of each moment, so their gap has sqrt(2) SEs
+    se = np.sqrt(2.0 / n)
+    for got, want, var in ((ae, ae_ref, var_ae), (eb, eb_ref, var_eb)):
+        assert abs(got.mean() - want.mean()) < 3.0 * se * np.sqrt(var)
+        assert abs(cov(got, got) - cov(want, want)) < 3.0 * se * var
+    assert abs(cov(ae, eb) - cov(ae_ref, eb_ref)) < 3.0 * se * np.sqrt(var_ae * var_eb)
+    assert abs(cov(ae, eb) - cross) < 3.0 * np.sqrt(var_ae * var_eb / n)
+
+
+def test_averaged_attacker_sends_one_forgery_per_dataset():
+    scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.6, m_training=10)
+    attacker = AttackerSpec(AttackStrategy("simplified"), averaged=True)
+    g = _forge(scn, attacker, np.array([1.0 + 0j, -0.5j]), Rng(32), n=5)
+    assert g.shape == (5, 2)
+    assert np.array_equal(g, np.repeat(g[:1], 5, axis=0))
 
 
 def test_run_experiment_deterministic():

@@ -12,30 +12,7 @@ from pla_bench.metrics import (
     g_mean,
     p_fa,
     p_md,
-    record,
 )
-
-
-def test_record_maps_all_four_outcomes():
-    cm = ConfusionMatrix()
-    record(cm, "alice", "accept")
-    record(cm, "alice", "reject")
-    record(cm, "eve", "accept")
-    record(cm, "eve", "reject")
-    assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 1)
-
-
-def test_record_returns_the_same_instance():
-    cm = ConfusionMatrix()
-    assert record(cm, "alice", "accept") is cm
-
-
-def test_record_rejects_unknown_labels():
-    cm = ConfusionMatrix()
-    with pytest.raises(ValueError):
-        record(cm, "mallory", "accept")
-    with pytest.raises(ValueError):
-        record(cm, "alice", "maybe")
 
 
 def test_rates_are_exact_fractions():

@@ -4,27 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pla_bench.channel import ReferenceEstimate, ScenarioParams, sample_channel
-from pla_bench.errors import ConfigError, InfeasibleTargetError, SingularTestError
+from pla_bench.channel import ScenarioParams, sample_channel
+from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
 from pla_bench.statdec import (
-    CombinedTest,
-    Hypothesis,
-    IdealBoundTest,
-    LlrTest,
-    NoncentralChi2,
     ThresholdResult,
+    accepts,
     analytic_pfa_pmd,
     calibrate_threshold,
-    combined_decide,
     ideal_llr,
-    llr_decide,
     llr_statistic,
     modulus_statistic,
     ncx2_cdf,
     ncx2_inv,
     noncentrality_beta,
     noncentrality_mu,
+    nominal_mu,
     normal_upper_quantile,
     optimize_thresholds,
     per_dim_variance,
@@ -135,16 +130,6 @@ def test_inverse_validation():
         ncx2_inv(0.5, 2, -1.0)
 
 
-def test_distribution_object_delegates():
-    d = NoncentralChi2(4, 2.5)
-    assert d.cdf(3.0) == ncx2_cdf(3.0, 4, 2.5)
-    assert d.inv(0.9) == ncx2_inv(0.9, 4, 2.5)
-    with pytest.raises(ConfigError):
-        NoncentralChi2(0, 1.0)
-    with pytest.raises(ConfigError):
-        NoncentralChi2(2, -0.1)
-
-
 def test_normal_upper_quantile_matches_scipy():
     for q in (0.25, 0.1, 0.01, 1e-4, 1e-6):
         z = normal_upper_quantile(q)
@@ -163,49 +148,38 @@ def test_normal_upper_quantile_matches_scipy():
 # LLR statistic and closed-form error rates
 
 
-def _simple_test(n=2, theta=5.0, sigma2=None):
-    h_bar = np.arange(1, n + 1).astype(complex)
-    ref = ReferenceEstimate(h_bar=h_bar, alpha_bar_I=np.ones(n))
-    s2 = np.full(n, 0.5) if sigma2 is None else sigma2
-    return LlrTest(reference=ref, sigma2_n=s2, theta=theta)
+def _reference(n=2):
+    return np.arange(1, n + 1).astype(complex)
 
 
 def test_llr_statistic_zero_at_reference():
-    t = _simple_test()
-    assert llr_statistic(t.reference.h_bar, t) == pytest.approx(0.0)
+    h_bar = _reference()
+    assert llr_statistic(h_bar, h_bar, np.full(2, 0.5)) == pytest.approx(0.0)
 
 
 def test_llr_statistic_direct_formula():
-    t = _simple_test(n=3)
+    h_bar, s2 = _reference(3), np.array([0.5, 0.25, 2.0])
     rng = Rng(1)
     h_hat = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    want = 2.0 * np.sum(np.abs(h_hat - t.reference.h_bar) ** 2 / t.sigma2_n)
-    assert llr_statistic(h_hat, t) == pytest.approx(want, rel=1e-12)
+    want = 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / s2)
+    assert llr_statistic(h_hat, h_bar, s2) == pytest.approx(want, rel=1e-12)
 
 
 def test_llr_statistic_scales_inversely_with_variance():
-    base = _simple_test(n=2, sigma2=np.full(2, 0.5))
-    double = _simple_test(n=2, sigma2=np.full(2, 1.0))
+    h_bar = _reference()
     h_hat = np.array([0.3 + 0.4j, -1.0 + 0j])
-    assert llr_statistic(h_hat, base) == pytest.approx(2.0 * llr_statistic(h_hat, double))
+    base = llr_statistic(h_hat, h_bar, np.full(2, 0.5))
+    assert base == pytest.approx(2.0 * llr_statistic(h_hat, h_bar, np.full(2, 1.0)))
 
 
 def test_llr_statistic_batches_rows():
-    t = _simple_test()
-    batch = np.tile(t.reference.h_bar, (5, 1))
-    got = llr_statistic(batch, t)
+    h_bar = _reference()
+    got = llr_statistic(np.tile(h_bar, (5, 1)), h_bar, np.full(2, 0.5))
     assert got.shape == (5,)
     assert np.allclose(got, 0.0)
-
-
-def test_llr_test_validation():
-    ref = ReferenceEstimate(h_bar=np.ones(2, dtype=complex), alpha_bar_I=np.ones(2))
-    with pytest.raises(ConfigError):
-        LlrTest(reference=ref, sigma2_n=np.ones(3), theta=1.0)
-    with pytest.raises(SingularTestError):
-        LlrTest(reference=ref, sigma2_n=np.array([0.5, 0.0]), theta=1.0)
-    with pytest.raises(ConfigError):
-        LlrTest(reference=ref, sigma2_n=np.ones(2), theta=0.0)
+    # one reference per row broadcasts the same way
+    refs = np.tile(h_bar, (5, 1))
+    assert np.allclose(llr_statistic(refs + 1.0, refs, np.full(2, 0.5)), 8.0)
 
 
 def test_statistic_distribution_under_h0():
@@ -223,7 +197,7 @@ def test_statistic_distribution_under_h0():
     fade = (rng.standard_normal((n_trials, 2)) + 1j * rng.standard_normal((n_trials, 2))) * math.sqrt(0.5)
     noise = (rng.standard_normal((n_trials, 2)) + 1j * rng.standard_normal((n_trials, 2))) * math.sqrt(params.sigma2_II / 2)
     h_hat = 0.9 * h + math.sqrt(1 - 0.81) * fade + noise
-    psi = 2.0 * np.sum(np.abs(h_hat - h_bar) ** 2 / s2, axis=-1)
+    psi = llr_statistic(h_hat, h_bar, s2)
     mu = noncentrality_mu(params, h)
     grid = np.sort(psi)
     emp = np.arange(1, n_trials + 1) / n_trials
@@ -288,51 +262,50 @@ def test_analytic_rates_accept_beta_array():
     assert np.all(np.diff(pmd) < 0)
 
 
-def test_llr_decide_boundary():
-    assert llr_decide(5.0, 5.0) is Hypothesis.H0
-    assert llr_decide(5.0 + 1e-12, 5.0) is Hypothesis.H1
-    assert llr_decide(0.0, 5.0) is Hypothesis.H0
-    with pytest.raises(ConfigError):
-        llr_decide(1.0, 0.0)
+def test_nominal_mu_averages_the_channel_power():
+    # the genuine noncentrality for a channel of power p on every carrier
+    params = ScenarioParams.from_snr(2, 15.0, 20.0, alpha_I=0.95, alpha_II=0.8,
+                                     power_delay=np.array([1.5, 0.5]))
+    h = np.sqrt(params.power_delay).astype(complex)
+    assert nominal_mu(params) == pytest.approx(noncentrality_mu(params, h), rel=1e-12)
+    assert nominal_mu(ScenarioParams.from_snr(1, 15.0, 20.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# modulus statistic and combined test
+# modulus statistic and the accept rule
 
 
 def test_modulus_statistic_zero_and_phase_blind():
-    ref = ReferenceEstimate(h_bar=np.array([1.0 + 1.0j, 2.0 + 0j]), alpha_bar_I=np.ones(2))
-    assert modulus_statistic(ref, ref.h_bar) == pytest.approx(0.0, abs=1e-15)
+    h_bar = np.array([1.0 + 1.0j, 2.0 + 0j])
+    assert modulus_statistic(h_bar, h_bar) == pytest.approx(0.0, abs=1e-15)
     phases = np.exp(1j * np.array([0.3, -2.0]))
-    assert modulus_statistic(ref, ref.h_bar * phases) == pytest.approx(0.0, abs=1e-12)
-    assert modulus_statistic(ref, -ref.h_bar) == pytest.approx(0.0, abs=1e-12)
+    assert modulus_statistic(h_bar, h_bar * phases) == pytest.approx(0.0, abs=1e-12)
+    assert modulus_statistic(h_bar, -h_bar) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modulus_statistic_sign_and_batch():
-    ref = ReferenceEstimate(h_bar=np.array([2.0 + 0j]), alpha_bar_I=np.ones(1))
-    assert modulus_statistic(ref, np.array([1.0 + 0j])) == pytest.approx(1.0)
-    assert modulus_statistic(ref, np.array([3.0 + 0j])) == pytest.approx(-1.0)
+    h_bar = np.array([2.0 + 0j])
+    assert modulus_statistic(h_bar, np.array([1.0 + 0j])) == pytest.approx(1.0)
+    assert modulus_statistic(h_bar, np.array([3.0 + 0j])) == pytest.approx(-1.0)
     batch = np.array([[1.0 + 0j], [2.0 + 0j], [4.0 + 0j]])
-    got = modulus_statistic(ref, batch)
+    got = modulus_statistic(h_bar, batch)
     assert np.allclose(got, [1.0, 0.0, -2.0])
 
 
+def test_llr_decide_boundary():
+    # Psi = 2 |h_hat - h_bar|^2 / s2 = |d|^2 with s2 = 2; the boundary accepts
+    h_bar, s2 = np.array([0.0 + 0j]), np.array([2.0])
+    h_hat = np.array([[2.0 + 0j], [2.0 + 1e-6j], [0.0 + 0j]])
+    assert accepts(h_hat, h_bar, s2, 4.0).tolist() == [True, False, True]
+
+
 def test_combined_decide_truth_table():
-    t = CombinedTest(llr=_simple_test(theta=5.0), epsilon=1.0)
-    assert combined_decide(4.0, 0.5, t) is Hypothesis.H0
-    assert combined_decide(5.0, 1.0, t) is Hypothesis.H0
-    assert combined_decide(5.0, -1.0, t) is Hypothesis.H0
-    assert combined_decide(5.1, 0.0, t) is Hypothesis.H1
-    assert combined_decide(4.0, 1.1, t) is Hypothesis.H1
-    assert combined_decide(4.0, -1.1, t) is Hypothesis.H1
-    assert combined_decide(6.0, 2.0, t) is Hypothesis.H1
-
-
-def test_combined_test_requires_positive_epsilon():
-    with pytest.raises(ConfigError):
-        CombinedTest(llr=_simple_test(), epsilon=0.0)
-    with pytest.raises(ConfigError):
-        CombinedTest(llr=_simple_test(), epsilon=-0.5)
+    # Psi = |h_hat - 2|^2 and Gamma = 2 - |h_hat| on one real carrier
+    h_bar, s2 = np.array([2.0 + 0j]), np.array([2.0])
+    h_hat = np.array([[1.5], [1.0], [3.0], [4.5], [0.5], [4.0]], dtype=complex)
+    # Psi:   0.25, 1, 1, 6.25, 2.25, 4;  Gamma: 0.5, 1, -1, -2.5, 1.5, -2
+    assert accepts(h_hat, h_bar, s2, 5.0, 1.0).tolist() == [True, True, True, False, False, False]
+    assert accepts(h_hat, h_bar, s2, 5.0).tolist() == [True, True, True, False, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -404,43 +377,31 @@ def test_optimize_thresholds_deterministic():
 
 
 def test_ideal_llr_direct_formula():
-    ref = ReferenceEstimate(h_bar=np.array([1.0 + 0j, 2.0 + 1j]), alpha_bar_I=np.ones(2))
+    h_bar = np.array([1.0 + 0j, 2.0 + 1j])
     eve_ref = np.array([0.5 + 0.5j, 1.5 - 1.0j])
-    t = IdealBoundTest(reference=ref, eve_reference=eve_ref, sigma2=0.05,
-                       sigma2_E=0.08, theta_bar=0.0)
     h_hat = np.array([0.9 + 0.1j, 2.2 + 0.8j])
-    d0 = np.sum(np.abs(h_hat - ref.h_bar) ** 2)
+    d0 = np.sum(np.abs(h_hat - h_bar) ** 2)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2)
     want = 2 * math.log(math.sqrt(0.05) / math.sqrt(0.08)) + d0 / 0.1 - d1 / 0.16
-    assert ideal_llr(h_hat, t) == pytest.approx(want, rel=1e-12)
+    assert ideal_llr(h_hat, h_bar, eve_ref, 0.05, 0.08) == pytest.approx(want, rel=1e-12)
 
 
 def test_ideal_llr_batches():
-    ref = ReferenceEstimate(h_bar=np.zeros(2, dtype=complex), alpha_bar_I=np.ones(2))
-    t = IdealBoundTest(reference=ref, eve_reference=np.ones(2, dtype=complex),
-                       sigma2=0.1, sigma2_E=0.1, theta_bar=0.0)
     batch = np.zeros((4, 2), dtype=complex)
-    got = ideal_llr(batch, t)
+    got = ideal_llr(batch, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), 0.1, 0.1)
     assert got.shape == (4,)
-
-
-def test_ideal_bound_requires_positive_variances():
-    ref = ReferenceEstimate(h_bar=np.zeros(1, dtype=complex), alpha_bar_I=np.ones(1))
-    with pytest.raises(SingularTestError):
-        IdealBoundTest(reference=ref, eve_reference=np.zeros(1), sigma2=0.0,
-                       sigma2_E=0.1, theta_bar=0.0)
-    with pytest.raises(SingularTestError):
-        IdealBoundTest(reference=ref, eve_reference=np.zeros(1), sigma2=0.1,
-                       sigma2_E=-1.0, theta_bar=0.0)
+    # per-row references score each row against its own pair
+    refs = np.tile(np.arange(2.0) + 0j, (4, 1))
+    assert np.allclose(ideal_llr(refs, refs, refs + 1.0, 0.1, 0.2),
+                       2 * math.log(math.sqrt(0.5)) - 2.0 / 0.4)
 
 
 def test_ideal_llr_prefers_the_closer_hypothesis():
     # noise around the genuine reference should score lower than noise
     # around the forged one
-    ref = ReferenceEstimate(h_bar=np.array([2.0 + 0j]), alpha_bar_I=np.ones(1))
-    t = IdealBoundTest(reference=ref, eve_reference=np.array([-2.0 + 0j]),
-                       sigma2=0.1, sigma2_E=0.1, theta_bar=0.0)
-    assert ideal_llr(np.array([1.9 + 0j]), t) < ideal_llr(np.array([-1.9 + 0j]), t)
+    h_bar, eve_ref = np.array([2.0 + 0j]), np.array([-2.0 + 0j])
+    assert (ideal_llr(np.array([1.9 + 0j]), h_bar, eve_ref, 0.1, 0.1)
+            < ideal_llr(np.array([-1.9 + 0j]), h_bar, eve_ref, 0.1, 0.1))
 
 
 def test_calibrate_threshold_hand_case():

@@ -303,8 +303,7 @@ def _run_shard(payload: dict) -> dict:
     h = sample_channel(scn, rng.derive(0))
     train_pos = bob_estimate_phase1(h, scn, scn.alpha_I, rng.derive(1), size=scn.m_training)
     if kind in ("ocnn", "ocsvm"):
-        g_neg = _forge(scn, attacker, h, rng.derive(2), scn.m_training)
-        negatives = featurize(forged_observation(g_neg, scn, rng.derive(2)))
+        negatives = featurize(_forged_packets(scn, attacker, h, rng.derive(2), scn.m_training))
         cv = CvConfig(negatives=negatives)
         metric = (DistanceMetric("llr", per_dim_variance(scn))
                   if defender.metric == "llr" else DistanceMetric("euclidean"))
@@ -318,8 +317,7 @@ def _run_shard(payload: dict) -> dict:
     else:
         m_half = scn.m_training // 2
         pos = featurize(train_pos[:m_half])
-        g_tr = _forge(scn, attacker, h, rng.derive(2), m_half)
-        neg = featurize(forged_observation(g_tr, scn, rng.derive(2), phase="I"))
+        neg = featurize(_forged_packets(scn, attacker, h, rng.derive(2), m_half, phase="I"))
         x_tr = np.vstack([pos, neg])
         y_tr = np.concatenate([np.ones(m_half, dtype=int), np.zeros(m_half, dtype=int)])
         if kind == "binary_knn":

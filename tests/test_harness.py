@@ -8,6 +8,7 @@ import pytest
 from pla_bench.attacks import AttackStrategy
 from pla_bench.channel import ScenarioParams, eve_observations
 from pla_bench.errors import ConfigError, SingularTestError
+from pla_bench import harness
 from pla_bench.harness import (
     _BASE_COLUMNS,
     _forge,
@@ -220,6 +221,45 @@ def test_averaged_attacker_sends_one_forgery_per_dataset():
     g = _forge(scn, attacker, np.array([1.0 + 0j, -0.5j]), Rng(32), n=5)
     assert g.shape == (5, 2)
     assert np.array_equal(g, np.repeat(g[:1], 5, axis=0))
+
+
+class _Captured(Exception):
+    """Stops a shard once its training set is built."""
+
+
+@pytest.mark.parametrize("kind, alpha_ii, want", [
+    # rho^2 (1 - rho^2) from the forgery, plus the phase-I noise
+    ("binary_knn", 0.9, 0.1**2 * (1 - 0.1**2) + 10**-1.5),
+    # plus the fading innovation and the phase-II noise
+    ("ocnn", 0.9, 0.1**2 * (1 - 0.1**2) + (1 - 0.9**2) + 10**-2.0),
+    ("ocnn", 1.0, 0.1**2 * (1 - 0.1**2) + 10**-2.0),
+])
+def test_training_negatives_have_independent_noise(monkeypatch, kind, alpha_ii, want):
+    # the arrival noise of the synthetic attack draws must not reuse the
+    # normals that drew the adversary's innovation
+    captured = {}
+
+    def capture_ocnn(positives, variant, metric, cv, rng):
+        captured["neg"] = cv.negatives
+        raise _Captured
+
+    def capture_knn(x, y, rng):
+        captured["neg"] = x[y == 0]
+        raise _Captured
+
+    monkeypatch.setattr(harness, "ocnn_train", capture_ocnn)
+    monkeypatch.setattr(harness, "binary_knn_tune", capture_knn)
+    m = 400_000 if kind == "binary_knn" else 200_000
+    point = dict(n_subcarriers=1, alpha_I=1.0, alpha_II=alpha_ii, rho_AE=0.1, rho_EB=0.0,
+                 snr_I_db=15.0, snr_II_db=20.0, m_training=m)
+    payload = {"point": point, "defender": DefenderSpec(kind), "attacker": AttackerSpec(),
+               "target": None, "n_eval": 1000, "seed": 11, "point_idx": 0, "dataset_idx": 0}
+    with pytest.raises(_Captured):
+        harness._run_shard(payload)
+    neg = captured["neg"]
+    assert neg.shape == (200_000, 2)
+    var = float(np.sum(np.var(neg, axis=0)))
+    assert abs(var - want) < 3.0 * want / np.sqrt(neg.shape[0])
 
 
 def test_run_experiment_deterministic():

@@ -185,7 +185,7 @@ def _forge(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
 
     The first form draws a fresh universe per trial; the second serves the
     trained defenders, whose packets all cross one fixed channel. When the
-    adversary averages her m_training observation pairs, the mean is drawn
+    adversary averages m_training observation pairs, the mean is drawn
     directly from a scenario whose innovation and noise variances are
     scaled by 1/m. That samples the average exactly because everything is
     Gaussian and the two links share each draw's innovation; the single

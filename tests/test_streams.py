@@ -18,6 +18,7 @@ from pla_bench.statdec import optimize_thresholds
 SCN = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.6, rho_EB=0.5, alpha_II=0.9,
                               sigma2_AE=0.05, sigma2_EB=0.02)
 
+# the harness sweeps no adversary noise, so its ml rows equal the simplified ones
 ATTACKERS = {
     "simplified": AttackerSpec(AttackStrategy("simplified")),
     "ml": AttackerSpec(AttackStrategy("ml")),

@@ -171,11 +171,14 @@ def test_optimize_attack_exponents_deterministic_and_bounded():
 
 def test_optimize_attack_exponents_agrees_with_mismatched_eval():
     # both draw their trials from the kernel on rng.derive(0), so the grid's
-    # optimum scores exactly what evaluating that exponent attack scores
+    # optimum scores what evaluating that exponent attack scores; the two sum
+    # the arrival's terms in a different order, so a sample within an ulp of
+    # theta or epsilon may fall on the other side
     scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.7, rho_EB=0.6, alpha_II=0.9)
-    x, y, pmd = optimize_attack_exponents((9.0, 0.8), scn, grid_step=0.5, n_mc=4000, rng=Rng(7))
+    n_mc = 4000
+    x, y, pmd = optimize_attack_exponents((9.0, 0.8), scn, grid_step=0.5, n_mc=n_mc, rng=Rng(7))
     atk = AttackStrategy("exponent", x=x, y=y)
-    assert mismatched_eval(atk, "combined", scn, 4000, Rng(7), 9.0, 0.8) == pmd
+    assert abs(mismatched_eval(atk, "combined", scn, n_mc, Rng(7), 9.0, 0.8) - pmd) <= 2 / n_mc
 
 
 # ---------------------------------------------------------------------------

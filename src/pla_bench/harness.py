@@ -147,6 +147,7 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be at least 1000")
         if self.n_datasets < 1:
             raise ConfigError("n_datasets must be at least 1")
+        _check_workers(self.workers)
         if self.defender.kind in STAT_DEFENDERS and self.target_pfa is None:
             raise ConfigError(f"defender {self.defender.kind!r} requires target_pfa")
         if isinstance(self.target_pfa, (tuple, list)):
@@ -165,6 +166,11 @@ class ExperimentConfig:
             return self.target_pfa
         idx = self.n_subcarriers.index(point["n_subcarriers"])
         return self.target_pfa[idx]
+
+
+def _check_workers(workers) -> None:
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
 
 
 def _scenario_for(point: dict) -> ScenarioParams:
@@ -424,6 +430,56 @@ def _median_or_none(values: list):
     return med
 
 
+def _openblas_entry_points(stem: str) -> list:
+    """The ``*openblas_<stem>*`` function of every OpenBLAS mapped in this process.
+
+    Found by file name in /proc/self/maps; numpy's wheel ships a prefixed,
+    64-bit-integer build (``scipy_openblas_<stem>64_``), a plain build
+    exports ``openblas_<stem>``. Empty where the map is unreadable or no
+    OpenBLAS is loaded (non-Linux hosts, MKL, Accelerate).
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return []
+    funcs = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            func = getattr(lib, f"{prefix}openblas_{stem}{suffix}", None)
+            if func is not None:
+                funcs.append(func)
+    return funcs
+
+
+def _single_thread_blas() -> None:
+    """Pool initializer: run every OpenBLAS of this worker on one thread.
+
+    Each worker otherwise starts one BLAS thread per core, and idle OpenBLAS
+    threads busy-wait, so the workers' threads oversubscribe the cores.
+    The products here are small (2N features), so extra BLAS threads buy
+    nothing, and pooled tables stay byte-identical to serial ones
+    (acceptance criterion 9 checks this).
+    """
+    import ctypes
+
+    for func in _openblas_entry_points("set_num_threads"):
+        func.argtypes = [ctypes.c_int]
+        func.restype = None
+        func(1)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas)
+
+
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Execute the full sweep and aggregate per-point confusion counts."""
     points = list(config.sweep_points())
@@ -451,7 +507,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             })
 
     if config.workers and config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with _worker_pool(config.workers) as pool:
             shard_results = list(pool.map(_run_shard, payloads, chunksize=1))
     else:
         shard_results = [_run_shard(p) for p in payloads]
@@ -809,6 +865,7 @@ def reproduce(target: str, scale: float = 1.0, seed: int = 42,
         raise ConfigError(f"unknown reproduce target {target!r}")
     if not 0.0 < scale <= 1.0:
         raise ConfigError("scale must lie in (0, 1]")
+    _check_workers(workers)
     table = _REPRODUCERS[target](scale, seed, workers)
     table.meta.setdefault("target", target)
     table.meta["scale"] = scale

@@ -70,6 +70,22 @@ def test_ml_attack_per_carrier_weights():
     assert got_d[1].real == pytest.approx(float(d2), rel=1e-14)
 
 
+def test_ml_attack_is_the_scaled_replay_without_adversary_noise():
+    """With sigma2_AE = sigma2_EB = rho_AB = 0 the combining weights are
+    (rho_AE, rho_EB), so the ML forgery is the simplified one bit for bit."""
+    rng = Rng(5)
+    for n, rho_ae, rho_eb in ((1, 0.1, 0.0), (3, 0.5, 0.3), (6, 0.9, 0.7)):
+        params = ScenarioParams(n_subcarriers=n, rho_AE=rho_ae, rho_EB=rho_eb,
+                                power_delay=np.linspace(0.5, 2.0, n))
+        h_ae = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        h_eb = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        assert np.array_equal(ml_attack(h_ae, h_eb, params),
+                              simplified_attack(h_ae, h_eb, params))
+    noisy = _pinned_params(rho_AB=0.0, sigma2_AE=0.1, sigma2_EB=0.0)
+    assert not np.array_equal(ml_attack(h_ae[:, :1], h_eb[:, :1], noisy),
+                              simplified_attack(h_ae[:, :1], h_eb[:, :1], noisy))
+
+
 def test_ml_attack_rejects_singular_geometry():
     params = ScenarioParams(n_subcarriers=1, rho_AE=0.5, rho_EB=0.5, rho_AB=1.0)
     with pytest.raises(ConfigError):

@@ -132,6 +132,15 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "res.csv"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--workers", workers])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         code = cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)])

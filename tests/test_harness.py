@@ -77,6 +77,12 @@ def test_experiment_config_validation():
     ExperimentConfig(defender=DefenderSpec(kind="ocnn"))
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_experiment_config_rejects_workers_below_one(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        _tiny_llr_config(workers=workers)
+
+
 def test_sweep_points_order_and_target_for():
     cfg = ExperimentConfig(
         defender=DefenderSpec(kind="llr"),
@@ -296,6 +302,34 @@ def test_run_experiment_workers_give_identical_tables(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _openblas_threads() -> list:
+    """Thread count of every OpenBLAS mapped in the calling process."""
+    import ctypes
+
+    counts = []
+    for func in harness._openblas_entry_points("get_num_threads"):
+        func.argtypes = []
+        func.restype = ctypes.c_int
+        counts.append(func())
+    return counts
+
+
+def test_pool_workers_run_single_threaded_blas():
+    parent = _openblas_threads()
+    if not parent:
+        pytest.skip("no OpenBLAS is mapped in this process")
+    with harness._worker_pool(1) as pool:
+        assert pool.submit(_openblas_threads).result(timeout=60) == [1] * len(parent)
+
+
+def test_pooled_run_keeps_the_callers_blas_threads():
+    before = _openblas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS is mapped in this process")
+    run_experiment(_tiny_llr_config(n_subcarriers=(1, 2), workers=2))
+    assert _openblas_threads() == before
+
+
 def test_run_experiment_ocnn_records_trained_params():
     cfg = ExperimentConfig(
         defender=DefenderSpec(kind="ocnn", variant="1KNN"),
@@ -387,6 +421,8 @@ def test_reproduce_validation():
         reproduce("table4", scale=0.0)
     with pytest.raises(ConfigError):
         reproduce("table4", scale=1.5)
+    with pytest.raises(ConfigError, match="workers"):
+        reproduce("table1", workers=0)  # builds no ExperimentConfig
 
 
 def test_reproduce_targets_listed():

@@ -8,8 +8,8 @@ the seed: each (sweep point, dataset) shard derives its own generator
 stream, and reduction happens in sorted shard order, so results are
 byte-identical no matter how many workers run.
 
-The ``reproduce`` entry point maps named targets (table1..table5,
-fig1..fig10) onto canned configurations at desk scale.
+The ``reproduce`` entry point runs named targets (table1..table5,
+fig1..fig10) at desk scale; each sweep target is one entry of ``_TARGETS``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .attacks import AttackStrategy, optimize_attack_exponents
+from .attacks import AttackStrategy, mismatched_eval, optimize_attack_exponents
 from .channel import (
     ScenarioParams,
     alice_estimate_phase2,
@@ -35,7 +35,7 @@ from .channel import (
     sample_channel,
     simulate_trials,
 )
-from .errors import ConfigError, SingularTestError, UndefinedMetricError
+from .errors import ConfigError, SingularTestError
 from .metrics import ConfusionMatrix, binomial_se
 from .mlauth import (
     CvConfig,
@@ -574,41 +574,78 @@ def _desk(value: float, scale: float, floor: int = 1_000) -> int:
     return max(int(round(value * scale)), floor)
 
 
-def _desk_datasets(base: int, scale: float) -> int:
-    return max(int(round(base * scale)), 2)
+def _each(specs, **overrides) -> list:
+    """(defender, overrides) pairs that run every spec over one sweep."""
+    return [(spec, overrides) for spec in specs]
 
 
-def _table_stat_ml_config(rho_ae: float, scale: float, seed: int, workers) -> list:
-    base = dict(
-        n_subcarriers=(1, 2, 3),
-        alpha_I=(1.0,), alpha_II=(1.0,),
-        rho_AE=(rho_ae,), rho_EB=(0.0,),
-        snr_I_db=(15.0,), snr_II_db=(20.0,),
-        m_training=(1000,),
-        attacker=AttackerSpec(AttackStrategy("simplified")),
-        n_trials=_desk(40_000, scale), n_datasets=_desk_datasets(20, scale),
-        seed=seed, workers=workers,
-    )
-    configs = []
-    for spec, target in (
-        (DefenderSpec("llr"), PUBLISHED_OCC_FA),
-        (DefenderSpec("combined"), PUBLISHED_OCC_FA),
-        (DefenderSpec("ocnn", variant="1KNN"), None),
-        (DefenderSpec("ocsvm"), None),
-    ):
-        configs.append(ExperimentConfig(defender=spec, target_pfa=target, **base))
-    return configs
+_OCNN_VARIANTS = tuple(DefenderSpec("ocnn", variant=v) for v in ("11NN", "1KNN", "J1NN", "JKNN"))
+_STAT_TESTS = (DefenderSpec("llr"), DefenderSpec("combined"))
 
 
-def _merge_tables(tables: list, meta: dict) -> ResultTable:
-    columns = tables[0].columns
-    rows = []
-    for t in tables:
-        rows.extend(t.rows)
-    return ResultTable(columns=columns, rows=rows, meta=meta)
+def _stat_ml_table(rho_ae: float) -> tuple:
+    """table4/table5: matched-FA statistical tests beside the one-class learners."""
+    sweep = dict(n_subcarriers=(1, 2, 3), rho_AE=(rho_ae,))
+    return (40_000, 20, _each(_STAT_TESTS, target_pfa=PUBLISHED_OCC_FA, **sweep)
+            + _each((DefenderSpec("ocnn"), DefenderSpec("ocsvm")), **sweep))
 
 
-def _reproduce_table1(scale: float, seed: int, workers) -> ResultTable:
+# Sweep targets: name -> (base trials, base datasets, [(defender, overrides)]).
+# Each pair is one run_experiment call with the default (simplified)
+# attacker; overrides name only the ExperimentConfig fields that differ
+# from their defaults. Trials and datasets shrink with the scale.
+_TARGETS = {
+    "table2": (4_000, 5, [
+        (spec, dict(n_subcarriers=(3,), rho_AE=(rho,), m_training=(m,)))
+        for rho in (0.1, 0.8) for m in (100, 1000)
+        for spec in (*_OCNN_VARIANTS, DefenderSpec("binary_knn"))
+    ]),
+    "table3": (40_000, 20, _each(
+        [DefenderSpec("ocsvm", kernel=k) for k in ("gaussian", "poly", "linear")],
+        n_subcarriers=(1, 2, 3))),
+    "table4": _stat_ml_table(0.1),
+    "table5": _stat_ml_table(0.8),
+    "fig2": (4_000, 5, _each(
+        _OCNN_VARIANTS, n_subcarriers=(1, 3, 6), alpha_I=(0.8,), alpha_II=(0.9,),
+        m_training=(100,), record_timing=True)),
+    "fig3": (20_000, 10, _each(_OCNN_VARIANTS, n_subcarriers=(3,), rho_AE=(0.1, 0.4, 0.8))),
+    "fig4": (20_000, 10, _each(
+        (DefenderSpec("binary_svm"), DefenderSpec("kmeans_svm")),
+        n_subcarriers=(3,), rho_AE=(0.1, 0.4, 0.9), m_training=(100,))),
+    "fig5": (40_000, 20, _each(
+        (*_STAT_TESTS, DefenderSpec("ideal")),
+        n_subcarriers=(1, 3, 6), alpha_II=(0.8,), target_pfa=1e-2)),
+    "fig6": (20_000, 10, _each(
+        (DefenderSpec("ocnn"),), n_subcarriers=(1, 3), alpha_II=(0.8, 0.9, 1.0))),
+    "fig7": (40_000, 20, _each(
+        _STAT_TESTS, n_subcarriers=(1, 3), alpha_II=(0.8, 0.9, 1.0), target_pfa=1e-2)),
+    "fig8": (20_000, 10, _each(
+        [DefenderSpec("ocnn", variant="11NN", metric=m) for m in ("euclidean", "llr")],
+        n_subcarriers=(1, 3, 6), alpha_II=(0.9,))),
+    "fig9": (20_000, 10, _each(
+        (DefenderSpec("binary_svm"), DefenderSpec("ocsvm")),
+        n_subcarriers=(3,), rho_AE=(0.1, 0.8))),
+    "fig10": (20_000, 10, [
+        (spec, dict(n_subcarriers=(3,), snr_II_db=(10.0, 15.0, 20.0, 25.0), target_pfa=target))
+        for spec, target in ((DefenderSpec("llr"), 6.76e-4), (DefenderSpec("ocsvm"), None))
+    ]),
+}
+
+
+def _target_configs(name: str, scale: float, seed: int, workers) -> list:
+    """The ExperimentConfigs of one sweep target, in table row order."""
+    trials, datasets, plan = _TARGETS[name]
+    return [
+        ExperimentConfig(
+            defender=spec, n_trials=_desk(trials, scale),
+            n_datasets=max(int(round(datasets * scale)), 2),
+            seed=seed, workers=workers, **overrides,
+        )
+        for spec, overrides in plan
+    ]
+
+
+def _reproduce_table1(scale: float, seed: int) -> ResultTable:
     rows = []
     n_search = _desk(20_000, scale, floor=2_000)
     calib = _desk(1_000_000, scale, floor=1_000_000)
@@ -629,56 +666,12 @@ def _reproduce_table1(scale: float, seed: int, workers) -> ResultTable:
             })
     return ResultTable(
         columns=["n_subcarriers", "rho", "target_pfa", "theta", "epsilon", "x", "y", "p_md"],
-        rows=rows, meta={"target": "table1", "seed": seed},
+        rows=rows,
     )
 
 
-def _reproduce_table2(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for rho in (0.1, 0.8):
-        for m in (100, 1000):
-            for variant in ("11NN", "1KNN", "J1NN", "JKNN"):
-                cfg = ExperimentConfig(
-                    defender=DefenderSpec("ocnn", variant=variant),
-                    attacker=AttackerSpec(AttackStrategy("simplified")),
-                    n_subcarriers=(3,), rho_AE=(rho,), m_training=(m,),
-                    n_trials=_desk(4_000, scale), n_datasets=_desk_datasets(5, scale),
-                    seed=seed, workers=workers,
-                )
-                tables.append(run_experiment(cfg))
-            cfg = ExperimentConfig(
-                defender=DefenderSpec("binary_knn"),
-                attacker=AttackerSpec(AttackStrategy("simplified")),
-                n_subcarriers=(3,), rho_AE=(rho,), m_training=(m,),
-                n_trials=_desk(4_000, scale), n_datasets=_desk_datasets(5, scale),
-                seed=seed, workers=workers,
-            )
-            tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "table2", "seed": seed})
-
-
-def _reproduce_table3(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for kernel in ("gaussian", "poly", "linear"):
-        cfg = ExperimentConfig(
-            defender=DefenderSpec("ocsvm", kernel=kernel),
-            attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(1, 2, 3), rho_AE=(0.1,), m_training=(1000,),
-            n_trials=_desk(40_000, scale), n_datasets=_desk_datasets(20, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "table3", "seed": seed})
-
-
-def _reproduce_table45(rho: float, name: str, scale: float, seed: int, workers) -> ResultTable:
-    tables = [run_experiment(c) for c in _table_stat_ml_config(rho, scale, seed, workers)]
-    return _merge_tables(tables, {"target": name, "seed": seed})
-
-
-def _reproduce_fig1(scale: float, seed: int, workers) -> ResultTable:
+def _reproduce_fig1(scale: float, seed: int) -> ResultTable:
     """Matched versus mismatched attacker against the combined test."""
-    from .attacks import mismatched_eval
     rows = []
     n_mc = _desk(40_000, scale, floor=4_000)
     calib = _desk(400_000, scale, floor=100_000)
@@ -707,168 +700,31 @@ def _reproduce_fig1(scale: float, seed: int, workers) -> ResultTable:
                 })
     return ResultTable(
         columns=["n_subcarriers", "alpha_II", "attacker", "x", "y", "p_md"],
-        rows=rows, meta={"target": "fig1", "seed": seed},
+        rows=rows,
     )
 
 
-def _reproduce_fig2(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for variant in ("11NN", "1KNN", "J1NN", "JKNN"):
-        cfg = ExperimentConfig(
-            defender=DefenderSpec("ocnn", variant=variant),
-            attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(1, 3, 6), alpha_I=(0.8,), alpha_II=(0.9,),
-            rho_AE=(0.1,), m_training=(100,),
-            n_trials=_desk(4_000, scale), n_datasets=_desk_datasets(5, scale),
-            seed=seed, workers=workers, record_timing=True,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig2", "seed": seed})
+# Targets that calibrate and search rather than sweep; they run in the
+# calling process whatever the worker count.
+_SEARCH_TARGETS = {"table1": _reproduce_table1, "fig1": _reproduce_fig1}
 
-
-def _reproduce_fig3(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for variant in ("11NN", "1KNN", "J1NN", "JKNN"):
-        cfg = ExperimentConfig(
-            defender=DefenderSpec("ocnn", variant=variant),
-            attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(3,), rho_AE=(0.1, 0.4, 0.8),
-            m_training=(1000,), n_trials=_desk(20_000, scale), n_datasets=_desk_datasets(10, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig3", "seed": seed})
-
-
-def _reproduce_fig4(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for kind in ("binary_svm", "kmeans_svm"):
-        cfg = ExperimentConfig(
-            defender=DefenderSpec(kind),
-            attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(3,), rho_AE=(0.1, 0.4, 0.9),
-            m_training=(100,), n_trials=_desk(20_000, scale), n_datasets=_desk_datasets(10, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig4", "seed": seed})
-
-
-def _reproduce_fig5(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for spec in (DefenderSpec("llr"), DefenderSpec("combined"), DefenderSpec("ideal")):
-        cfg = ExperimentConfig(
-            defender=spec, attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(1, 3, 6), alpha_II=(0.8,), rho_AE=(0.1,),
-            target_pfa=1e-2, n_trials=_desk(40_000, scale), n_datasets=_desk_datasets(20, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig5", "seed": seed})
-
-
-def _reproduce_fig6(scale: float, seed: int, workers) -> ResultTable:
-    cfg = ExperimentConfig(
-        defender=DefenderSpec("ocnn", variant="1KNN"),
-        attacker=AttackerSpec(AttackStrategy("simplified")),
-        n_subcarriers=(1, 3), alpha_I=(1.0,), alpha_II=(0.8, 0.9, 1.0),
-        rho_AE=(0.1,), m_training=(1000,),
-        n_trials=_desk(20_000, scale), n_datasets=_desk_datasets(10, scale),
-            seed=seed, workers=workers,
-    )
-    return _merge_tables([run_experiment(cfg)], {"target": "fig6", "seed": seed})
-
-
-def _reproduce_fig7(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for spec in (DefenderSpec("llr"), DefenderSpec("combined")):
-        cfg = ExperimentConfig(
-            defender=spec, attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(1, 3), alpha_II=(0.8, 0.9, 1.0), rho_AE=(0.1,),
-            target_pfa=1e-2, n_trials=_desk(40_000, scale), n_datasets=_desk_datasets(20, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig7", "seed": seed})
-
-
-def _reproduce_fig8(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for metric in ("euclidean", "llr"):
-        cfg = ExperimentConfig(
-            defender=DefenderSpec("ocnn", variant="11NN", metric=metric),
-            attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(1, 3, 6), alpha_II=(0.9,), rho_AE=(0.1,),
-            m_training=(1000,), n_trials=_desk(20_000, scale), n_datasets=_desk_datasets(10, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig8", "seed": seed})
-
-
-def _reproduce_fig9(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for kind in ("binary_svm", "ocsvm"):
-        cfg = ExperimentConfig(
-            defender=DefenderSpec(kind),
-            attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(3,), rho_AE=(0.1, 0.8), m_training=(1000,),
-            n_trials=_desk(20_000, scale), n_datasets=_desk_datasets(10, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig9", "seed": seed})
-
-
-def _reproduce_fig10(scale: float, seed: int, workers) -> ResultTable:
-    tables = []
-    for spec, target in (
-        (DefenderSpec("llr"), 6.76e-4),
-        (DefenderSpec("ocsvm"), None),
-    ):
-        cfg = ExperimentConfig(
-            defender=spec, attacker=AttackerSpec(AttackStrategy("simplified")),
-            n_subcarriers=(3,), rho_AE=(0.1,),
-            snr_II_db=(10.0, 15.0, 20.0, 25.0), m_training=(1000,),
-            target_pfa=target, n_trials=_desk(20_000, scale), n_datasets=_desk_datasets(10, scale),
-            seed=seed, workers=workers,
-        )
-        tables.append(run_experiment(cfg))
-    return _merge_tables(tables, {"target": "fig10", "seed": seed})
-
-
-_REPRODUCERS = {
-    "table1": _reproduce_table1,
-    "table2": _reproduce_table2,
-    "table3": _reproduce_table3,
-    "table4": lambda s, seed, w: _reproduce_table45(0.1, "table4", s, seed, w),
-    "table5": lambda s, seed, w: _reproduce_table45(0.8, "table5", s, seed, w),
-    "fig1": _reproduce_fig1,
-    "fig2": _reproduce_fig2,
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
-    "fig5": _reproduce_fig5,
-    "fig6": _reproduce_fig6,
-    "fig7": _reproduce_fig7,
-    "fig8": _reproduce_fig8,
-    "fig9": _reproduce_fig9,
-    "fig10": _reproduce_fig10,
-}
-
-REPRODUCE_TARGETS = tuple(sorted(_REPRODUCERS))
+REPRODUCE_TARGETS = tuple(sorted([*_TARGETS, *_SEARCH_TARGETS]))
 
 
 def reproduce(target: str, scale: float = 1.0, seed: int = 42,
               workers: int | None = None) -> ResultTable:
     """Run one canned experiment. scale in (0, 1] multiplies trial counts."""
-    if target not in _REPRODUCERS:
+    if target not in REPRODUCE_TARGETS:
         raise ConfigError(f"unknown reproduce target {target!r}")
     if not 0.0 < scale <= 1.0:
         raise ConfigError("scale must lie in (0, 1]")
     _check_workers(workers)
-    table = _REPRODUCERS[target](scale, seed, workers)
-    table.meta.setdefault("target", target)
-    table.meta["scale"] = scale
+    if target in _SEARCH_TARGETS:
+        table = _SEARCH_TARGETS[target](scale, seed)
+    else:
+        tables = [run_experiment(c) for c in _target_configs(target, scale, seed, workers)]
+        table = ResultTable(columns=tables[0].columns, rows=[r for t in tables for r in t.rows])
+    table.meta = {"target": target, "seed": seed, "scale": scale}
     return table
 
 

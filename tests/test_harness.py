@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -429,3 +430,53 @@ def test_reproduce_targets_listed():
     assert "table4" in REPRODUCE_TARGETS
     assert "table1" in REPRODUCE_TARGETS
     assert len(REPRODUCE_TARGETS) == len(set(REPRODUCE_TARGETS))
+
+
+# Digest of repr(configs) that each sweep target hands to run_experiment at
+# seed 42 and 2 workers, for scales 1.0 and 0.05. A change to a target's
+# plan (a sweep value, trial count, defender or its order) changes these.
+_TARGET_PLAN_DIGESTS = {
+    ("table2", 1.0): "45a66b7d42905f487fd636d794e581e4a8e66a32d7ed6bd65b5ab9f1412b72bd",
+    ("table2", 0.05): "ab200656fa672eb85da0319ee41eaeb02851b38156b998cebd78ab4d4a0ac64f",
+    ("table3", 1.0): "6d9242cfb6fc45fdb433ca31cdfdb5737e646e12cb46b975d41d0fa52bd719ec",
+    ("table3", 0.05): "d450ef86a1fcf972f85dac8c4b5c425b5ad62d8daa5a1e2c3ae3fe31ba275709",
+    ("table4", 1.0): "e297cafd452c34e9808d7d6466257e78b3dab80533d3dbb28920e29c6f2d592a",
+    ("table4", 0.05): "9a7f3d948996ab20e77948bb62e98918cfcb29b297dc7e5e92621db595b61e5c",
+    ("table5", 1.0): "43ef7b14fc2d1ea2bd92f0265f508d4dbc3ab767a7506b65b86f485b65100387",
+    ("table5", 0.05): "11599b74a4f0017a6e9334e27316e1b46a9822346d80e3d156163f69604c7c30",
+    ("fig2", 1.0): "b1fbec8fff37bbaf964eaa4af7c2c026247890b86b416354afbb626fc7316cd1",
+    ("fig2", 0.05): "23b6daf392e0e5a30f48758582aa19fbe560cc5e07a606c7bb83cdd386d703d6",
+    ("fig3", 1.0): "f4d3293868f39b0bf8c56fbe3944a7637ed05c374ccce1d32bba9ab6eeb6c40a",
+    ("fig3", 0.05): "a4c07eb095d403fdb7fa0c490fea4edce607fb51e2be4749a71342391bf0fab4",
+    ("fig4", 1.0): "956e8fa7cdbd4676fc353a072f54755fb12450c4a92bdc32877100f846649a5a",
+    ("fig4", 0.05): "9e873a7c5525bf847481e06ef16e20bcca0c1d7301c1ff1f1b146a1a48b7a277",
+    ("fig5", 1.0): "d2187edcebf8c1e06d115d4f22e56456bd0f62d26ecee7ba9b5caf90ab5c6051",
+    ("fig5", 0.05): "f9a047432bd0c4b1678f42fc8f31bfcba2a93597eb474aea593f9147edd7f15d",
+    ("fig6", 1.0): "d1021337d9a623488b7220878474ce2fc1558c8430c6a0b4c1a2eeefa58f1b6e",
+    ("fig6", 0.05): "e0c6b62805057a4b44372b4575f6ad9a935015b7f292e3cef589ffb2c20e43de",
+    ("fig7", 1.0): "69d087afa61b4ece4321eb81efbe1a075e95f91b9f8574a8806ec609bb73a988",
+    ("fig7", 0.05): "b2b627d50ca58c5086864e999486cdc7ea73a3f1aa60f61df9a4213ad6f3a38f",
+    ("fig8", 1.0): "71ad02802a7ee7b1c93cda6ded9080d8a077ebd34b3435f73defadce96704661",
+    ("fig8", 0.05): "d1173a89a6f25c3a88701bafea01124ed05da27d68113b25b109ad1b631a29d6",
+    ("fig9", 1.0): "130883c560ca2056e21f0bad1dd307006693abcc62b048a1c82986084ef6c528",
+    ("fig9", 0.05): "62e1ffeaaa1cfd12d4498a652d350279720f12d470f38b42198f3c581656fffb",
+    ("fig10", 1.0): "e1478641ea5aaff2b0feacc71bb76f1609320eaa2f84fa0974c1ed894706459b",
+    ("fig10", 0.05): "02fd473fb154545bef7c3b9d4e29b91474e5fcd1d7007c48e6d2cfa59d98723c",
+}
+
+
+@pytest.mark.parametrize("target", sorted(set(REPRODUCE_TARGETS) - {"table1", "fig1"}))
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+def test_reproduce_target_plans_are_pinned(monkeypatch, target, scale):
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        return ResultTable(columns=list(_BASE_COLUMNS), rows=[], meta={})
+
+    monkeypatch.setattr(harness, "run_experiment", record)
+    table = reproduce(target, scale=scale, seed=42, workers=2)
+    assert table.meta == {"target": target, "seed": 42, "scale": scale}
+    assert all(isinstance(c, ExperimentConfig) for c in configs) and configs
+    digest = hashlib.sha256(repr(configs).encode()).hexdigest()
+    assert digest == _TARGET_PLAN_DIGESTS[(target, scale)]

@@ -43,9 +43,8 @@ from .harness import (
     reproduce,
     run_experiment,
 )
-from .metrics import ConfusionMatrix, accuracy, binomial_se, g_mean, p_fa, p_md
+from .metrics import ConfusionMatrix, binomial_se
 from .mlauth import (
-    CvConfig,
     DistanceMetric,
     OcnnModel,
     OcsvmModel,
@@ -62,7 +61,6 @@ from .mlauth import (
     ocsvm_decision,
     ocsvm_train,
     ocsvm_train_cv,
-    unfeaturize,
 )
 from .rng import Rng
 from .statdec import (

@@ -38,7 +38,6 @@ from .channel import (
 from .errors import ConfigError, SingularTestError
 from .metrics import ConfusionMatrix, binomial_se
 from .mlauth import (
-    CvConfig,
     DistanceMetric,
     binary_knn,
     binary_knn_tune,
@@ -306,15 +305,15 @@ def _run_shard(payload: dict) -> dict:
     train_pos = bob_estimate_phase1(h, scn, scn.alpha_I, rng.derive(1), size=scn.m_training)
     if kind in ("ocnn", "ocsvm"):
         negatives = featurize(_forged_packets(scn, attacker, h, rng.derive(2), scn.m_training))
-        cv = CvConfig(negatives=negatives)
         metric = (DistanceMetric("llr", per_dim_variance(scn))
                   if defender.metric == "llr" else DistanceMetric("euclidean"))
         if kind == "ocnn":
-            model = ocnn_train(featurize(train_pos), defender.variant, metric, cv, rng.derive(3))
+            model = ocnn_train(featurize(train_pos), defender.variant, metric, negatives,
+                               rng.derive(3))
             trained.update(j=model.j, k=model.k, theta_d=model.theta_d)
         else:
             model, nu, sig = ocsvm_train_cv(
-                featurize(train_pos), cv, rng.derive(3), kernel=defender.kernel)
+                featurize(train_pos), negatives, rng.derive(3), kernel=defender.kernel)
             trained.update(nu=nu, sigma_svm=sig)
     else:
         m_half = scn.m_training // 2

@@ -11,6 +11,11 @@ the benchmark measures. The one-class SVM dual solver works on a batch of
 problems over one Gram matrix in lockstep: a single fit is a batch of one,
 and cross-validation solves every (nu, fold) problem of one kernel width
 in one call, each fold's validation points masked out of its rows.
+
+The three tuners (one-class NN, one-class SVM, binary kNN) share one fold
+plan and score every candidate with one cross-validated g-mean,
+sqrt(TPR * TNR) summed over folds; the first best candidate in grid order
+wins.
 """
 from __future__ import annotations
 
@@ -25,6 +30,36 @@ OCNN_VARIANTS = ("11NN", "1KNN", "J1NN", "JKNN")
 
 
 # ---------------------------------------------------------------------------
+# cross-validation shared by the tuners
+
+_FOLDS = 5
+_THETA_GRID = np.arange(1.0, 5.01, 0.5)
+_NEIGHBOR_CAP = 30
+_CV_TOL = 1e-3  # one-class SVM solver tolerance while scoring candidates
+
+
+def _fold_slices(n: int):
+    """Contiguous validation slices of the _FOLDS folds over n permuted points."""
+    sizes = [n // _FOLDS + (1 if i < n % _FOLDS else 0) for i in range(_FOLDS)]
+    out, start = [], 0
+    for s in sizes:
+        out.append(slice(start, start + s))
+        start += s
+    return out
+
+
+def _fold_gmean(pos_accept, neg_accept) -> np.ndarray:
+    """sqrt(TPR * TNR) of every candidate on one validation fold.
+
+    Axis 0 of each boolean accept mask runs over the fold's held-out
+    positives (negatives); the remaining axes index the candidates.
+    """
+    if len(pos_accept) == 0 or len(neg_accept) == 0:
+        raise ConfigError("folds leave an empty validation set")
+    return np.sqrt(np.mean(pos_accept, axis=0) * np.mean(~neg_accept, axis=0))
+
+
+# ---------------------------------------------------------------------------
 # features and metrics
 
 def featurize(h_hat) -> np.ndarray:
@@ -34,14 +69,6 @@ def featurize(h_hat) -> np.ndarray:
     out[..., 0::2] = h_hat.real
     out[..., 1::2] = h_hat.imag
     return out
-
-
-def unfeaturize(x) -> np.ndarray:
-    """Inverse of featurize."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] % 2:
-        raise ConfigError("feature length must be even")
-    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def llr_distance(a, b, sigma2_n) -> float | np.ndarray:
@@ -166,35 +193,6 @@ def ocnn_classify(model: OcnnModel, x) -> bool | np.ndarray:
     return bool(accept[0]) if single else accept
 
 
-@dataclass(frozen=True)
-class CvConfig:
-    """Cross-validation settings for the one-class tuners.
-
-    negatives: synthetic attack draws used only to score candidate
-    parameters (the deployed model never trains on them).
-    """
-
-    negatives: np.ndarray
-    folds: int = 5
-    theta_grid: tuple = tuple(np.arange(1.0, 5.01, 0.5))
-    neighbor_cap: int = 30
-
-    def __post_init__(self):
-        neg = np.atleast_2d(np.asarray(self.negatives, dtype=float))
-        object.__setattr__(self, "negatives", neg)
-        if self.folds < 2:
-            raise ConfigError("need at least 2 folds")
-
-
-def _fold_slices(n: int, folds: int):
-    sizes = [n // folds + (1 if i < n % folds else 0) for i in range(folds)]
-    out, start = [], 0
-    for s in sizes:
-        out.append(slice(start, start + s))
-        start += s
-    return out
-
-
 def _ocnn_yz_table(metric, train, kmax):
     """yz[i, k-1]: mean distance from training point i to its k nearest others."""
     t_all = metric.pairwise(train, train)
@@ -216,13 +214,14 @@ def _ocnn_ratio_tables(metric, train, yz, queries, jmax):
     return ratio
 
 
-def ocnn_train(positives, variant: str, metric: DistanceMetric, cv: CvConfig, rng: Rng) -> OcnnModel:
+def ocnn_train(positives, variant: str, metric: DistanceMetric, negatives, rng: Rng) -> OcnnModel:
     """Grid-search (j, k, theta_d) by cross-validated geometric mean.
 
     Held-out positives measure the true-positive rate and held-out
-    synthetic attack draws the true-negative rate; the score of a
-    candidate is the sum over folds of sqrt(TPR * TNR). Ties resolve to
-    the smallest (j, k), then the smallest theta_d.
+    negatives (synthetic attack draws, never trained on) the true-negative
+    rate; the score of a candidate is the sum over folds of
+    sqrt(TPR * TNR). Ties resolve to the smallest (j, k), then the
+    smallest theta_d.
     """
     pos = np.atleast_2d(np.asarray(positives, dtype=float))
     m = pos.shape[0]
@@ -230,52 +229,35 @@ def ocnn_train(positives, variant: str, metric: DistanceMetric, cv: CvConfig, rn
         raise ConfigError("need at least 10 positive samples")
     if variant not in OCNN_VARIANTS:
         raise ConfigError(f"variant must be one of {OCNN_VARIANTS}")
-    cap = max(1, min(cv.neighbor_cap, int(np.sqrt(m))))
+    cap = max(1, min(_NEIGHBOR_CAP, int(np.sqrt(m))))
     jmax = cap if variant in ("J1NN", "JKNN") else 1
     kmax = cap if variant in ("1KNN", "JKNN") else 1
-    thetas = np.asarray(cv.theta_grid, dtype=float)
 
     perm = rng.permutation(m)
-    neg = cv.negatives[rng.permutation(cv.negatives.shape[0])]
-    pos_slices = _fold_slices(m, cv.folds)
-    neg_slices = _fold_slices(neg.shape[0], cv.folds)
-
-    score = np.zeros((jmax, kmax, thetas.size))
-    for f in range(cv.folds):
-        va_idx = perm[pos_slices[f]]
-        tr_idx = np.concatenate([perm[s] for i, s in enumerate(pos_slices) if i != f])
-        tr, va = pos[tr_idx], pos[va_idx]
-        ne = neg[neg_slices[f]]
-        if va.shape[0] == 0 or ne.shape[0] == 0:
-            raise ConfigError("folds leave an empty validation set")
+    neg = np.atleast_2d(np.asarray(negatives, dtype=float))
+    neg = neg[rng.permutation(neg.shape[0])]
+    score = np.zeros((jmax, kmax, _THETA_GRID.size))
+    for s, ns in zip(_fold_slices(m), _fold_slices(neg.shape[0])):
+        tr = pos[np.concatenate([perm[:s.start], perm[s.stop:]])]
         yz = _ocnn_yz_table(metric, tr, kmax)
-        r_pos = _ocnn_ratio_tables(metric, tr, yz, va, jmax)
-        r_neg = _ocnn_ratio_tables(metric, tr, yz, ne, jmax)
-        tpr = np.mean(r_pos[:, :, :, None] < thetas, axis=0)
-        tnr = np.mean(r_neg[:, :, :, None] >= thetas, axis=0)
-        score += np.sqrt(tpr * tnr)
+        r_pos = _ocnn_ratio_tables(metric, tr, yz, pos[perm[s]], jmax)
+        r_neg = _ocnn_ratio_tables(metric, tr, yz, neg[ns], jmax)
+        score += _fold_gmean(r_pos[..., None] < _THETA_GRID, r_neg[..., None] < _THETA_GRID)
 
     best = np.unravel_index(np.argmax(score), score.shape)
-    j, k, theta = best[0] + 1, best[1] + 1, float(thetas[best[2]])
+    j, k, theta = best[0] + 1, best[1] + 1, float(_THETA_GRID[best[2]])
     return OcnnModel(variant=variant, j=j, k=k, theta_d=theta, training=pos, metric=metric)
 
 
 # ---------------------------------------------------------------------------
 # kernels and one-class SVM
 
-def gaussian_kernel(a, b, sigma_svm: float):
-    if not sigma_svm > 0:
-        raise ConfigError("sigma_svm must be positive")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a - b
-    return np.exp(-np.sum(d * d, axis=-1) / (2.0 * sigma_svm**2))
-
-
 def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float, degree: int) -> np.ndarray:
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
     if kernel == "gaussian":
+        if not sigma_svm > 0:
+            raise ConfigError("sigma_svm must be positive")
         sq = (
             np.sum(x * x, axis=1)[:, None]
             + np.sum(y * y, axis=1)[None, :]
@@ -441,8 +423,7 @@ def median_heuristic(x, cap: int = 256) -> float:
     return med if med > 0 else 1.0
 
 
-def _ocsvm_cv_scores(sel, neg_sel, folds: int, nus, sigmas, kernel: str,
-                     degree: int, tol: float) -> np.ndarray:
+def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str, degree: int) -> np.ndarray:
     """Cross-validated score of every (nu, sigma), shape (len(nus), len(sigmas)).
 
     For each kernel width one Gram matrix over sel serves every (nu, fold)
@@ -452,9 +433,9 @@ def _ocsvm_cv_scores(sel, neg_sel, folds: int, nus, sigmas, kernel: str,
     block. A nu with nu * n_train < 1 on any fold scores -1.
     """
     m = sel.shape[0]
-    pos_slices = _fold_slices(m, folds)
-    neg_slices = _fold_slices(neg_sel.shape[0], folds)
-    held = np.zeros((folds, m), dtype=bool)
+    pos_slices = _fold_slices(m)
+    neg_slices = _fold_slices(neg_sel.shape[0])
+    held = np.zeros((_FOLDS, m), dtype=bool)
     for f, s in enumerate(pos_slices):
         held[f, s] = True
     n_train = m - held.sum(axis=1)
@@ -462,36 +443,31 @@ def _ocsvm_cv_scores(sel, neg_sel, folds: int, nus, sigmas, kernel: str,
     score = np.full((len(nus), len(sigmas)), -1.0)
     if not fit:
         return score
-    # row k * folds + f solves nus[fit[k]] on fold f
+    # row k * _FOLDS + f solves nus[fit[k]] on fold f
     train = np.tile(~held, (len(fit), 1))
-    ub = 1.0 / (np.repeat([nus[a] for a in fit], folds) * np.tile(n_train, len(fit)))
+    ub = 1.0 / (np.repeat([nus[a] for a in fit], _FOLDS) * np.tile(n_train, len(fit)))
     max_iter = max(200 * int(n_train.max()), 20_000)
     for s, sig in enumerate(sigmas):
         # the Gram matrix is freed before the negatives' block is built
         lam, grad, xi = _ocsvm_solve(_gram(sel, sel, kernel, sig, degree),
-                                     train, ub, tol, max_iter)
+                                     train, ub, _CV_TOL, max_iter)
         f_pos = grad - xi[:, None]
         f_neg = lam @ _gram(neg_sel, sel, kernel, sig, degree).T - xi[:, None]
-        for k, a in enumerate(fit):
-            total = 0.0
-            for f in range(folds):
-                b = k * folds + f
-                tpr = float(np.mean(f_pos[b, pos_slices[f]] > 0))
-                tnr = float(np.mean(f_neg[b, neg_slices[f]] <= 0))
-                total += np.sqrt(tpr * tnr)
-            score[a, s] = total
+        total = np.zeros(len(fit))
+        for f, (ps, ns) in enumerate(zip(pos_slices, neg_slices)):
+            total += _fold_gmean(f_pos[f::_FOLDS, ps].T > 0, f_neg[f::_FOLDS, ns].T > 0)
+        score[fit, s] = total
     return score
 
 
 def ocsvm_train_cv(
     positives,
-    cv: CvConfig,
+    negatives,
     rng: Rng,
     nus=(0.01, 0.02, 0.05, 0.1, 0.2),
     sigma_factors=(0.5, 1.0, 2.0),
     kernel: str = "gaussian",
     degree: int = 3,
-    selection_tol: float = 1e-3,
 ) -> tuple[OcsvmModel, float, float]:
     """Tune (nu, sigma_svm) by the same cross-validated score as ocnn_train.
 
@@ -502,19 +478,15 @@ def ocsvm_train_cv(
     """
     pos = np.atleast_2d(np.asarray(positives, dtype=float))
     m = pos.shape[0]
+    nus = sorted(nus)
     base = median_heuristic(pos)
-    sigmas = [base * f for f in sigma_factors] if kernel == "gaussian" else [1.0]
+    sigmas = [base * f for f in sorted(sigma_factors)] if kernel == "gaussian" else [1.0]
     perm = rng.permutation(m)
-    neg = cv.negatives[rng.permutation(cv.negatives.shape[0])]
-    score = _ocsvm_cv_scores(pos[perm], neg[:min(neg.shape[0], m)], cv.folds, nus,
-                             sigmas, kernel, degree, selection_tol)
-    best = None
-    for a, nu in enumerate(nus):
-        for s, sig in enumerate(sigmas):
-            cand = (score[a, s], -nu, -sig)
-            if best is None or cand > best[0]:
-                best = (cand, nu, sig)
-    _, nu, sig = best
+    neg = np.atleast_2d(np.asarray(negatives, dtype=float))
+    neg = neg[rng.permutation(neg.shape[0])]
+    score = _ocsvm_cv_scores(pos[perm], neg[:m], nus, sigmas, kernel, degree)
+    a, s = np.unravel_index(np.argmax(score), score.shape)
+    nu, sig = nus[a], sigmas[s]
     return ocsvm_train(pos, nu, sig, kernel=kernel, degree=degree), nu, sig
 
 
@@ -539,35 +511,28 @@ def binary_knn(train_x, train_y, k: int, query, metric: DistanceMetric | None = 
     return int(out[0]) if single else out
 
 
-def binary_knn_tune(train_x, train_y, rng: Rng, folds: int = 5) -> int:
-    """Pick odd k in [3, sqrt(M)] by cross-validated geometric mean."""
+def binary_knn_tune(train_x, train_y, rng: Rng) -> int:
+    """Pick odd k in [3, sqrt(M)] by cross-validated geometric mean.
+
+    Each fold sorts its validation points' neighbours once and reads the
+    vote of every k from the running count of positive labels. Ties
+    resolve to the smallest k.
+    """
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    y = np.asarray(train_y)
+    pos = np.asarray(train_y) > 0
     m = x.shape[0]
-    kmax = max(3, int(np.sqrt(m)))
-    grid = [k for k in range(3, kmax + 1, 2)]
+    ks = np.arange(3, max(3, int(np.sqrt(m))) + 1, 2)
     perm = rng.permutation(m)
-    slices = _fold_slices(m, folds)
-    best = None
-    for k in grid:
-        total = 0.0
-        for f in range(folds):
-            va = perm[slices[f]]
-            tr = np.concatenate([perm[s] for i, s in enumerate(slices) if i != f])
-            if k > tr.size:
-                continue
-            pred = binary_knn(x[tr], y[tr], k, x[va])
-            pv, yv = np.asarray(pred), y[va]
-            tp = np.sum((pv == 1) & (yv == 1))
-            fn = np.sum((pv == 0) & (yv == 1))
-            tn = np.sum((pv == 0) & (yv == 0))
-            fp = np.sum((pv == 1) & (yv == 0))
-            tpr = tp / max(tp + fn, 1)
-            tnr = tn / max(tn + fp, 1)
-            total += np.sqrt(tpr * tnr)
-        if best is None or total > best[0]:
-            best = (total, k)
-    return best[1]
+    score = np.zeros(ks.size)
+    metric = DistanceMetric("euclidean")
+    for s in _fold_slices(m):
+        va, tr = perm[s], np.concatenate([perm[:s.start], perm[s.stop:]])
+        if ks[-1] > tr.size:
+            raise ConfigError("k exceeds the training size")
+        near = np.argsort(metric.pairwise(x[va], x[tr]), axis=1)[:, :ks[-1]]
+        accept = np.cumsum(pos[tr][near], axis=1)[:, ks - 1] * 2 > ks
+        score += _fold_gmean(accept[pos[va]], accept[~pos[va]])
+    return int(ks[np.argmax(score)])
 
 
 @dataclass(frozen=True)
@@ -670,7 +635,6 @@ class KmeansResult:
     labels: np.ndarray
     centroids: np.ndarray
     wcss: float
-    wcss_history: tuple
 
 
 def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
@@ -691,7 +655,6 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
         idx = rng.choice(m, size=k, replace=False)
         cent = x[idx].copy()
         prev = None
-        history = []
         for _ in range(300):
             d2 = (
                 np.sum(x * x, axis=1)[:, None]
@@ -699,8 +662,6 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
                 - 2.0 * (x @ cent.T)
             )
             labels = np.argmin(d2, axis=1)
-            wcss = float(np.sum(np.maximum(d2[np.arange(m), labels], 0.0)))
-            history.append(wcss)
             for c in range(k):
                 mask = labels == c
                 if mask.any():
@@ -719,8 +680,6 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
         )
         labels = np.argmin(d2, axis=1)
         wcss = float(np.sum(np.maximum(d2[np.arange(m), labels], 0.0)))
-        history.append(wcss)
         if best is None or wcss < best.wcss:
-            best = KmeansResult(labels=labels, centroids=cent.copy(), wcss=wcss,
-                                wcss_history=tuple(history))
+            best = KmeansResult(labels=labels, centroids=cent.copy(), wcss=wcss)
     return best

@@ -246,8 +246,8 @@ def test_training_negatives_have_independent_noise(monkeypatch, kind, alpha_ii, 
     # normals that drew the adversary's innovation
     captured = {}
 
-    def capture_ocnn(positives, variant, metric, cv, rng):
-        captured["neg"] = cv.negatives
+    def capture_ocnn(positives, variant, metric, negatives, rng):
+        captured["neg"] = negatives
         raise _Captured
 
     def capture_knn(x, y, rng):

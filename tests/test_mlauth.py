@@ -4,7 +4,6 @@ import pytest
 from pla_bench.errors import ConfigError, NumericError
 from pla_bench.mlauth import (
     BinarySvmModel,
-    CvConfig,
     DistanceMetric,
     OcnnModel,
     binary_knn,
@@ -12,7 +11,6 @@ from pla_bench.mlauth import (
     binary_svm_classify,
     binary_svm_train,
     featurize,
-    gaussian_kernel,
     kmeans_label,
     llr_distance,
     median_heuristic,
@@ -22,9 +20,14 @@ from pla_bench.mlauth import (
     ocsvm_decision,
     ocsvm_train,
     ocsvm_train_cv,
-    unfeaturize,
 )
-from pla_bench.mlauth import _fold_slices, _gram, _ocsvm_cv_scores, _ocsvm_solve
+from pla_bench.mlauth import (
+    _THETA_GRID,
+    _fold_slices,
+    _gram,
+    _ocsvm_cv_scores,
+    _ocsvm_solve,
+)
 from pla_bench.rng import Rng
 
 # ---------------------------------------------------------------------------
@@ -36,7 +39,8 @@ def test_featurize_round_trip():
     h = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     x = featurize(h)
     assert x.shape == (7, 6)
-    assert np.array_equal(unfeaturize(x), h)
+    assert np.array_equal(x[:, 0::2], h.real)
+    assert np.array_equal(x[:, 1::2], h.imag)
 
 
 def test_featurize_is_an_isometry():
@@ -46,11 +50,6 @@ def test_featurize_is_an_isometry():
     complex_sq = np.sum(np.abs(a - b) ** 2)
     feature_sq = np.sum((featurize(a) - featurize(b)) ** 2)
     assert feature_sq == pytest.approx(complex_sq, rel=1e-14)
-
-
-def test_unfeaturize_rejects_odd_length():
-    with pytest.raises(ConfigError):
-        unfeaturize(np.zeros(5))
 
 
 def test_llr_distance_zero_and_validation():
@@ -195,13 +194,12 @@ def test_ocnn_train_respects_variant_and_grids():
     rng = Rng(9)
     pos = rng.standard_normal((40, 2))
     neg = rng.standard_normal((40, 2)) + 4.0
-    cv = CvConfig(negatives=neg)
     for variant, jmax, kmax in [("11NN", 1, 1), ("1KNN", 1, 6),
                                 ("J1NN", 6, 1), ("JKNN", 6, 6)]:
-        model = ocnn_train(pos, variant, DistanceMetric("euclidean"), cv, Rng(10))
+        model = ocnn_train(pos, variant, DistanceMetric("euclidean"), neg, Rng(10))
         assert model.variant == variant
         assert 1 <= model.j <= jmax and 1 <= model.k <= kmax
-        assert model.theta_d in cv.theta_grid
+        assert model.theta_d in _THETA_GRID
         assert model.training.shape == (40, 2)
 
 
@@ -209,25 +207,22 @@ def test_ocnn_train_deterministic():
     rng = Rng(11)
     pos = rng.standard_normal((30, 2))
     neg = rng.standard_normal((30, 2)) + 3.0
-    cv = CvConfig(negatives=neg)
-    a = ocnn_train(pos, "JKNN", DistanceMetric("euclidean"), cv, Rng(12))
-    b = ocnn_train(pos, "JKNN", DistanceMetric("euclidean"), cv, Rng(12))
+    a = ocnn_train(pos, "JKNN", DistanceMetric("euclidean"), neg, Rng(12))
+    b = ocnn_train(pos, "JKNN", DistanceMetric("euclidean"), neg, Rng(12))
     assert (a.j, a.k, a.theta_d) == (b.j, b.k, b.theta_d)
 
 
 def test_ocnn_train_needs_ten_positives():
     neg = np.zeros((10, 2))
     with pytest.raises(ConfigError):
-        ocnn_train(np.zeros((9, 2)), "11NN", DistanceMetric("euclidean"),
-                   CvConfig(negatives=neg), Rng(0))
+        ocnn_train(np.zeros((9, 2)), "11NN", DistanceMetric("euclidean"), neg, Rng(0))
 
 
 def test_ocnn_train_separates_obvious_clusters():
     rng = Rng(13)
     pos = rng.standard_normal((50, 2)) * 0.3
     neg = rng.standard_normal((50, 2)) * 0.3 + 8.0
-    cv = CvConfig(negatives=neg)
-    model = ocnn_train(pos, "1KNN", DistanceMetric("euclidean"), cv, Rng(14))
+    model = ocnn_train(pos, "1KNN", DistanceMetric("euclidean"), neg, Rng(14))
     fresh_pos = rng.standard_normal((200, 2)) * 0.3
     fresh_neg = rng.standard_normal((200, 2)) * 0.3 + 8.0
     assert np.mean(ocnn_classify(model, fresh_pos)) > 0.9
@@ -241,10 +236,21 @@ def test_ocnn_train_separates_obvious_clusters():
 def test_gaussian_kernel_values_and_validation():
     a = np.array([0.0, 0.0])
     b = np.array([3.0, 4.0])
-    assert gaussian_kernel(a, a, 1.0) == pytest.approx(1.0)
-    assert gaussian_kernel(a, b, 5.0) == pytest.approx(np.exp(-25.0 / 50.0))
+    assert _gram(a, a, "gaussian", 1.0, 3)[0, 0] == pytest.approx(1.0)
+    assert _gram(a, b, "gaussian", 5.0, 3)[0, 0] == pytest.approx(np.exp(-25.0 / 50.0))
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            _gram(a, b, "gaussian", sigma, 3)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_svm_training_rejects_nonpositive_sigma(sigma):
+    x = Rng(19).standard_normal((20, 2))
+    y = np.arange(20) % 2
     with pytest.raises(ConfigError):
-        gaussian_kernel(a, b, 0.0)
+        ocsvm_train(x, 0.2, sigma)
+    with pytest.raises(ConfigError):
+        binary_svm_train(x, y, c=1.0, sigma_svm=sigma)
 
 
 def test_ocsvm_kkt_conditions():
@@ -315,27 +321,44 @@ def test_ocsvm_train_cv_grids_and_determinism():
     rng = Rng(23)
     pos = rng.standard_normal((40, 2))
     neg = rng.standard_normal((40, 2)) + 5.0
-    cv = CvConfig(negatives=neg)
     base = median_heuristic(pos)
     nus = (0.05, 0.1, 0.2)
     factors = (0.5, 1.0, 2.0)
-    model, nu, sig = ocsvm_train_cv(pos, cv, Rng(24), nus=nus, sigma_factors=factors)
+    model, nu, sig = ocsvm_train_cv(pos, neg, Rng(24), nus=nus, sigma_factors=factors)
     assert nu in nus
     assert any(sig == pytest.approx(base * f) for f in factors)
     assert model.nu == nu and model.sigma_svm == sig
-    _, nu2, sig2 = ocsvm_train_cv(pos, cv, Rng(24), nus=nus, sigma_factors=factors)
+    _, nu2, sig2 = ocsvm_train_cv(pos, neg, Rng(24), nus=nus, sigma_factors=factors)
     assert (nu, sig) == (nu2, sig2)
 
 
-def _per_fold_scores(sel, neg_sel, folds, nus, sigmas, kernel, tol=1e-3):
+def test_ocsvm_train_cv_tie_rule_ignores_grid_order():
+    # on this draw nu = 0.05 and nu = 0.1 tie for the best score at the
+    # widest kernel; the smaller nu wins however the grids are ordered
+    rng = Rng(25)
+    pos = rng.standard_normal((40, 2))
+    neg = rng.standard_normal((40, 2)) + 5.0
+    nus, factors = (0.05, 0.1, 0.2), (0.5, 1.0, 2.0)
+    perm_rng = Rng(24)
+    sel, neg_sel = pos[perm_rng.permutation(40)], neg[perm_rng.permutation(40)]
+    sigmas = [median_heuristic(pos) * f for f in factors]
+    score = _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, "gaussian", 3)
+    assert score[0, 2] == score[1, 2] == score.max()
+    for order in (slice(None), slice(None, None, -1)):
+        _, nu, sig = ocsvm_train_cv(pos, neg, Rng(24), nus=nus[order],
+                                    sigma_factors=factors[order])
+        assert (nu, sig) == (0.05, sigmas[2])
+
+
+def _per_fold_scores(sel, neg_sel, nus, sigmas, kernel, tol=1e-3):
     """The cross-validated score grid fitted one (nu, sigma, fold) at a time."""
-    pos_slices = _fold_slices(sel.shape[0], folds)
-    neg_slices = _fold_slices(neg_sel.shape[0], folds)
+    pos_slices = _fold_slices(sel.shape[0])
+    neg_slices = _fold_slices(neg_sel.shape[0])
     score = np.full((len(nus), len(sigmas)), -1.0)
     for a, nu in enumerate(nus):
         for s, sig in enumerate(sigmas):
             total = 0.0
-            for f in range(folds):
+            for f in range(len(pos_slices)):
                 tr = np.concatenate([np.arange(q.start, q.stop)
                                      for i, q in enumerate(pos_slices) if i != f])
                 if nu * tr.size < 1.0:
@@ -356,10 +379,9 @@ def test_ocsvm_cv_batch_matches_per_fold_loop(kernel):
     rng = Rng(26)
     pos = rng.standard_normal((43, 2))
     neg = rng.standard_normal((50, 2)) + 1.5
-    cv = CvConfig(negatives=neg)
     nus = (0.02, 0.029, 0.05, 0.1, 0.3)
     factors = (0.5, 1.0, 2.0)
-    model, nu, sig = ocsvm_train_cv(pos, cv, Rng(27), nus=nus, sigma_factors=factors,
+    model, nu, sig = ocsvm_train_cv(pos, neg, Rng(27), nus=nus, sigma_factors=factors,
                                     kernel=kernel)
 
     # the same permutations ocsvm_train_cv draws
@@ -368,8 +390,8 @@ def test_ocsvm_cv_batch_matches_per_fold_loop(kernel):
     neg_sel = neg[perm_rng.permutation(50)][:43]
     base = median_heuristic(pos)
     sigmas = [base * f for f in factors] if kernel == "gaussian" else [1.0]
-    ref = _per_fold_scores(sel, neg_sel, 5, nus, sigmas, kernel)
-    got = _ocsvm_cv_scores(sel, neg_sel, 5, nus, sigmas, kernel, 3, 1e-3)
+    ref = _per_fold_scores(sel, neg_sel, nus, sigmas, kernel)
+    got = _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel, 3)
     assert np.all(ref[:2] == -1.0)
     assert np.all(ref[2:] >= 0.0)
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -477,6 +499,60 @@ def test_binary_knn_tune_returns_odd_k_in_range():
     assert binary_knn_tune(x, y, Rng(32)) == k
 
 
+def _per_k_knn_tune(x, y, rng):
+    """binary_knn_tune's selection with one binary_knn call per (k, fold)."""
+    m = x.shape[0]
+    perm = rng.permutation(m)
+    slices = _fold_slices(m)
+    best = None
+    for k in range(3, max(3, int(np.sqrt(m))) + 1, 2):
+        total = 0.0
+        for f, s in enumerate(slices):
+            va = perm[s]
+            tr = np.concatenate([perm[q] for i, q in enumerate(slices) if i != f])
+            pred = binary_knn(x[tr], y[tr], k, x[va])
+            tpr = np.mean(pred[y[va] == 1] == 1)
+            tnr = np.mean(pred[y[va] == 0] == 0)
+            total += np.sqrt(tpr * tnr)
+        if best is None or total > best[0]:
+            best = (total, k)
+    return best[1]
+
+
+# overlapping classes score differently across k; separated ones tie at every k
+@pytest.mark.parametrize("seed, shift", [(s, 0.8) for s in range(6)] + [(6, 8.0)])
+def test_binary_knn_tune_matches_per_k_loop(seed, shift):
+    rng = Rng(100 + seed)
+    m = 60 + 40 * seed
+    x = np.concatenate([rng.standard_normal((m, 3)), rng.standard_normal((m, 3)) + shift])
+    y = np.concatenate([np.ones(m, dtype=int), np.zeros(m, dtype=int)])
+    assert binary_knn_tune(x, y, Rng(seed)) == _per_k_knn_tune(x, y, Rng(seed))
+
+
+def _tune_ocnn(pos, neg):
+    return ocnn_train(pos, "1KNN", DistanceMetric("euclidean"), neg, Rng(0))
+
+
+def _tune_ocsvm(pos, neg):
+    return ocsvm_train_cv(pos, neg, Rng(0))
+
+
+def _tune_knn(pos, neg):
+    x = np.concatenate([pos, neg])
+    y = np.concatenate([np.ones(len(pos), dtype=int), np.zeros(len(neg), dtype=int)])
+    return binary_knn_tune(x, y, Rng(0))
+
+
+@pytest.mark.parametrize("tune", [_tune_ocnn, _tune_ocsvm, _tune_knn])
+def test_tuners_reject_empty_validation_folds(tune):
+    # three negatives leave two of the five folds without one
+    rng = Rng(37)
+    pos = rng.standard_normal((40, 2))
+    neg = rng.standard_normal((3, 2)) + 3.0
+    with pytest.raises(ConfigError, match="folds leave an empty validation set"):
+        tune(pos, neg)
+
+
 def test_binary_svm_separable_case():
     rng = Rng(33)
     a = rng.standard_normal((20, 2)) * 0.2
@@ -549,16 +625,6 @@ def test_kmeans_k_equals_m_gives_zero_wcss():
     x = rng.standard_normal((8, 2))
     res = kmeans_label(x, 8, 1, Rng(43))
     assert res.wcss == pytest.approx(0.0, abs=1e-20)
-
-
-def test_kmeans_wcss_history_non_increasing():
-    rng = Rng(44)
-    x = rng.standard_normal((100, 3))
-    res = kmeans_label(x, 4, 1, Rng(45))
-    hist = res.wcss_history
-    assert len(hist) >= 2
-    assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
-    assert hist[-1] == pytest.approx(res.wcss)
 
 
 def test_kmeans_reseeds_empty_clusters():

@@ -25,6 +25,18 @@ ATTACKERS = {
     "simplified-avg": AttackerSpec(AttackStrategy("simplified"), averaged=True),
 }
 
+# learned defenders, with the parameters each one's cross-validation selects
+LEARNED = {
+    "ocnn-1KNN": DefenderSpec("ocnn", variant="1KNN"),
+    "ocnn-JKNN": DefenderSpec("ocnn", variant="JKNN"),
+    "ocnn-11NN-llr": DefenderSpec("ocnn", variant="11NN", metric="llr"),
+    "ocsvm": DefenderSpec("ocsvm"),
+    "ocsvm-poly": DefenderSpec("ocsvm", kernel="poly"),
+    "binary_knn": DefenderSpec("binary_knn"),
+    "binary_svm": DefenderSpec("binary_svm"),
+    "kmeans_svm": DefenderSpec("kmeans_svm"),
+}
+
 EXPERIMENTS = [
     (kind, attacker, alpha_ii)
     for kind in ("llr", "combined", "ideal")
@@ -60,6 +72,16 @@ def experiment(kind, attacker, alpha_ii, calibration_trials=20_000):
     return tuple(row[c] for c in ("tp", "fn", "fp", "tn", "theta", "epsilon"))
 
 
+def learned(label):
+    cfg = ExperimentConfig(
+        defender=LEARNED[label], n_subcarriers=(2,), rho_AE=(0.9,), m_training=(200,),
+        n_trials=1_000, n_datasets=3, seed=7,
+    )
+    row = run_experiment(cfg).rows[0]
+    return tuple(row[c] for c in ("tp", "fn", "fp", "tn", "j", "k", "theta_d",
+                                  "nu", "sigma_svm", "knn_k"))
+
+
 EXPECTED_THRESHOLDS = (13.508345547192938, 1.433996716725254, 0.011199999999999988, 0.35245, 169)
 EXPECTED_EXPONENTS = (1.0, 1.0, 0.35)
 EXPECTED_MISMATCHED = {
@@ -88,6 +110,17 @@ EXPECTED_EXPERIMENTS = {
 }
 EXPECTED_FALLBACK = (1982, 18, 1310, 690, 16.246412680141077, 1.6863036760313501)
 
+EXPECTED_LEARNED = {
+    'ocnn-1KNN': (974, 28, 253, 749, 1, 12, 1.0, None, None, None),
+    'ocnn-JKNN': (1002, 0, 115, 887, 14, 14, 1.5, None, None, None),
+    'ocnn-11NN-llr': (821, 181, 268, 734, 1, 1, 2.0, None, None, None),
+    'ocsvm': (1002, 0, 119, 883, None, None, None, 0.05, 0.6375548966141846, None),
+    'ocsvm-poly': (998, 4, 230, 772, None, None, None, 0.2, 1.0, None),
+    'binary_knn': (1002, 0, 226, 776, None, None, None, None, None, 7),
+    'binary_svm': (1002, 0, 152, 850, None, None, None, None, 0.6135589095679158, None),
+    'kmeans_svm': (1002, 0, 396, 606, None, None, None, None, 0.6135589095679158, None),
+}
+
 
 def test_optimize_thresholds_stream():
     assert thresholds() == EXPECTED_THRESHOLDS
@@ -111,3 +144,8 @@ def test_combined_fallback_stream():
     # 1e-2 * 5000 trials is under the 100 the optimizer needs, so the
     # analytic split of the target runs
     assert experiment("combined", "ml", 0.8, calibration_trials=5_000) == EXPECTED_FALLBACK
+
+
+@pytest.mark.parametrize("label", LEARNED)
+def test_learned_defender_stream(label):
+    assert learned(label) == EXPECTED_LEARNED[label]

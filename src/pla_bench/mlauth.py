@@ -5,12 +5,14 @@ one.
 
 Feature vectors are the interleaved real and imaginary parts of the
 estimated channel coefficients, so a vector over N subcarriers has 2N
-features. All solvers here are written out in full (pairwise-update dual
-solvers, Lloyd iterations) because their exact decision geometry is what
-the benchmark measures. The one-class SVM dual solver works on a batch of
-problems over one Gram matrix in lockstep: a single fit is a batch of one,
-and cross-validation solves every (nu, fold) problem of one kernel width
-in one call, each fold's validation points masked out of its rows.
+features. All solvers here are written out in full (a pairwise-update
+dual solver, Lloyd iterations) because their exact decision geometry is
+what the benchmark measures. One dual solver serves both SVMs: it works on
+a batch of problems over one Gram matrix in lockstep, each with its own
+box bounds per coordinate and a fixed sum. One-class cross-validation
+solves every (nu, fold) problem of one kernel width in one call, each
+fold's validation points held at 0; a one-class fit and the binary SVM
+are batches of one row.
 
 The three tuners (one-class NN, one-class SVM, binary kNN) share one fold
 plan and score every candidate with one cross-validated g-mean,
@@ -62,6 +64,11 @@ def _fold_gmean(pos_accept, neg_accept) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # features and metrics
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows of a and rows of b, unclipped."""
+    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+
+
 def featurize(h_hat) -> np.ndarray:
     """Complex (..., N) -> real (..., 2N), interleaving Re and Im per carrier."""
     h_hat = np.asarray(h_hat, dtype=complex)
@@ -89,7 +96,13 @@ def llr_distance(a, b, sigma2_n) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceMetric:
-    """Either plain Euclidean distance or the weighted statistic above."""
+    """Either plain Euclidean distance or the weighted statistic above.
+
+    pairwise returns the plain distance for "euclidean" but the squared
+    weighted distance for "llr", while the one-class NN rules use one
+    theta_d grid for both; so under "llr" the grid spans ratios of squared
+    distances, and its top value is often the one picked.
+    """
 
     kind: str = "euclidean"
     sigma2_n: np.ndarray | None = None
@@ -110,21 +123,9 @@ class DistanceMetric:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         if self.kind == "euclidean":
-            sq = (
-                np.sum(a * a, axis=1)[:, None]
-                + np.sum(b * b, axis=1)[None, :]
-                - 2.0 * (a @ b.T)
-            )
-            return np.sqrt(np.maximum(sq, 0.0))
-        w = np.repeat(2.0 / self.sigma2_n, 2)
-        aw = a * np.sqrt(w)
-        bw = b * np.sqrt(w)
-        sq = (
-            np.sum(aw * aw, axis=1)[:, None]
-            + np.sum(bw * bw, axis=1)[None, :]
-            - 2.0 * (aw @ bw.T)
-        )
-        return np.maximum(sq, 0.0)
+            return np.sqrt(np.maximum(_sq_dists(a, b), 0.0))
+        w = np.sqrt(np.repeat(2.0 / self.sigma2_n, 2))
+        return np.maximum(_sq_dists(a * w, b * w), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def ocnn_train(positives, variant: str, metric: DistanceMetric, negatives, rng: 
 
 
 # ---------------------------------------------------------------------------
-# kernels and one-class SVM
+# kernels, the pairwise dual solver and the one-class SVM
 
 def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float, degree: int) -> np.ndarray:
     x = np.atleast_2d(x)
@@ -258,12 +259,7 @@ def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float, degree: i
     if kernel == "gaussian":
         if not sigma_svm > 0:
             raise ConfigError("sigma_svm must be positive")
-        sq = (
-            np.sum(x * x, axis=1)[:, None]
-            + np.sum(y * y, axis=1)[None, :]
-            - 2.0 * (x @ y.T)
-        )
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma_svm**2))
+        return np.exp(-np.maximum(_sq_dists(x, y), 0.0) / (2.0 * sigma_svm**2))
     if kernel == "linear":
         return x @ y.T
     if kernel == "poly":
@@ -289,20 +285,72 @@ class OcsvmModel:
 _BOX = 1e-12
 
 
-def _ocsvm_solve(kmat, train, ub, tol: float, max_iter: int):
+def _dual_solve(kmat, lam, grad, lo, hi, tol: float, max_iter: int | None = None):
+    """Solve a batch of duals min 1/2 l^T K l + p^T l over one Gram matrix.
+
+    Row b keeps sum l fixed and lo[b] <= l <= hi[b]; lam is a feasible
+    start and grad = K lam + p its gradient, and both are updated in place.
+    Each step moves mass, in every row at once, between the pair of
+    coordinates that most violates the KKT conditions: the smallest
+    gradient among coordinates below hi (up) and the largest among those
+    above lo (down), first index on ties. A row whose violation is within
+    tol takes steps of 0 from then on. The cap is max(300 m, 20000) steps
+    unless max_iter is given. Returns each row's smallest up and largest
+    down gradient at the stop.
+    """
+    rows, m = lam.shape
+    if max_iter is None:
+        max_iter = max(300 * m, 20_000)
+    hi_box, lo_box = hi - _BOX, lo + _BOX
+    diag = kmat.diagonal()
+    # 0 where a coordinate may move up (down), inf (-inf) where it may not;
+    # gradient plus penalty is the masked gradient the pair is chosen from
+    up_pen = np.where(lam < hi_box, 0.0, np.inf)
+    dn_pen = np.where(lam > lo_box, 0.0, -np.inf)
+    up, dn = np.empty_like(grad), np.empty_like(grad)
+    # per-row scalars are read and written through flat views at row * m + i
+    lam_f, up_f, dn_f = lam.reshape(-1), up.reshape(-1), dn.reshape(-1)
+    up_pen_f, dn_pen_f = up_pen.reshape(-1), dn_pen.reshape(-1)
+    lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
+    hi_box_f, lo_box_f = hi_box.reshape(-1), lo_box.reshape(-1)
+    row0 = np.arange(rows) * m
+    for _ in range(max_iter):
+        i = np.add(grad, up_pen, out=up).argmin(axis=1)
+        j = np.add(grad, dn_pen, out=dn).argmax(axis=1)
+        fi, fj = row0 + i, row0 + j
+        viol = dn_f[fj] - up_f[fi]
+        active = viol > tol
+        if not active.any():
+            return up_f[fi], dn_f[fj]
+        lam_i, lam_j = lam_f[fi], lam_f[fj]
+        denom = diag[i] + diag[j] - 2.0 * kmat[i, j]
+        t_max = np.minimum(hi_f[fi] - lam_i, lam_j - lo_f[fj])
+        step = np.divide(viol, denom, out=np.full(rows, np.inf), where=denom > 1e-15)
+        t = np.where(active, np.minimum(t_max, step), 0.0)
+        lam_f[fi] = lam_i + t
+        lam_f[fj] -= t
+        # kmat is symmetric, so row gathers stand in for its columns
+        delta = kmat[i]
+        np.subtract(delta, kmat[j], out=delta)
+        grad += np.multiply(delta, t[:, None], out=delta)
+        # only the pair's two coordinates can have reached or left a bound
+        fk = np.concatenate([fi, fj])
+        lam_k = lam_f[fk]
+        up_pen_f[fk] = np.where(lam_k < hi_box_f[fk], 0.0, np.inf)
+        dn_pen_f[fk] = np.where(lam_k > lo_box_f[fk], 0.0, -np.inf)
+    raise NumericError("dual solver hit its iteration cap")
+
+
+def _ocsvm_solve(kmat, train, ub, tol: float):
     """Solve a batch of one-class SVM duals over one Gram matrix in lockstep.
 
     Row b solves min 1/2 l^T K l, 0 <= l_i <= ub[b], sum l = 1 over the
-    points where train[b] is set and keeps l = 0 on the others. Each step
-    moves mass, in every row at once, between the pair of coordinates that
-    most violates the KKT conditions; a row whose violation is within tol
-    takes steps of 0 from then on. Returns l, the gradient K l over all
-    columns (held-out ones included) and the offset xi of each row: the
-    mean gradient over its margin support vectors, or over all its support
-    vectors when none lies on the margin.
+    points where train[b] is set and keeps l = 0 (bounds 0, 0) on the
+    others. Returns l, the gradient K l over all columns (held-out ones
+    included) and the offset xi of each row: the mean gradient over its
+    margin support vectors, or over all its support vectors when none lies
+    on the margin.
     """
-    rows, m = train.shape
-    ub_lo = ub - _BOX
     lam = np.where(train, 1.0 / train.sum(axis=1, keepdims=True), 0.0)
     # A pair step leaves its two gradients equal up to rounding, so the next
     # choice of pair is decided by the last bits: each row starts from the
@@ -315,45 +363,10 @@ def _ocsvm_solve(kmat, train, ub, tol: float, max_iter: int):
         starts[s, idx] = kmat[np.ix_(idx, idx)] @ lam0
         starts[s, ~mask] = kmat[np.ix_(~mask, idx)] @ lam0
     grad = starts[which.ravel()]  # numpy 2.0.0 returns the inverse as a column
-    diag = kmat.diagonal()
-    # 0 where a coordinate may move up (down), inf (-inf) where it may not;
-    # gradient plus penalty is the masked gradient the pair is chosen from
-    up_pen = np.where(train & (lam < ub_lo[:, None]), 0.0, np.inf)
-    dn_pen = np.where(lam > _BOX, 0.0, -np.inf)
-    up, dn = np.empty_like(grad), np.empty_like(grad)
-    # per-row scalars are read and written through flat views at row * m + i
-    lam_f, up_f, dn_f = lam.reshape(-1), up.reshape(-1), dn.reshape(-1)
-    up_pen_f, dn_pen_f, train_f = up_pen.reshape(-1), dn_pen.reshape(-1), train.reshape(-1)
-    row0 = np.arange(rows) * m
-    ub_lo2 = np.concatenate([ub_lo, ub_lo])
-    for _ in range(max_iter):
-        i = np.add(grad, up_pen, out=up).argmin(axis=1)
-        j = np.add(grad, dn_pen, out=dn).argmax(axis=1)
-        fi, fj = row0 + i, row0 + j
-        viol = dn_f[fj] - up_f[fi]
-        active = viol > tol
-        if not active.any():
-            break
-        lam_i = lam_f[fi]
-        denom = diag[i] + diag[j] - 2.0 * kmat[i, j]
-        t_max = np.minimum(ub - lam_i, lam_f[fj])
-        step = np.divide(viol, denom, out=np.full(rows, np.inf), where=denom > 1e-15)
-        t = np.where(active, np.minimum(t_max, step), 0.0)
-        lam_f[fi] = lam_i + t
-        lam_f[fj] -= t
-        # kmat is symmetric, so row gathers stand in for its columns
-        delta = kmat[i]
-        np.subtract(delta, kmat[j], out=delta)
-        grad += np.multiply(delta, t[:, None], out=delta)
-        # only the pair's two coordinates can have reached or left a bound
-        fk = np.concatenate([fi, fj])
-        lam_k = lam_f[fk]
-        up_pen_f[fk] = np.where(train_f[fk] & (lam_k < ub_lo2), 0.0, np.inf)
-        dn_pen_f[fk] = np.where(lam_k > _BOX, 0.0, -np.inf)
-    else:
-        raise NumericError("one-class SVM solver hit its iteration cap")
-    xi = np.empty(rows)
-    for b in range(rows):
+    _dual_solve(kmat, lam, grad, np.zeros_like(lam), np.where(train, ub[:, None], 0.0), tol)
+    ub_lo = ub - _BOX
+    xi = np.empty(len(ub))
+    for b in range(len(ub)):
         sv = lam[b] > _BOX
         margin = sv & (lam[b] < ub_lo[b])
         xi[b] = np.mean(grad[b, margin if margin.any() else sv])
@@ -367,7 +380,6 @@ def ocsvm_train(
     kernel: str = "gaussian",
     degree: int = 3,
     tol: float = 1e-6,
-    max_iter: int | None = None,
 ) -> OcsvmModel:
     """Pairwise-update solver for min 1/2 l^T K l, 0 <= l_i <= 1/(nu m), sum l = 1.
 
@@ -384,11 +396,9 @@ def ocsvm_train(
         raise ConfigError("need at least two training points")
     if nu * m < 1.0:
         raise ConfigError("nu * m must be at least 1")
-    if max_iter is None:
-        max_iter = max(200 * m, 20_000)
     kmat = _gram(x, x, kernel, sigma_svm, degree)
     lam, _, xi = _ocsvm_solve(kmat, np.ones((1, m), dtype=bool),
-                              np.array([1.0 / (nu * m)]), tol, max_iter)
+                              np.array([1.0 / (nu * m)]), tol)
     keep = lam[0] > _BOX
     return OcsvmModel(
         support=x[keep], lambdas=lam[0, keep], xi=float(xi[0]), nu=nu,
@@ -446,11 +456,10 @@ def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str, degree: int) -> np.
     # row k * _FOLDS + f solves nus[fit[k]] on fold f
     train = np.tile(~held, (len(fit), 1))
     ub = 1.0 / (np.repeat([nus[a] for a in fit], _FOLDS) * np.tile(n_train, len(fit)))
-    max_iter = max(200 * int(n_train.max()), 20_000)
     for s, sig in enumerate(sigmas):
         # the Gram matrix is freed before the negatives' block is built
         lam, grad, xi = _ocsvm_solve(_gram(sel, sel, kernel, sig, degree),
-                                     train, ub, _CV_TOL, max_iter)
+                                     train, ub, _CV_TOL)
         f_pos = grad - xi[:, None]
         f_neg = lam @ _gram(neg_sel, sel, kernel, sig, degree).T - xi[:, None]
         total = np.zeros(len(fit))
@@ -555,10 +564,13 @@ def binary_svm_train(
     kernel: str = "gaussian",
     degree: int = 3,
     tol: float = 1e-6,
-    max_iter: int | None = None,
 ) -> BinarySvmModel:
-    """Soft-margin kernel SVM via maximal-violating-pair dual updates.
+    """Soft-margin kernel SVM: the one-row case of the pairwise dual solver.
 
+    It solves for beta = y * alpha, min 1/2 b^T K b - y^T b with sum b = 0
+    and 0 <= y_i b_i <= c, from b = 0. The bias is minus the mean of the
+    smallest gradient that may move up and the largest that may move down
+    when the solver stops.
     Labels may be {0,1} or {-1,+1}; both classes must be present.
     """
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
@@ -568,51 +580,15 @@ def binary_svm_train(
         raise ConfigError("c must be positive")
     if np.all(y > 0) or np.all(y < 0):
         raise ConfigError("both labels must be present")
-    m = x.shape[0]
     kmat = _gram(x, x, kernel, sigma_svm, degree)
-    alpha = np.zeros(m)
-    # F_i = sum_j alpha_j y_j K_ij - y_i
-    f_val = -y.copy()
-    box = 1e-12
-    if max_iter is None:
-        max_iter = max(300 * m, 20_000)
-    for _ in range(max_iter):
-        up_mask = ((y > 0) & (alpha < c - box)) | ((y < 0) & (alpha > box))
-        lo_mask = ((y > 0) & (alpha > box)) | ((y < 0) & (alpha < c - box))
-        i_up = np.argmin(np.where(up_mask, f_val, np.inf))
-        i_lo = np.argmax(np.where(lo_mask, f_val, -np.inf))
-        b_up, b_lo = f_val[i_up], f_val[i_lo]
-        if b_lo - b_up <= tol:
-            break
-        i, j = i_lo, i_up
-        eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
-        if eta <= 1e-15:
-            eta = 1e-15
-        # optimal unconstrained step for the pair along the equality manifold
-        delta = y[j] * (b_lo - b_up) / eta
-        aj_old, ai_old = alpha[j], alpha[i]
-        s = y[i] * y[j]
-        gamma = ai_old + s * aj_old
-        aj = aj_old + delta
-        # clip to the box respecting alpha_i = gamma - s * alpha_j
-        if s > 0:
-            lo_b, hi_b = max(0.0, gamma - c), min(c, gamma)
-        else:
-            lo_b, hi_b = max(0.0, -gamma), min(c, c - gamma)
-        aj = min(max(aj, lo_b), hi_b)
-        ai = gamma - s * aj
-        alpha[j], alpha[i] = aj, ai
-        f_val += y[j] * (aj - aj_old) * kmat[:, j] + y[i] * (ai - ai_old) * kmat[:, i]
-    else:
-        raise NumericError("binary SVM solver hit its iteration cap")
-    up_mask = ((y > 0) & (alpha < c - box)) | ((y < 0) & (alpha > box))
-    lo_mask = ((y > 0) & (alpha > box)) | ((y < 0) & (alpha < c - box))
-    b_up = float(np.min(np.where(up_mask, f_val, np.inf)))
-    b_lo = float(np.max(np.where(lo_mask, f_val, -np.inf)))
-    bias = -0.5 * (b_up + b_lo)
-    keep = alpha > box
+    beta = np.zeros((1, x.shape[0]))
+    b_up, b_lo = _dual_solve(kmat, beta, -y[None], np.where(y > 0, 0.0, -c)[None],
+                             np.where(y > 0, c, 0.0)[None], tol)
+    alpha = np.abs(beta[0])
+    keep = alpha > _BOX
     return BinarySvmModel(
-        support=x[keep], support_y=y[keep], alphas=alpha[keep], bias=bias,
+        support=x[keep], support_y=y[keep], alphas=alpha[keep],
+        bias=float(-0.5 * (b_up[0] + b_lo[0])),
         c=c, sigma_svm=sigma_svm, kernel=kernel, degree=degree,
     )
 
@@ -656,11 +632,7 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
         cent = x[idx].copy()
         prev = None
         for _ in range(300):
-            d2 = (
-                np.sum(x * x, axis=1)[:, None]
-                + np.sum(cent * cent, axis=1)[None, :]
-                - 2.0 * (x @ cent.T)
-            )
+            d2 = _sq_dists(x, cent)
             labels = np.argmin(d2, axis=1)
             for c in range(k):
                 mask = labels == c
@@ -673,11 +645,7 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
             if prev is not None and np.array_equal(labels, prev):
                 break
             prev = labels.copy()
-        d2 = (
-            np.sum(x * x, axis=1)[:, None]
-            + np.sum(cent * cent, axis=1)[None, :]
-            - 2.0 * (x @ cent.T)
-        )
+        d2 = _sq_dists(x, cent)
         labels = np.argmin(d2, axis=1)
         wcss = float(np.sum(np.maximum(d2[np.arange(m), labels], 0.0)))
         if best is None or wcss < best.wcss:

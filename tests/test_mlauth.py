@@ -23,6 +23,7 @@ from pla_bench.mlauth import (
 )
 from pla_bench.mlauth import (
     _THETA_GRID,
+    _dual_solve,
     _fold_slices,
     _gram,
     _ocsvm_cv_scores,
@@ -414,7 +415,7 @@ def test_ocsvm_masked_rows_match_lone_fits():
     train = ~held
     nus = np.array([0.1, 0.3, 0.5])
     ub = 1.0 / (nus * train.sum(axis=1))
-    lam, grad, xi = _ocsvm_solve(kmat, train, ub, 1e-6, 20_000)
+    lam, grad, xi = _ocsvm_solve(kmat, train, ub, 1e-6)
     for b in range(3):
         sub = x[train[b]]
         lone = ocsvm_train(sub, nus[b], sigma)
@@ -441,9 +442,10 @@ def test_ocsvm_solve_iteration_cap():
     rng = Rng(29)
     x = rng.standard_normal((30, 2))
     kmat = _gram(x, x, "gaussian", 1.0, 3)
-    train = np.ones((2, 30), dtype=bool)
+    lam = np.full((2, 30), 1.0 / 30)
+    hi = np.array([1.0 / 3.0, 1.0 / 15.0])[:, None].repeat(30, axis=1)
     with pytest.raises(NumericError):
-        _ocsvm_solve(kmat, train, np.array([1.0 / 3.0, 1.0 / 15.0]), 1e-10, 2)
+        _dual_solve(kmat, lam, lam @ kmat, np.zeros_like(lam), hi, 1e-10, 2)
 
 
 def test_median_heuristic_hand_case_and_degenerate():
@@ -551,6 +553,85 @@ def test_tuners_reject_empty_validation_folds(tune):
     neg = rng.standard_normal((3, 2)) + 3.0
     with pytest.raises(ConfigError, match="folds leave an empty validation set"):
         tune(pos, neg)
+
+
+def _scalar_binary_svm(x, y, c, sigma, tol=1e-6):
+    """binary_svm_train's model from a scalar maximal-violating-pair loop on alpha."""
+    y = np.where(np.asarray(y) > 0, 1.0, -1.0)
+    m = x.shape[0]
+    kmat = _gram(x, x, "gaussian", sigma, 3)
+    alpha = np.zeros(m)
+    f_val = -y.copy()  # F_i = sum_j alpha_j y_j K_ij - y_i
+    box = 1e-12
+
+    def masks():
+        up = ((y > 0) & (alpha < c - box)) | ((y < 0) & (alpha > box))
+        lo = ((y > 0) & (alpha > box)) | ((y < 0) & (alpha < c - box))
+        return up, lo
+
+    for _ in range(max(300 * m, 20_000)):
+        up_mask, lo_mask = masks()
+        i_up = np.argmin(np.where(up_mask, f_val, np.inf))
+        i_lo = np.argmax(np.where(lo_mask, f_val, -np.inf))
+        b_up, b_lo = f_val[i_up], f_val[i_lo]
+        if b_lo - b_up <= tol:
+            break
+        i, j = i_lo, i_up
+        eta = max(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j], 1e-15)
+        aj_old, ai_old = alpha[j], alpha[i]
+        s = y[i] * y[j]
+        gamma = ai_old + s * aj_old
+        # clip to the box respecting alpha_i = gamma - s * alpha_j
+        if s > 0:
+            lo_b, hi_b = max(0.0, gamma - c), min(c, gamma)
+        else:
+            lo_b, hi_b = max(0.0, -gamma), min(c, c - gamma)
+        aj = min(max(aj_old + y[j] * (b_lo - b_up) / eta, lo_b), hi_b)
+        ai = gamma - s * aj
+        alpha[j], alpha[i] = aj, ai
+        f_val += y[j] * (aj - aj_old) * kmat[:, j] + y[i] * (ai - ai_old) * kmat[:, i]
+    else:
+        raise NumericError("scalar reference hit its iteration cap")
+    up_mask, lo_mask = masks()
+    b_up = float(np.min(np.where(up_mask, f_val, np.inf)))
+    b_lo = float(np.max(np.where(lo_mask, f_val, -np.inf)))
+    keep = alpha > box
+    return BinarySvmModel(
+        support=x[keep], support_y=y[keep], alphas=alpha[keep], bias=-0.5 * (b_up + b_lo),
+        c=c, sigma_svm=sigma,
+    )
+
+
+def _harness_like_draw(seed, m):
+    """m training points in 6 features, half genuine and half forged, with overlap."""
+    rng = Rng(300 + seed)
+    centre = rng.standard_normal(6)
+    pos = centre + 0.3 * rng.standard_normal((m // 2, 6))
+    neg = 0.8 * centre + 0.5 * rng.standard_normal((m - m // 2, 6))
+    x = np.vstack([pos, neg])
+    y = np.concatenate([np.ones(m // 2, dtype=int), np.zeros(m - m // 2, dtype=int)])
+    queries = np.vstack([centre + 0.3 * rng.standard_normal((2_500, 6)),
+                         0.8 * centre + 0.5 * rng.standard_normal((2_500, 6))])
+    return x, y, 1.0, queries
+
+
+def _separable_draw():
+    rng = Rng(33)
+    x = np.concatenate([rng.standard_normal((20, 2)) * 0.2,
+                        rng.standard_normal((20, 2)) * 0.2 + 5.0])
+    y = np.concatenate([np.ones(20, dtype=int), np.zeros(20, dtype=int)])
+    return x, y, 10.0, 3.0 * rng.standard_normal((5_000, 2)) + 2.5
+
+
+@pytest.mark.parametrize("draw", [(s, m) for s, m in enumerate((100, 100, 100, 1000, 1000))]
+                         + ["separable"], ids=str)
+def test_binary_svm_matches_scalar_reference(draw):
+    x, y, c, queries = _separable_draw() if draw == "separable" else _harness_like_draw(*draw)
+    sigma = median_heuristic(x)
+    got = binary_svm_train(x, y, c=c, sigma_svm=sigma)
+    ref = _scalar_binary_svm(x, y, c, sigma)
+    assert abs(got.bias - ref.bias) <= 1e-5
+    assert np.array_equal(binary_svm_classify(got, queries), binary_svm_classify(ref, queries))
 
 
 def test_binary_svm_separable_case():

@@ -25,16 +25,19 @@ ATTACKERS = {
     "simplified-avg": AttackerSpec(AttackStrategy("simplified"), averaged=True),
 }
 
-# learned defenders, with the parameters each one's cross-validation selects
+# learned defenders and their training sizes, with the parameters each
+# one's cross-validation selects; m = 1000 is fig9's size
 LEARNED = {
-    "ocnn-1KNN": DefenderSpec("ocnn", variant="1KNN"),
-    "ocnn-JKNN": DefenderSpec("ocnn", variant="JKNN"),
-    "ocnn-11NN-llr": DefenderSpec("ocnn", variant="11NN", metric="llr"),
-    "ocsvm": DefenderSpec("ocsvm"),
-    "ocsvm-poly": DefenderSpec("ocsvm", kernel="poly"),
-    "binary_knn": DefenderSpec("binary_knn"),
-    "binary_svm": DefenderSpec("binary_svm"),
-    "kmeans_svm": DefenderSpec("kmeans_svm"),
+    "ocnn-1KNN": (DefenderSpec("ocnn", variant="1KNN"), 200),
+    "ocnn-JKNN": (DefenderSpec("ocnn", variant="JKNN"), 200),
+    "ocnn-11NN-llr": (DefenderSpec("ocnn", variant="11NN", metric="llr"), 200),
+    "ocsvm": (DefenderSpec("ocsvm"), 200),
+    "ocsvm-poly": (DefenderSpec("ocsvm", kernel="poly"), 200),
+    "binary_knn": (DefenderSpec("binary_knn"), 200),
+    "binary_svm": (DefenderSpec("binary_svm"), 200),
+    "kmeans_svm": (DefenderSpec("kmeans_svm"), 200),
+    "binary_svm-m1000": (DefenderSpec("binary_svm"), 1000),
+    "kmeans_svm-m1000": (DefenderSpec("kmeans_svm"), 1000),
 }
 
 EXPERIMENTS = [
@@ -73,8 +76,9 @@ def experiment(kind, attacker, alpha_ii, calibration_trials=20_000):
 
 
 def learned(label):
+    defender, m = LEARNED[label]
     cfg = ExperimentConfig(
-        defender=LEARNED[label], n_subcarriers=(2,), rho_AE=(0.9,), m_training=(200,),
+        defender=defender, n_subcarriers=(2,), rho_AE=(0.9,), m_training=(m,),
         n_trials=1_000, n_datasets=3, seed=7,
     )
     row = run_experiment(cfg).rows[0]
@@ -119,6 +123,8 @@ EXPECTED_LEARNED = {
     'binary_knn': (1002, 0, 226, 776, None, None, None, None, None, 7),
     'binary_svm': (1002, 0, 152, 850, None, None, None, None, 0.6135589095679158, None),
     'kmeans_svm': (1002, 0, 396, 606, None, None, None, None, 0.6135589095679158, None),
+    'binary_svm-m1000': (1002, 0, 120, 882, None, None, None, None, 0.49925028737059785, None),
+    'kmeans_svm-m1000': (1002, 0, 369, 633, None, None, None, None, 0.6462538232054326, None),
 }
 
 

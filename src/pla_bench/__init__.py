@@ -30,7 +30,6 @@ from .errors import (
     InfeasibleTargetError,
     NumericError,
     SingularTestError,
-    UndefinedMetricError,
 )
 from .harness import (
     AttackerSpec,
@@ -43,7 +42,6 @@ from .harness import (
     reproduce,
     run_experiment,
 )
-from .metrics import ConfusionMatrix, binomial_se
 from .mlauth import (
     DistanceMetric,
     OcnnModel,

@@ -93,9 +93,9 @@ class AttackStrategy:
 def optimize_attack_exponents(
     bob: tuple[float, float],
     scenario: ScenarioParams,
-    grid_step: float = 0.1,
-    n_mc: int = 20_000,
-    rng: Rng | None = None,
+    grid_step: float,
+    n_mc: int,
+    rng: Rng,
 ) -> tuple[float, float, float]:
     """Exhaustive search of the exponent grid against a fixed combined test.
 
@@ -104,8 +104,6 @@ def optimize_attack_exponents(
     landscape is smooth and the argmax is reproducible; ties prefer larger
     x, then larger y. Returns (x, y, estimated P_MD at the optimum).
     """
-    if rng is None:
-        raise ConfigError("an Rng is required")
     steps = round(2.0 / grid_step)
     if abs(steps * grid_step - 2.0) > 1e-9:
         raise ConfigError("grid_step must divide the interval [-1, 1] evenly")
@@ -139,7 +137,6 @@ def optimize_attack_exponents(
 
 def mismatched_eval(
     attack: AttackStrategy,
-    defender: str,
     scenario: ScenarioParams,
     n_mc: int,
     rng: Rng,
@@ -148,16 +145,12 @@ def mismatched_eval(
 ) -> float:
     """Monte Carlo P_MD of one attack against a fixed, already-calibrated test.
 
-    ``defender`` is "llr" or "combined"; for "combined" an epsilon is
-    required. The defender's thresholds stay fixed, so evaluating several
-    strategies against them quantifies the matched/mismatched gap.
+    The test is the LLR test when ``epsilon`` is None and the combined test
+    otherwise, as in ``accepts``. The defender's thresholds stay fixed, so
+    evaluating several strategies against them quantifies the
+    matched/mismatched gap.
     """
-    if defender not in ("llr", "combined"):
-        raise ConfigError("defender must be 'llr' or 'combined'")
-    if defender == "combined" and epsilon is None:
-        raise ConfigError("combined defender needs epsilon")
     h_bar, _, h_hat = simulate_trials(
         scenario, rng.derive(0), n_mc, genuine=False,
         forge=lambda h, r: attack.forge(*eve_observations(h, scenario, r), scenario))
-    eps = epsilon if defender == "combined" else None
-    return float(np.mean(accepts(h_hat, h_bar, per_dim_variance(scenario), theta, eps)))
+    return float(np.mean(accepts(h_hat, h_bar, per_dim_variance(scenario), theta, epsilon)))

@@ -125,18 +125,16 @@ def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) ->
     return complex_gaussian(rng, shape, params.power_delay)
 
 
-def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams, alpha_m,
+def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams,
                         rng: Rng, size: int | None = None) -> ChannelVector:
     """One enrollment-phase estimate: faded truth plus estimation noise.
 
-    alpha_m is the fading coefficient in force for this packet. With
-    ``size`` given, that many independent estimates of the same channel are
-    returned as rows.
+    The fading coefficient is the scenario's alpha_I. With ``size`` given,
+    that many independent estimates of the same channel are returned as
+    rows.
     """
     h_ab = np.asarray(h_ab, dtype=complex)
-    alpha = _as_alpha_vector(alpha_m, params.n_subcarriers, "alpha_m")
-    if h_ab.shape[-1] != alpha.shape[0]:
-        raise ConfigError("alpha_m length must match channel dimension")
+    alpha = params.alpha_I
     shape = h_ab.shape if size is None else (size, params.n_subcarriers)
     fade = complex_gaussian(rng, shape, params.power_delay)
     noise = complex_gaussian(rng, shape, params.sigma2_I)
@@ -204,7 +202,7 @@ def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,
     stream contract of every caller.
     """
     h = sample_channel(params, rng, size=n)
-    ref = bob_estimate_phase1(h, params, params.alpha_I, rng)
+    ref = bob_estimate_phase1(h, params, rng)
     alice = alice_estimate_phase2(h, params, rng) if genuine else None
     eve = forged_observation(forge(h, rng), params, rng) if forge is not None else None
     return ref, alice, eve

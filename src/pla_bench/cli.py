@@ -31,6 +31,25 @@ from .harness import (
 from .rng import Rng
 from .statdec import optimize_thresholds
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _flag(text: str) -> bool:
+    """true/false, yes/no or 1/0, in any case."""
+    if text.lower() not in _FLAGS:
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}")
+    return _FLAGS[text.lower()]
+
+
+def _list_of(conv):
+    return lambda text: tuple(conv(p.strip()) for p in text.split(",") if p.strip())
+
+
+def _target_pfa(text: str):
+    nums = _list_of(float)(text)
+    return nums[0] if len(nums) == 1 else nums
+
+
 _LIST_FIELDS = {
     "n_subcarriers": int,
     "alpha_I": float,
@@ -47,15 +66,17 @@ _SCALAR_FIELDS = {
     "seed": int,
     "calibration_trials": int,
     "workers": int,
-    "record_timing": lambda s: s.lower() in ("1", "true", "yes"),
+    "record_timing": _flag,
 }
-_DEFENDER_FIELDS = {
-    "kind": str, "variant": str, "metric": str, "kernel": str,
-    "ideal_sigma2": float, "ideal_sigma2_E": float,
-}
-_ATTACKER_FIELDS = {
-    "kind": str, "x": float, "y": float,
-    "averaged": lambda s: s.lower() in ("1", "true", "yes"),
+_DEFENDER_FIELDS = {"kind": str, "variant": str, "metric": str, "kernel": str}
+_ATTACKER_FIELDS = {"kind": str, "x": float, "y": float, "averaged": _flag}
+# every key of the file and the converter of its value
+_KEYS = {
+    **{key: _list_of(conv) for key, conv in _LIST_FIELDS.items()},
+    "target_pfa": _target_pfa,
+    **_SCALAR_FIELDS,
+    **{f"defender.{key}": conv for key, conv in _DEFENDER_FIELDS.items()},
+    **{f"attacker.{key}": conv for key, conv in _ATTACKER_FIELDS.items()},
 }
 
 
@@ -68,6 +89,7 @@ def parse_config(text: str) -> ExperimentConfig:
     values: dict = {}
     defender: dict = {}
     attacker: dict = {}
+    sections = {"": values, "defender": defender, "attacker": attacker}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,36 +98,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key.startswith("defender."):
-            sub = key[len("defender."):]
-            if sub not in _DEFENDER_FIELDS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            defender[sub] = _DEFENDER_FIELDS[sub](val)
-        elif key.startswith("attacker."):
-            sub = key[len("attacker."):]
-            if sub not in _ATTACKER_FIELDS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            attacker[sub] = _ATTACKER_FIELDS[sub](val)
-        elif key in _LIST_FIELDS:
-            conv = _LIST_FIELDS[key]
-            try:
-                values[key] = tuple(conv(p.strip()) for p in val.split(",") if p.strip())
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-        elif key == "target_pfa":
-            parts = [p.strip() for p in val.split(",") if p.strip()]
-            try:
-                nums = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-            values[key] = nums[0] if len(nums) == 1 else tuple(nums)
-        elif key in _SCALAR_FIELDS:
-            try:
-                values[key] = _SCALAR_FIELDS[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, _, name = key.rpartition(".")
+        try:
+            sections[section][name] = _KEYS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     if "kind" not in defender:
         raise ConfigError("config must set defender.kind")
     strategy_kind = attacker.pop("kind", "simplified")

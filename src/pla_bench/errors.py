@@ -19,7 +19,3 @@ class NumericError(RuntimeError):
 
 class InfeasibleTargetError(NumericError):
     """No threshold setting can reach the requested false-alarm target."""
-
-
-class UndefinedMetricError(ValueError):
-    """A metric was requested whose denominator is empty."""

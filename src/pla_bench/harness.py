@@ -35,8 +35,7 @@ from .channel import (
     sample_channel,
     simulate_trials,
 )
-from .errors import ConfigError, SingularTestError
-from .metrics import ConfusionMatrix, binomial_se
+from .errors import ConfigError
 from .mlauth import (
     DistanceMetric,
     binary_knn,
@@ -78,17 +77,12 @@ class DefenderSpec:
     variant: str = "1KNN"          # one-class NN flavor
     metric: str = "euclidean"      # "euclidean" or "llr"
     kernel: str = "gaussian"       # "gaussian", "linear" or "poly"
-    ideal_sigma2: float | None = None
-    ideal_sigma2_E: float | None = None
 
     def __post_init__(self):
         if self.kind not in DEFENDER_KINDS:
             raise ConfigError(f"unknown defender kind {self.kind!r}")
         if self.metric not in ("euclidean", "llr"):
             raise ConfigError(f"unknown defender metric {self.metric!r}")
-        for v in (self.ideal_sigma2, self.ideal_sigma2_E):
-            if v is not None and not v > 0:
-                raise SingularTestError("ideal-bound variances must be positive")
 
     def label(self) -> str:
         if self.kind == "ocnn":
@@ -213,21 +207,23 @@ def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, 
     return forged_observation(_forge(scn, attacker, h, rng, n), scn, rng, phase=phase)
 
 
-def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
-               s_b: float, s_e: float) -> tuple[np.ndarray, np.ndarray]:
+def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
     """Genuine- and forged-packet statistics of the two-reference test.
 
     Every trial is a fresh universe: the verifier holds an enrollment
     reference of the genuine channel and one of the adversary's forgery,
-    and scores phase-II packets against both.
+    and scores phase-II packets against both. Both hypotheses' variance is
+    sigma2_I + sigma2_II.
     """
+    s2 = scn.sigma2_I + scn.sigma2_II
     h = sample_channel(scn, rng, size=n)
-    ref = bob_estimate_phase1(h, scn, scn.alpha_I, rng)
+    ref = bob_estimate_phase1(h, scn, rng)
     eve_ref = forged_observation(_forge(scn, attacker, h, rng), scn, rng, phase="I")
     alice = alice_estimate_phase2(h, scn, rng)
     eve = forged_observation(_forge(scn, attacker, h, rng), scn, rng)
-    return (ideal_llr(alice, ref, eve_ref, s_b, s_e),
-            ideal_llr(eve, ref, eve_ref, s_b, s_e))
+    return (ideal_llr(alice, ref, eve_ref, s2, s2),
+            ideal_llr(eve, ref, eve_ref, s2, s2))
 
 
 # --------------------------------------------------------------------------
@@ -279,17 +275,14 @@ def _run_shard(payload: dict) -> dict:
             theta, eps = payload["combined_thresholds"]
             trained["theta"], trained["epsilon"] = theta, eps
         else:
-            s_b = defender.ideal_sigma2 or (scn.sigma2_I + scn.sigma2_II)
-            s_e = defender.ideal_sigma2_E or (scn.sigma2_I + scn.sigma2_II)
-            psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5),
-                                    payload["ideal_calibration"], s_b, s_e)
+            psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5), payload["ideal_calibration"])
             theta_bar = calibrate_threshold(psi_cal, target)
             trained["theta"] = theta_bar
         train_seconds = time.perf_counter() - t0
 
         r_eval = rng.derive(9)
         if kind == "ideal":
-            psi_a, psi_e = _ideal_psi(scn, attacker, r_eval, n_eval, s_b, s_e)
+            psi_a, psi_e = _ideal_psi(scn, attacker, r_eval, n_eval)
             acc_a = psi_a <= trained["theta"]
             acc_e = psi_e <= trained["theta"]
         else:
@@ -302,7 +295,7 @@ def _run_shard(payload: dict) -> dict:
 
     # learned defenders: one model per dataset on a fixed channel
     h = sample_channel(scn, rng.derive(0))
-    train_pos = bob_estimate_phase1(h, scn, scn.alpha_I, rng.derive(1), size=scn.m_training)
+    train_pos = bob_estimate_phase1(h, scn, rng.derive(1), size=scn.m_training)
     if kind in ("ocnn", "ocsvm"):
         negatives = featurize(_forged_packets(scn, attacker, h, rng.derive(2), scn.m_training))
         metric = (DistanceMetric("llr", per_dim_variance(scn))
@@ -365,16 +358,18 @@ def _run_shard(payload: dict) -> dict:
 
 
 def _shard_result(payload: dict, acc_a, acc_e, trained: dict, train_seconds: float) -> dict:
-    """Confusion counts of one shard from its genuine and forged accept masks."""
+    """Confusion counts of one shard from its genuine and forged accept masks.
+
+    The transmitter being authenticated (Alice) is the positive class: a
+    false alarm (fn) is a rejected genuine packet, a missed detection (fp)
+    an accepted forged one.
+    """
     n_eval = payload["n_eval"]
-    cm = ConfusionMatrix(
-        tp=int(np.sum(acc_a)), fn=int(n_eval - np.sum(acc_a)),
-        fp=int(np.sum(acc_e)), tn=int(n_eval - np.sum(acc_e)),
-    )
+    tp, fp = int(np.sum(acc_a)), int(np.sum(acc_e))
     return {
         "point_idx": payload["point_idx"],
         "dataset_idx": payload["dataset_idx"],
-        "tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn,
+        "tp": tp, "fn": n_eval - tp, "fp": fp, "tn": n_eval - fp,
         "trained": trained,
         "train_seconds": train_seconds,
     }
@@ -404,12 +399,10 @@ class ResultTable:
     def column(self, name: str) -> list:
         return [row.get(name) for row in self.rows]
 
-    def find(self, **kv) -> list:
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in kv.items()):
-                out.append(row)
-        return out
+
+def _binomial_se(p: float, n: int) -> float:
+    """Standard error of an empirical proportion from n Bernoulli trials."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 def _dataset_se(per_dataset: list, pooled_p: float, n_total: int) -> float:
@@ -417,8 +410,8 @@ def _dataset_se(per_dataset: list, pooled_p: float, n_total: int) -> float:
     if len(per_dataset) >= 2:
         arr = np.asarray(per_dataset, dtype=float)
         se = float(arr.std(ddof=1) / math.sqrt(arr.size))
-        return max(se, binomial_se(pooled_p, n_total))
-    return binomial_se(pooled_p, n_total)
+        return max(se, _binomial_se(pooled_p, n_total))
+    return _binomial_se(pooled_p, n_total)
 
 
 def _median_or_none(values: list):
@@ -518,13 +511,11 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     rows = []
     for p_idx, point in enumerate(points):
         shards = [r for r in shard_results if r["point_idx"] == p_idx]
-        cm = ConfusionMatrix()
-        for r in shards:
-            cm = cm + ConfusionMatrix(tp=r["tp"], fn=r["fn"], fp=r["fp"], tn=r["tn"])
-        n_alice = cm.tp + cm.fn
-        n_eve = cm.fp + cm.tn
-        pfa = cm.fn / n_alice
-        pmd = cm.fp / n_eve
+        tp, fn, fp, tn = (sum(r[c] for r in shards) for c in ("tp", "fn", "fp", "tn"))
+        n_alice = tp + fn
+        n_eve = fp + tn
+        pfa = fn / n_alice
+        pmd = fp / n_eve
         per_fa = [r["fn"] / (r["fn"] + r["tp"]) for r in shards]
         per_md = [r["fp"] / (r["fp"] + r["tn"]) for r in shards]
         row = dict(point)
@@ -534,14 +525,14 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             "target_pfa": config.target_for(point),
             "n_datasets": config.n_datasets,
             "n_alice": n_alice, "n_eve": n_eve,
-            "tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn,
+            "tp": tp, "fn": fn, "fp": fp, "tn": tn,
             "p_fa": pfa, "p_md": pmd,
-            "accuracy": (cm.tp + cm.tn) / cm.total,
+            "accuracy": (tp + tn) / (n_alice + n_eve),
             "g_mean": math.sqrt((1.0 - pfa) * (1.0 - pmd)),
             "se_pfa": _dataset_se(per_fa, pfa, n_alice),
             "se_pmd": _dataset_se(per_md, pmd, n_eve),
-            "p_fa_note": f"<{1.0 / n_alice:.3e}" if cm.fn == 0 else "",
-            "p_md_note": f"<{1.0 / n_eve:.3e}" if cm.fp == 0 else "",
+            "p_fa_note": f"<{1.0 / n_alice:.3e}" if fn == 0 else "",
+            "p_md_note": f"<{1.0 / n_eve:.3e}" if fp == 0 else "",
         })
         for name in ("theta", "epsilon", "theta_d", "nu", "sigma_svm", "svm_c"):
             row[name] = _median_or_none([r["trained"].get(name) for r in shards])
@@ -689,8 +680,7 @@ def _reproduce_fig1(scale: float, seed: int) -> ResultTable:
                 ("simplified", AttackStrategy("simplified")),
                 ("modulus", AttackStrategy("modulus")),
             ):
-                pmd = mismatched_eval(strat, "combined", scn, n_mc, rng.derive(2),
-                                      thr.theta, thr.epsilon)
+                pmd = mismatched_eval(strat, scn, n_mc, rng.derive(2), thr.theta, thr.epsilon)
                 rows.append({
                     "n_subcarriers": n, "alpha_II": alpha2, "attacker": label,
                     "x": x if label == "matched" else None,

@@ -38,6 +38,8 @@ _FOLDS = 5
 _THETA_GRID = np.arange(1.0, 5.01, 0.5)
 _NEIGHBOR_CAP = 30
 _CV_TOL = 1e-3  # one-class SVM solver tolerance while scoring candidates
+_POLY_DEGREE = 3  # degree of the "poly" kernel
+_MEDIAN_CAP = 256  # sample size of median_heuristic
 
 
 def _fold_slices(n: int):
@@ -169,16 +171,14 @@ class OcnnModel:
             object.__setattr__(self, "yz_table", part.mean(axis=1))
 
 
-def ocnn_classify(model: OcnnModel, x) -> bool | np.ndarray:
-    """Accept when the query-to-neighbor over neighbor-to-neighbor mean
-    distance ratio stays below theta_d.
+def ocnn_classify(model: OcnnModel, x) -> np.ndarray:
+    """Accept each query row when its query-to-neighbor over
+    neighbor-to-neighbor mean distance ratio stays below theta_d.
 
     Degenerate denominator (duplicated training points) accepts only an
     exact duplicate query.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    q = np.atleast_2d(x)
+    q = np.asarray(x, dtype=float)
     d = model.metric.pairwise(q, model.training)
     jj = model.j
     if jj == 1:
@@ -190,8 +190,7 @@ def ocnn_classify(model: OcnnModel, x) -> bool | np.ndarray:
         dxy = np.take_along_axis(d, order, axis=1).mean(axis=1)
         dyz = model.yz_table[order].mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        accept = np.where(dyz > 0, dxy < model.theta_d * dyz, dxy == 0)
-    return bool(accept[0]) if single else accept
+        return np.where(dyz > 0, dxy < model.theta_d * dyz, dxy == 0)
 
 
 def _ocnn_yz_table(metric, train, kmax):
@@ -253,9 +252,7 @@ def ocnn_train(positives, variant: str, metric: DistanceMetric, negatives, rng: 
 # ---------------------------------------------------------------------------
 # kernels, the pairwise dual solver and the one-class SVM
 
-def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float, degree: int) -> np.ndarray:
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
+def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float) -> np.ndarray:
     if kernel == "gaussian":
         if not sigma_svm > 0:
             raise ConfigError("sigma_svm must be positive")
@@ -263,7 +260,7 @@ def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float, degree: i
     if kernel == "linear":
         return x @ y.T
     if kernel == "poly":
-        return (x @ y.T + 1.0) ** degree
+        return (x @ y.T + 1.0) ** _POLY_DEGREE
     raise ConfigError(f"unknown kernel {kernel!r}")
 
 
@@ -275,7 +272,6 @@ class OcsvmModel:
     nu: float
     sigma_svm: float
     kernel: str = "gaussian"
-    degree: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "support", np.atleast_2d(np.asarray(self.support, dtype=float)))
@@ -378,7 +374,6 @@ def ocsvm_train(
     nu: float,
     sigma_svm: float,
     kernel: str = "gaussian",
-    degree: int = 3,
     tol: float = 1e-6,
 ) -> OcsvmModel:
     """Pairwise-update solver for min 1/2 l^T K l, 0 <= l_i <= 1/(nu m), sum l = 1.
@@ -396,44 +391,40 @@ def ocsvm_train(
         raise ConfigError("need at least two training points")
     if nu * m < 1.0:
         raise ConfigError("nu * m must be at least 1")
-    kmat = _gram(x, x, kernel, sigma_svm, degree)
+    kmat = _gram(x, x, kernel, sigma_svm)
     lam, _, xi = _ocsvm_solve(kmat, np.ones((1, m), dtype=bool),
                               np.array([1.0 / (nu * m)]), tol)
     keep = lam[0] > _BOX
     return OcsvmModel(
         support=x[keep], lambdas=lam[0, keep], xi=float(xi[0]), nu=nu,
-        sigma_svm=sigma_svm, kernel=kernel, degree=degree,
+        sigma_svm=sigma_svm, kernel=kernel,
     )
 
 
 def ocsvm_decision(model: OcsvmModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    q = np.atleast_2d(x)
-    kq = _gram(q, model.support, model.kernel, model.sigma_svm, model.degree)
-    f = kq @ model.lambdas - model.xi
-    return f[0] if single else f
+    """Decision value of each query row."""
+    q = np.asarray(x, dtype=float)
+    return _gram(q, model.support, model.kernel, model.sigma_svm) @ model.lambdas - model.xi
 
 
-def ocsvm_classify(model: OcsvmModel, x) -> bool | np.ndarray:
-    """Accept when the decision function is strictly positive."""
-    f = ocsvm_decision(model, x)
-    return bool(f > 0) if np.isscalar(f) or f.ndim == 0 else f > 0
+def ocsvm_classify(model: OcsvmModel, x) -> np.ndarray:
+    """Accept each query row whose decision value is strictly positive."""
+    return ocsvm_decision(model, x) > 0
 
 
-def median_heuristic(x, cap: int = 256) -> float:
+def median_heuristic(x) -> float:
     """Median pairwise Euclidean distance, on a deterministic subsample."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] > cap:
-        step = x.shape[0] // cap
-        x = x[::step][:cap]
+    if x.shape[0] > _MEDIAN_CAP:
+        step = x.shape[0] // _MEDIAN_CAP
+        x = x[::step][:_MEDIAN_CAP]
     d = DistanceMetric("euclidean").pairwise(x, x)
     vals = d[np.triu_indices_from(d, k=1)]
     med = float(np.median(vals))
     return med if med > 0 else 1.0
 
 
-def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str, degree: int) -> np.ndarray:
+def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str) -> np.ndarray:
     """Cross-validated score of every (nu, sigma), shape (len(nus), len(sigmas)).
 
     For each kernel width one Gram matrix over sel serves every (nu, fold)
@@ -458,10 +449,9 @@ def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str, degree: int) -> np.
     ub = 1.0 / (np.repeat([nus[a] for a in fit], _FOLDS) * np.tile(n_train, len(fit)))
     for s, sig in enumerate(sigmas):
         # the Gram matrix is freed before the negatives' block is built
-        lam, grad, xi = _ocsvm_solve(_gram(sel, sel, kernel, sig, degree),
-                                     train, ub, _CV_TOL)
+        lam, grad, xi = _ocsvm_solve(_gram(sel, sel, kernel, sig), train, ub, _CV_TOL)
         f_pos = grad - xi[:, None]
-        f_neg = lam @ _gram(neg_sel, sel, kernel, sig, degree).T - xi[:, None]
+        f_neg = lam @ _gram(neg_sel, sel, kernel, sig).T - xi[:, None]
         total = np.zeros(len(fit))
         for f, (ps, ns) in enumerate(zip(pos_slices, neg_slices)):
             total += _fold_gmean(f_pos[f::_FOLDS, ps].T > 0, f_neg[f::_FOLDS, ns].T > 0)
@@ -476,7 +466,6 @@ def ocsvm_train_cv(
     nus=(0.01, 0.02, 0.05, 0.1, 0.2),
     sigma_factors=(0.5, 1.0, 2.0),
     kernel: str = "gaussian",
-    degree: int = 3,
 ) -> tuple[OcsvmModel, float, float]:
     """Tune (nu, sigma_svm) by the same cross-validated score as ocnn_train.
 
@@ -493,31 +482,28 @@ def ocsvm_train_cv(
     perm = rng.permutation(m)
     neg = np.atleast_2d(np.asarray(negatives, dtype=float))
     neg = neg[rng.permutation(neg.shape[0])]
-    score = _ocsvm_cv_scores(pos[perm], neg[:m], nus, sigmas, kernel, degree)
+    score = _ocsvm_cv_scores(pos[perm], neg[:m], nus, sigmas, kernel)
     a, s = np.unravel_index(np.argmax(score), score.shape)
     nu, sig = nus[a], sigmas[s]
-    return ocsvm_train(pos, nu, sig, kernel=kernel, degree=degree), nu, sig
+    return ocsvm_train(pos, nu, sig, kernel=kernel), nu, sig
 
 
 # ---------------------------------------------------------------------------
 # binary baselines
 
-def binary_knn(train_x, train_y, k: int, query, metric: DistanceMetric | None = None):
-    """Majority vote over the k nearest labeled samples; k must be odd."""
+def binary_knn(train_x, train_y, k: int, query) -> np.ndarray:
+    """Majority vote (1 or 0) of each query row's k nearest labeled samples
+    by Euclidean distance; k must be odd."""
     if k % 2 == 0:
         raise ConfigError("k must be odd")
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
     y = np.asarray(train_y)
     if k > x.shape[0]:
         raise ConfigError("k exceeds the training size")
-    metric = metric or DistanceMetric("euclidean")
-    q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    d = metric.pairwise(np.atleast_2d(q), x)
+    d = DistanceMetric("euclidean").pairwise(np.asarray(query, dtype=float), x)
     idx = np.argpartition(d, k - 1, axis=1)[:, :k]
     votes = (y[idx] > 0).sum(axis=1)
-    out = np.where(votes * 2 > k, 1, 0)
-    return int(out[0]) if single else out
+    return np.where(votes * 2 > k, 1, 0)
 
 
 def binary_knn_tune(train_x, train_y, rng: Rng) -> int:
@@ -553,7 +539,6 @@ class BinarySvmModel:
     c: float
     sigma_svm: float
     kernel: str = "gaussian"
-    degree: int = 3
 
 
 def binary_svm_train(
@@ -562,7 +547,6 @@ def binary_svm_train(
     c: float = 1.0,
     sigma_svm: float = 1.0,
     kernel: str = "gaussian",
-    degree: int = 3,
     tol: float = 1e-6,
 ) -> BinarySvmModel:
     """Soft-margin kernel SVM: the one-row case of the pairwise dual solver.
@@ -580,7 +564,7 @@ def binary_svm_train(
         raise ConfigError("c must be positive")
     if np.all(y > 0) or np.all(y < 0):
         raise ConfigError("both labels must be present")
-    kmat = _gram(x, x, kernel, sigma_svm, degree)
+    kmat = _gram(x, x, kernel, sigma_svm)
     beta = np.zeros((1, x.shape[0]))
     b_up, b_lo = _dual_solve(kmat, beta, -y[None], np.where(y > 0, 0.0, -c)[None],
                              np.where(y > 0, c, 0.0)[None], tol)
@@ -589,18 +573,15 @@ def binary_svm_train(
     return BinarySvmModel(
         support=x[keep], support_y=y[keep], alphas=alpha[keep],
         bias=float(-0.5 * (b_up[0] + b_lo[0])),
-        c=c, sigma_svm=sigma_svm, kernel=kernel, degree=degree,
+        c=c, sigma_svm=sigma_svm, kernel=kernel,
     )
 
 
-def binary_svm_classify(model: BinarySvmModel, query):
-    """1 for the positive class, 0 for the negative."""
-    q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    kq = _gram(np.atleast_2d(q), model.support, model.kernel, model.sigma_svm, model.degree)
+def binary_svm_classify(model: BinarySvmModel, query) -> np.ndarray:
+    """1 for each query row in the positive class, 0 for the negative."""
+    kq = _gram(np.asarray(query, dtype=float), model.support, model.kernel, model.sigma_svm)
     f = kq @ (model.alphas * model.support_y) + model.bias
-    out = (f > 0).astype(int)
-    return int(out[0]) if single else out
+    return (f > 0).astype(int)
 
 
 # ---------------------------------------------------------------------------

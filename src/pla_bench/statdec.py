@@ -195,16 +195,15 @@ def normal_upper_quantile(q: float) -> float:
 # ---------------------------------------------------------------------------
 # LLR test
 
-def per_dim_variance(params: ScenarioParams, alpha_bar_I=None) -> np.ndarray:
+def per_dim_variance(params: ScenarioParams) -> np.ndarray:
     """Per-subcarrier variance of the test statistic's complex differences.
 
-    sigma_n^2 = sigma2_I + sigma2_II + (1 - alpha_bar_I_n^2) + (1 - alpha_II_n^2)
+    sigma_n^2 = sigma2_I + sigma2_II + (1 - alpha_I_n^2) + (1 - alpha_II_n^2)
     """
-    a_bar = params.alpha_I if alpha_bar_I is None else np.asarray(alpha_bar_I, dtype=float)
     return (
         params.sigma2_I
         + params.sigma2_II
-        + (1.0 - a_bar**2)
+        + (1.0 - params.alpha_I**2)
         + (1.0 - params.alpha_II**2)
     )
 
@@ -220,21 +219,19 @@ def nominal_mu(params: ScenarioParams) -> float:
     return float(np.sum((2.0 / s2) * (params.alpha_II - params.alpha_I) ** 2 * params.power_delay))
 
 
-def noncentrality_mu(params: ScenarioParams, h_ab, alpha_bar_I=None) -> float:
+def noncentrality_mu(params: ScenarioParams, h_ab) -> float:
     """Noncentrality of the statistic when the legitimate user transmits."""
-    a_bar = params.alpha_I if alpha_bar_I is None else np.asarray(alpha_bar_I, dtype=float)
-    s2 = per_dim_variance(params, a_bar)
+    s2 = per_dim_variance(params)
     h_ab = np.asarray(h_ab, dtype=complex)
-    return float(np.sum((2.0 / s2) * np.abs((params.alpha_II - a_bar) * h_ab) ** 2))
+    return float(np.sum((2.0 / s2) * np.abs((params.alpha_II - params.alpha_I) * h_ab) ** 2))
 
 
-def noncentrality_beta(g, params: ScenarioParams, h_ab, alpha_bar_I=None) -> float:
+def noncentrality_beta(g, params: ScenarioParams, h_ab) -> float:
     """Noncentrality when the adversary transmits the forged vector g."""
-    a_bar = params.alpha_I if alpha_bar_I is None else np.asarray(alpha_bar_I, dtype=float)
-    s2 = per_dim_variance(params, a_bar)
+    s2 = per_dim_variance(params)
     g = np.asarray(g, dtype=complex)
     h_ab = np.asarray(h_ab, dtype=complex)
-    return float(np.sum((2.0 / s2) * np.abs(g - a_bar * h_ab) ** 2))
+    return float(np.sum((2.0 / s2) * np.abs(g - params.alpha_I * h_ab) ** 2))
 
 
 def analytic_pfa_pmd(theta: float, mu: float, beta, n_subcarriers: int):
@@ -278,6 +275,10 @@ class ThresholdResult:
     n_feasible: int
 
 
+# points on each axis of the (theta, epsilon) calibration grid
+_GRID_POINTS = 64
+
+
 def _acceptance_counts(psi, gamma_abs, theta_grid, eps_grid):
     """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k."""
     j_idx = np.searchsorted(theta_grid, psi, side="left")
@@ -293,8 +294,6 @@ def optimize_thresholds(
     n_mc: int,
     rng: Rng,
     attack=None,
-    n_theta: int = 64,
-    n_eps: int = 64,
 ) -> ThresholdResult:
     """Two-step Monte Carlo selection of (theta, epsilon).
 
@@ -329,14 +328,14 @@ def optimize_thresholds(
     theta_grid = np.linspace(
         ncx2_inv(1.0 - min(2.0 * target_pfa, 1.0 - 1e-9), dof, mu_nominal),
         ncx2_inv(1.0 - target_pfa / 10.0, dof, mu_nominal),
-        n_theta,
+        _GRID_POINTS,
     )
     # the top of the epsilon grid must leave the modulus condition with a
     # false-alarm contribution well under the target, so reach out to the
     # Gaussian-approximate quantile at a tenth of it
     sig_g = float(np.sqrt(np.mean(gam0**2)))
     eps_hi = sig_g * normal_upper_quantile(min(target_pfa / 20.0, 0.25)) + 1e-12
-    eps_grid = np.linspace(0.0, eps_hi, n_eps)
+    eps_grid = np.linspace(0.0, eps_hi, _GRID_POINTS)
 
     acc0 = _acceptance_counts(psi0, gam0, theta_grid, eps_grid)
     pfa_est = 1.0 - acc0 / float(n_mc)
@@ -355,8 +354,8 @@ def optimize_thresholds(
     pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
 
     best = None
-    for j in range(n_theta):
-        for k in range(n_eps):
+    for j in range(_GRID_POINTS):
+        for k in range(_GRID_POINTS):
             if not feasible[j, k]:
                 continue
             cand = (pmd_est[j, k], -theta_grid[j], -eps_grid[k])
@@ -365,7 +364,7 @@ def optimize_thresholds(
     _, j, k = best
     return ThresholdResult(
         theta=float(theta_grid[j]),
-        epsilon=float(eps_grid[k]) if eps_grid[k] > 0 else float(eps_grid[1] if n_eps > 1 else 1e-12),
+        epsilon=float(eps_grid[k] if eps_grid[k] > 0 else eps_grid[1]),
         pfa_estimate=float(pfa_est[j, k]),
         pmd_estimate=float(pmd_est[j, k]),
         n_feasible=int(feasible.sum()),

@@ -309,7 +309,7 @@ def test_criterion_05_ordering_claims():
 
     def eval_pmd(strategy):
         return mismatched_eval(
-            strategy, "combined", scn, n_eval, Rng(777),
+            strategy, scn, n_eval, Rng(777),
             theta=thr.theta, epsilon=thr.epsilon,
         )
 
@@ -364,7 +364,7 @@ def _ocsvm_oracle_gap(seed, m=6, nu=0.5, denom=24):
     rng = Rng(seed)
     x = rng.standard_normal((m, 2))
     sig = median_heuristic(x)
-    k = _gram(x, x, "gaussian", sig, 3)
+    k = _gram(x, x, "gaussian", sig)
     ub = 1.0 / (nu * m)
     cap = int(round(ub * denom))
     prefix = np.array(list(itertools.product(range(cap + 1), repeat=m - 1)))
@@ -389,7 +389,7 @@ def _binary_svm_oracle_gap(seed, m=6, c=1.0, steps=12):
     x = rng.standard_normal((m, 2)) + offset
     y = np.array([1.0] * npos + [-1.0] * nneg)
     sig = median_heuristic(x)
-    q = (y[:, None] * y[None, :]) * _gram(x, x, "gaussian", sig, 3)
+    q = (y[:, None] * y[None, :]) * _gram(x, x, "gaussian", sig)
     pos = np.array(list(itertools.product(range(steps + 1), repeat=npos)))
     neg = np.array(list(itertools.product(range(steps + 1), repeat=nneg)))
     ps, ns = pos.sum(axis=1), neg.sum(axis=1)

@@ -158,10 +158,10 @@ def test_attack_strategy_validation_and_dispatch():
 
 def test_optimize_attack_exponents_requires_rng_and_even_grid():
     scn = _pinned_params()
+    with pytest.raises(TypeError):
+        optimize_attack_exponents((10.0, 1.0), scn, 0.5, 1000)
     with pytest.raises(ConfigError):
-        optimize_attack_exponents((10.0, 1.0), scn)
-    with pytest.raises(ConfigError):
-        optimize_attack_exponents((10.0, 1.0), scn, grid_step=0.3, rng=Rng(0))
+        optimize_attack_exponents((10.0, 1.0), scn, 0.3, 1000, Rng(0))
 
 
 def test_optimize_attack_exponents_tie_break_prefers_one_one():
@@ -194,43 +194,34 @@ def test_optimize_attack_exponents_agrees_with_mismatched_eval():
     n_mc = 4000
     x, y, pmd = optimize_attack_exponents((9.0, 0.8), scn, grid_step=0.5, n_mc=n_mc, rng=Rng(7))
     atk = AttackStrategy("exponent", x=x, y=y)
-    assert abs(mismatched_eval(atk, "combined", scn, n_mc, Rng(7), 9.0, 0.8) - pmd) <= 2 / n_mc
+    assert abs(mismatched_eval(atk, scn, n_mc, Rng(7), 9.0, 0.8) - pmd) <= 2 / n_mc
 
 
 # ---------------------------------------------------------------------------
 # mismatched evaluation
 
 
-def test_mismatched_eval_validation():
-    scn = _pinned_params()
-    atk = AttackStrategy("simplified")
-    with pytest.raises(ConfigError):
-        mismatched_eval(atk, "nearest", scn, 1000, Rng(0), theta=1.0)
-    with pytest.raises(ConfigError):
-        mismatched_eval(atk, "combined", scn, 1000, Rng(0), theta=1.0)
-
-
 def test_mismatched_eval_deterministic():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.7, rho_EB=0.7)
     atk = AttackStrategy("simplified")
-    a = mismatched_eval(atk, "llr", scn, 5000, Rng(12), theta=4.0)
-    b = mismatched_eval(atk, "llr", scn, 5000, Rng(12), theta=4.0)
+    a = mismatched_eval(atk, scn, 5000, Rng(12), theta=4.0)
+    b = mismatched_eval(atk, scn, 5000, Rng(12), theta=4.0)
     assert a == b
 
 
 def test_mismatched_eval_wide_open_thresholds_accept_all():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     atk = AttackStrategy("simplified")
-    assert mismatched_eval(atk, "llr", scn, 2000, Rng(13), theta=1e12) == 1.0
-    assert mismatched_eval(atk, "combined", scn, 2000, Rng(13), theta=1e12,
+    assert mismatched_eval(atk, scn, 2000, Rng(13), theta=1e12) == 1.0
+    assert mismatched_eval(atk, scn, 2000, Rng(13), theta=1e12,
                            epsilon=1e12) == 1.0
 
 
 def test_mismatched_eval_combined_reduces_to_llr_for_huge_epsilon():
     scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.8, rho_EB=0.6)
     atk = AttackStrategy("ml")
-    llr_only = mismatched_eval(atk, "llr", scn, 20_000, Rng(14), theta=6.0)
-    combined = mismatched_eval(atk, "combined", scn, 20_000, Rng(14), theta=6.0,
+    llr_only = mismatched_eval(atk, scn, 20_000, Rng(14), theta=6.0)
+    combined = mismatched_eval(atk, scn, 20_000, Rng(14), theta=6.0,
                                epsilon=1e12)
     assert llr_only == combined
 
@@ -238,6 +229,6 @@ def test_mismatched_eval_combined_reduces_to_llr_for_huge_epsilon():
 def test_mismatched_eval_monotone_in_theta():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.7, rho_EB=0.7)
     atk = AttackStrategy("simplified")
-    vals = [mismatched_eval(atk, "llr", scn, 10_000, Rng(15), theta=t)
+    vals = [mismatched_eval(atk, scn, 10_000, Rng(15), theta=t)
             for t in (0.5, 2.0, 8.0, 32.0)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))

@@ -1,14 +1,16 @@
 """Tests for config parsing and the command line entry point."""
 
+from dataclasses import fields
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pla_bench import cli
+from pla_bench import cli, harness
+from pla_bench.attacks import AttackStrategy
 from pla_bench.errors import ConfigError, InfeasibleTargetError
-from pla_bench.harness import load
+from pla_bench.harness import DefenderSpec, ExperimentConfig, load
 
 
 TINY_CONFIG = """\
@@ -79,6 +81,8 @@ class TestParseConfig:
     def test_unknown_defender_key(self):
         with pytest.raises(ConfigError):
             cli.parse_config("defender.kind = llr\ndefender.bogus = 1\n")
+        with pytest.raises(ConfigError, match="line 2"):
+            cli.parse_config("defender.kind = ideal\ndefender.ideal_sigma2 = 0.1\n")
 
     def test_unknown_attacker_key(self):
         with pytest.raises(ConfigError):
@@ -89,8 +93,27 @@ class TestParseConfig:
             cli.parse_config("n_trials = 1000\n")
 
     def test_bad_numeric_value(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            cli.parse_config("defender.kind = llr\nn_trials = soon\n")
+        for line in ("n_trials = soon", "attacker.x = abc", "rho_AE = 0.1, high",
+                     "target_pfa = 1e-2, low", "record_timing = treu",
+                     "attacker.averaged = ture"):
+            with pytest.raises(ConfigError, match="line 2"):
+                cli.parse_config(f"defender.kind = llr\n{line}\n")
+
+    def test_flags_accept_only_boolean_words(self):
+        for word, want in (("TRUE", True), ("Yes", True), ("1", True),
+                           ("false", False), ("NO", False), ("0", False)):
+            config = cli.parse_config(f"defender.kind = ocnn\nrecord_timing = {word}\n"
+                                      f"attacker.averaged = {word}\n")
+            assert config.record_timing is want and config.attacker.averaged is want
+
+    def test_config_keys_track_the_dataclasses(self):
+        # a field deleted with its key left behind would raise TypeError past main
+        assert tuple(cli._LIST_FIELDS) == harness._SWEEP_FIELDS
+        assert set(cli._DEFENDER_FIELDS) == {f.name for f in fields(DefenderSpec)}
+        assert set(cli._ATTACKER_FIELDS) == {f.name for f in fields(AttackStrategy)} | {"averaged"}
+        keys = [*cli._LIST_FIELDS, *cli._SCALAR_FIELDS, "target_pfa"]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in fields(ExperimentConfig)} - {"defender", "attacker"}
 
 
 class TestRunCommand:
@@ -126,11 +149,12 @@ class TestRunCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "n_trials = 1000\n")
         out = tmp_path / "res.csv"
-        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        for text in ("n_trials = 1000\n", "defender.kind = llr\nattacker.x = abc\n"):
+            cfg = write_config(tmp_path, text)
+            code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):

@@ -8,10 +8,11 @@ import pytest
 
 from pla_bench.attacks import AttackStrategy
 from pla_bench.channel import ScenarioParams, eve_observations
-from pla_bench.errors import ConfigError, SingularTestError
+from pla_bench.errors import ConfigError
 from pla_bench import harness
 from pla_bench.harness import (
     _BASE_COLUMNS,
+    _binomial_se,
     _forge,
     _shard_result,
     REPRODUCE_TARGETS,
@@ -35,14 +36,6 @@ def test_defender_spec_validation():
         DefenderSpec(kind="oracle")
     with pytest.raises(ConfigError):
         DefenderSpec(kind="ocnn", metric="cosine")
-
-
-def test_ideal_bound_requires_positive_variances():
-    with pytest.raises(SingularTestError):
-        DefenderSpec(kind="ideal", ideal_sigma2=0.0)
-    with pytest.raises(SingularTestError):
-        DefenderSpec(kind="ideal", ideal_sigma2=0.1, ideal_sigma2_E=-1.0)
-    assert DefenderSpec(kind="ideal", ideal_sigma2=0.1, ideal_sigma2_E=0.2).ideal_sigma2 == 0.1
 
 
 def test_defender_labels():
@@ -113,13 +106,15 @@ def _toy_table():
     return ResultTable(columns=["a", "b", "c"], rows=rows, meta={"seed": 7})
 
 
-def test_result_table_column_and_find():
+def test_result_table_column():
     t = _toy_table()
     assert t.column("a") == [1, 2, 1]
     assert t.column("missing") == [None, None, None]
-    assert len(t.find(a=1)) == 2
-    assert t.find(a=1, b="y")[0]["c"] == 2.5
-    assert t.find(a=3) == []
+
+
+def test_binomial_se_value():
+    assert _binomial_se(0.5, 100) == pytest.approx(0.05)
+    assert _binomial_se(0.0, 10) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -434,34 +429,35 @@ def test_reproduce_targets_listed():
 
 # Digest of repr(configs) that each sweep target hands to run_experiment at
 # seed 42 and 2 workers, for scales 1.0 and 0.05. A change to a target's
-# plan (a sweep value, trial count, defender or its order) changes these.
+# plan (a sweep value, trial count, defender or its order) changes these,
+# and so does adding or deleting a field of the config dataclasses.
 _TARGET_PLAN_DIGESTS = {
-    ("table2", 1.0): "45a66b7d42905f487fd636d794e581e4a8e66a32d7ed6bd65b5ab9f1412b72bd",
-    ("table2", 0.05): "ab200656fa672eb85da0319ee41eaeb02851b38156b998cebd78ab4d4a0ac64f",
-    ("table3", 1.0): "6d9242cfb6fc45fdb433ca31cdfdb5737e646e12cb46b975d41d0fa52bd719ec",
-    ("table3", 0.05): "d450ef86a1fcf972f85dac8c4b5c425b5ad62d8daa5a1e2c3ae3fe31ba275709",
-    ("table4", 1.0): "e297cafd452c34e9808d7d6466257e78b3dab80533d3dbb28920e29c6f2d592a",
-    ("table4", 0.05): "9a7f3d948996ab20e77948bb62e98918cfcb29b297dc7e5e92621db595b61e5c",
-    ("table5", 1.0): "43ef7b14fc2d1ea2bd92f0265f508d4dbc3ab767a7506b65b86f485b65100387",
-    ("table5", 0.05): "11599b74a4f0017a6e9334e27316e1b46a9822346d80e3d156163f69604c7c30",
-    ("fig2", 1.0): "b1fbec8fff37bbaf964eaa4af7c2c026247890b86b416354afbb626fc7316cd1",
-    ("fig2", 0.05): "23b6daf392e0e5a30f48758582aa19fbe560cc5e07a606c7bb83cdd386d703d6",
-    ("fig3", 1.0): "f4d3293868f39b0bf8c56fbe3944a7637ed05c374ccce1d32bba9ab6eeb6c40a",
-    ("fig3", 0.05): "a4c07eb095d403fdb7fa0c490fea4edce607fb51e2be4749a71342391bf0fab4",
-    ("fig4", 1.0): "956e8fa7cdbd4676fc353a072f54755fb12450c4a92bdc32877100f846649a5a",
-    ("fig4", 0.05): "9e873a7c5525bf847481e06ef16e20bcca0c1d7301c1ff1f1b146a1a48b7a277",
-    ("fig5", 1.0): "d2187edcebf8c1e06d115d4f22e56456bd0f62d26ecee7ba9b5caf90ab5c6051",
-    ("fig5", 0.05): "f9a047432bd0c4b1678f42fc8f31bfcba2a93597eb474aea593f9147edd7f15d",
-    ("fig6", 1.0): "d1021337d9a623488b7220878474ce2fc1558c8430c6a0b4c1a2eeefa58f1b6e",
-    ("fig6", 0.05): "e0c6b62805057a4b44372b4575f6ad9a935015b7f292e3cef589ffb2c20e43de",
-    ("fig7", 1.0): "69d087afa61b4ece4321eb81efbe1a075e95f91b9f8574a8806ec609bb73a988",
-    ("fig7", 0.05): "b2b627d50ca58c5086864e999486cdc7ea73a3f1aa60f61df9a4213ad6f3a38f",
-    ("fig8", 1.0): "71ad02802a7ee7b1c93cda6ded9080d8a077ebd34b3435f73defadce96704661",
-    ("fig8", 0.05): "d1173a89a6f25c3a88701bafea01124ed05da27d68113b25b109ad1b631a29d6",
-    ("fig9", 1.0): "130883c560ca2056e21f0bad1dd307006693abcc62b048a1c82986084ef6c528",
-    ("fig9", 0.05): "62e1ffeaaa1cfd12d4498a652d350279720f12d470f38b42198f3c581656fffb",
-    ("fig10", 1.0): "e1478641ea5aaff2b0feacc71bb76f1609320eaa2f84fa0974c1ed894706459b",
-    ("fig10", 0.05): "02fd473fb154545bef7c3b9d4e29b91474e5fcd1d7007c48e6d2cfa59d98723c",
+    ("table2", 1.0): "741bc758043def31736be654ec60ccc46ea7d06506668d717858552a91bdbdb8",
+    ("table2", 0.05): "6539d2f7bc369235166916fe871b4c5baf76ed67641b3e70308d59099eff0fa1",
+    ("table3", 1.0): "dfcd71b8ebc1d8973defd2fecf22b5a79ae386b0a29ef042b964985001bb0824",
+    ("table3", 0.05): "433c171361b7ee0c5d1d33c1c1ee2e5c37c362823f1b53e9c6c1e61efbb11a20",
+    ("table4", 1.0): "c8d8a16cc0da6e76c913c17ded797387f38227158fc9e8bc9dcd31aba8e3eae5",
+    ("table4", 0.05): "13f9411bdabd68339e458387900ebe618137fd40bc240dc3000b14af60fe186c",
+    ("table5", 1.0): "dc84fb3afbb20d4aedc6c1299eab82850a370cbfb80adb7a22848cebb8f6619b",
+    ("table5", 0.05): "c52ae0fbc6e9437282d4bf7b632132b43a68d894aeadb4a8927f2054a4e60039",
+    ("fig2", 1.0): "a968f2ee184b8cc31cf8050897e6a0c2e34e9d5ca4018d10489d1e6dd9a7283d",
+    ("fig2", 0.05): "47fa864ea53d97ad535c11034f8616fec97a36ec77a2519bb9997de15f70c484",
+    ("fig3", 1.0): "c0d534cb0bdc18130ce1fb47b91b5169502d2e478389282f61af02187c68dc67",
+    ("fig3", 0.05): "af2824152f50c9b9af6cb36b64beb19469e6e1684b9bfb7ada9f04205ec86df0",
+    ("fig4", 1.0): "fa1c6fd60ef75126cb42e0b1da1d2383640dc48d0ebf34d166006938104bf3cb",
+    ("fig4", 0.05): "5421da43e8c52faff9a5b7eb2641d1d4898eaf791b50e584c663ecb7b9ff3e0a",
+    ("fig5", 1.0): "78fa3c085baaf118fe827d9748ba721c7869a4d29268c9d452908eb2adc95f52",
+    ("fig5", 0.05): "8d49be318ba550666def6198bf2f411624b64e31ef7abb3f60311b1cea11ab21",
+    ("fig6", 1.0): "df9dc465b2e27f885afa8d646a142c5317511c38beb6758ed17d7dcf56c07484",
+    ("fig6", 0.05): "88e21c2f8d7708a586e7b9508fe4ea4f633e1eb94600ddef0b3eebfbf2a6ee34",
+    ("fig7", 1.0): "58d0f86824442275774d290716f94220877c0511e3b49545bac6111c73174908",
+    ("fig7", 0.05): "ea1f09ad44f6caf9451ade3836901d361ebea2325af958bb5321280e258e4701",
+    ("fig8", 1.0): "1e00244b3c68ec1379b9b3e9b8632ebeca8d4ef13236ff1a5aa51a5aff3effca",
+    ("fig8", 0.05): "e4da0368f039b38e7c45534703794579eff2c6f5ef14001245f730a747dd9e21",
+    ("fig9", 1.0): "a2a6a65ecc0002038085e2cd5b78c47c960bb8dab05877b7b4be99bea196de1d",
+    ("fig9", 0.05): "7cfda990c33cdbfe2a015b649fda3cee2a649130d6fd05d5de6deb4caf463819",
+    ("fig10", 1.0): "1fbe65a1f7ee2902a18475929ad382ffc788a7c0727a009ede39bea9db147a30",
+    ("fig10", 0.05): "58fe3fb825d4e505f2e1d494599c36987b0f1a622478424fbab9274389d3ed6a",
 }
 
 

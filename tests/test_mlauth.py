@@ -112,22 +112,20 @@ def test_ocnn_hand_case():
     model = _line_model([0.0, 1.0, 2.0], theta_d=1.5)
     # every trainer's nearest other trainer is one unit away
     assert np.allclose(model.yz_table, 1.0)
-    assert ocnn_classify(model, np.array([1.2, 0.0])) is True   # 0.2 < 1.5
-    assert ocnn_classify(model, np.array([4.0, 0.0])) is False  # 2.0 >= 1.5
+    # 0.2 < 1.5 accepts, 2.0 >= 1.5 rejects
+    assert ocnn_classify(model, np.array([[1.2, 0.0], [4.0, 0.0]])).tolist() == [True, False]
 
 
 def test_ocnn_boundary_is_strict():
     model = _line_model([0.0, 2.0], theta_d=1.5)
     assert np.allclose(model.yz_table, 2.0)
     # ratio is exactly theta_d: must reject
-    assert ocnn_classify(model, np.array([5.0, 0.0])) is False
-    assert ocnn_classify(model, np.array([4.99, 0.0])) is True
+    assert ocnn_classify(model, np.array([[5.0, 0.0], [4.99, 0.0]])).tolist() == [False, True]
 
 
 def test_ocnn_duplicate_trainers_accept_only_exact_copies():
     model = _line_model([0.0, 0.0, 5.0], theta_d=3.0)
-    assert ocnn_classify(model, np.array([0.0, 0.0])) is True
-    assert ocnn_classify(model, np.array([0.1, 0.0])) is False
+    assert ocnn_classify(model, np.array([[0.0, 0.0], [0.1, 0.0]])).tolist() == [True, False]
 
 
 def test_ocnn_classify_batches():
@@ -235,13 +233,13 @@ def test_ocnn_train_separates_obvious_clusters():
 
 
 def test_gaussian_kernel_values_and_validation():
-    a = np.array([0.0, 0.0])
-    b = np.array([3.0, 4.0])
-    assert _gram(a, a, "gaussian", 1.0, 3)[0, 0] == pytest.approx(1.0)
-    assert _gram(a, b, "gaussian", 5.0, 3)[0, 0] == pytest.approx(np.exp(-25.0 / 50.0))
+    a = np.array([[0.0, 0.0]])
+    b = np.array([[3.0, 4.0]])
+    assert _gram(a, a, "gaussian", 1.0)[0, 0] == pytest.approx(1.0)
+    assert _gram(a, b, "gaussian", 5.0)[0, 0] == pytest.approx(np.exp(-25.0 / 50.0))
     for sigma in (0.0, -1.0):
         with pytest.raises(ConfigError):
-            _gram(a, b, "gaussian", sigma, 3)
+            _gram(a, b, "gaussian", sigma)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0])
@@ -301,10 +299,10 @@ def test_ocsvm_classify_single_and_batch():
     rng = Rng(21)
     x = rng.standard_normal((30, 2))
     model = ocsvm_train(x, 0.2, 1.5)
-    single = ocsvm_classify(model, x[0])
-    assert isinstance(single, bool)
+    single = ocsvm_classify(model, x[:1])
     batch = ocsvm_classify(model, x[:5])
     assert batch.shape == (5,) and batch.dtype == bool
+    assert np.array_equal(single, batch[:1])
     # strictly positive decision accepts, zero or negative rejects
     f = ocsvm_decision(model, x[:5])
     assert np.array_equal(batch, f > 0)
@@ -343,7 +341,7 @@ def test_ocsvm_train_cv_tie_rule_ignores_grid_order():
     perm_rng = Rng(24)
     sel, neg_sel = pos[perm_rng.permutation(40)], neg[perm_rng.permutation(40)]
     sigmas = [median_heuristic(pos) * f for f in factors]
-    score = _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, "gaussian", 3)
+    score = _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, "gaussian")
     assert score[0, 2] == score[1, 2] == score.max()
     for order in (slice(None), slice(None, None, -1)):
         _, nu, sig = ocsvm_train_cv(pos, neg, Rng(24), nus=nus[order],
@@ -392,7 +390,7 @@ def test_ocsvm_cv_batch_matches_per_fold_loop(kernel):
     base = median_heuristic(pos)
     sigmas = [base * f for f in factors] if kernel == "gaussian" else [1.0]
     ref = _per_fold_scores(sel, neg_sel, nus, sigmas, kernel)
-    got = _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel, 3)
+    got = _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel)
     assert np.all(ref[:2] == -1.0)
     assert np.all(ref[2:] >= 0.0)
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -407,7 +405,7 @@ def test_ocsvm_masked_rows_match_lone_fits():
     rng = Rng(28)
     x = rng.standard_normal((40, 2))
     sigma = median_heuristic(x)
-    kmat = _gram(x, x, "gaussian", sigma, 3)
+    kmat = _gram(x, x, "gaussian", sigma)
     held = np.zeros((3, 40), dtype=bool)
     held[0, :7] = True
     held[1, 15:31] = True
@@ -441,7 +439,7 @@ def test_ocsvm_nu_one_returns_the_uniform_point():
 def test_ocsvm_solve_iteration_cap():
     rng = Rng(29)
     x = rng.standard_normal((30, 2))
-    kmat = _gram(x, x, "gaussian", 1.0, 3)
+    kmat = _gram(x, x, "gaussian", 1.0)
     lam = np.full((2, 30), 1.0 / 30)
     hi = np.array([1.0 / 3.0, 1.0 / 15.0])[:, None].repeat(30, axis=1)
     with pytest.raises(NumericError):
@@ -457,9 +455,10 @@ def test_median_heuristic_hand_case_and_degenerate():
 def test_median_heuristic_subsamples_deterministically():
     rng = Rng(25)
     x = rng.standard_normal((1000, 2))
-    a = median_heuristic(x, cap=64)
-    b = median_heuristic(x, cap=64)
-    assert a == b
+    a = median_heuristic(x)
+    assert a == median_heuristic(x)
+    # 1000 rows exceed the 256-point cap, so every third row up to the cap counts
+    assert a == median_heuristic(x[::3][:256])
     assert a > 0
 
 
@@ -484,10 +483,11 @@ def test_binary_knn_validation_and_single_query():
     x = np.zeros((5, 2))
     y = np.array([1, 0, 1, 0, 1])
     with pytest.raises(ConfigError):
-        binary_knn(x, y, 2, np.zeros(2))
+        binary_knn(x, y, 2, np.zeros((1, 2)))
     with pytest.raises(ConfigError):
-        binary_knn(x, y, 7, np.zeros(2))
-    assert binary_knn(x, y, 3, np.zeros(2)) in (0, 1)
+        binary_knn(x, y, 7, np.zeros((1, 2)))
+    # one query row gives one vote
+    assert binary_knn(x, y, 3, np.zeros((1, 2))).tolist() in ([0], [1])
 
 
 def test_binary_knn_tune_returns_odd_k_in_range():
@@ -559,7 +559,7 @@ def _scalar_binary_svm(x, y, c, sigma, tol=1e-6):
     """binary_svm_train's model from a scalar maximal-violating-pair loop on alpha."""
     y = np.where(np.asarray(y) > 0, 1.0, -1.0)
     m = x.shape[0]
-    kmat = _gram(x, x, "gaussian", sigma, 3)
+    kmat = _gram(x, x, "gaussian", sigma)
     alpha = np.zeros(m)
     f_val = -y.copy()  # F_i = sum_j alpha_j y_j K_ij - y_i
     box = 1e-12
@@ -682,7 +682,8 @@ def test_binary_svm_classify_single():
     x = rng.standard_normal((20, 2))
     y = (rng.uniform(size=20) > 0.5).astype(int)
     model = binary_svm_train(x, y, c=1.0, sigma_svm=1.0)
-    assert binary_svm_classify(model, x[0]) in (0, 1)
+    # one query row gives one label
+    assert binary_svm_classify(model, x[:1]).tolist() in ([0], [1])
 
 
 # ---------------------------------------------------------------------------

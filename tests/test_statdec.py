@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pla_bench import statdec
 from pla_bench.channel import ScenarioParams, sample_channel
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
@@ -36,9 +37,9 @@ def test_per_dim_variance_frozen_values():
     # dropping alpha_II to 0.8 adds 1 - 0.64 = 0.36
     params2 = ScenarioParams.from_snr(1, 15.0, 20.0, alpha_II=0.8)
     assert per_dim_variance(params2)[0] == pytest.approx(0.401622776601683795, abs=1e-15)
-    # overriding the reference coefficient adds the same term
-    got = per_dim_variance(params, alpha_bar_I=np.array([0.8]))
-    assert got[0] == pytest.approx(0.401622776601683795, abs=1e-15)
+    # so does dropping alpha_I to 0.8
+    params3 = ScenarioParams.from_snr(1, 15.0, 20.0, alpha_I=0.8)
+    assert per_dim_variance(params3)[0] == pytest.approx(0.401622776601683795, abs=1e-15)
 
 
 def test_per_dim_variance_is_a_vector():
@@ -322,12 +323,13 @@ def test_optimize_thresholds_validation():
         optimize_thresholds(scn, 1e-3, 50_000, Rng(0))
 
 
-def test_optimize_thresholds_infeasible_with_coarse_grid():
+def test_optimize_thresholds_infeasible_with_coarse_grid(monkeypatch):
     # two grid points per axis leave only the corners, all of which sit
     # far outside the binomial interval around the target
+    monkeypatch.setattr(statdec, "_GRID_POINTS", 2)
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     with pytest.raises(InfeasibleTargetError):
-        optimize_thresholds(scn, 1e-2, 100_000, Rng(8), n_theta=2, n_eps=2)
+        optimize_thresholds(scn, 1e-2, 100_000, Rng(8))
 
 
 def test_optimize_thresholds_happy_path():

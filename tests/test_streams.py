@@ -60,7 +60,7 @@ def exponents():
 
 def mismatched(defender):
     theta, epsilon = thresholds()[:2]
-    return mismatched_eval(AttackStrategy("ml"), defender, SCN, 4_000, Rng(103),
+    return mismatched_eval(AttackStrategy("ml"), SCN, 4_000, Rng(103),
                            theta, epsilon if defender == "combined" else None)
 
 

@@ -1,0 +1,55 @@
+"""The benchmark's span tracer reads pla_bench signatures from outside.
+
+``perfbench/tracer.py`` wraps the package's public functions and counts
+classify queries and support vectors from argument positions and return
+values. Its own self-test traces only a statistical workload, so this test
+runs the four learned defenders under it: a renamed or moved argument
+shows up here as a crash or a zero count.
+"""
+import importlib.util
+from pathlib import Path
+import sys
+
+from pla_bench.harness import DefenderSpec, ExperimentConfig, run_experiment
+from pla_bench.rng import Rng
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+KINDS = ("ocnn", "ocsvm", "binary_knn", "binary_svm")
+N_TRIALS = 1_000
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def _bindings() -> dict:
+    """Every attribute of every pla_bench module, and Rng's own methods."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name == "pla_bench" or name.startswith("pla_bench."):
+            out.update({(name, attr): value for attr, value in vars(module).items()})
+    out.update({("Rng", attr): value for attr, value in vars(Rng).items()})
+    return out
+
+
+def test_tracer_counts_learned_defenders_and_uninstalls():
+    before = _bindings()
+    tracer = _load_tracer()()
+    tracer.install()
+    try:
+        assert _bindings() != before
+        for kind in KINDS:
+            run_experiment(ExperimentConfig(
+                defender=DefenderSpec(kind), n_subcarriers=(2,), m_training=(50,),
+                n_trials=N_TRIALS, n_datasets=1, seed=3))
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    # each experiment classifies N_TRIALS genuine and N_TRIALS forged rows
+    assert tracer.counts["mlauth.classify_queries"] == 2 * N_TRIALS * len(KINDS)
+    assert tracer.counts["mlauth.support_vectors"] > 0

@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError("n_trials must be at least 1000")
         if self.n_datasets < 1:
             raise ConfigError("n_datasets must be at least 1")
+        if self.calibration_trials < 1:
+            raise ConfigError("calibration_trials must be at least 1")
         _check_workers(self.workers)
         if self.defender.kind in STAT_DEFENDERS and self.target_pfa is None:
             raise ConfigError(f"defender {self.defender.kind!r} requires target_pfa")
@@ -222,8 +224,7 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
     eve_ref = forged_observation(_forge(scn, attacker, h, rng), scn, rng, phase="I")
     alice = alice_estimate_phase2(h, scn, rng)
     eve = forged_observation(_forge(scn, attacker, h, rng), scn, rng)
-    return (ideal_llr(alice, ref, eve_ref, s2, s2),
-            ideal_llr(eve, ref, eve_ref, s2, s2))
+    return ideal_llr(alice, ref, eve_ref, s2), ideal_llr(eve, ref, eve_ref, s2)
 
 
 # --------------------------------------------------------------------------
@@ -304,10 +305,12 @@ def _run_shard(payload: dict) -> dict:
             model = ocnn_train(featurize(train_pos), defender.variant, metric, negatives,
                                rng.derive(3))
             trained.update(j=model.j, k=model.k, theta_d=model.theta_d)
+            accept = lambda f: ocnn_classify(model, f)
         else:
             model, nu, sig = ocsvm_train_cv(
                 featurize(train_pos), negatives, rng.derive(3), kernel=defender.kernel)
             trained.update(nu=nu, sigma_svm=sig)
+            accept = lambda f: ocsvm_classify(model, f)
     else:
         m_half = scn.m_training // 2
         pos = featurize(train_pos[:m_half])
@@ -317,6 +320,7 @@ def _run_shard(payload: dict) -> dict:
         if kind == "binary_knn":
             k_sel = binary_knn_tune(x_tr, y_tr, rng.derive(3))
             trained["knn_k"] = k_sel
+            accept = lambda f: binary_knn(x_tr, y_tr, k_sel, f) == 1
         else:
             if kind == "kmeans_svm":
                 order = rng.derive(3).permutation(x_tr.shape[0])
@@ -334,27 +338,15 @@ def _run_shard(payload: dict) -> dict:
             sig = median_heuristic(x_tr)
             svm = binary_svm_train(x_tr, y_tr, c=1.0, sigma_svm=sig, kernel=defender.kernel)
             trained["svm_c"], trained["sigma_svm"] = 1.0, sig
+            accept = lambda f: binary_svm_classify(svm, f) == 1
 
     train_seconds = time.perf_counter() - t0
 
     r_eval = rng.derive(9)
     alice = alice_estimate_phase2(h, scn, r_eval, size=n_eval)
     eve = _forged_packets(scn, attacker, h, r_eval, n_eval)
-
-    if kind == "ocnn":
-        acc_a = ocnn_classify(model, featurize(alice))
-        acc_e = ocnn_classify(model, featurize(eve))
-    elif kind == "ocsvm":
-        acc_a = ocsvm_classify(model, featurize(alice))
-        acc_e = ocsvm_classify(model, featurize(eve))
-    elif kind == "binary_knn":
-        acc_a = np.asarray(binary_knn(x_tr, y_tr, k_sel, featurize(alice))) == 1
-        acc_e = np.asarray(binary_knn(x_tr, y_tr, k_sel, featurize(eve))) == 1
-    else:
-        acc_a = np.asarray(binary_svm_classify(svm, featurize(alice))) == 1
-        acc_e = np.asarray(binary_svm_classify(svm, featurize(eve))) == 1
-
-    return _shard_result(payload, acc_a, acc_e, trained, train_seconds)
+    return _shard_result(payload, accept(featurize(alice)), accept(featurize(eve)),
+                         trained, train_seconds)
 
 
 def _shard_result(payload: dict, acc_a, acc_e, trained: dict, train_seconds: float) -> dict:

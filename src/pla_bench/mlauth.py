@@ -28,7 +28,10 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .rng import Rng
 
-OCNN_VARIANTS = ("11NN", "1KNN", "J1NN", "JKNN")
+# one-class NN variant -> (tunes j, tunes k); a fixed count is 1
+_OCNN_TUNES = {"11NN": (False, False), "1KNN": (False, True),
+               "J1NN": (True, False), "JKNN": (True, True)}
+OCNN_VARIANTS = tuple(_OCNN_TUNES)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,36 @@ class DistanceMetric:
 # ---------------------------------------------------------------------------
 # one-class nearest neighbors
 
+def _nearest(d: np.ndarray, n: int) -> np.ndarray:
+    """Column indices of each row's n smallest entries of d, nearest first."""
+    if n == 1:
+        return np.argmin(d, axis=1)[:, None]
+    idx = np.argpartition(d, n - 1, axis=1)[:, :n]
+    return np.take_along_axis(idx, np.argsort(np.take_along_axis(d, idx, axis=1), axis=1),
+                              axis=1)
+
+
+def _ocnn_yz_table(metric, train, kmax):
+    """yz[i, k-1]: mean distance from training point i to its k nearest others."""
+    t_all = metric.pairwise(train, train)
+    np.fill_diagonal(t_all, np.inf)
+    t_sorted = np.take_along_axis(t_all, _nearest(t_all, kmax), axis=1)
+    return np.cumsum(t_sorted, axis=1) / np.arange(1, kmax + 1)  # (m, kmax)
+
+
+def _ocnn_ratio_tables(metric, train, yz, queries, jmax):
+    """ratio[q, j-1, k-1] for all (j, k) up to the caps; inf where dyz = 0."""
+    d = metric.pairwise(queries, train)
+    order = _nearest(d, jmax)
+    dxy_sorted = np.take_along_axis(d, order, axis=1)
+    dxy = np.cumsum(dxy_sorted, axis=1) / np.arange(1, jmax + 1)  # (q, jmax)
+    dyz = np.cumsum(yz[order, :], axis=1) / np.arange(1, jmax + 1)[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = dxy[:, :, None] / dyz
+        ratio = np.where(dyz > 0, ratio, np.where(dxy[:, :, None] == 0, 0.0, np.inf))
+    return ratio
+
+
 @dataclass(frozen=True)
 class OcnnModel:
     variant: str
@@ -141,19 +174,16 @@ class OcnnModel:
     theta_d: float
     training: np.ndarray
     metric: DistanceMetric
-    # mean distance from each training point to its k nearest others
-    yz_table: np.ndarray = field(repr=False, default=None)
+    # (m, 1): mean distance from each training point to its k nearest others
+    yz_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in OCNN_VARIANTS:
             raise ConfigError(f"variant must be one of {OCNN_VARIANTS}")
         j, k = int(self.j), int(self.k)
-        if self.variant == "11NN" and (j, k) != (1, 1):
-            raise ConfigError("11NN fixes j = k = 1")
-        if self.variant == "1KNN" and j != 1:
-            raise ConfigError("1KNN fixes j = 1")
-        if self.variant == "J1NN" and k != 1:
-            raise ConfigError("J1NN fixes k = 1")
+        for name, count, tuned in zip("jk", (j, k), _OCNN_TUNES[self.variant]):
+            if not tuned and count != 1:
+                raise ConfigError(f"{self.variant} fixes {name} = 1")
         if j < 1 or k < 1:
             raise ConfigError("j and k must be positive")
         if not self.theta_d > 0:
@@ -164,54 +194,19 @@ class OcnnModel:
         object.__setattr__(self, "training", tr)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "k", k)
-        if self.yz_table is None:
-            d = self.metric.pairwise(tr, tr)
-            np.fill_diagonal(d, np.inf)
-            part = np.partition(d, k - 1, axis=1)[:, :k]
-            object.__setattr__(self, "yz_table", part.mean(axis=1))
+        object.__setattr__(self, "yz_table", _ocnn_yz_table(self.metric, tr, k)[:, -1:])
 
 
 def ocnn_classify(model: OcnnModel, x) -> np.ndarray:
     """Accept each query row when its query-to-neighbor over
-    neighbor-to-neighbor mean distance ratio stays below theta_d.
+    neighbor-to-neighbor mean distance ratio stays below theta_d: the
+    (j, k) cell of the table ocnn_train scores.
 
     Degenerate denominator (duplicated training points) accepts only an
     exact duplicate query.
     """
-    q = np.asarray(x, dtype=float)
-    d = model.metric.pairwise(q, model.training)
-    jj = model.j
-    if jj == 1:
-        idx = np.argmin(d, axis=1)
-        dxy = d[np.arange(q.shape[0]), idx]
-        dyz = model.yz_table[idx]
-    else:
-        order = np.argsort(d, axis=1)[:, :jj]
-        dxy = np.take_along_axis(d, order, axis=1).mean(axis=1)
-        dyz = model.yz_table[order].mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dyz > 0, dxy < model.theta_d * dyz, dxy == 0)
-
-
-def _ocnn_yz_table(metric, train, kmax):
-    """yz[i, k-1]: mean distance from training point i to its k nearest others."""
-    t_all = metric.pairwise(train, train)
-    np.fill_diagonal(t_all, np.inf)
-    t_sorted = np.sort(t_all, axis=1)[:, :kmax]
-    return np.cumsum(t_sorted, axis=1) / np.arange(1, kmax + 1)  # (m, kmax)
-
-
-def _ocnn_ratio_tables(metric, train, yz, queries, jmax):
-    """ratio[q, j-1, k-1] for all (j, k) up to the caps; inf where dyz = 0."""
-    d = metric.pairwise(queries, train)
-    order = np.argsort(d, axis=1)[:, :jmax]
-    dxy_sorted = np.take_along_axis(d, order, axis=1)
-    dxy = np.cumsum(dxy_sorted, axis=1) / np.arange(1, jmax + 1)  # (q, jmax)
-    dyz = np.cumsum(yz[order, :], axis=1) / np.arange(1, jmax + 1)[None, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = dxy[:, :, None] / dyz
-        ratio = np.where(dyz > 0, ratio, np.where(dxy[:, :, None] == 0, 0.0, np.inf))
-    return ratio
+    ratio = _ocnn_ratio_tables(model.metric, model.training, model.yz_table, x, model.j)
+    return ratio[:, -1, -1] < model.theta_d
 
 
 def ocnn_train(positives, variant: str, metric: DistanceMetric, negatives, rng: Rng) -> OcnnModel:
@@ -230,8 +225,7 @@ def ocnn_train(positives, variant: str, metric: DistanceMetric, negatives, rng: 
     if variant not in OCNN_VARIANTS:
         raise ConfigError(f"variant must be one of {OCNN_VARIANTS}")
     cap = max(1, min(_NEIGHBOR_CAP, int(np.sqrt(m))))
-    jmax = cap if variant in ("J1NN", "JKNN") else 1
-    kmax = cap if variant in ("1KNN", "JKNN") else 1
+    jmax, kmax = (cap if tuned else 1 for tuned in _OCNN_TUNES[variant])
 
     perm = rng.permutation(m)
     neg = np.atleast_2d(np.asarray(negatives, dtype=float))
@@ -501,8 +495,7 @@ def binary_knn(train_x, train_y, k: int, query) -> np.ndarray:
     if k > x.shape[0]:
         raise ConfigError("k exceeds the training size")
     d = DistanceMetric("euclidean").pairwise(np.asarray(query, dtype=float), x)
-    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
-    votes = (y[idx] > 0).sum(axis=1)
+    votes = (y[_nearest(d, k)] > 0).sum(axis=1)
     return np.where(votes * 2 > k, 1, 0)
 
 
@@ -524,7 +517,7 @@ def binary_knn_tune(train_x, train_y, rng: Rng) -> int:
         va, tr = perm[s], np.concatenate([perm[:s.start], perm[s.stop:]])
         if ks[-1] > tr.size:
             raise ConfigError("k exceeds the training size")
-        near = np.argsort(metric.pairwise(x[va], x[tr]), axis=1)[:, :ks[-1]]
+        near = _nearest(metric.pairwise(x[va], x[tr]), ks[-1])
         accept = np.cumsum(pos[tr][near], axis=1)[:, ks - 1] * 2 > ks
         score += _fold_gmean(accept[pos[va]], accept[~pos[va]])
     return int(ks[np.argmax(score)])

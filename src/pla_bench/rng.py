@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class Rng:
     """Counter-based generator (Philox) addressed by (seed, key path).
@@ -21,7 +23,7 @@ class Rng:
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         if not (0 <= int(seed) < 2**64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed must fit in 64 unsigned bits")
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)

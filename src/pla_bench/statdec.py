@@ -353,15 +353,10 @@ def optimize_thresholds(
     psi1, gam1 = statistics(ref, eve)
     pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
 
-    best = None
-    for j in range(_GRID_POINTS):
-        for k in range(_GRID_POINTS):
-            if not feasible[j, k]:
-                continue
-            cand = (pmd_est[j, k], -theta_grid[j], -eps_grid[k])
-            if best is None or cand < best[0]:
-                best = (cand, j, k)
-    _, j, k = best
+    # lexsort orders by its last key first: P_MD up, then theta down, then epsilon down
+    jj, kk = np.nonzero(feasible)
+    best = np.lexsort((-eps_grid[kk], -theta_grid[jj], pmd_est[jj, kk]))[0]
+    j, k = jj[best], kk[best]
     return ThresholdResult(
         theta=float(theta_grid[j]),
         epsilon=float(eps_grid[k] if eps_grid[k] > 0 else eps_grid[1]),
@@ -374,19 +369,15 @@ def optimize_thresholds(
 # ---------------------------------------------------------------------------
 # ideal-knowledge bound
 
-def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float, sigma2_E: float):
+def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
-    Accept when the value does not exceed the calibrated threshold.
+    Both hypotheses have per-dimension variance sigma2. Accept when the
+    value does not exceed the calibrated threshold.
     """
-    n = np.shape(h_hat)[-1]
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)
-    return (
-        n * math.log(math.sqrt(sigma2) / math.sqrt(sigma2_E))
-        + d0 / (2.0 * sigma2)
-        - d1 / (2.0 * sigma2_E)
-    )
+    return d0 / (2.0 * sigma2) - d1 / (2.0 * sigma2)
 
 
 def calibrate_threshold(samples, target_pfa: float) -> float:

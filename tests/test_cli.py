@@ -165,6 +165,20 @@ class TestRunCommand:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{cfg}", "--out", "{out}"],
+        ["reproduce", "--target", "table2", "--scale", "0.05", "--seed", "-1", "--out", "{out}"],
+        ["optimize-thresholds", "--n", "1", "--target-pfa", "0.01",
+         "--seed", "18446744073709551616"],
+    ], ids=["run", "reproduce", "optimize-thresholds"])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, TINY_CONFIG.replace("seed = 3", "seed = -1"))
+        out = tmp_path / "res.csv"
+        code = cli.main([a.format(cfg=cfg, out=out) for a in argv])
+        assert code == 2
+        assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         code = cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)])

@@ -67,6 +67,10 @@ def test_experiment_config_validation():
         ExperimentConfig(defender=llr)  # statistical defender without a target
     with pytest.raises(ConfigError):
         ExperimentConfig(defender=llr, n_subcarriers=(1, 2), target_pfa=(0.01,))
+    for trials in (0, -5):
+        with pytest.raises(ConfigError, match="calibration_trials"):
+            ExperimentConfig(defender=DefenderSpec(kind="combined"), target_pfa=0.01,
+                             calibration_trials=trials)
     # learned defenders are calibrated by their own tuning, no target needed
     ExperimentConfig(defender=DefenderSpec(kind="ocnn"))
 

@@ -173,8 +173,10 @@ def _brute_force_ocnn(training, metric_kind, s2, j, k, theta_d, query):
 
 
 @pytest.mark.parametrize("metric_kind", ["euclidean", "llr"])
+# k = 11 and j = 9 run past numpy's 8-element pairwise-summation block
 @pytest.mark.parametrize("variant,j,k", [("11NN", 1, 1), ("1KNN", 1, 3),
-                                         ("J1NN", 2, 1), ("JKNN", 3, 2)])
+                                         ("J1NN", 2, 1), ("JKNN", 3, 2),
+                                         ("1KNN", 1, 11), ("JKNN", 9, 10)])
 def test_ocnn_matches_brute_force(metric_kind, variant, j, k):
     rng = Rng(7)
     training = rng.standard_normal((12, 4))

@@ -384,26 +384,25 @@ def test_ideal_llr_direct_formula():
     h_hat = np.array([0.9 + 0.1j, 2.2 + 0.8j])
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2)
-    want = 2 * math.log(math.sqrt(0.05) / math.sqrt(0.08)) + d0 / 0.1 - d1 / 0.16
-    assert ideal_llr(h_hat, h_bar, eve_ref, 0.05, 0.08) == pytest.approx(want, rel=1e-12)
+    want = d0 / 0.1 - d1 / 0.1
+    assert ideal_llr(h_hat, h_bar, eve_ref, 0.05) == pytest.approx(want, rel=1e-12)
 
 
 def test_ideal_llr_batches():
     batch = np.zeros((4, 2), dtype=complex)
-    got = ideal_llr(batch, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), 0.1, 0.1)
+    got = ideal_llr(batch, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), 0.1)
     assert got.shape == (4,)
     # per-row references score each row against its own pair
     refs = np.tile(np.arange(2.0) + 0j, (4, 1))
-    assert np.allclose(ideal_llr(refs, refs, refs + 1.0, 0.1, 0.2),
-                       2 * math.log(math.sqrt(0.5)) - 2.0 / 0.4)
+    assert np.allclose(ideal_llr(refs, refs, refs + 1.0, 0.2), -2.0 / 0.4)
 
 
 def test_ideal_llr_prefers_the_closer_hypothesis():
     # noise around the genuine reference should score lower than noise
     # around the forged one
     h_bar, eve_ref = np.array([2.0 + 0j]), np.array([-2.0 + 0j])
-    assert (ideal_llr(np.array([1.9 + 0j]), h_bar, eve_ref, 0.1, 0.1)
-            < ideal_llr(np.array([-1.9 + 0j]), h_bar, eve_ref, 0.1, 0.1))
+    assert (ideal_llr(np.array([1.9 + 0j]), h_bar, eve_ref, 0.1)
+            < ideal_llr(np.array([-1.9 + 0j]), h_bar, eve_ref, 0.1))
 
 
 def test_calibrate_threshold_hand_case():

@@ -28,7 +28,9 @@ ATTACKERS = {
 # learned defenders and their training sizes, with the parameters each
 # one's cross-validation selects; m = 1000 is fig9's size
 LEARNED = {
+    "ocnn-11NN": (DefenderSpec("ocnn", variant="11NN"), 200),
     "ocnn-1KNN": (DefenderSpec("ocnn", variant="1KNN"), 200),
+    "ocnn-J1NN": (DefenderSpec("ocnn", variant="J1NN"), 200),
     "ocnn-JKNN": (DefenderSpec("ocnn", variant="JKNN"), 200),
     "ocnn-11NN-llr": (DefenderSpec("ocnn", variant="11NN", metric="llr"), 200),
     "ocsvm": (DefenderSpec("ocsvm"), 200),
@@ -115,7 +117,9 @@ EXPECTED_EXPERIMENTS = {
 EXPECTED_FALLBACK = (1982, 18, 1310, 690, 16.246412680141077, 1.6863036760313501)
 
 EXPECTED_LEARNED = {
+    'ocnn-11NN': (851, 151, 297, 705, 1, 1, 1.5, None, None, None),
     'ocnn-1KNN': (974, 28, 253, 749, 1, 12, 1.0, None, None, None),
+    'ocnn-J1NN': (1001, 1, 149, 853, 13, 1, 2.5, None, None, None),
     'ocnn-JKNN': (1002, 0, 115, 887, 14, 14, 1.5, None, None, None),
     'ocnn-11NN-llr': (821, 181, 268, 734, 1, 1, 2.0, None, None, None),
     'ocsvm': (1002, 0, 119, 883, None, None, None, 0.05, 0.6375548966141846, None),

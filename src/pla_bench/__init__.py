@@ -6,15 +6,7 @@ learning authenticators, and impersonation attacks under a seeded,
 reproducible Monte Carlo harness.
 """
 
-from .attacks import (
-    AttackStrategy,
-    exponent_attack,
-    ml_attack,
-    mismatched_eval,
-    modulus_attack,
-    optimize_attack_exponents,
-    simplified_attack,
-)
+from .attacks import AttackStrategy, mismatched_eval, optimize_attack_exponents
 from .channel import (
     ScenarioParams,
     alice_estimate_phase2,

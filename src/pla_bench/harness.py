@@ -149,6 +149,10 @@ class ExperimentConfig:
             if len(self.target_pfa) != len(self.n_subcarriers):
                 raise ConfigError("per-N target_pfa must align with n_subcarriers")
             object.__setattr__(self, "target_pfa", tuple(float(t) for t in self.target_pfa))
+        targets = self.target_pfa if isinstance(self.target_pfa, tuple) else (self.target_pfa,)
+        if any(t is not None and not 0.0 < t < 1.0 for t in targets):
+            raise ConfigError("target_pfa must lie in (0, 1)")
+        Rng(self.seed)  # rejects a seed outside [0, 2**64) before any shard runs
 
     def sweep_points(self):
         """Cartesian product over the sweep lists, in declaration order."""
@@ -237,10 +241,8 @@ def _combined_calibration(scn, target, calib_trials, attacker, rng):
     conditions when the Monte Carlo budget cannot resolve it.
     """
     if target * calib_trials >= 100:
-        thr = optimize_thresholds(
-            scn, target, calib_trials, rng,
-            attack=lambda ae, eb, p: attacker.strategy.forge(ae, eb, p),
-        )
+        thr = optimize_thresholds(scn, target, calib_trials, rng,
+                                  attack=attacker.strategy.forge)
         return thr.theta, thr.epsilon
     theta = ncx2_inv(1.0 - target / 2.0, 2 * scn.n_subcarriers, nominal_mu(scn))
     ref, alice, _ = simulate_trials(scn, rng, 100_000)

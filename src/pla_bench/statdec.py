@@ -309,8 +309,8 @@ def optimize_thresholds(
     if target_pfa * n_mc < 100:
         raise ConfigError("n_mc too small for the requested false-alarm target")
     if attack is None:
-        from .attacks import simplified_attack
-        attack = simplified_attack
+        from .attacks import AttackStrategy
+        attack = AttackStrategy("simplified").forge
 
     n = scenario.n_subcarriers
     dof = 2 * n

@@ -3,15 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pla_bench.attacks import (
-    AttackStrategy,
-    exponent_attack,
-    mismatched_eval,
-    ml_attack,
-    modulus_attack,
-    optimize_attack_exponents,
-    simplified_attack,
-)
+from pla_bench.attacks import AttackStrategy, mismatched_eval, optimize_attack_exponents
 from pla_bench.channel import ScenarioParams, sample_channel
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
@@ -22,6 +14,11 @@ def _pinned_params(**kw):
                 sigma2_AE=0.01, sigma2_EB=0.01)
     base.update(kw)
     return ScenarioParams(**base)
+
+
+ML = AttackStrategy("ml")
+SIMPLIFIED = AttackStrategy("simplified")
+MODULUS = AttackStrategy("modulus")
 
 
 def test_ml_attack_matches_exact_rational_solution():
@@ -35,21 +32,25 @@ def test_ml_attack_matches_exact_rational_solution():
     assert c_want == Fraction(2030, 9801)
     assert d_want == Fraction(4450, 9801)
     # basis inputs pick out the two weights separately
-    d_got = ml_attack(np.array([1.0 + 0j]), np.array([0.0 + 0j]), params)[0]
-    c_got = ml_attack(np.array([0.0 + 0j]), np.array([1.0 + 0j]), params)[0]
+    d_got = ML.forge(np.array([1.0 + 0j]), np.array([0.0 + 0j]), params)[0]
+    c_got = ML.forge(np.array([0.0 + 0j]), np.array([1.0 + 0j]), params)[0]
     assert c_got.real == pytest.approx(float(c_want), rel=1e-14)
     assert d_got.real == pytest.approx(float(d_want), rel=1e-14)
     assert c_got.imag == 0.0 and d_got.imag == 0.0
+    # and the coefficients are (a, b) = (D, C) themselves
+    a, b = ML.coefficients(params)
+    assert a[0] == pytest.approx(float(d_want), rel=1e-14)
+    assert b[0] == pytest.approx(float(c_want), rel=1e-14)
 
 
 def test_ml_attack_is_linear_in_observations():
     params = _pinned_params()
-    c = ml_attack(np.array([0j]), np.array([1.0 + 0j]), params)[0]
-    d = ml_attack(np.array([1.0 + 0j]), np.array([0j]), params)[0]
+    c = ML.forge(np.array([0j]), np.array([1.0 + 0j]), params)[0]
+    d = ML.forge(np.array([1.0 + 0j]), np.array([0j]), params)[0]
     rng = Rng(3)
     h_ae = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     h_eb = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    got = ml_attack(h_ae, h_eb, params)
+    got = ML.forge(h_ae, h_eb, params)
     assert np.allclose(got, c * h_eb + d * h_ae, rtol=1e-13)
 
 
@@ -63,11 +64,15 @@ def test_ml_attack_per_carrier_weights():
     d2 = (Fraction(1, 2) * w2 - Fraction(3, 50)) / den2
     assert c2 == Fraction(32120, 154401)
     assert d2 == Fraction(70600, 154401)
-    got_d = ml_attack(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), params)
-    got_c = ml_attack(np.zeros(2, dtype=complex), np.array([1.0 + 0j, 1.0 + 0j]), params)
+    got_d = ML.forge(np.array([1.0 + 0j, 1.0 + 0j]), np.zeros(2, dtype=complex), params)
+    got_c = ML.forge(np.zeros(2, dtype=complex), np.array([1.0 + 0j, 1.0 + 0j]), params)
     assert got_c[0].real == pytest.approx(float(Fraction(2030, 9801)), rel=1e-14)
     assert got_c[1].real == pytest.approx(float(c2), rel=1e-14)
     assert got_d[1].real == pytest.approx(float(d2), rel=1e-14)
+    a, b = ML.coefficients(params)
+    assert a.shape == b.shape == (2,)
+    assert b[1] == pytest.approx(float(c2), rel=1e-14)
+    assert a[1] == pytest.approx(float(d2), rel=1e-14)
 
 
 def test_ml_attack_is_the_scaled_replay_without_adversary_noise():
@@ -79,17 +84,19 @@ def test_ml_attack_is_the_scaled_replay_without_adversary_noise():
                                 power_delay=np.linspace(0.5, 2.0, n))
         h_ae = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
         h_eb = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-        assert np.array_equal(ml_attack(h_ae, h_eb, params),
-                              simplified_attack(h_ae, h_eb, params))
+        assert np.array_equal(ML.forge(h_ae, h_eb, params),
+                              SIMPLIFIED.forge(h_ae, h_eb, params))
     noisy = _pinned_params(rho_AB=0.0, sigma2_AE=0.1, sigma2_EB=0.0)
-    assert not np.array_equal(ml_attack(h_ae[:, :1], h_eb[:, :1], noisy),
-                              simplified_attack(h_ae[:, :1], h_eb[:, :1], noisy))
+    assert not np.array_equal(ML.forge(h_ae[:, :1], h_eb[:, :1], noisy),
+                              SIMPLIFIED.forge(h_ae[:, :1], h_eb[:, :1], noisy))
 
 
 def test_ml_attack_rejects_singular_geometry():
     params = ScenarioParams(n_subcarriers=1, rho_AE=0.5, rho_EB=0.5, rho_AB=1.0)
     with pytest.raises(ConfigError):
-        ml_attack(np.array([1.0 + 0j]), np.array([1.0 + 0j]), params)
+        ML.forge(np.array([1.0 + 0j]), np.array([1.0 + 0j]), params)
+    with pytest.raises(ConfigError):
+        ML.coefficients(params)
 
 
 def test_ml_attack_perfect_observation_limit():
@@ -97,7 +104,7 @@ def test_ml_attack_perfect_observation_limit():
     # channel on one link and copies it exactly
     params = ScenarioParams(n_subcarriers=1, rho_AE=1.0, rho_EB=0.0, rho_AB=0.0)
     h = np.array([1.3 - 0.7j])
-    g = ml_attack(h, np.array([0j]), params)
+    g = ML.forge(h, np.array([0j]), params)
     assert np.allclose(g, h, rtol=1e-14)
 
 
@@ -109,29 +116,40 @@ def test_exponent_reductions_are_bitwise():
                                       rho_EB=float(rng.uniform(0.05, 1.0)))
         h_ae = sample_channel(scn, rng)
         h_eb = sample_channel(scn, rng)
-        assert np.array_equal(exponent_attack(h_ae, h_eb, scn, 1.0, 1.0),
-                              simplified_attack(h_ae, h_eb, scn))
-        assert np.array_equal(exponent_attack(h_ae, h_eb, scn, -1.0, -1.0),
-                              modulus_attack(h_ae, h_eb, scn))
+        assert np.array_equal(AttackStrategy("exponent", x=1.0, y=1.0).forge(h_ae, h_eb, scn),
+                              SIMPLIFIED.forge(h_ae, h_eb, scn))
+        assert np.array_equal(AttackStrategy("exponent", x=-1.0, y=-1.0).forge(h_ae, h_eb, scn),
+                              MODULUS.forge(h_ae, h_eb, scn))
+        # the named replays are the scaled and the inverse-scaled observations
+        assert np.array_equal(SIMPLIFIED.forge(h_ae, h_eb, scn),
+                              scn.rho_AE * h_ae + scn.rho_EB * h_eb)
+        assert np.array_equal(MODULUS.forge(h_ae, h_eb, scn),
+                              h_ae / scn.rho_AE + h_eb / scn.rho_EB)
 
 
 def test_exponent_attack_validation_and_zero_rho():
     scn = ScenarioParams(n_subcarriers=1, rho_AE=0.0, rho_EB=0.5)
     h = np.array([1.0 + 0j])
     with pytest.raises(ConfigError):
-        exponent_attack(h, h, scn, 1.5, 0.0)
+        AttackStrategy("exponent", x=1.5, y=0.0)
     with pytest.raises(ConfigError):
-        exponent_attack(h, h, scn, -0.5, 0.0)
+        AttackStrategy("exponent", x=-0.5, y=0.0).forge(h, h, scn)
+    with pytest.raises(ConfigError):
+        AttackStrategy("exponent", x=-0.5, y=0.0).coefficients(scn)
     # 0**0 is taken as 1, any positive exponent kills the term
-    assert exponent_attack(h, h, scn, 0.0, 0.0)[0] == pytest.approx(2.0 + 0j)
-    assert exponent_attack(h, h, scn, 0.5, 0.0)[0] == pytest.approx(1.0 + 0j)
+    assert AttackStrategy("exponent", x=0.0, y=0.0).forge(h, h, scn)[0] == pytest.approx(2.0 + 0j)
+    assert AttackStrategy("exponent", x=0.5, y=0.0).forge(h, h, scn)[0] == pytest.approx(1.0 + 0j)
+    assert AttackStrategy("exponent", x=0.0, y=0.0).coefficients(scn) == (1.0, 1.0)
+    assert AttackStrategy("exponent", x=0.5, y=0.0).coefficients(scn) == (0.0, 1.0)
 
 
 def test_modulus_attack_needs_nonzero_correlations():
     scn = ScenarioParams(n_subcarriers=1, rho_AE=0.0, rho_EB=0.5)
     h = np.array([1.0 + 0j])
     with pytest.raises(ConfigError):
-        modulus_attack(h, h, scn)
+        MODULUS.forge(h, h, scn)
+    with pytest.raises(ConfigError):
+        MODULUS.forge(h, h, ScenarioParams(n_subcarriers=1, rho_AE=0.5, rho_EB=0.0))
 
 
 def test_attack_strategy_validation_and_dispatch():
@@ -142,14 +160,13 @@ def test_attack_strategy_validation_and_dispatch():
     scn = _pinned_params()
     h_ae = np.array([1.0 + 0.5j])
     h_eb = np.array([-0.5 + 1.0j])
-    assert np.array_equal(AttackStrategy("ml").forge(h_ae, h_eb, scn),
-                          ml_attack(h_ae, h_eb, scn))
-    assert np.array_equal(AttackStrategy("simplified").forge(h_ae, h_eb, scn),
-                          simplified_attack(h_ae, h_eb, scn))
-    assert np.array_equal(AttackStrategy("modulus").forge(h_ae, h_eb, scn),
-                          modulus_attack(h_ae, h_eb, scn))
-    assert np.array_equal(AttackStrategy("exponent", x=0.5, y=-0.5).forge(h_ae, h_eb, scn),
-                          exponent_attack(h_ae, h_eb, scn, 0.5, -0.5))
+    # every kind forges a * h_ae + b * h_eb from its own coefficients
+    assert SIMPLIFIED.coefficients(scn) == (0.5, 0.3)
+    assert MODULUS.coefficients(scn) == (0.5**-1.0, 0.3**-1.0)
+    assert AttackStrategy("exponent", x=0.5, y=-0.5).coefficients(scn) == (0.5**0.5, 0.3**-0.5)
+    for strategy in (ML, SIMPLIFIED, MODULUS, AttackStrategy("exponent", x=0.5, y=-0.5)):
+        a, b = strategy.coefficients(scn)
+        assert np.array_equal(strategy.forge(h_ae, h_eb, scn), a * h_ae + b * h_eb)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +203,26 @@ def test_optimize_attack_exponents_deterministic_and_bounded():
 
 
 def test_optimize_attack_exponents_agrees_with_mismatched_eval():
-    # both draw their trials from the kernel on rng.derive(0), so the grid's
-    # optimum scores what evaluating that exponent attack scores; the two sum
-    # the arrival's terms in a different order, so a sample within an ulp of
-    # theta or epsilon may fall on the other side
+    # one evaluator serves both: the grid's optimum scores exactly what
+    # evaluating that exponent attack on the same rng scores
     scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.7, rho_EB=0.6, alpha_II=0.9)
     n_mc = 4000
     x, y, pmd = optimize_attack_exponents((9.0, 0.8), scn, grid_step=0.5, n_mc=n_mc, rng=Rng(7))
     atk = AttackStrategy("exponent", x=x, y=y)
-    assert abs(mismatched_eval(atk, scn, n_mc, Rng(7), 9.0, 0.8) - pmd) <= 2 / n_mc
+    assert mismatched_eval(atk, scn, n_mc, Rng(7), 9.0, 0.8) == pmd
+
+
+def test_optimize_attack_exponents_with_zero_rho_ae_reports_a_forgeable_cell():
+    # with rho_AE = 0 no negative x can be forged, and x = 0 forges 1 * h_ae
+    scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.0, rho_EB=0.6)
+    n_mc = 4000
+    x, y, pmd = optimize_attack_exponents((9.0, 0.8), scn, grid_step=0.5, n_mc=n_mc, rng=Rng(8))
+    assert x >= 0.0
+    atk = AttackStrategy("exponent", x=x, y=y)
+    atk.coefficients(scn)
+    assert mismatched_eval(atk, scn, n_mc, Rng(8), 9.0, 0.8) == pmd
+    with pytest.raises(ConfigError):
+        mismatched_eval(AttackStrategy("exponent", x=-0.5, y=y), scn, n_mc, Rng(8), 9.0, 0.8)
 
 
 # ---------------------------------------------------------------------------

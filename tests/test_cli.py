@@ -179,6 +179,16 @@ class TestRunCommand:
         assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["ideal", "llr", "ocnn"])
+    def test_target_pfa_out_of_range_exits_2(self, tmp_path, capsys, kind):
+        text = TINY_CONFIG.replace("defender.kind = llr", f"defender.kind = {kind}")
+        cfg = write_config(tmp_path, text.replace("target_pfa = 0.05", "target_pfa = 1.5"))
+        out = tmp_path / "res.csv"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "target_pfa must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         code = cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)])

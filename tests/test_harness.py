@@ -71,6 +71,15 @@ def test_experiment_config_validation():
         with pytest.raises(ConfigError, match="calibration_trials"):
             ExperimentConfig(defender=DefenderSpec(kind="combined"), target_pfa=0.01,
                              calibration_trials=trials)
+    for target in (0, 1, 1.5, -0.01, (0.01, 1.5)):
+        for kind in ("llr", "ideal", "ocnn"):
+            with pytest.raises(ConfigError, match="target_pfa"):
+                ExperimentConfig(defender=DefenderSpec(kind=kind), n_subcarriers=(1, 2),
+                                 target_pfa=target)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(defender=llr, target_pfa=0.01, seed=seed)
+    ExperimentConfig(defender=llr, target_pfa=0.01, seed=2**64 - 1)
     # learned defenders are calibrated by their own tuning, no target needed
     ExperimentConfig(defender=DefenderSpec(kind="ocnn"))
 

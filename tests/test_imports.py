@@ -1,0 +1,41 @@
+"""Every name a package module imports is used in that module.
+
+A deletion that leaves an import behind fails here. ``__init__.py`` is
+exempt, since its imports are the package's exports, and so is an import
+line marked ``# noqa: F401``.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pla_bench"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_detection():
+    assert unused_imports("import math\nfrom os import path\nmath.pi\n") == [(2, "path")]
+    assert unused_imports("from os import path  # noqa: F401\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("import numpy as np\nx: np.ndarray\n") == []

@@ -430,13 +430,13 @@ def test_calibrate_threshold_needs_enough_samples():
 
 
 def test_missed_detection_rises_as_coherence_drops():
-    from pla_bench.attacks import simplified_attack
+    from pla_bench.attacks import AttackStrategy
 
     for n_sub, rho in ((1, 0.3), (4, 0.8)):
         rng = Rng(7).derive(n_sub)
         base = ScenarioParams.from_snr(n_sub, 15.0, 20.0, rho_AE=rho, rho_EB=rho)
         h = sample_channel(base, rng)
-        g = simplified_attack(h, h, base)
+        g = AttackStrategy("simplified").forge(h, h, base)
         pmds = []
         for a2 in (1.0, 0.9, 0.8, 0.6):
             scn = ScenarioParams.from_snr(n_sub, 15.0, 20.0, rho_AE=rho, rho_EB=rho, alpha_II=a2)

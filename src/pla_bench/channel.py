@@ -59,14 +59,12 @@ class ScenarioParams:
     power_delay: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        n = int(self.n_subcarriers)
-        if n < 1:
-            raise ConfigError("n_subcarriers must be a positive integer")
-        object.__setattr__(self, "n_subcarriers", n)
-        m = int(self.m_training)
-        if m < 1:
-            raise ConfigError("m_training must be a positive integer")
-        object.__setattr__(self, "m_training", m)
+        for name in ("n_subcarriers", "m_training"):
+            v = getattr(self, name)
+            if int(v) != v or v < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        n = self.n_subcarriers
         for name in ("sigma2_I", "sigma2_II", "sigma2_AE", "sigma2_EB"):
             v = float(getattr(self, name))
             if v < 0 or not math.isfinite(v):
@@ -125,45 +123,47 @@ def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) ->
     return complex_gaussian(rng, shape, params.power_delay)
 
 
-def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams,
-                        rng: Rng, size: int | None = None) -> ChannelVector:
-    """One enrollment-phase estimate: faded truth plus estimation noise.
+def _cross_epoch(mean: ChannelVector, alpha, noise_var: float, params: ScenarioParams,
+                 rng: Rng) -> ChannelVector:
+    """The epoch-crossing law: mean + sqrt(1 - alpha^2) * fade + noise.
 
-    The fading coefficient is the scenario's alpha_I. With ``size`` given,
-    that many independent estimates of the same channel are returned as
-    rows.
+    The fade is drawn first, then the estimation noise, both of the mean's
+    shape.
+    """
+    fade = complex_gaussian(rng, mean.shape, params.power_delay)
+    noise = complex_gaussian(rng, mean.shape, noise_var)
+    return mean + np.sqrt(1.0 - alpha**2) * fade + noise
+
+
+def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> ChannelVector:
+    """Enrollment-phase estimates, one per row of ``h_ab``: the truth faded
+    by alpha_I plus estimation noise of variance sigma2_I.
+
+    A training set of one fixed channel passes that channel broadcast to
+    ``m_training`` rows.
     """
     h_ab = np.asarray(h_ab, dtype=complex)
-    alpha = params.alpha_I
-    shape = h_ab.shape if size is None else (size, params.n_subcarriers)
-    fade = complex_gaussian(rng, shape, params.power_delay)
-    noise = complex_gaussian(rng, shape, params.sigma2_I)
-    return alpha * h_ab + np.sqrt(1.0 - alpha**2) * fade + noise
+    return _cross_epoch(params.alpha_I * h_ab, params.alpha_I, params.sigma2_I, params, rng)
 
 
-def alice_estimate_phase2(h_ab: ChannelVector, params: ScenarioParams,
-                          rng: Rng, size: int | None = None) -> ChannelVector:
-    """Classification-phase estimate of a genuine packet."""
+def alice_estimate_phase2(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> ChannelVector:
+    """Classification-phase estimates of genuine packets, one per row of ``h_ab``."""
     h_ab = np.asarray(h_ab, dtype=complex)
-    alpha = params.alpha_II
-    shape = h_ab.shape if size is None else (size, params.n_subcarriers)
-    fade = complex_gaussian(rng, shape, params.power_delay)
-    noise = complex_gaussian(rng, shape, params.sigma2_II)
-    return alpha * h_ab + np.sqrt(1.0 - alpha**2) * fade + noise
+    return _cross_epoch(params.alpha_II * h_ab, params.alpha_II, params.sigma2_II, params, rng)
 
 
 def eve_observations(h_ab: ChannelVector, params: ScenarioParams,
-                     rng: Rng, size: int | None = None) -> tuple[ChannelVector, ChannelVector]:
-    """The adversary's correlated estimates of the two links she can probe.
+                     rng: Rng) -> tuple[ChannelVector, ChannelVector]:
+    """The adversary's correlated estimates of the two links she can probe,
+    one pair per row of ``h_ab``.
 
     Both observations share one innovation draw per packet, which is what
     couples them beyond their common dependence on the true channel.
     """
     h_ab = np.asarray(h_ab, dtype=complex)
-    shape = h_ab.shape if size is None else (size, params.n_subcarriers)
-    r = complex_gaussian(rng, shape, params.power_delay)
-    w_ae = complex_gaussian(rng, shape, params.sigma2_AE)
-    w_eb = complex_gaussian(rng, shape, params.sigma2_EB)
+    r = complex_gaussian(rng, h_ab.shape, params.power_delay)
+    w_ae = complex_gaussian(rng, h_ab.shape, params.sigma2_AE)
+    w_eb = complex_gaussian(rng, h_ab.shape, params.sigma2_EB)
     h_ae = params.rho_AE * h_ab + np.sqrt(1.0 - params.rho_AE**2) * r + w_ae
     h_eb = params.rho_EB * h_ab + np.sqrt(1.0 - params.rho_EB**2) * r + w_eb
     return h_ae, h_eb
@@ -174,16 +174,15 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
     """What the verifier estimates when the adversary transmits ``g``.
 
     phase "II" is the classification phase (the usual case): the forged
-    vector keeps its mean but collects the same fading innovation as any
-    packet crossing the epoch boundary, which keeps the closed-form error
-    rates exact for every alpha_II. Phase "I" models forged packets
-    injected during enrollment, as used by the ideal-knowledge bound.
+    vector keeps its mean but crosses the epoch boundary by the same law as
+    a genuine packet, which keeps the closed-form error rates exact for
+    every alpha_II. Phase "I" models forged packets injected during
+    enrollment, as used by the ideal-knowledge bound; they draw noise only,
+    since every target that draws them has alpha_I = 1.
     """
     g = np.asarray(g, dtype=complex)
     if phase == "II":
-        fade = complex_gaussian(rng, g.shape, params.power_delay)
-        noise = complex_gaussian(rng, g.shape, params.sigma2_II)
-        return g + np.sqrt(1.0 - params.alpha_II**2) * fade + noise
+        return _cross_epoch(g, params.alpha_II, params.sigma2_II, params, rng)
     if phase == "I":
         return g + complex_gaussian(rng, g.shape, params.sigma2_I)
     raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")

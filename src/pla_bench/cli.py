@@ -13,6 +13,7 @@ failures (infeasible targets, solver caps).
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 import json
 import sys
 
@@ -123,6 +124,23 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None)
 
 
+def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+    """The flags optimize-thresholds and attack-search share."""
+    p.add_argument("--n", type=int, required=True, help="number of subcarriers")
+    p.add_argument("--alpha-I", type=float, default=1.0)
+    p.add_argument("--alpha-II", type=float, default=1.0)
+    p.add_argument("--snr-I", type=float, default=15.0)
+    p.add_argument("--snr-II", type=float, default=20.0)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _scenario(args, rho_AE: float, rho_EB: float) -> ScenarioParams:
+    return ScenarioParams.from_snr(
+        n_subcarriers=args.n, snr_I_db=args.snr_I, snr_II_db=args.snr_II,
+        alpha_I=args.alpha_I, alpha_II=args.alpha_II, rho_AE=rho_AE, rho_EB=rho_EB,
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pla-bench",
@@ -143,31 +161,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize-thresholds",
                            help="calibrate the two-part acceptance region")
-    p_opt.add_argument("--n", type=int, required=True, help="number of subcarriers")
-    p_opt.add_argument("--alpha-I", type=float, default=1.0)
-    p_opt.add_argument("--alpha-II", type=float, default=1.0)
+    _add_scenario_args(p_opt)
     p_opt.add_argument("--rho-AE", type=float, default=0.5)
     p_opt.add_argument("--rho-EB", type=float, default=0.5)
-    p_opt.add_argument("--snr-I", type=float, default=15.0)
-    p_opt.add_argument("--snr-II", type=float, default=20.0)
     p_opt.add_argument("--target-pfa", type=float, required=True)
     p_opt.add_argument("--n-mc", type=int, default=1_000_000)
-    p_opt.add_argument("--seed", type=int, default=0)
 
     p_att = sub.add_parser("attack-search",
                            help="search attacker combining exponents")
-    p_att.add_argument("--n", type=int, required=True)
+    _add_scenario_args(p_att)
     p_att.add_argument("--rho", type=float, required=True,
                        help="correlation of both adversary links")
-    p_att.add_argument("--alpha-I", type=float, default=1.0)
-    p_att.add_argument("--alpha-II", type=float, default=1.0)
-    p_att.add_argument("--snr-I", type=float, default=15.0)
-    p_att.add_argument("--snr-II", type=float, default=20.0)
     p_att.add_argument("--target-pfa", type=float, default=1e-4)
     p_att.add_argument("--grid-step", type=float, default=0.1)
     p_att.add_argument("--n-mc", type=int, default=20_000)
     p_att.add_argument("--calibration-trials", type=int, default=1_000_000)
-    p_att.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -177,13 +185,9 @@ def _cmd_run(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    config = parse_config(text)
-    if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        from dataclasses import replace
-        config = replace(config, workers=args.workers)
+    overrides = {name: getattr(args, name) for name in ("seed", "workers")
+                 if getattr(args, name) is not None}
+    config = replace(parse_config(text), **overrides)
     table = run_experiment(config)
     emit(table, args.format, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out}")
@@ -199,11 +203,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    scn = ScenarioParams.from_snr(
-        n_subcarriers=args.n, snr_I_db=args.snr_I, snr_II_db=args.snr_II,
-        alpha_I=args.alpha_I, alpha_II=args.alpha_II,
-        rho_AE=args.rho_AE, rho_EB=args.rho_EB,
-    )
+    scn = _scenario(args, args.rho_AE, args.rho_EB)
     thr = optimize_thresholds(scn, args.target_pfa, args.n_mc, Rng(args.seed))
     print(json.dumps({
         "theta": thr.theta, "epsilon": thr.epsilon,
@@ -214,11 +214,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_attack_search(args) -> int:
-    scn = ScenarioParams.from_snr(
-        n_subcarriers=args.n, snr_I_db=args.snr_I, snr_II_db=args.snr_II,
-        alpha_I=args.alpha_I, alpha_II=args.alpha_II,
-        rho_AE=args.rho, rho_EB=args.rho,
-    )
+    scn = _scenario(args, args.rho, args.rho)
     rng = Rng(args.seed)
     thr = optimize_thresholds(scn, args.target_pfa, args.calibration_trials,
                               rng.derive(0))

@@ -37,6 +37,7 @@ from .channel import (
 )
 from .errors import ConfigError
 from .mlauth import (
+    OCNN_VARIANTS,
     DistanceMetric,
     binary_knn,
     binary_knn_tune,
@@ -83,6 +84,10 @@ class DefenderSpec:
             raise ConfigError(f"unknown defender kind {self.kind!r}")
         if self.metric not in ("euclidean", "llr"):
             raise ConfigError(f"unknown defender metric {self.metric!r}")
+        if self.variant not in OCNN_VARIANTS:
+            raise ConfigError(f"defender variant must be one of {OCNN_VARIANTS}")
+        if self.kernel not in ("gaussian", "linear", "poly"):
+            raise ConfigError(f"unknown defender kernel {self.kernel!r}")
 
     def label(self) -> str:
         if self.kind == "ocnn":
@@ -136,6 +141,8 @@ class ExperimentConfig:
             if not isinstance(v, (tuple, list)) or len(v) == 0:
                 raise ConfigError(f"{name} must be a nonempty list")
             object.__setattr__(self, name, tuple(v))
+        for point in self.sweep_points():
+            ScenarioParams.from_snr(**point)  # rejects a bad point before any shard runs
         if self.n_trials < 1_000:
             raise ConfigError("n_trials must be at least 1000")
         if self.n_datasets < 1:
@@ -172,45 +179,31 @@ def _check_workers(workers) -> None:
         raise ConfigError(f"workers must be at least 1, got {workers}")
 
 
-def _scenario_for(point: dict) -> ScenarioParams:
-    return ScenarioParams.from_snr(
-        n_subcarriers=point["n_subcarriers"],
-        snr_I_db=point["snr_I_db"],
-        snr_II_db=point["snr_II_db"],
-        alpha_I=point["alpha_I"],
-        alpha_II=point["alpha_II"],
-        rho_AE=point["rho_AE"],
-        rho_EB=point["rho_EB"],
-        m_training=point["m_training"],
-    )
+def _forge(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng) -> np.ndarray:
+    """Forged vectors, one per row of h.
 
-
-def _forge(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
-           n: int | None = None) -> np.ndarray:
-    """Forged vectors, one per row of h or n of them for a single channel h.
-
-    The first form draws a fresh universe per trial; the second serves the
-    trained defenders, whose packets all cross one fixed channel. When the
-    adversary averages m_training observation pairs, the mean is drawn
-    directly from a scenario whose innovation and noise variances are
+    When the adversary averages m_training observation pairs, the mean is
+    drawn directly from a scenario whose innovation and noise variances are
     scaled by 1/m. That samples the average exactly because everything is
-    Gaussian and the two links share each draw's innovation; the single
-    averaged forgery is then sent n times.
+    Gaussian and the two links share each draw's innovation.
     """
     obs_scn = scn
     if attacker.averaged:
         m = scn.m_training
         obs_scn = replace(scn, power_delay=scn.power_delay / m,
                           sigma2_AE=scn.sigma2_AE / m, sigma2_EB=scn.sigma2_EB / m)
-    size = None if n is None else 1 if attacker.averaged else n
-    g = attacker.strategy.forge(*eve_observations(h, obs_scn, rng, size=size), scn)
-    return np.repeat(g, n, axis=0) if n is not None and attacker.averaged else g
+    return attacker.strategy.forge(*eve_observations(h, obs_scn, rng), scn)
 
 
 def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
                     n: int, phase: str = "II") -> np.ndarray:
-    """n forged packets over the fixed channel h, as the verifier receives them."""
-    return forged_observation(_forge(scn, attacker, h, rng, n), scn, rng, phase=phase)
+    """n forged packets over the fixed channel h, as the verifier receives them.
+
+    The averaging adversary forges once per dataset and sends that one
+    forgery n times; otherwise every packet is forged afresh.
+    """
+    g = _forge(scn, attacker, np.broadcast_to(h, (1 if attacker.averaged else n, h.size)), rng)
+    return forged_observation(np.broadcast_to(g, (n, h.size)), scn, rng, phase=phase)
 
 
 def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
@@ -264,7 +257,7 @@ def _run_shard(payload: dict) -> dict:
     target = payload["target"]
     n_eval = payload["n_eval"]
     rng = Rng(payload["seed"]).derive(payload["point_idx"], payload["dataset_idx"])
-    scn = _scenario_for(point)
+    scn = ScenarioParams.from_snr(**point)
     n = scn.n_subcarriers
 
     trained: dict = {}
@@ -298,7 +291,7 @@ def _run_shard(payload: dict) -> dict:
 
     # learned defenders: one model per dataset on a fixed channel
     h = sample_channel(scn, rng.derive(0))
-    train_pos = bob_estimate_phase1(h, scn, rng.derive(1), size=scn.m_training)
+    train_pos = bob_estimate_phase1(np.broadcast_to(h, (scn.m_training, n)), scn, rng.derive(1))
     if kind in ("ocnn", "ocsvm"):
         negatives = featurize(_forged_packets(scn, attacker, h, rng.derive(2), scn.m_training))
         metric = (DistanceMetric("llr", per_dim_variance(scn))
@@ -345,7 +338,7 @@ def _run_shard(payload: dict) -> dict:
     train_seconds = time.perf_counter() - t0
 
     r_eval = rng.derive(9)
-    alice = alice_estimate_phase2(h, scn, r_eval, size=n_eval)
+    alice = alice_estimate_phase2(np.broadcast_to(h, (n_eval, n)), scn, r_eval)
     eve = _forged_packets(scn, attacker, h, r_eval, n_eval)
     return _shard_result(payload, accept(featurize(alice)), accept(featurize(eve)),
                          trained, train_seconds)
@@ -476,7 +469,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         target = config.target_for(point)
         combined_thresholds = None
         if config.defender.kind == "combined":
-            scn = _scenario_for(point)
+            scn = ScenarioParams.from_snr(**point)
             combined_thresholds = _combined_calibration(
                 scn, target, config.calibration_trials, config.attacker,
                 Rng(config.seed).derive(p_idx, 1_000_000),

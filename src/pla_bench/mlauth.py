@@ -529,7 +529,6 @@ class BinarySvmModel:
     support_y: np.ndarray
     alphas: np.ndarray
     bias: float
-    c: float
     sigma_svm: float
     kernel: str = "gaussian"
 
@@ -566,7 +565,7 @@ def binary_svm_train(
     return BinarySvmModel(
         support=x[keep], support_y=y[keep], alphas=alpha[keep],
         bias=float(-0.5 * (b_up[0] + b_lo[0])),
-        c=c, sigma_svm=sigma_svm, kernel=kernel,
+        sigma_svm=sigma_svm, kernel=kernel,
     )
 
 
@@ -583,7 +582,6 @@ def binary_svm_classify(model: BinarySvmModel, query) -> np.ndarray:
 @dataclass(frozen=True)
 class KmeansResult:
     labels: np.ndarray
-    centroids: np.ndarray
     wcss: float
 
 
@@ -623,5 +621,5 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
         labels = np.argmin(d2, axis=1)
         wcss = float(np.sum(np.maximum(d2[np.arange(m), labels], 0.0)))
         if best is None or wcss < best.wcss:
-            best = KmeansResult(labels=labels, centroids=cent.copy(), wcss=wcss)
+            best = KmeansResult(labels=labels, wcss=wcss)
     return best

@@ -51,7 +51,7 @@ def test_sample_channel_uses_power_delay():
 def test_bob_estimate_phase1_moments():
     params = ScenarioParams(n_subcarriers=1, alpha_I=0.8)
     h = np.array([1.5 - 0.5j])
-    est = bob_estimate_phase1(h, params, Rng(3), size=N_SAMPLES)
+    est = bob_estimate_phase1(np.broadcast_to(h, (N_SAMPLES, 1)), params, Rng(3))
     want_var = (1.0 - 0.8**2) + params.sigma2_I
     assert abs(est.mean() - 0.8 * h[0]) < 3.0 * np.sqrt(want_var / N_SAMPLES)
     assert abs(np.var(est) - want_var) < _three_se_of_variance(want_var, N_SAMPLES)
@@ -78,14 +78,14 @@ def test_reference_estimate_alpha_bar_matches_scenario():
 def test_bob_training_set_shape():
     params = ScenarioParams(n_subcarriers=2, m_training=100)
     h = sample_channel(params, Rng(8))
-    train = bob_estimate_phase1(h, params, Rng(9), size=params.m_training)
+    train = bob_estimate_phase1(np.broadcast_to(h, (params.m_training, 2)), params, Rng(9))
     assert train.shape == (100, 2)
 
 
 def test_alice_estimate_phase2_moments():
     params = ScenarioParams(n_subcarriers=1, alpha_II=0.9)
     h = np.array([0.7 + 1.1j])
-    est = alice_estimate_phase2(h, params, Rng(10), size=N_SAMPLES)
+    est = alice_estimate_phase2(np.broadcast_to(h, (N_SAMPLES, 1)), params, Rng(10))
     want_var = (1.0 - 0.9**2) + params.sigma2_II
     assert abs(est.mean() - 0.9 * h[0]) < 3.0 * np.sqrt(want_var / N_SAMPLES)
     assert abs(np.var(est) - want_var) < _three_se_of_variance(want_var, N_SAMPLES)
@@ -100,7 +100,7 @@ def test_eve_observations_correlations_shared_innovation():
     params = ScenarioParams(n_subcarriers=1, rho_AE=rho_ae, rho_EB=rho_eb)
     rng = Rng(11)
     h = sample_channel(params, rng, size=N_SAMPLES)
-    h_ae, h_eb = eve_observations(h, params, rng, size=N_SAMPLES)
+    h_ae, h_eb = eve_observations(h, params, rng)
     tol = 5.0 / np.sqrt(N_SAMPLES)
     assert abs(_corr(h_ae, h) - rho_ae) < tol
     assert abs(_corr(h_eb, h) - rho_eb) < tol
@@ -116,7 +116,7 @@ def test_eve_observations_estimation_noise_adds_variance():
                             sigma2_AE=0.2, sigma2_EB=0.1)
     rng = Rng(13)
     h = sample_channel(params, rng, size=N_SAMPLES)
-    h_ae, h_eb = eve_observations(h, params, rng, size=N_SAMPLES)
+    h_ae, h_eb = eve_observations(h, params, rng)
     assert abs(np.var(h_ae) - 1.2) < _three_se_of_variance(1.2, N_SAMPLES)
     assert abs(np.var(h_eb) - 1.1) < _three_se_of_variance(1.1, N_SAMPLES)
 
@@ -180,6 +180,13 @@ def test_scenario_params_validation():
         ScenarioParams(n_subcarriers=2, power_delay=np.array([1.0]))
     with pytest.raises(ConfigError):
         ScenarioParams(n_subcarriers=2, power_delay=np.array([1.0, 0.0]))
+    # counts must be integral, not truncated
+    for kw in ({"n_subcarriers": 1.5}, {"n_subcarriers": 1, "m_training": 99.9}):
+        with pytest.raises(ConfigError, match="positive integer"):
+            ScenarioParams(**kw)
+    params = ScenarioParams(n_subcarriers=3.0, m_training=np.int64(50))
+    assert (params.n_subcarriers, params.m_training) == (3, 50)
+    assert type(params.n_subcarriers) is int and type(params.m_training) is int
 
 
 def test_from_snr_maps_db_to_variance():
@@ -195,6 +202,6 @@ def test_channel_functions_deterministic_under_seed():
     h1 = sample_channel(params, Rng(20), size=5)
     h2 = sample_channel(params, Rng(20), size=5)
     assert np.array_equal(h1, h2)
-    a1 = eve_observations(h1, params, Rng(21), size=5)
-    a2 = eve_observations(h1, params, Rng(21), size=5)
+    a1 = eve_observations(h1, params, Rng(21))
+    a2 = eve_observations(h1, params, Rng(21))
     assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])

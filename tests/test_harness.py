@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -9,11 +10,12 @@ import pytest
 from pla_bench.attacks import AttackStrategy
 from pla_bench.channel import ScenarioParams, eve_observations
 from pla_bench.errors import ConfigError
-from pla_bench import harness
+from pla_bench import cli, harness
 from pla_bench.harness import (
     _BASE_COLUMNS,
     _binomial_se,
     _forge,
+    _forged_packets,
     _shard_result,
     REPRODUCE_TARGETS,
     AttackerSpec,
@@ -36,6 +38,10 @@ def test_defender_spec_validation():
         DefenderSpec(kind="oracle")
     with pytest.raises(ConfigError):
         DefenderSpec(kind="ocnn", metric="cosine")
+    with pytest.raises(ConfigError, match="variant"):
+        DefenderSpec(kind="ocnn", variant="2NN")
+    with pytest.raises(ConfigError, match="kernel"):
+        DefenderSpec(kind="ocsvm", kernel="gausian")
 
 
 def test_defender_labels():
@@ -80,8 +86,35 @@ def test_experiment_config_validation():
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(defender=llr, target_pfa=0.01, seed=seed)
     ExperimentConfig(defender=llr, target_pfa=0.01, seed=2**64 - 1)
+    # every sweep point must make a valid scenario; a non-integral count
+    # would run truncated but be written to the table as given
+    for field, values in (("rho_AE", (0.5, 1.5)), ("alpha_II", (1.2,)),
+                          ("n_subcarriers", (1.5,)), ("m_training", (99.9,))):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(defender=llr, target_pfa=0.01, **{field: values})
     # learned defenders are calibrated by their own tuning, no target needed
     ExperimentConfig(defender=DefenderSpec(kind="ocnn"))
+
+
+class _PoolStarted(Exception):
+    """Raised by a spy in place of starting a worker pool."""
+
+
+@pytest.mark.parametrize("kind, bad_line", [
+    ("ocsvm", "rho_AE = 1.5"),
+    ("ocsvm", "defender.kernel = gausian"),
+    ("ocnn", "defender.variant = 2NN"),
+])
+def test_run_rejects_a_bad_config_before_starting_the_pool(monkeypatch, tmp_path, kind,
+                                                           bad_line):
+    def spy(self, *args, **kwargs):
+        raise _PoolStarted
+
+    monkeypatch.setattr(harness.ProcessPoolExecutor, "__init__", spy)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"defender.kind = {kind}\nn_trials = 1000\nn_datasets = 2\n{bad_line}\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                     "--workers", "2"]) == 2
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -231,11 +264,17 @@ def test_averaged_attacker_matches_explicit_average():
 
 
 def test_averaged_attacker_sends_one_forgery_per_dataset():
-    scn = ScenarioParams.from_snr(2, 15.0, 20.0, rho_AE=0.6, m_training=10)
+    # phase-I arrivals are the forgery plus noise, so with no noise every
+    # packet is the forgery itself
+    scn = ScenarioParams.from_snr(2, math.inf, 20.0, rho_AE=0.6, m_training=10)
     attacker = AttackerSpec(AttackStrategy("simplified"), averaged=True)
-    g = _forge(scn, attacker, np.array([1.0 + 0j, -0.5j]), Rng(32), n=5)
+    h = np.array([1.0 + 0j, -0.5j])
+    g = _forged_packets(scn, attacker, h, Rng(32), 5, phase="I")
     assert g.shape == (5, 2)
     assert np.array_equal(g, np.repeat(g[:1], 5, axis=0))
+    fresh = _forged_packets(scn, AttackerSpec(AttackStrategy("simplified")), h, Rng(32), 5,
+                            phase="I")
+    assert len(np.unique(fresh[:, 0])) == 5
 
 
 class _Captured(Exception):

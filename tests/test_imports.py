@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only
+the channel layer draws complex Gaussians.
 
 A deletion that leaves an import behind fails here. ``__init__.py`` is
 exempt, since its imports are the package's exports, and so is an import
@@ -39,3 +40,23 @@ def test_unused_import_detection():
     assert unused_imports("from os import path  # noqa: F401\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
     assert unused_imports("import numpy as np\nx: np.ndarray\n") == []
+
+
+def calls_of(source: str, name: str) -> list:
+    """Lines that call ``name``, bare or as a module attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == name
+                 or getattr(node.func, "attr", None) == name)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "channel.py"], ids=lambda p: p.name)
+def test_only_the_channel_layer_draws_complex_gaussians(path):
+    # every other layer reaches the channel model through its row functions
+    assert calls_of(path.read_text(), "complex_gaussian") == []
+
+
+def test_call_detection():
+    source = "f(1)\nchannel.f(2)\ng(f)\n"
+    assert calls_of(source, "f") == [1, 2]

@@ -600,7 +600,7 @@ def _scalar_binary_svm(x, y, c, sigma, tol=1e-6):
     keep = alpha > box
     return BinarySvmModel(
         support=x[keep], support_y=y[keep], alphas=alpha[keep], bias=-0.5 * (b_up + b_lo),
-        c=c, sigma_svm=sigma,
+        sigma_svm=sigma,
     )
 
 

@@ -21,6 +21,7 @@ from .attacks import AttackStrategy, optimize_attack_exponents
 from .channel import ScenarioParams
 from .errors import ConfigError, NumericError
 from .harness import (
+    _SWEEP_FIELDS,
     REPRODUCE_TARGETS,
     AttackerSpec,
     DefenderSpec,
@@ -51,16 +52,6 @@ def _target_pfa(text: str):
     return nums[0] if len(nums) == 1 else nums
 
 
-_LIST_FIELDS = {
-    "n_subcarriers": int,
-    "alpha_I": float,
-    "alpha_II": float,
-    "rho_AE": float,
-    "rho_EB": float,
-    "snr_I_db": float,
-    "snr_II_db": float,
-    "m_training": int,
-}
 _SCALAR_FIELDS = {
     "n_trials": int,
     "n_datasets": int,
@@ -73,7 +64,7 @@ _DEFENDER_FIELDS = {"kind": str, "variant": str, "metric": str, "kernel": str}
 _ATTACKER_FIELDS = {"kind": str, "x": float, "y": float, "averaged": _flag}
 # every key of the file and the converter of its value
 _KEYS = {
-    **{key: _list_of(conv) for key, conv in _LIST_FIELDS.items()},
+    **{key: _list_of(conv) for key, conv in _SWEEP_FIELDS.items()},
     "target_pfa": _target_pfa,
     **_SCALAR_FIELDS,
     **{f"defender.{key}": conv for key, conv in _DEFENDER_FIELDS.items()},

@@ -5,7 +5,7 @@ defender per sweep point and dataset, classifies phase-II packet streams
 from the legitimate transmitter and the attacker, and aggregates
 confusion counts into a ResultTable. Everything is deterministic given
 the seed: each (sweep point, dataset) shard derives its own generator
-stream, and reduction happens in sorted shard order, so results are
+stream, and reduction happens in task order, so results are
 byte-identical no matter how many workers run.
 
 The ``reproduce`` entry point runs named targets (table1..table5,
@@ -70,6 +70,7 @@ DEFENDER_KINDS = (
 )
 
 STAT_DEFENDERS = ("llr", "combined", "ideal")
+_SVM_KINDS = ("ocsvm", "binary_svm", "kmeans_svm")
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,17 @@ class DefenderSpec:
             raise ConfigError(f"defender variant must be one of {OCNN_VARIANTS}")
         if self.kernel not in ("gaussian", "linear", "poly"):
             raise ConfigError(f"unknown defender kernel {self.kernel!r}")
+        # a field the kind ignores would run unchanged under the default label
+        for name, kinds in (("variant", ("ocnn",)), ("metric", ("ocnn",)), ("kernel", _SVM_KINDS)):
+            if self.kind not in kinds and getattr(self, name) != getattr(DefenderSpec, name):
+                raise ConfigError(f"defender {self.kind!r} takes no {name}")
 
     def label(self) -> str:
         if self.kind == "ocnn":
             suffix = "-llr" if self.metric == "llr" else ""
             return f"ocnn-{self.variant}{suffix}"
-        if self.kind == "ocsvm" and self.kernel != "gaussian":
-            return f"ocsvm-{self.kernel}"
+        if self.kernel != "gaussian":
+            return f"{self.kind}-{self.kernel}"
         return self.kind
 
 
@@ -109,10 +114,17 @@ class AttackerSpec:
         return name + ("-avg" if self.averaged else "")
 
 
-_SWEEP_FIELDS = (
-    "n_subcarriers", "alpha_I", "alpha_II", "rho_AE", "rho_EB",
-    "snr_I_db", "snr_II_db", "m_training",
-)
+# each swept field and the type of its elements
+_SWEEP_FIELDS = {
+    "n_subcarriers": int,
+    "alpha_I": float,
+    "alpha_II": float,
+    "rho_AE": float,
+    "rho_EB": float,
+    "snr_I_db": float,
+    "snr_II_db": float,
+    "m_training": int,
+}
 
 
 @dataclass(frozen=True)
@@ -155,10 +167,15 @@ class ExperimentConfig:
         if isinstance(self.target_pfa, (tuple, list)):
             if len(self.target_pfa) != len(self.n_subcarriers):
                 raise ConfigError("per-N target_pfa must align with n_subcarriers")
+            if len(set(self.n_subcarriers)) != len(self.n_subcarriers):
+                raise ConfigError("per-N target_pfa needs distinct n_subcarriers")
             object.__setattr__(self, "target_pfa", tuple(float(t) for t in self.target_pfa))
         targets = self.target_pfa if isinstance(self.target_pfa, tuple) else (self.target_pfa,)
         if any(t is not None and not 0.0 < t < 1.0 for t in targets):
             raise ConfigError("target_pfa must lie in (0, 1)")
+        if self.defender.kind == "ideal":
+            for t in targets:
+                _ideal_calibration_size(t)  # rejects a target no shard could calibrate
         Rng(self.seed)  # rejects a seed outside [0, 2**64) before any shard runs
 
     def sweep_points(self):
@@ -177,6 +194,19 @@ class ExperimentConfig:
 def _check_workers(workers) -> None:
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+
+
+def _ideal_calibration_size(target: float) -> int:
+    """Calibration draws of the ideal bound: about 100 exceedances of the target.
+
+    The count is kept within [2,000, 400,000], so a target below 1/400,000
+    cannot be resolved and is rejected.
+    """
+    size = min(max(int(100.0 / target), 2_000), 400_000)
+    if size * target < 1:
+        raise ConfigError(f"target_pfa {target:g} is below 1/{size} draws, "
+                          "the ideal bound's calibration limit")
+    return size
 
 
 def _forge(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng) -> np.ndarray:
@@ -227,15 +257,25 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
 # --------------------------------------------------------------------------
 # shard execution
 
-def _combined_calibration(scn, target, calib_trials, attacker, rng):
-    """Scenario-level (theta, epsilon) for the combined defender.
+def _point_thresholds(config: ExperimentConfig, p_idx: int, scn: ScenarioParams,
+                      target: float | None):
+    """The (theta, epsilon) every dataset of one sweep point shares.
 
-    Falls back to an analytic split of the target between the two
-    conditions when the Monte Carlo budget cannot resolve it.
+    llr takes the analytic theta and no modulus condition. combined is
+    calibrated by Monte Carlo, and falls back to an analytic split of the
+    target between the two conditions when the budget cannot resolve it.
+    The ideal bound calibrates per shard and learned defenders train, so
+    they share none (None).
     """
-    if target * calib_trials >= 100:
-        thr = optimize_thresholds(scn, target, calib_trials, rng,
-                                  attack=attacker.strategy.forge)
+    kind = config.defender.kind
+    if kind == "llr":
+        return ncx2_inv(1.0 - target, 2 * scn.n_subcarriers, nominal_mu(scn)), None
+    if kind != "combined":
+        return None
+    rng = Rng(config.seed).derive(p_idx, 1_000_000)
+    if target * config.calibration_trials >= 100:
+        thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
+                                  attack=config.attacker.strategy.forge)
         return thr.theta, thr.epsilon
     theta = ncx2_inv(1.0 - target / 2.0, 2 * scn.n_subcarriers, nominal_mu(scn))
     ref, alice, _ = simulate_trials(scn, rng, 100_000)
@@ -243,53 +283,42 @@ def _combined_calibration(scn, target, calib_trials, attacker, rng):
     return theta, eps
 
 
-def _run_shard(payload: dict) -> dict:
-    """One (sweep point, dataset) cell; pure function of its payload.
+def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
+               thresholds: tuple | None) -> dict:
+    """One (sweep point, dataset) cell; a pure function of its arguments.
 
-    Statistical defenders have no per-dataset trained state, so their
-    trials each draw a fresh channel, reference and packet (the closed
-    forms describe exactly that average). Learned defenders train one
-    model per dataset on a fixed channel and classify packets over it.
+    ``thresholds`` is the point's ``_point_thresholds``. Statistical
+    defenders have no per-dataset trained state, so their trials each draw
+    a fresh channel, reference and packet (the closed forms describe
+    exactly that average). Learned defenders train one model per dataset
+    on a fixed channel and classify packets over it.
     """
-    point = payload["point"]
-    defender: DefenderSpec = payload["defender"]
-    attacker: AttackerSpec = payload["attacker"]
-    target = payload["target"]
-    n_eval = payload["n_eval"]
-    rng = Rng(payload["seed"]).derive(payload["point_idx"], payload["dataset_idx"])
+    defender, attacker = config.defender, config.attacker
+    n_eval = math.ceil(config.n_trials / config.n_datasets)
+    rng = Rng(config.seed).derive(point_idx, dataset_idx)
     scn = ScenarioParams.from_snr(**point)
     n = scn.n_subcarriers
-
-    trained: dict = {}
+    kind = defender.kind
+    r_eval = rng.derive(9)
     t0 = time.perf_counter()
 
-    kind = defender.kind
-    if kind in STAT_DEFENDERS:
-        if kind == "llr":
-            trained["theta"] = ncx2_inv(1.0 - target, 2 * n, nominal_mu(scn))
-        elif kind == "combined":
-            theta, eps = payload["combined_thresholds"]
-            trained["theta"], trained["epsilon"] = theta, eps
-        else:
-            psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5), payload["ideal_calibration"])
-            theta_bar = calibrate_threshold(psi_cal, target)
-            trained["theta"] = theta_bar
+    if kind == "ideal":
+        target = config.target_for(point)
+        psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5), _ideal_calibration_size(target))
+        theta = calibrate_threshold(psi_cal, target)
         train_seconds = time.perf_counter() - t0
-
-        r_eval = rng.derive(9)
-        if kind == "ideal":
-            psi_a, psi_e = _ideal_psi(scn, attacker, r_eval, n_eval)
-            acc_a = psi_a <= trained["theta"]
-            acc_e = psi_e <= trained["theta"]
-        else:
-            ref, alice, eve = simulate_trials(
-                scn, r_eval, n_eval, forge=lambda h, r: _forge(scn, attacker, h, r))
-            s2 = per_dim_variance(scn)
-            acc_a = accepts(alice, ref, s2, trained["theta"], trained.get("epsilon"))
-            acc_e = accepts(eve, ref, s2, trained["theta"], trained.get("epsilon"))
-        return _shard_result(payload, acc_a, acc_e, trained, train_seconds)
+        psi_a, psi_e = _ideal_psi(scn, attacker, r_eval, n_eval)
+        return _shard_result(psi_a <= theta, psi_e <= theta, {"theta": theta}, train_seconds)
+    if thresholds is not None:
+        theta, eps = thresholds
+        ref, alice, eve = simulate_trials(
+            scn, r_eval, n_eval, forge=lambda h, r: _forge(scn, attacker, h, r))
+        s2 = per_dim_variance(scn)
+        return _shard_result(accepts(alice, ref, s2, theta, eps), accepts(eve, ref, s2, theta, eps),
+                             {"theta": theta, "epsilon": eps}, 0.0)
 
     # learned defenders: one model per dataset on a fixed channel
+    trained: dict = {}
     h = sample_channel(scn, rng.derive(0))
     train_pos = bob_estimate_phase1(np.broadcast_to(h, (scn.m_training, n)), scn, rng.derive(1))
     if kind in ("ocnn", "ocsvm"):
@@ -337,26 +366,21 @@ def _run_shard(payload: dict) -> dict:
 
     train_seconds = time.perf_counter() - t0
 
-    r_eval = rng.derive(9)
     alice = alice_estimate_phase2(np.broadcast_to(h, (n_eval, n)), scn, r_eval)
     eve = _forged_packets(scn, attacker, h, r_eval, n_eval)
-    return _shard_result(payload, accept(featurize(alice)), accept(featurize(eve)),
-                         trained, train_seconds)
+    return _shard_result(accept(featurize(alice)), accept(featurize(eve)), trained, train_seconds)
 
 
-def _shard_result(payload: dict, acc_a, acc_e, trained: dict, train_seconds: float) -> dict:
+def _shard_result(acc_a, acc_e, trained: dict, train_seconds: float) -> dict:
     """Confusion counts of one shard from its genuine and forged accept masks.
 
     The transmitter being authenticated (Alice) is the positive class: a
     false alarm (fn) is a rejected genuine packet, a missed detection (fp)
     an accepted forged one.
     """
-    n_eval = payload["n_eval"]
     tp, fp = int(np.sum(acc_a)), int(np.sum(acc_e))
     return {
-        "point_idx": payload["point_idx"],
-        "dataset_idx": payload["dataset_idx"],
-        "tp": tp, "fn": n_eval - tp, "fp": fp, "tn": n_eval - fp,
+        "tp": tp, "fn": len(acc_a) - tp, "fp": fp, "tn": len(acc_e) - fp,
         "trained": trained,
         "train_seconds": train_seconds,
     }
@@ -462,42 +486,25 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Execute the full sweep and aggregate per-point confusion counts."""
     points = list(config.sweep_points())
-    n_eval = max(1, math.ceil(config.n_trials / config.n_datasets))
-
-    payloads = []
+    n_data = config.n_datasets
+    tasks = []
     for p_idx, point in enumerate(points):
-        target = config.target_for(point)
-        combined_thresholds = None
-        if config.defender.kind == "combined":
-            scn = ScenarioParams.from_snr(**point)
-            combined_thresholds = _combined_calibration(
-                scn, target, config.calibration_trials, config.attacker,
-                Rng(config.seed).derive(p_idx, 1_000_000),
-            )
-        ideal_cal = min(max(int(100.0 / target), 2_000), 400_000) if (
-            config.defender.kind == "ideal" and target) else 0
-        for d_idx in range(config.n_datasets):
-            payloads.append({
-                "point_idx": p_idx, "dataset_idx": d_idx, "point": point,
-                "defender": config.defender, "attacker": config.attacker,
-                "target": target, "n_eval": n_eval, "seed": config.seed,
-                "combined_thresholds": combined_thresholds,
-                "ideal_calibration": ideal_cal,
-            })
+        thresholds = _point_thresholds(config, p_idx, ScenarioParams.from_snr(**point),
+                                       config.target_for(point))
+        tasks += [(config, p_idx, d_idx, point, thresholds) for d_idx in range(n_data)]
 
     if config.workers and config.workers > 1:
         with _worker_pool(config.workers) as pool:
-            shard_results = list(pool.map(_run_shard, payloads, chunksize=1))
+            shard_results = list(pool.map(_run_shard, *zip(*tasks), chunksize=1))
     else:
-        shard_results = [_run_shard(p) for p in payloads]
-    shard_results.sort(key=lambda r: (r["point_idx"], r["dataset_idx"]))
+        shard_results = [_run_shard(*task) for task in tasks]
 
     columns = list(_BASE_COLUMNS)
     if config.record_timing:
         columns.append("train_seconds")
     rows = []
     for p_idx, point in enumerate(points):
-        shards = [r for r in shard_results if r["point_idx"] == p_idx]
+        shards = shard_results[p_idx * n_data:(p_idx + 1) * n_data]
         tp, fn, fp, tn = (sum(r[c] for r in shards) for c in ("tp", "fn", "fp", "tn"))
         n_alice = tp + fn
         n_eve = fp + tn

@@ -42,6 +42,11 @@ def test_defender_spec_validation():
         DefenderSpec(kind="ocnn", variant="2NN")
     with pytest.raises(ConfigError, match="kernel"):
         DefenderSpec(kind="ocsvm", kernel="gausian")
+    # a field the kind ignores would run unchanged under the default label
+    for kind, field, value in (("ocsvm", "metric", "llr"), ("binary_knn", "variant", "JKNN"),
+                               ("llr", "kernel", "linear"), ("ocnn", "kernel", "poly")):
+        with pytest.raises(ConfigError, match=f"{kind}.*{field}"):
+            DefenderSpec(kind=kind, **{field: value})
 
 
 def test_defender_labels():
@@ -51,6 +56,9 @@ def test_defender_labels():
     assert DefenderSpec(kind="ocsvm", kernel="linear").label() == "ocsvm-linear"
     assert DefenderSpec(kind="ocsvm").label() == "ocsvm"
     assert DefenderSpec(kind="binary_knn").label() == "binary_knn"
+    assert DefenderSpec(kind="binary_svm", kernel="linear").label() == "binary_svm-linear"
+    assert DefenderSpec(kind="kmeans_svm", kernel="poly").label() == "kmeans_svm-poly"
+    assert DefenderSpec(kind="kmeans_svm").label() == "kmeans_svm"
 
 
 def test_attacker_labels():
@@ -73,6 +81,9 @@ def test_experiment_config_validation():
         ExperimentConfig(defender=llr)  # statistical defender without a target
     with pytest.raises(ConfigError):
         ExperimentConfig(defender=llr, n_subcarriers=(1, 2), target_pfa=(0.01,))
+    # a repeated N would take the first N's target
+    with pytest.raises(ConfigError, match="distinct n_subcarriers"):
+        ExperimentConfig(defender=llr, n_subcarriers=(1, 1), target_pfa=(0.01, 0.001))
     for trials in (0, -5):
         with pytest.raises(ConfigError, match="calibration_trials"):
             ExperimentConfig(defender=DefenderSpec(kind="combined"), target_pfa=0.01,
@@ -104,6 +115,8 @@ class _PoolStarted(Exception):
     ("ocsvm", "rho_AE = 1.5"),
     ("ocsvm", "defender.kernel = gausian"),
     ("ocnn", "defender.variant = 2NN"),
+    # below 1/400,000 the ideal bound's calibration cannot resolve the target
+    ("ideal", "target_pfa = 1e-6"),
 ])
 def test_run_rejects_a_bad_config_before_starting_the_pool(monkeypatch, tmp_path, kind,
                                                            bad_line):
@@ -214,12 +227,11 @@ def test_run_experiment_shard_rounding():
 
 
 def test_shard_result_maps_all_four_outcomes():
-    payload = {"point_idx": 3, "dataset_idx": 1, "n_eval": 4}
     genuine = np.array([True, True, True, False])
     forged = np.array([True, False, False, False])
-    got = _shard_result(payload, genuine, forged, {"theta": 1.0}, 0.5)
+    got = _shard_result(genuine, forged, {"theta": 1.0}, 0.5)
     assert (got["tp"], got["fn"], got["fp"], got["tn"]) == (3, 1, 1, 3)
-    assert (got["point_idx"], got["dataset_idx"], got["trained"]) == (3, 1, {"theta": 1.0})
+    assert got["trained"] == {"theta": 1.0}
 
 
 class _Observer:
@@ -304,12 +316,10 @@ def test_training_negatives_have_independent_noise(monkeypatch, kind, alpha_ii, 
     monkeypatch.setattr(harness, "ocnn_train", capture_ocnn)
     monkeypatch.setattr(harness, "binary_knn_tune", capture_knn)
     m = 400_000 if kind == "binary_knn" else 200_000
-    point = dict(n_subcarriers=1, alpha_I=1.0, alpha_II=alpha_ii, rho_AE=0.1, rho_EB=0.0,
-                 snr_I_db=15.0, snr_II_db=20.0, m_training=m)
-    payload = {"point": point, "defender": DefenderSpec(kind), "attacker": AttackerSpec(),
-               "target": None, "n_eval": 1000, "seed": 11, "point_idx": 0, "dataset_idx": 0}
+    config = ExperimentConfig(defender=DefenderSpec(kind), alpha_II=(alpha_ii,), m_training=(m,),
+                              n_trials=1000, n_datasets=1, seed=11)
     with pytest.raises(_Captured):
-        harness._run_shard(payload)
+        harness._run_shard(config, 0, 0, next(config.sweep_points()), None)
     neg = captured["neg"]
     assert neg.shape == (200_000, 2)
     var = float(np.sum(np.var(neg, axis=0)))

@@ -11,8 +11,10 @@ what the benchmark measures. One dual solver serves both SVMs: it works on
 a batch of problems over one Gram matrix in lockstep, each with its own
 box bounds per coordinate and a fixed sum. One-class cross-validation
 solves every (nu, fold) problem of one kernel width in one call, each
-fold's validation points held at 0; a one-class fit and the binary SVM
-are batches of one row.
+fold's validation points held at 0, to a KKT tolerance of 1e-4; a
+one-class fit (tolerance 1e-6) and the binary SVM are batches of one row.
+Every one-class dual starts at LIBSVM's sparse point, floor(nu n) points
+at the bound, and the binary SVM at 0.
 
 The three tuners (one-class NN, one-class SVM, binary kNN) share one fold
 plan and score every candidate with one cross-validated g-mean,
@@ -40,7 +42,7 @@ OCNN_VARIANTS = tuple(_OCNN_TUNES)
 _FOLDS = 5
 _THETA_GRID = np.arange(1.0, 5.01, 0.5)
 _NEIGHBOR_CAP = 30
-_CV_TOL = 1e-3  # one-class SVM solver tolerance while scoring candidates
+_CV_TOL = 1e-4  # one-class SVM solver tolerance while scoring candidates
 _POLY_DEGREE = 3  # degree of the "poly" kernel
 _MEDIAN_CAP = 256  # sample size of median_heuristic
 
@@ -331,28 +333,45 @@ def _dual_solve(kmat, lam, grad, lo, hi, tol: float, max_iter: int | None = None
     raise NumericError("dual solver hit its iteration cap")
 
 
+def _ocsvm_start(kmat, train, ub):
+    """LIBSVM's one-class start of each row of an _ocsvm_solve batch, and its
+    gradient K l over all columns.
+
+    Row b's first floor(1 / ub[b]) training points, in index order, sit at
+    ub[b] and the rest of the unit mass, 1 - ub[b] floor(1 / ub[b]) (never
+    negative in floating point), goes on the next one; every other
+    coordinate is 0. A start at 1/n would need about (1 - nu) n pair steps
+    to zero the coordinates off the support, whatever the pair rule.
+    """
+    lam, grad = np.zeros(train.shape), np.empty(train.shape)
+    for b, row_ub in enumerate(ub):
+        idx, held = np.flatnonzero(train[b]), np.flatnonzero(~train[b])
+        at_ub = int(1.0 / row_ub)
+        start = idx[:at_ub + 1]
+        lam0 = np.full(start.size, row_ub)
+        lam0[at_ub:] = 1.0 - at_ub * row_ub
+        lam[b, start] = lam0
+        # A pair step leaves its two gradients equal up to rounding, so the
+        # next choice of pair is decided by the last bits: a row computes its
+        # start in the layout a lone solve on its points uses.
+        grad[b, idx] = kmat[np.ix_(idx, start)] @ lam0
+        grad[b, held] = kmat[np.ix_(held, start)] @ lam0
+    return lam, grad
+
+
 def _ocsvm_solve(kmat, train, ub, tol: float):
     """Solve a batch of one-class SVM duals over one Gram matrix in lockstep.
 
     Row b solves min 1/2 l^T K l, 0 <= l_i <= ub[b], sum l = 1 over the
     points where train[b] is set and keeps l = 0 (bounds 0, 0) on the
-    others. Returns l, the gradient K l over all columns (held-out ones
-    included) and the offset xi of each row: the mean gradient over its
-    margin support vectors, or over all its support vectors when none lies
-    on the margin.
+    others. Each row starts at LIBSVM's one-class point (_ocsvm_start):
+    floor(1 / ub) points at ub, the rest of the mass on one more. Cross-
+    validation solves to tol = _CV_TOL = 1e-4 and a fit to 1e-6. Returns l,
+    the gradient K l over all columns (held-out ones included) and the
+    offset xi of each row: the mean gradient over its margin support
+    vectors, or over all its support vectors when none lies on the margin.
     """
-    lam = np.where(train, 1.0 / train.sum(axis=1, keepdims=True), 0.0)
-    # A pair step leaves its two gradients equal up to rounding, so the next
-    # choice of pair is decided by the last bits: each row starts from the
-    # product a lone solve on its points computes, in the same layout.
-    masks, which = np.unique(train, axis=0, return_inverse=True)
-    starts = np.empty(masks.shape)
-    for s, mask in enumerate(masks):
-        idx = np.flatnonzero(mask)
-        lam0 = np.full(idx.size, 1.0 / idx.size)
-        starts[s, idx] = kmat[np.ix_(idx, idx)] @ lam0
-        starts[s, ~mask] = kmat[np.ix_(~mask, idx)] @ lam0
-    grad = starts[which.ravel()]  # numpy 2.0.0 returns the inverse as a column
+    lam, grad = _ocsvm_start(kmat, train, ub)
     _dual_solve(kmat, lam, grad, np.zeros_like(lam), np.where(train, ub[:, None], 0.0), tol)
     ub_lo = ub - _BOX
     xi = np.empty(len(ub))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from pla_bench import mlauth
+from pla_bench.channel import ScenarioParams, bob_estimate_phase1, sample_channel
 from pla_bench.errors import ConfigError, NumericError
+from pla_bench.harness import AttackerSpec, _forged_packets
 from pla_bench.mlauth import (
     BinarySvmModel,
     DistanceMetric,
@@ -28,6 +31,7 @@ from pla_bench.mlauth import (
     _gram,
     _ocsvm_cv_scores,
     _ocsvm_solve,
+    _ocsvm_start,
 )
 from pla_bench.rng import Rng
 
@@ -351,8 +355,9 @@ def test_ocsvm_train_cv_tie_rule_ignores_grid_order():
         assert (nu, sig) == (0.05, sigmas[2])
 
 
-def _per_fold_scores(sel, neg_sel, nus, sigmas, kernel, tol=1e-3):
-    """The cross-validated score grid fitted one (nu, sigma, fold) at a time."""
+def _per_fold_scores(sel, neg_sel, nus, sigmas, kernel):
+    """The cross-validated score grid fitted one (nu, sigma, fold) at a time,
+    at the batch's own solver tolerance."""
     pos_slices = _fold_slices(sel.shape[0])
     neg_slices = _fold_slices(neg_sel.shape[0])
     score = np.full((len(nus), len(sigmas)), -1.0)
@@ -365,7 +370,7 @@ def _per_fold_scores(sel, neg_sel, nus, sigmas, kernel, tol=1e-3):
                 if nu * tr.size < 1.0:
                     total = -1.0
                     break
-                model = ocsvm_train(sel[tr], nu, sig, kernel=kernel, tol=tol)
+                model = ocsvm_train(sel[tr], nu, sig, kernel=kernel, tol=mlauth._CV_TOL)
                 tpr = float(np.mean(ocsvm_classify(model, sel[pos_slices[f]])))
                 tnr = float(np.mean(~ocsvm_classify(model, neg_sel[neg_slices[f]])))
                 total += np.sqrt(tpr * tnr)
@@ -401,6 +406,52 @@ def test_ocsvm_cv_batch_matches_per_fold_loop(kernel):
     _, ref_nu, ref_sig = max(cands, key=lambda c: c[0])
     assert (nu, sig) == (ref_nu, ref_sig)
     assert (model.nu, model.sigma_svm, model.kernel) == (nu, sig, kernel)
+
+
+def _shard_training_set(rho_ae, seed, dataset):
+    """Positives, negatives and stream of an N = 1, m = 200 ocsvm shard,
+    drawn as harness._run_shard draws them."""
+    scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=rho_ae, m_training=200)
+    rng = Rng(seed).derive(0, dataset)
+    h = sample_channel(scn, rng.derive(0))
+    pos = bob_estimate_phase1(np.broadcast_to(h, (200, 1)), scn, rng.derive(1))
+    neg = _forged_packets(scn, AttackerSpec(), h, rng.derive(2), 200)
+    return featurize(pos), featurize(neg), rng
+
+
+# per kernel, the first shard draw (rho_AE 0.1 then 0.8, seeds from 0,
+# datasets 0-3) on which the uniform start solved to 1e-3 selected another
+# (nu, sigma) than at 1e-6
+@pytest.mark.parametrize("kernel, rho_ae, seed, dataset",
+                         [("linear", 0.1, 0, 0), ("poly", 0.8, 1, 0), ("gaussian", 0.1, 0, 1)])
+def test_ocsvm_cv_selection_is_converged(monkeypatch, kernel, rho_ae, seed, dataset):
+    pos, neg, rng = _shard_training_set(rho_ae, seed, dataset)
+    _, nu, sig = ocsvm_train_cv(pos, neg, rng.derive(3), kernel=kernel)
+    monkeypatch.setattr(mlauth, "_CV_TOL", 1e-6)
+    _, nu_ref, sig_ref = ocsvm_train_cv(pos, neg, rng.derive(3), kernel=kernel)
+    assert (nu, sig) == (nu_ref, sig_ref)
+
+
+# nu * n integral; floor(1 / ub) = 92 one short of nu * n = 93, so the last
+# start point takes 1 - 92 ub, just under ub; and a fractional nu * n = 4.3
+@pytest.mark.parametrize("nu, n", [(0.25, 40), (1.0, 93), (0.1, 43)])
+def test_ocsvm_start_is_feasible(nu, n):
+    x = Rng(31).standard_normal((n + n // 2, 2))
+    kmat = _gram(x, x, "gaussian", 1.0)
+    # n training points: the first n, and n of those off every fifth column
+    train = np.ones((2, x.shape[0]), dtype=bool)
+    train[0, n:] = False
+    train[1, ::5] = False
+    train[1, np.flatnonzero(train[1])[n:]] = False
+    assert train.sum(axis=1).tolist() == [n, n]
+    ub = 1.0 / (nu * n)
+    lam, grad = _ocsvm_start(kmat, train, np.full(2, ub))
+    for b in range(2):
+        assert abs(lam[b].sum() - 1.0) <= 1e-12
+        assert np.all(lam[b] >= 0.0) and np.all(lam[b] <= ub)
+        assert np.all(lam[b, ~train[b]] == 0.0)
+        assert np.count_nonzero(lam[b]) <= int(nu * n) + 1
+        assert np.max(np.abs(grad[b] - kmat @ lam[b])) <= 1e-12
 
 
 def test_ocsvm_masked_rows_match_lone_fits():

@@ -30,27 +30,25 @@ from .harness import (
     REPRODUCE_TARGETS,
     ResultTable,
     emit,
-    load,
     reproduce,
     run_experiment,
 )
 from .mlauth import (
     DistanceMetric,
     OcnnModel,
-    OcsvmModel,
+    KernelModel,
     binary_knn,
     binary_knn_tune,
     binary_svm_classify,
     binary_svm_train,
     featurize,
     kmeans_label,
-    llr_distance,
     ocnn_classify,
     ocnn_train,
     ocsvm_classify,
-    ocsvm_decision,
     ocsvm_train,
     ocsvm_train_cv,
+    svm_decision,
 )
 from .rng import Rng
 from .statdec import (

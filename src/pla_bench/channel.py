@@ -100,14 +100,6 @@ class ScenarioParams:
             **kwargs,
         )
 
-    @property
-    def snr_I_db(self) -> float:
-        return -10.0 * math.log10(self.sigma2_I) if self.sigma2_I > 0 else math.inf
-
-    @property
-    def snr_II_db(self) -> float:
-        return -10.0 * math.log10(self.sigma2_II) if self.sigma2_II > 0 else math.inf
-
 
 def complex_gaussian(rng: Rng, shape, variance=1.0) -> np.ndarray:
     """Circularly symmetric complex Gaussian, total variance per component."""

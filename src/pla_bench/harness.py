@@ -35,7 +35,7 @@ from .channel import (
     sample_channel,
     simulate_trials,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .mlauth import (
     OCNN_VARIANTS,
     DistanceMetric,
@@ -344,7 +344,7 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
         if kind == "binary_knn":
             k_sel = binary_knn_tune(x_tr, y_tr, rng.derive(3))
             trained["knn_k"] = k_sel
-            accept = lambda f: binary_knn(x_tr, y_tr, k_sel, f) == 1
+            accept = lambda f: binary_knn(x_tr, y_tr, k_sel, f)
         else:
             if kind == "kmeans_svm":
                 order = rng.derive(3).permutation(x_tr.shape[0])
@@ -362,13 +362,24 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
             sig = median_heuristic(x_tr)
             svm = binary_svm_train(x_tr, y_tr, c=1.0, sigma_svm=sig, kernel=defender.kernel)
             trained["svm_c"], trained["sigma_svm"] = 1.0, sig
-            accept = lambda f: binary_svm_classify(svm, f) == 1
+            accept = lambda f: binary_svm_classify(svm, f)
 
     train_seconds = time.perf_counter() - t0
 
     alice = alice_estimate_phase2(np.broadcast_to(h, (n_eval, n)), scn, r_eval)
     eve = _forged_packets(scn, attacker, h, r_eval, n_eval)
     return _shard_result(accept(featurize(alice)), accept(featurize(eve)), trained, train_seconds)
+
+
+def _addressed_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
+                     thresholds: tuple | None) -> dict:
+    """_run_shard, re-raising a ConfigError or NumericError as the same type
+    with the shard's (point, dataset) address and sweep point in front."""
+    try:
+        return _run_shard(config, point_idx, dataset_idx, point, thresholds)
+    except (ConfigError, NumericError) as exc:
+        where = ", ".join(f"{k}={v}" for k, v in point.items())
+        raise type(exc)(f"(point {point_idx}, dataset {dataset_idx}) {where}: {exc}") from exc
 
 
 def _shard_result(acc_a, acc_e, trained: dict, train_seconds: float) -> dict:
@@ -406,9 +417,6 @@ class ResultTable:
     columns: list
     rows: list  # list of dicts keyed by column
     meta: dict = field(default_factory=dict)
-
-    def column(self, name: str) -> list:
-        return [row.get(name) for row in self.rows]
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -495,9 +503,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
     if config.workers and config.workers > 1:
         with _worker_pool(config.workers) as pool:
-            shard_results = list(pool.map(_run_shard, *zip(*tasks), chunksize=1))
+            shard_results = list(pool.map(_addressed_shard, *zip(*tasks), chunksize=1))
     else:
-        shard_results = [_run_shard(*task) for task in tasks]
+        shard_results = [_addressed_shard(*task) for task in tasks]
 
     columns = list(_BASE_COLUMNS)
     if config.record_timing:
@@ -722,19 +730,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def emit(table: ResultTable, fmt: str, path) -> None:
     """Write the table as CSV or JSON with a stable column order."""
     if fmt == "csv":
@@ -760,21 +755,3 @@ def emit(table: ResultTable, fmt: str, path) -> None:
             fh.write("\n")
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-
-
-def load(path) -> ResultTable:
-    """Read back a table written by emit (format inferred from content)."""
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        rows = [{c: row.get(c) for c in doc["columns"] if row.get(c) is not None}
-                for row in doc["rows"]]
-        return ResultTable(columns=doc["columns"], rows=rows, meta=doc.get("meta", {}))
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    rows = []
-    for rec in reader:
-        row = {c: _parse_cell(v) for c, v in zip(header, rec)}
-        rows.append({k: v for k, v in row.items() if v is not None})
-    return ResultTable(columns=header, rows=rows, meta={})

@@ -9,7 +9,9 @@ features. All solvers here are written out in full (a pairwise-update
 dual solver, Lloyd iterations) because their exact decision geometry is
 what the benchmark measures. One dual solver serves both SVMs: it works on
 a batch of problems over one Gram matrix in lockstep, each with its own
-box bounds per coordinate and a fixed sum. One-class cross-validation
+box bounds per coordinate and a fixed sum. Both SVMs fit one KernelModel,
+read by one svm_decision, and every classifier returns a boolean accept
+mask, one entry per query row. One-class cross-validation
 solves every (nu, fold) problem of one kernel width in one call, each
 fold's validation points held at 0, to a KKT tolerance of 1e-4; a
 one-class fit (tolerance 1e-6) and the binary SVM are batches of one row.
@@ -85,27 +87,13 @@ def featurize(h_hat) -> np.ndarray:
     return out
 
 
-def llr_distance(a, b, sigma2_n) -> float | np.ndarray:
-    """Statistically weighted squared distance between feature vectors.
-
-    2 * sum_n (1/sigma_n^2) * ((dRe_n)^2 + (dIm_n)^2); sigma2_n has length N
-    (one entry per subcarrier, shared by its Re and Im features).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s2 = np.asarray(sigma2_n, dtype=float)
-    if np.any(s2 <= 0):
-        raise ConfigError("sigma2_n must be strictly positive")
-    w = np.repeat(2.0 / s2, 2)
-    d = a - b
-    return np.sum(w * d * d, axis=-1)
-
-
 @dataclass(frozen=True)
 class DistanceMetric:
-    """Either plain Euclidean distance or the weighted statistic above.
+    """Either plain Euclidean distance or the statistic Psi in feature space.
 
-    pairwise returns the plain distance for "euclidean" but the squared
+    "llr" is 2 * sum_n ((dRe_n)^2 + (dIm_n)^2) / sigma_n^2 with sigma2_n one
+    entry per subcarrier: statdec.llr_statistic between the complex rows.
+    pairwise returns the plain distance for "euclidean" but this squared
     weighted distance for "llr", while the one-class NN rules use one
     theta_d grid for both; so under "llr" the grid spans ratios of squared
     distances, and its top value is often the one picked.
@@ -261,17 +249,20 @@ def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float) -> np.nda
 
 
 @dataclass(frozen=True)
-class OcsvmModel:
+class KernelModel:
+    """Either SVM's decision function, sum_i lambdas_i k(support_i, x) + offset."""
+
     support: np.ndarray
     lambdas: np.ndarray
-    xi: float
-    nu: float
+    offset: float
     sigma_svm: float
     kernel: str = "gaussian"
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", np.atleast_2d(np.asarray(self.support, dtype=float)))
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
+
+def svm_decision(model: KernelModel, x) -> np.ndarray:
+    """Decision value of each query row; a positive value accepts."""
+    kq = _gram(np.asarray(x, dtype=float), model.support, model.kernel, model.sigma_svm)
+    return kq @ model.lambdas + model.offset
 
 
 _BOX = 1e-12
@@ -388,13 +379,13 @@ def ocsvm_train(
     sigma_svm: float,
     kernel: str = "gaussian",
     tol: float = 1e-6,
-) -> OcsvmModel:
+) -> KernelModel:
     """Pairwise-update solver for min 1/2 l^T K l, 0 <= l_i <= 1/(nu m), sum l = 1.
 
     At each step mass moves between the pair of coordinates that most
-    violates the KKT conditions; the offset xi is the mean decision value
-    over the margin support vectors. This is the one-row case of the
-    batched solver that ocsvm_train_cv runs.
+    violates the KKT conditions; the model's offset is -xi, with xi the
+    mean of K l over the margin support vectors. This is the one-row case
+    of the batched solver that ocsvm_train_cv runs.
     """
     x = np.atleast_2d(np.asarray(positives, dtype=float))
     m = x.shape[0]
@@ -408,21 +399,13 @@ def ocsvm_train(
     lam, _, xi = _ocsvm_solve(kmat, np.ones((1, m), dtype=bool),
                               np.array([1.0 / (nu * m)]), tol)
     keep = lam[0] > _BOX
-    return OcsvmModel(
-        support=x[keep], lambdas=lam[0, keep], xi=float(xi[0]), nu=nu,
-        sigma_svm=sigma_svm, kernel=kernel,
-    )
+    return KernelModel(support=x[keep], lambdas=lam[0, keep], offset=-float(xi[0]),
+                       sigma_svm=sigma_svm, kernel=kernel)
 
 
-def ocsvm_decision(model: OcsvmModel, x) -> np.ndarray:
-    """Decision value of each query row."""
-    q = np.asarray(x, dtype=float)
-    return _gram(q, model.support, model.kernel, model.sigma_svm) @ model.lambdas - model.xi
-
-
-def ocsvm_classify(model: OcsvmModel, x) -> np.ndarray:
+def ocsvm_classify(model: KernelModel, x) -> np.ndarray:
     """Accept each query row whose decision value is strictly positive."""
-    return ocsvm_decision(model, x) > 0
+    return svm_decision(model, x) > 0
 
 
 def median_heuristic(x) -> float:
@@ -444,7 +427,8 @@ def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str) -> np.ndarray:
     problem: they run as one lockstep batch, each fold's validation points
     masked out of its rows. Held-out positives are scored from the
     solver's gradient and negatives from one product with their kernel
-    block. A nu with nu * n_train < 1 on any fold scores -1.
+    block. A nu with nu * n_train < 1 on any fold scores -1; a grid with
+    no other nu raises ConfigError.
     """
     m = sel.shape[0]
     pos_slices = _fold_slices(m)
@@ -454,9 +438,10 @@ def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str) -> np.ndarray:
         held[f, s] = True
     n_train = m - held.sum(axis=1)
     fit = [a for a, nu in enumerate(nus) if np.all(nu * n_train >= 1.0)]
-    score = np.full((len(nus), len(sigmas)), -1.0)
     if not fit:
-        return score
+        raise ConfigError(f"no nu in the grid has nu * n_train >= 1 on every fold "
+                          f"({min(n_train)} training points in the smallest)")
+    score = np.full((len(nus), len(sigmas)), -1.0)
     # row k * _FOLDS + f solves nus[fit[k]] on fold f
     train = np.tile(~held, (len(fit), 1))
     ub = 1.0 / (np.repeat([nus[a] for a in fit], _FOLDS) * np.tile(n_train, len(fit)))
@@ -479,7 +464,7 @@ def ocsvm_train_cv(
     nus=(0.01, 0.02, 0.05, 0.1, 0.2),
     sigma_factors=(0.5, 1.0, 2.0),
     kernel: str = "gaussian",
-) -> tuple[OcsvmModel, float, float]:
+) -> tuple[KernelModel, float, float]:
     """Tune (nu, sigma_svm) by the same cross-validated score as ocnn_train.
 
     Selection solves every (nu, fold) problem of one kernel width as one
@@ -505,8 +490,8 @@ def ocsvm_train_cv(
 # binary baselines
 
 def binary_knn(train_x, train_y, k: int, query) -> np.ndarray:
-    """Majority vote (1 or 0) of each query row's k nearest labeled samples
-    by Euclidean distance; k must be odd."""
+    """Accept each query row whose k nearest labeled samples by Euclidean
+    distance are mostly positive; k must be odd."""
     if k % 2 == 0:
         raise ConfigError("k must be odd")
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
@@ -515,7 +500,7 @@ def binary_knn(train_x, train_y, k: int, query) -> np.ndarray:
         raise ConfigError("k exceeds the training size")
     d = DistanceMetric("euclidean").pairwise(np.asarray(query, dtype=float), x)
     votes = (y[_nearest(d, k)] > 0).sum(axis=1)
-    return np.where(votes * 2 > k, 1, 0)
+    return votes * 2 > k
 
 
 def binary_knn_tune(train_x, train_y, rng: Rng) -> int:
@@ -542,16 +527,6 @@ def binary_knn_tune(train_x, train_y, rng: Rng) -> int:
     return int(ks[np.argmax(score)])
 
 
-@dataclass(frozen=True)
-class BinarySvmModel:
-    support: np.ndarray
-    support_y: np.ndarray
-    alphas: np.ndarray
-    bias: float
-    sigma_svm: float
-    kernel: str = "gaussian"
-
-
 def binary_svm_train(
     train_x,
     train_y,
@@ -559,13 +534,14 @@ def binary_svm_train(
     sigma_svm: float = 1.0,
     kernel: str = "gaussian",
     tol: float = 1e-6,
-) -> BinarySvmModel:
+) -> KernelModel:
     """Soft-margin kernel SVM: the one-row case of the pairwise dual solver.
 
     It solves for beta = y * alpha, min 1/2 b^T K b - y^T b with sum b = 0
-    and 0 <= y_i b_i <= c, from b = 0. The bias is minus the mean of the
-    smallest gradient that may move up and the largest that may move down
-    when the solver stops.
+    and 0 <= y_i b_i <= c, from b = 0, and keeps beta as the model's
+    lambdas. The offset (bias) is minus the mean of the smallest gradient
+    that may move up and the largest that may move down when the solver
+    stops.
     Labels may be {0,1} or {-1,+1}; both classes must be present.
     """
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
@@ -579,20 +555,15 @@ def binary_svm_train(
     beta = np.zeros((1, x.shape[0]))
     b_up, b_lo = _dual_solve(kmat, beta, -y[None], np.where(y > 0, 0.0, -c)[None],
                              np.where(y > 0, c, 0.0)[None], tol)
-    alpha = np.abs(beta[0])
-    keep = alpha > _BOX
-    return BinarySvmModel(
-        support=x[keep], support_y=y[keep], alphas=alpha[keep],
-        bias=float(-0.5 * (b_up[0] + b_lo[0])),
-        sigma_svm=sigma_svm, kernel=kernel,
-    )
+    keep = np.abs(beta[0]) > _BOX
+    return KernelModel(support=x[keep], lambdas=beta[0, keep],
+                       offset=float(-0.5 * (b_up[0] + b_lo[0])),
+                       sigma_svm=sigma_svm, kernel=kernel)
 
 
-def binary_svm_classify(model: BinarySvmModel, query) -> np.ndarray:
-    """1 for each query row in the positive class, 0 for the negative."""
-    kq = _gram(np.asarray(query, dtype=float), model.support, model.kernel, model.sigma_svm)
-    f = kq @ (model.alphas * model.support_y) + model.bias
-    return (f > 0).astype(int)
+def binary_svm_classify(model: KernelModel, query) -> np.ndarray:
+    """Accept each query row on the positive side of the margin."""
+    return svm_decision(model, query) > 0
 
 
 # ---------------------------------------------------------------------------

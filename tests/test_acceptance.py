@@ -41,7 +41,6 @@ from pla_bench.mlauth import (
     OcnnModel,
     _gram,
     binary_svm_train,
-    llr_distance,
     median_heuristic,
     ocnn_classify,
     ocnn_train,
@@ -50,6 +49,7 @@ from pla_bench.mlauth import (
 from pla_bench.rng import Rng
 from pla_bench.statdec import (
     analytic_pfa_pmd,
+    llr_statistic,
     ncx2_cdf,
     ncx2_inv,
     noncentrality_beta,
@@ -406,7 +406,7 @@ def _binary_svm_oracle_gap(seed, m=6, c=1.0, steps=12):
     grid_max = float(w.max())
     model = binary_svm_train(x, y, c=c, sigma_svm=sig, tol=1e-10)
     a_full = np.zeros(m)
-    for row, a in zip(model.support, model.alphas):
+    for row, a in zip(model.support, np.abs(model.lambdas)):
         a_full[np.argmin(np.sum((x - row) ** 2, axis=1))] += a
     solver = float(a_full.sum() - 0.5 * a_full @ q @ a_full)
     return solver - grid_max
@@ -416,7 +416,8 @@ def _brute_ocnn(training, metric_kind, s2, j, k, theta_d, query):
     if metric_kind == "euclidean":
         dist = lambda u, v: float(np.linalg.norm(u - v))
     else:
-        dist = lambda u, v: float(llr_distance(u, v, s2))
+        dist = lambda u, v: float(
+            llr_statistic(u[0::2] + 1j * u[1::2], v[0::2] + 1j * v[1::2], s2))
     m = training.shape[0]
     d_q = sorted((dist(query, training[i]), i) for i in range(m))
     picked = d_q[:j]

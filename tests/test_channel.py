@@ -193,8 +193,6 @@ def test_from_snr_maps_db_to_variance():
     params = ScenarioParams.from_snr(1, 15.0, 20.0)
     assert params.sigma2_I == pytest.approx(10**-1.5)
     assert params.sigma2_II == pytest.approx(10**-2.0)
-    assert params.snr_I_db == pytest.approx(15.0)
-    assert params.snr_II_db == pytest.approx(20.0)
 
 
 def test_channel_functions_deterministic_under_seed():

@@ -6,8 +6,8 @@ from pla_bench.channel import ScenarioParams, bob_estimate_phase1, sample_channe
 from pla_bench.errors import ConfigError, NumericError
 from pla_bench.harness import AttackerSpec, _forged_packets
 from pla_bench.mlauth import (
-    BinarySvmModel,
     DistanceMetric,
+    KernelModel,
     OcnnModel,
     binary_knn,
     binary_knn_tune,
@@ -15,14 +15,13 @@ from pla_bench.mlauth import (
     binary_svm_train,
     featurize,
     kmeans_label,
-    llr_distance,
     median_heuristic,
     ocnn_classify,
     ocnn_train,
     ocsvm_classify,
-    ocsvm_decision,
     ocsvm_train,
     ocsvm_train_cv,
+    svm_decision,
 )
 from pla_bench.mlauth import (
     _THETA_GRID,
@@ -34,6 +33,7 @@ from pla_bench.mlauth import (
     _ocsvm_start,
 )
 from pla_bench.rng import Rng
+from pla_bench.statdec import llr_statistic
 
 # ---------------------------------------------------------------------------
 # features and metrics
@@ -57,27 +57,33 @@ def test_featurize_is_an_isometry():
     assert feature_sq == pytest.approx(complex_sq, rel=1e-14)
 
 
+def _llr_psi(u, v, s2):
+    """statdec's Psi between two feature vectors, read back as complex rows."""
+    return float(llr_statistic(u[0::2] + 1j * u[1::2], v[0::2] + 1j * v[1::2], s2))
+
+
 def test_llr_distance_zero_and_validation():
-    a = np.array([1.0, 2.0, 3.0, 4.0])
-    assert llr_distance(a, a, np.array([0.5, 0.5])) == 0.0
+    a = np.array([[1.0, 2.0, 3.0, 4.0]])
+    assert DistanceMetric("llr", np.array([0.5, 0.5])).pairwise(a, a)[0, 0] == 0.0
     with pytest.raises(ConfigError):
-        llr_distance(a, a, np.array([0.5, 0.0]))
+        DistanceMetric("llr", np.array([0.5, 0.0]))
 
 
 def test_llr_distance_with_sigma_two_is_squared_euclidean():
     # weights 2/sigma^2 collapse to one exactly
     rng = Rng(2)
-    a = rng.standard_normal(6)
-    b = rng.standard_normal(6)
-    got = llr_distance(a, b, np.full(3, 2.0))
+    a = rng.standard_normal((1, 6))
+    b = rng.standard_normal((1, 6))
+    got = DistanceMetric("llr", np.full(3, 2.0)).pairwise(a, b)[0, 0]
     assert got == pytest.approx(np.sum((a - b) ** 2), rel=1e-14)
 
 
 def test_llr_distance_hand_value():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 2.0])
+    a = np.array([[1.0, 0.0]])
+    b = np.array([[0.0, 2.0]])
     # single carrier with sigma^2 = 0.5: weight 4 on both features
-    assert llr_distance(a, b, np.array([0.5])) == pytest.approx(4.0 * (1.0 + 4.0))
+    got = DistanceMetric("llr", np.array([0.5])).pairwise(a, b)[0, 0]
+    assert got == pytest.approx(4.0 * (1.0 + 4.0))
 
 
 def test_distance_metric_pairwise_against_loops():
@@ -90,7 +96,7 @@ def test_distance_metric_pairwise_against_loops():
     for i in range(5):
         for j in range(7):
             assert euem[i, j] == pytest.approx(np.linalg.norm(a[i] - b[j]), rel=1e-12)
-            assert llrm[i, j] == pytest.approx(llr_distance(a[i], b[j], s2), rel=1e-12)
+            assert llrm[i, j] == pytest.approx(_llr_psi(a[i], b[j], s2), rel=1e-12)
 
 
 def test_distance_metric_validation():
@@ -161,7 +167,7 @@ def _brute_force_ocnn(training, metric_kind, s2, j, k, theta_d, query):
     if metric_kind == "euclidean":
         dist = lambda u, v: float(np.linalg.norm(u - v))
     else:
-        dist = lambda u, v: float(llr_distance(u, v, s2))
+        dist = lambda u, v: _llr_psi(u, v, s2)
     m = training.shape[0]
     d_q = sorted((dist(query, training[i]), i) for i in range(m))
     picked = d_q[:j]
@@ -272,7 +278,7 @@ def test_ocsvm_kkt_conditions():
         lam[i] += lv
     assert np.sum(lam) == pytest.approx(1.0, abs=1e-9)
     assert np.all(lam >= -1e-12) and np.all(lam <= ub + 1e-9)
-    f = ocsvm_decision(model, x)
+    f = svm_decision(model, x)
     margin = (lam > 1e-9) & (lam < ub - 1e-9)
     bound = lam >= ub - 1e-9
     zero = lam <= 1e-9
@@ -310,7 +316,7 @@ def test_ocsvm_classify_single_and_batch():
     assert batch.shape == (5,) and batch.dtype == bool
     assert np.array_equal(single, batch[:1])
     # strictly positive decision accepts, zero or negative rejects
-    f = ocsvm_decision(model, x[:5])
+    f = svm_decision(model, x[:5])
     assert np.array_equal(batch, f > 0)
 
 
@@ -332,7 +338,7 @@ def test_ocsvm_train_cv_grids_and_determinism():
     model, nu, sig = ocsvm_train_cv(pos, neg, Rng(24), nus=nus, sigma_factors=factors)
     assert nu in nus
     assert any(sig == pytest.approx(base * f) for f in factors)
-    assert model.nu == nu and model.sigma_svm == sig
+    assert model.sigma_svm == sig
     _, nu2, sig2 = ocsvm_train_cv(pos, neg, Rng(24), nus=nus, sigma_factors=factors)
     assert (nu, sig) == (nu2, sig2)
 
@@ -405,7 +411,7 @@ def test_ocsvm_cv_batch_matches_per_fold_loop(kernel):
     cands = [((ref[a, s], -n, -g), n, g) for a, n in enumerate(nus) for s, g in enumerate(sigmas)]
     _, ref_nu, ref_sig = max(cands, key=lambda c: c[0])
     assert (nu, sig) == (ref_nu, ref_sig)
-    assert (model.nu, model.sigma_svm, model.kernel) == (nu, sig, kernel)
+    assert (model.sigma_svm, model.kernel) == (sig, kernel)
 
 
 def _shard_training_set(rho_ae, seed, dataset):
@@ -475,10 +481,10 @@ def test_ocsvm_masked_rows_match_lone_fits():
         want[keep] = lone.lambdas
         assert np.all(lam[b, held[b]] == 0.0)
         assert np.max(np.abs(lam[b, train[b]] - want)) <= 1e-9
-        assert abs(xi[b] - lone.xi) <= 1e-9
+        assert abs(xi[b] + lone.offset) <= 1e-9
         # held-out columns of the gradient are the lone model's decision values
         f_held = grad[b, held[b]] - xi[b]
-        assert np.max(np.abs(f_held - ocsvm_decision(lone, x[held[b]]))) <= 1e-9
+        assert np.max(np.abs(f_held - svm_decision(lone, x[held[b]]))) <= 1e-9
 
 
 def test_ocsvm_nu_one_returns_the_uniform_point():
@@ -528,8 +534,7 @@ def test_binary_knn_matches_brute_force():
     for q, g in zip(queries, got):
         d = np.linalg.norm(x - q, axis=1)
         nearest = np.argsort(d)[:3]
-        want = int(np.sum(y[nearest]) * 2 > 3)
-        assert g == want
+        assert g == (np.sum(y[nearest]) * 2 > 3)
 
 
 def test_binary_knn_validation_and_single_query():
@@ -540,7 +545,7 @@ def test_binary_knn_validation_and_single_query():
     with pytest.raises(ConfigError):
         binary_knn(x, y, 7, np.zeros((1, 2)))
     # one query row gives one vote
-    assert binary_knn(x, y, 3, np.zeros((1, 2))).tolist() in ([0], [1])
+    assert binary_knn(x, y, 3, np.zeros((1, 2))).tolist() in ([False], [True])
 
 
 def test_binary_knn_tune_returns_odd_k_in_range():
@@ -566,8 +571,8 @@ def _per_k_knn_tune(x, y, rng):
             va = perm[s]
             tr = np.concatenate([perm[q] for i, q in enumerate(slices) if i != f])
             pred = binary_knn(x[tr], y[tr], k, x[va])
-            tpr = np.mean(pred[y[va] == 1] == 1)
-            tnr = np.mean(pred[y[va] == 0] == 0)
+            tpr = np.mean(pred[y[va] == 1])
+            tnr = np.mean(~pred[y[va] == 0])
             total += np.sqrt(tpr * tnr)
         if best is None or total > best[0]:
             best = (total, k)
@@ -649,10 +654,8 @@ def _scalar_binary_svm(x, y, c, sigma, tol=1e-6):
     b_up = float(np.min(np.where(up_mask, f_val, np.inf)))
     b_lo = float(np.max(np.where(lo_mask, f_val, -np.inf)))
     keep = alpha > box
-    return BinarySvmModel(
-        support=x[keep], support_y=y[keep], alphas=alpha[keep], bias=-0.5 * (b_up + b_lo),
-        sigma_svm=sigma,
-    )
+    return KernelModel(support=x[keep], lambdas=alpha[keep] * y[keep],
+                       offset=-0.5 * (b_up + b_lo), sigma_svm=sigma)
 
 
 def _harness_like_draw(seed, m):
@@ -683,7 +686,7 @@ def test_binary_svm_matches_scalar_reference(draw):
     sigma = median_heuristic(x)
     got = binary_svm_train(x, y, c=c, sigma_svm=sigma)
     ref = _scalar_binary_svm(x, y, c, sigma)
-    assert abs(got.bias - ref.bias) <= 1e-5
+    assert abs(got.offset - ref.offset) <= 1e-5
     assert np.array_equal(binary_svm_classify(got, queries), binary_svm_classify(ref, queries))
 
 
@@ -695,10 +698,11 @@ def test_binary_svm_separable_case():
     y = np.concatenate([np.ones(20, dtype=int), np.zeros(20, dtype=int)])
     model = binary_svm_train(x, y, c=10.0, sigma_svm=2.0)
     pred = binary_svm_classify(model, x)
-    assert np.array_equal(pred, y)
+    assert np.array_equal(pred, y == 1)
     # the dual equality constraint survives the support-vector pruning
-    assert abs(np.sum(model.alphas * model.support_y)) < 1e-8
-    assert np.all(model.alphas > 0) and np.all(model.alphas <= 10.0 + 1e-9)
+    assert abs(np.sum(model.lambdas)) < 1e-8
+    alpha = np.abs(model.lambdas)
+    assert np.all(alpha > 0) and np.all(alpha <= 10.0 + 1e-9)
 
 
 def test_binary_svm_label_conventions_agree():
@@ -726,8 +730,8 @@ def test_binary_svm_deterministic():
     y = (rng.uniform(size=30) > 0.5).astype(int)
     m1 = binary_svm_train(x, y, c=1.0, sigma_svm=1.0)
     m2 = binary_svm_train(x, y, c=1.0, sigma_svm=1.0)
-    assert np.array_equal(m1.alphas, m2.alphas)
-    assert m1.bias == m2.bias
+    assert np.array_equal(m1.lambdas, m2.lambdas)
+    assert m1.offset == m2.offset
 
 
 def test_binary_svm_classify_single():
@@ -736,7 +740,32 @@ def test_binary_svm_classify_single():
     y = (rng.uniform(size=20) > 0.5).astype(int)
     model = binary_svm_train(x, y, c=1.0, sigma_svm=1.0)
     # one query row gives one label
-    assert binary_svm_classify(model, x[:1]).tolist() in ([0], [1])
+    assert binary_svm_classify(model, x[:1]).tolist() in ([False], [True])
+
+
+def _accept_rules(x, y):
+    """Each learned classifier, trained on x, as a function of query rows."""
+    pos, neg = x[y == 1], x[y == 0]
+    ocnn = ocnn_train(pos, "1KNN", DistanceMetric("euclidean"), neg, Rng(0))
+    ocsvm = ocsvm_train(pos, 0.2, median_heuristic(pos))
+    svm = binary_svm_train(x, y, c=1.0, sigma_svm=1.0)
+    return {
+        "ocnn_classify": lambda q: ocnn_classify(ocnn, q),
+        "ocsvm_classify": lambda q: ocsvm_classify(ocsvm, q),
+        "binary_knn": lambda q: binary_knn(x, y, 3, q),
+        "binary_svm_classify": lambda q: binary_svm_classify(svm, q),
+    }
+
+
+@pytest.mark.parametrize("name", ["ocnn_classify", "ocsvm_classify", "binary_knn",
+                                  "binary_svm_classify"])
+@pytest.mark.parametrize("n_query", [1, 7])
+def test_classifiers_return_one_boolean_per_query_row(name, n_query):
+    rng = Rng(38)
+    x = np.concatenate([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 2.0])
+    y = np.concatenate([np.ones(30, dtype=int), np.zeros(30, dtype=int)])
+    got = _accept_rules(x, y)[name](rng.standard_normal((n_query, 2)) + 1.0)
+    assert got.dtype == bool and got.shape == (n_query,)
 
 
 # ---------------------------------------------------------------------------

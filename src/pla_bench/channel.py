@@ -170,7 +170,7 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
     a genuine packet, which keeps the closed-form error rates exact for
     every alpha_II. Phase "I" models forged packets injected during
     enrollment, as used by the ideal-knowledge bound; they draw noise only,
-    since every target that draws them has alpha_I = 1.
+    since ExperimentConfig rejects alpha_I != 1 for every kind that draws them.
     """
     g = np.asarray(g, dtype=complex)
     if phase == "II":

@@ -5,7 +5,7 @@ defender per sweep point and dataset, classifies phase-II packet streams
 from the legitimate transmitter and the attacker, and aggregates
 confusion counts into a ResultTable. Everything is deterministic given
 the seed: each (sweep point, dataset) shard derives its own generator
-stream, and reduction happens in task order, so results are
+stream, and reduction happens in plan order, so results are
 byte-identical no matter how many workers run.
 
 The ``reproduce`` entry point runs named targets (table1..table5,
@@ -13,7 +13,7 @@ fig1..fig10) at desk scale; each sweep target is one entry of ``_TARGETS``.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 import csv
 import io
@@ -155,6 +155,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(v))
         for point in self.sweep_points():
             ScenarioParams.from_snr(**point)  # rejects a bad point before any shard runs
+        if self.defender.kind in ("ideal", "binary_knn", "binary_svm", "kmeans_svm") and any(
+                a != 1.0 for a in self.alpha_I):  # their phase-I forgeries carry no alpha_I fade
+            raise ConfigError(f"defender {self.defender.kind!r} draws phase-I forgeries, "
+                              "which need alpha_I = 1")
         if self.n_trials < 1_000:
             raise ConfigError("n_trials must be at least 1000")
         if self.n_datasets < 1:
@@ -258,20 +262,16 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
 # shard execution
 
 def _point_thresholds(config: ExperimentConfig, p_idx: int, scn: ScenarioParams,
-                      target: float | None):
-    """The (theta, epsilon) every dataset of one sweep point shares.
+                      target: float) -> tuple:
+    """The (theta, epsilon) every dataset of one sweep point of an llr or
+    combined test shares (the ideal bound calibrates per shard).
 
     llr takes the analytic theta and no modulus condition. combined is
     calibrated by Monte Carlo, and falls back to an analytic split of the
     target between the two conditions when the budget cannot resolve it.
-    The ideal bound calibrates per shard and learned defenders train, so
-    they share none (None).
     """
-    kind = config.defender.kind
-    if kind == "llr":
+    if config.defender.kind == "llr":
         return ncx2_inv(1.0 - target, 2 * scn.n_subcarriers, nominal_mu(scn)), None
-    if kind != "combined":
-        return None
     rng = Rng(config.seed).derive(p_idx, 1_000_000)
     if target * config.calibration_trials >= 100:
         thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
@@ -372,7 +372,7 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
 
 
 def _addressed_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
-                     thresholds: tuple | None) -> dict:
+                     thresholds: tuple | None = None) -> dict:
     """_run_shard, re-raising a ConfigError or NumericError as the same type
     with the shard's (point, dataset) address and sweep point in front."""
     try:
@@ -491,28 +491,68 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas)
 
 
+def _run_pooled(tasks: dict, workers: int) -> dict:
+    """The result of every task of run_plan, from one pool of ``workers`` processes.
+
+    Submitted in a fixed order: threshold calibrations, then the shards that
+    need none (nearly all the work), then the rest, each in plan order. With
+    one task per worker in flight, no task after a failure in plan order
+    starts, and the first failure in plan order is raised, as in serial runs.
+    """
+    queue = sorted(tasks, key=lambda key: (2 if tasks[key][2] else key[1], key))
+    done, busy = {}, {}
+    with _worker_pool(workers) as pool:
+        while queue or busy:
+            while queue and len(busy) < workers:
+                fn, args, deps = tasks[queue[0]]
+                if any(key < queue[0] and f.exception() for key, f in done.items()):
+                    queue.pop(0)
+                elif all(d in done for d in deps):
+                    busy[pool.submit(fn, *args, *(done[d].result() for d in deps))] = queue.pop(0)
+                else:
+                    break  # its point's thresholds are still being computed
+            for future in wait(busy, return_when=FIRST_COMPLETED).done:
+                done[busy.pop(future)] = future
+    return {key: done[key].result() for key in sorted(done)}
+
+
+def run_plan(configs: list, workers: int | None) -> list:
+    """One ResultTable per config, from one process pool when ``workers`` > 1
+    and in the calling process otherwise; the same tables either way."""
+    _check_workers(workers)
+    # plan-order key -> (function, arguments, keys of the results it takes after them);
+    # a point's shared thresholds are (config, 0, point, 0), a shard (config, 1, point, dataset)
+    tasks = {}
+    for c_idx, config in enumerate(configs):
+        shared = config.defender.kind in ("llr", "combined")  # one (theta, epsilon) per point
+        for p_idx, point in enumerate(config.sweep_points()):
+            if shared:
+                tasks[c_idx, 0, p_idx, 0] = (_point_thresholds, (
+                    config, p_idx, ScenarioParams.from_snr(**point), config.target_for(point)), ())
+            for d_idx in range(config.n_datasets):
+                tasks[c_idx, 1, p_idx, d_idx] = (_addressed_shard, (config, p_idx, d_idx, point),
+                                                 ((c_idx, 0, p_idx, 0),) if shared else ())
+    results = _run_pooled(tasks, workers) if workers and workers > 1 else {}
+    for key in sorted(tasks.keys() - results.keys()):  # a serial run's tasks, in plan order
+        fn, args, deps = tasks[key]
+        results[key] = fn(*args, *(results[d] for d in deps))
+    return [_result_table(config, [results[key] for key in sorted(tasks) if key[:2] == (c_idx, 1)])
+            for c_idx, config in enumerate(configs)]
+
+
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Execute the full sweep and aggregate per-point confusion counts."""
-    points = list(config.sweep_points())
-    n_data = config.n_datasets
-    tasks = []
-    for p_idx, point in enumerate(points):
-        thresholds = _point_thresholds(config, p_idx, ScenarioParams.from_snr(**point),
-                                       config.target_for(point))
-        tasks += [(config, p_idx, d_idx, point, thresholds) for d_idx in range(n_data)]
+    return run_plan([config], config.workers)[0]
 
-    if config.workers and config.workers > 1:
-        with _worker_pool(config.workers) as pool:
-            shard_results = list(pool.map(_addressed_shard, *zip(*tasks), chunksize=1))
-    else:
-        shard_results = [_addressed_shard(*task) for task in tasks]
 
+def _result_table(config: ExperimentConfig, shard_results: list) -> ResultTable:
+    """The table of one config from its shard results in plan order."""
     columns = list(_BASE_COLUMNS)
     if config.record_timing:
         columns.append("train_seconds")
     rows = []
-    for p_idx, point in enumerate(points):
-        shards = shard_results[p_idx * n_data:(p_idx + 1) * n_data]
+    for p_idx, point in enumerate(config.sweep_points()):
+        shards = shard_results[p_idx * config.n_datasets:(p_idx + 1) * config.n_datasets]
         tp, fn, fp, tn = (sum(r[c] for r in shards) for c in ("tp", "fn", "fp", "tn"))
         n_alice = tp + fn
         n_eve = fp + tn
@@ -713,7 +753,7 @@ def reproduce(target: str, scale: float = 1.0, seed: int = 42,
     if target in _SEARCH_TARGETS:
         table = _SEARCH_TARGETS[target](scale, seed)
     else:
-        tables = [run_experiment(c) for c in _target_configs(target, scale, seed, workers)]
+        tables = run_plan(_target_configs(target, scale, seed, workers), workers)
         table = ResultTable(columns=tables[0].columns, rows=[r for t in tables for r in t.rows])
     table.meta = {"target": target, "seed": seed, "scale": scale}
     return table

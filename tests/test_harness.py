@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 from importlib import resources
 
 import jsonschema
@@ -117,6 +118,8 @@ class _PoolStarted(Exception):
     ("ocnn", "defender.variant = 2NN"),
     # below 1/400,000 the ideal bound's calibration cannot resolve the target
     ("ideal", "target_pfa = 1e-6"),
+    # phase-I forgeries carry no alpha_I fade
+    ("binary_knn", "alpha_I = 0.8"),
 ])
 def test_run_rejects_a_bad_config_before_starting_the_pool(monkeypatch, tmp_path, kind,
                                                            bad_line):
@@ -154,6 +157,37 @@ def test_failing_shard_keeps_its_error_type(monkeypatch):
                            n_trials=1000, n_datasets=1)
     with pytest.raises(NumericError, match=r"^\(point 0, dataset 0\) .*iteration cap$"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("kind", ["binary_knn", "binary_svm", "kmeans_svm", "ideal"])
+def test_phase_i_forgery_kinds_reject_alpha_i_below_one(kind):
+    # forged_observation(phase="I") draws noise only, with no alpha_I fade,
+    # so these kinds would fade the genuine phase-I estimates but not the forged ones
+    target = 0.01 if kind == "ideal" else None
+    with pytest.raises(ConfigError, match=f"{kind}.*alpha_I = 1"):
+        ExperimentConfig(defender=DefenderSpec(kind), alpha_I=(1.0, 0.8), target_pfa=target)
+    ExperimentConfig(defender=DefenderSpec(kind), alpha_I=(1.0,), target_pfa=target)
+    # the one-class defenders draw no phase-I forgeries (fig2 runs ocnn at alpha_I = 0.8)
+    ExperimentConfig(defender=DefenderSpec("ocnn"), alpha_I=(0.8,))
+
+
+def test_pooled_plan_stops_at_its_first_failing_shard(monkeypatch, tmp_path):
+    # a pool worker inherits the patched trainer only when it is forked
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked on this platform")
+    log = tmp_path / "trained.txt"
+
+    def diverge(x, variant, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(variant + "\n")
+        raise NumericError("trainer diverged")
+
+    monkeypatch.setattr(harness, "ocnn_train", diverge)
+    # table2's first config is ocnn-11NN; every later ocnn config would fail too
+    with pytest.raises(NumericError, match=r"^\(point 0, dataset 0\) n_subcarriers=3, .*diverged$"):
+        reproduce("table2", scale=0.05, seed=42, workers=2)
+    assert set(log.read_text().split()) == {"11NN"}
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -400,6 +434,22 @@ def test_pool_workers_run_single_threaded_blas():
         assert pool.submit(_openblas_threads).result(timeout=60) == [1] * len(parent)
 
 
+def test_one_pool_per_pooled_call_and_same_bytes(monkeypatch, tmp_path):
+    pools = []
+    start_pool = harness._worker_pool
+    monkeypatch.setattr(harness, "_worker_pool", lambda w: pools.append(w) or start_pool(w))
+    paths = []
+    for workers in (1, 2):
+        # 20 configs of ocnn and binary_knn shards
+        paths.append(tmp_path / f"table2-{workers}.csv")
+        emit(reproduce("table2", scale=0.05, seed=42, workers=workers), "csv", paths[-1])
+        assert pools == [2] * (workers - 1)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    run_experiment(_tiny_llr_config(workers=1))
+    run_experiment(_tiny_llr_config(n_subcarriers=(1, 2), workers=2))
+    assert pools == [2, 2]
+
+
 def test_pooled_run_keeps_the_callers_blas_threads():
     before = _openblas_threads()
     if not before:
@@ -510,7 +560,7 @@ def test_reproduce_targets_listed():
     assert len(REPRODUCE_TARGETS) == len(set(REPRODUCE_TARGETS))
 
 
-# Digest of repr(configs) that each sweep target hands to run_experiment at
+# Digest of repr(configs) that each sweep target hands to run_plan at
 # seed 42 and 2 workers, for scales 1.0 and 0.05. A change to a target's
 # plan (a sweep value, trial count, defender or its order) changes these,
 # and so does adding or deleting a field of the config dataclasses.
@@ -549,11 +599,12 @@ _TARGET_PLAN_DIGESTS = {
 def test_reproduce_target_plans_are_pinned(monkeypatch, target, scale):
     configs = []
 
-    def record(config):
-        configs.append(config)
-        return ResultTable(columns=list(_BASE_COLUMNS), rows=[], meta={})
+    def record(plan, workers):
+        assert workers == 2
+        configs.extend(plan)
+        return [ResultTable(columns=list(_BASE_COLUMNS), rows=[], meta={}) for _ in plan]
 
-    monkeypatch.setattr(harness, "run_experiment", record)
+    monkeypatch.setattr(harness, "run_plan", record)
     table = reproduce(target, scale=scale, seed=42, workers=2)
     assert table.meta == {"target": target, "seed": 42, "scale": scale}
     assert all(isinstance(c, ExperimentConfig) for c in configs) and configs

@@ -44,7 +44,7 @@ from .mlauth import (
     binary_svm_classify,
     binary_svm_train,
     featurize,
-    kmeans_label,
+    kmeans_oracle_labels,
     median_heuristic,
     ocnn_classify,
     ocnn_train,
@@ -166,8 +166,6 @@ class ExperimentConfig:
         if self.calibration_trials < 1:
             raise ConfigError("calibration_trials must be at least 1")
         _check_workers(self.workers)
-        if self.defender.kind in STAT_DEFENDERS and self.target_pfa is None:
-            raise ConfigError(f"defender {self.defender.kind!r} requires target_pfa")
         if isinstance(self.target_pfa, (tuple, list)):
             if len(self.target_pfa) != len(self.n_subcarriers):
                 raise ConfigError("per-N target_pfa must align with n_subcarriers")
@@ -177,6 +175,10 @@ class ExperimentConfig:
         targets = self.target_pfa if isinstance(self.target_pfa, tuple) else (self.target_pfa,)
         if any(t is not None and not 0.0 < t < 1.0 for t in targets):
             raise ConfigError("target_pfa must lie in (0, 1)")
+        # a statistical test is calibrated to its target; a learned defender's tuning sets its own
+        if (self.target_pfa is None) == (self.defender.kind in STAT_DEFENDERS):
+            verb = "requires" if self.target_pfa is None else "takes no"
+            raise ConfigError(f"defender {self.defender.kind!r} {verb} target_pfa")
         if self.defender.kind == "ideal":
             for t in targets:
                 _ideal_calibration_size(t)  # rejects a target no shard could calibrate
@@ -246,8 +248,11 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
 
     Every trial is a fresh universe: the verifier holds an enrollment
     reference of the genuine channel and one of the adversary's forgery,
-    and scores phase-II packets against both. Both hypotheses' variance is
-    sigma2_I + sigma2_II.
+    and scores phase-II packets against both. Both distances are weighted
+    by sigma2_I + sigma2_II, E|alice - ref|^2 per carrier under H0 at
+    alpha_II = 1 only; H1 is wider (its two forgeries are independent). So
+    this is a valid test with an empirical threshold, not the
+    Neyman-Pearson test of its own model.
     """
     s2 = scn.sigma2_I + scn.sigma2_II
     h = sample_channel(scn, rng, size=n)
@@ -297,7 +302,6 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     n_eval = math.ceil(config.n_trials / config.n_datasets)
     rng = Rng(config.seed).derive(point_idx, dataset_idx)
     scn = ScenarioParams.from_snr(**point)
-    n = scn.n_subcarriers
     kind = defender.kind
     r_eval = rng.derive(9)
     t0 = time.perf_counter()
@@ -318,55 +322,42 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
                              {"theta": theta, "epsilon": eps}, 0.0)
 
     # learned defenders: one model per dataset on a fixed channel
-    trained: dict = {}
     h = sample_channel(scn, rng.derive(0))
-    train_pos = bob_estimate_phase1(np.broadcast_to(h, (scn.m_training, n)), scn, rng.derive(1))
+    pos = featurize(bob_estimate_phase1(
+        np.broadcast_to(h, (scn.m_training, h.size)), scn, rng.derive(1)))
     if kind in ("ocnn", "ocsvm"):
-        negatives = featurize(_forged_packets(scn, attacker, h, rng.derive(2), scn.m_training))
-        metric = (DistanceMetric("llr", per_dim_variance(scn))
-                  if defender.metric == "llr" else DistanceMetric("euclidean"))
-        if kind == "ocnn":
-            model = ocnn_train(featurize(train_pos), defender.variant, metric, negatives,
-                               rng.derive(3))
-            trained.update(j=model.j, k=model.k, theta_d=model.theta_d)
-            accept = lambda f: ocnn_classify(model, f)
-        else:
-            model, nu, sig = ocsvm_train_cv(
-                featurize(train_pos), negatives, rng.derive(3), kernel=defender.kernel)
-            trained.update(nu=nu, sigma_svm=sig)
-            accept = lambda f: ocsvm_classify(model, f)
+        # fit on m estimates; m phase-II forgeries only score the cross-validation
+        neg = featurize(_forged_packets(scn, attacker, h, rng.derive(2), scn.m_training))
     else:
+        # m/2 estimates labelled 1 and m/2 phase-I forgeries labelled 0
         m_half = scn.m_training // 2
-        pos = featurize(train_pos[:m_half])
         neg = featurize(_forged_packets(scn, attacker, h, rng.derive(2), m_half, phase="I"))
-        x_tr = np.vstack([pos, neg])
-        y_tr = np.concatenate([np.ones(m_half, dtype=int), np.zeros(m_half, dtype=int)])
-        if kind == "binary_knn":
-            k_sel = binary_knn_tune(x_tr, y_tr, rng.derive(3))
-            trained["knn_k"] = k_sel
-            accept = lambda f: binary_knn(x_tr, y_tr, k_sel, f)
-        else:
-            if kind == "kmeans_svm":
-                order = rng.derive(3).permutation(x_tr.shape[0])
-                x_mix, y_true = x_tr[order], y_tr[order]
-                km = kmeans_label(x_mix, 2, 50, rng.derive(4))
-                # evaluation-side cluster-to-class assignment by majority
-                match0 = np.mean(y_true[km.labels == 0]) if (km.labels == 0).any() else 0.0
-                match1 = np.mean(y_true[km.labels == 1]) if (km.labels == 1).any() else 0.0
-                alice_cluster = 0 if match0 >= match1 else 1
-                x_tr = x_mix
-                y_tr = (km.labels == alice_cluster).astype(int)
-                if y_tr.all() or not y_tr.any():
-                    # clustering collapsed; fall back to a coin-split
-                    y_tr = (np.arange(x_tr.shape[0]) % 2).astype(int)
-            sig = median_heuristic(x_tr)
-            svm = binary_svm_train(x_tr, y_tr, c=1.0, sigma_svm=sig, kernel=defender.kernel)
-            trained["svm_c"], trained["sigma_svm"] = 1.0, sig
-            accept = lambda f: binary_svm_classify(svm, f)
+        x_tr, y_tr = np.vstack([pos[:m_half], neg]), np.repeat([1, 0], m_half)
+        if kind == "kmeans_svm":  # the same set shuffled, labelled by k-means instead
+            order = rng.derive(3).permutation(len(y_tr))
+            x_tr, y_tr = x_tr[order], kmeans_oracle_labels(x_tr[order], y_tr[order], rng.derive(4))
+    if kind == "ocnn":
+        metric = DistanceMetric(defender.metric, per_dim_variance(scn))
+        model = ocnn_train(pos, defender.variant, metric, neg, rng.derive(3))
+        trained = {"j": model.j, "k": model.k, "theta_d": model.theta_d}
+        accept = lambda f: ocnn_classify(model, f)
+    elif kind == "ocsvm":
+        model, nu, sig = ocsvm_train_cv(pos, neg, rng.derive(3), kernel=defender.kernel)
+        trained = {"nu": nu, "sigma_svm": sig}
+        accept = lambda f: ocsvm_classify(model, f)
+    elif kind == "binary_knn":
+        k_sel = binary_knn_tune(x_tr, y_tr, rng.derive(3))
+        trained = {"knn_k": k_sel}
+        accept = lambda f: binary_knn(x_tr, y_tr, k_sel, f)
+    else:
+        sig = median_heuristic(x_tr)
+        model = binary_svm_train(x_tr, y_tr, c=1.0, sigma_svm=sig, kernel=defender.kernel)
+        trained = {"svm_c": 1.0, "sigma_svm": sig}
+        accept = lambda f: binary_svm_classify(model, f)
 
     train_seconds = time.perf_counter() - t0
 
-    alice = alice_estimate_phase2(np.broadcast_to(h, (n_eval, n)), scn, r_eval)
+    alice = alice_estimate_phase2(np.broadcast_to(h, (n_eval, h.size)), scn, r_eval)
     eve = _forged_packets(scn, attacker, h, r_eval, n_eval)
     return _shard_result(accept(featurize(alice)), accept(featurize(eve)), trained, train_seconds)
 
@@ -435,10 +426,7 @@ def _dataset_se(per_dataset: list, pooled_p: float, n_total: int) -> float:
 
 def _median_or_none(values: list):
     vals = [v for v in values if v is not None]
-    if not vals:
-        return None
-    med = float(np.median(np.asarray(vals, dtype=float)))
-    return med
+    return float(np.median(np.asarray(vals, dtype=float))) if vals else None
 
 
 def _openblas_entry_points(stem: str) -> list:
@@ -778,9 +766,8 @@ def emit(table: ResultTable, fmt: str, path) -> None:
         writer.writerow(table.columns)
         for row in table.rows:
             writer.writerow([_format_cell(row.get(c)) for c in table.columns])
-        data = buf.getvalue()
         with open(path, "w", newline="") as fh:
-            fh.write(data)
+            fh.write(buf.getvalue())
     elif fmt == "json":
         doc = {
             "meta": {k: table.meta[k] for k in sorted(table.meta)},

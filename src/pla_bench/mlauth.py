@@ -47,6 +47,7 @@ _NEIGHBOR_CAP = 30
 _CV_TOL = 1e-4  # one-class SVM solver tolerance while scoring candidates
 _POLY_DEGREE = 3  # degree of the "poly" kernel
 _MEDIAN_CAP = 256  # sample size of median_heuristic
+_KMEANS_STARTS = 50  # random starts of kmeans_oracle_labels
 
 
 def _fold_slices(n: int):
@@ -613,3 +614,14 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
         if best is None or wcss < best.wcss:
             best = KmeansResult(labels=labels, wcss=wcss)
     return best
+
+
+def kmeans_oracle_labels(samples, true_labels, rng: Rng) -> np.ndarray:
+    """0/1 labels of a two-cluster kmeans_label: 1 on the cluster whose true
+    labels have the larger mean (cluster 0 on a tie), an oracle no unlabelled
+    setting has; a coin-split, 0, 1, 0, 1, ..., when one cluster takes all."""
+    labels = kmeans_label(samples, 2, _KMEANS_STARTS, rng).labels
+    if labels.min() == labels.max():
+        return np.arange(labels.size) % 2
+    share = [np.mean(np.asarray(true_labels)[labels == c]) for c in (0, 1)]
+    return (labels == int(share[1] > share[0])).astype(int)

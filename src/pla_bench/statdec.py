@@ -372,8 +372,8 @@ def optimize_thresholds(
 def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
-    Both hypotheses have per-dimension variance sigma2. Accept when the
-    value does not exceed the calibrated threshold.
+    Both distances share one sigma2, which fits H0 only (harness._ideal_psi),
+    so this is no Neyman-Pearson statistic. Accept at or below a threshold.
     """
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)

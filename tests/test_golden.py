@@ -1,0 +1,53 @@
+"""The golden-table comparison flags what CI must flag and passes round-off.
+
+``golden/compare.py`` regenerates every ``reproduce`` table, which takes
+about half a minute, so CI runs it as its own step; these tests check only
+its cell rules, on a committed golden table.
+"""
+import csv
+import importlib.util
+import io
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def _compare_module():
+    spec = importlib.util.spec_from_file_location("golden_compare", GOLDEN / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _with_cell(text: str, row: int, column: str, value: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    rows[row + 1][rows[0].index(column)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_every_reproduce_target_has_a_golden_table():
+    from pla_bench.harness import REPRODUCE_TARGETS
+
+    assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == sorted(REPRODUCE_TARGETS)
+    assert "train_seconds" not in (GOLDEN / "fig2.csv").read_text().splitlines()[0]
+
+
+def test_compare_rules():
+    compare = _compare_module().compare
+    text = (GOLDEN / "table4.csv").read_text()
+    assert compare(text, text) == (True, ["identical bytes"])
+    row = next(csv.DictReader(io.StringIO(text)))
+    theta, fp, n_eve = float(row["theta"]), int(row["fp"]), int(row["n_eve"])
+    ok, lines = compare(text, _with_cell(text, 0, "theta", repr(theta * (1 + 1e-12))))
+    assert ok and lines[-1].startswith("equal within")
+    assert not compare(text, _with_cell(text, 0, "theta", repr(theta * (1 + 1e-6))))[0]
+    # one more missed detection: refused, and reported in units of se_pmd
+    moved = _with_cell(_with_cell(text, 0, "fp", str(fp + 1)), 0, "p_md", repr((fp + 1) / n_eve))
+    ok, lines = compare(text, moved)
+    units = (1 / n_eve) / float(row["se_pmd"])
+    assert not ok and lines == [f"row 0: |dp_fa|/se 0.00; |dp_md|/se {units:.2f}; "
+                                f"fp {fp} -> {fp + 1}; p_md {row['p_md']} -> {(fp + 1) / n_eve!r}"]
+    assert not compare(text, text + text.splitlines(keepends=True)[1])[0]
+    assert not compare(text, _with_cell(text, 0, "defender", "llr2"))[0]

@@ -120,6 +120,8 @@ class _PoolStarted(Exception):
     ("ideal", "target_pfa = 1e-6"),
     # phase-I forgeries carry no alpha_I fade
     ("binary_knn", "alpha_I = 0.8"),
+    # a learned defender's tuning sets its own false-alarm rate
+    ("ocnn", "target_pfa = 1e-3"),
 ])
 def test_run_rejects_a_bad_config_before_starting_the_pool(monkeypatch, tmp_path, kind,
                                                            bad_line):

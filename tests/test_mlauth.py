@@ -15,6 +15,7 @@ from pla_bench.mlauth import (
     binary_svm_train,
     featurize,
     kmeans_label,
+    kmeans_oracle_labels,
     median_heuristic,
     ocnn_classify,
     ocnn_train,
@@ -24,6 +25,7 @@ from pla_bench.mlauth import (
     svm_decision,
 )
 from pla_bench.mlauth import (
+    _KMEANS_STARTS,
     _THETA_GRID,
     _dual_solve,
     _fold_slices,
@@ -815,3 +817,37 @@ def test_kmeans_deterministic():
     b = kmeans_label(x, 3, 2, Rng(47))
     assert np.array_equal(a.labels, b.labels)
     assert a.wcss == b.wcss
+
+
+def _two_blobs(seed):
+    rng = Rng(seed)
+    return np.concatenate([rng.standard_normal((20, 2)) * 0.2,
+                           rng.standard_normal((20, 2)) * 0.2 + 10.0])
+
+
+@pytest.mark.parametrize("positive_blob", [0, 1])
+def test_kmeans_oracle_labels_map_the_purer_cluster_to_1(positive_blob):
+    x = _two_blobs(48)
+    y = np.zeros(40, dtype=int)
+    pos = slice(0, 20) if positive_blob == 0 else slice(20, 40)
+    y[pos] = 1
+    y[pos.start] = 0  # a mislabelled point does not move the map
+    want = np.zeros(40, dtype=int)
+    want[pos] = 1
+    assert np.array_equal(kmeans_oracle_labels(x, y, Rng(49)), want)
+
+
+def test_kmeans_oracle_labels_tie_goes_to_cluster_0():
+    x = _two_blobs(50)
+    y = np.tile([1, 0], 20)  # each blob holds as many positives as negatives
+    clusters = kmeans_label(x, 2, _KMEANS_STARTS, Rng(51)).labels
+    assert set(clusters[:20]) != set(clusters[20:])
+    assert np.array_equal(kmeans_oracle_labels(x, y, Rng(51)), (clusters == 0).astype(int))
+
+
+def test_kmeans_oracle_labels_coin_split_when_one_cluster_takes_all():
+    # identical points: the final assignment puts every point in cluster 0
+    x = np.ones((7, 2))
+    assert not kmeans_label(x, 2, _KMEANS_STARTS, Rng(52)).labels.any()
+    y = np.array([1, 1, 1, 1, 0, 0, 0])
+    assert np.array_equal(kmeans_oracle_labels(x, y, Rng(52)), [0, 1, 0, 1, 0, 1, 0])

@@ -13,6 +13,12 @@ Gauss-Markov fade with per-subcarrier coefficients ``alpha_I``/``alpha_II``.
 The adversary sees spatially correlated versions of the legitimate link,
 with correlations ``rho_AE`` and ``rho_EB`` sharing a common innovation
 term per observation.
+
+The draw contract: a complex draw takes all its real parts, then all its
+imaginary parts, from the stream. A term whose weight is zero (the fade
+at alpha = 1, the adversary's noise at zero variance) is still drawn, so
+every later draw stays where it was, but it is never built: the stream
+is only advanced past it.
 """
 from __future__ import annotations
 
@@ -102,11 +108,42 @@ class ScenarioParams:
 
 
 def complex_gaussian(rng: Rng, shape, variance=1.0) -> np.ndarray:
-    """Circularly symmetric complex Gaussian, total variance per component."""
+    """Circularly symmetric complex Gaussian, total variance per component.
+
+    All real parts are drawn first, then all imaginary parts, each scaled
+    straight into the result.
+    """
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    out = np.empty(shape, dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(shape), scale, out=part)
+    return out
+
+
+# normals drawn per call while skipping past a draw nobody reads
+_SKIP_CHUNK = 1 << 16
+
+
+def _skip_complex_gaussian(rng: Rng, shape) -> None:
+    """Advance ``rng`` exactly as ``complex_gaussian(rng, shape)`` would, in
+    bounded chunks, keeping none of the normals."""
+    left = 2 * int(np.prod(shape))
+    while left > 0:
+        rng.standard_normal(min(left, _SKIP_CHUNK))
+        left -= _SKIP_CHUNK
+
+
+def _add_complex_gaussian(acc: ChannelVector, rng: Rng, variance) -> None:
+    """``acc += complex_gaussian(rng, acc.shape, variance)`` in place, one part
+    at a time; at zero variance the draw is skipped past, never built."""
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    if not scale.any():
+        _skip_complex_gaussian(rng, acc.shape)
+        return
+    for part in (acc.real, acc.imag):
+        x = rng.standard_normal(acc.shape)
+        x *= scale
+        part += x
 
 
 def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) -> ChannelVector:
@@ -117,14 +154,21 @@ def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) ->
 
 def _cross_epoch(mean: ChannelVector, alpha, noise_var: float, params: ScenarioParams,
                  rng: Rng) -> ChannelVector:
-    """The epoch-crossing law: mean + sqrt(1 - alpha^2) * fade + noise.
+    """The epoch-crossing law: (mean + sqrt(1 - alpha^2) * fade) + noise.
 
     The fade is drawn first, then the estimation noise, both of the mean's
-    shape.
+    shape. A fade whose every weight is zero (alpha = 1) is skipped past.
     """
-    fade = complex_gaussian(rng, mean.shape, params.power_delay)
-    noise = complex_gaussian(rng, mean.shape, noise_var)
-    return mean + np.sqrt(1.0 - alpha**2) * fade + noise
+    keep = np.sqrt(1.0 - alpha**2)
+    if keep.any():
+        out = complex_gaussian(rng, mean.shape, params.power_delay)
+        out *= keep
+        out += mean
+    else:
+        _skip_complex_gaussian(rng, mean.shape)
+        out = np.array(mean, dtype=complex, order="C")
+    _add_complex_gaussian(out, rng, noise_var)
+    return out
 
 
 def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> ChannelVector:
@@ -154,10 +198,13 @@ def eve_observations(h_ab: ChannelVector, params: ScenarioParams,
     """
     h_ab = np.asarray(h_ab, dtype=complex)
     r = complex_gaussian(rng, h_ab.shape, params.power_delay)
-    w_ae = complex_gaussian(rng, h_ab.shape, params.sigma2_AE)
-    w_eb = complex_gaussian(rng, h_ab.shape, params.sigma2_EB)
-    h_ae = params.rho_AE * h_ab + np.sqrt(1.0 - params.rho_AE**2) * r + w_ae
-    h_eb = params.rho_EB * h_ab + np.sqrt(1.0 - params.rho_EB**2) * r + w_eb
+    h_ae = params.rho_AE * h_ab
+    h_ae += np.sqrt(1.0 - params.rho_AE**2) * r
+    _add_complex_gaussian(h_ae, rng, params.sigma2_AE)
+    r *= np.sqrt(1.0 - params.rho_EB**2)
+    h_eb = params.rho_EB * h_ab
+    h_eb += r
+    _add_complex_gaussian(h_eb, rng, params.sigma2_EB)
     return h_ae, h_eb
 
 

@@ -260,9 +260,11 @@ def accepts(h_hat, h_bar, sigma2_n, theta: float, epsilon: float | None = None):
     The packet passes when Psi <= theta and, for the combined test,
     |Gamma| <= epsilon.
     """
-    ok = llr_statistic(h_hat, h_bar, sigma2_n) <= theta
+    ok = np.asarray(llr_statistic(h_hat, h_bar, sigma2_n) <= theta)
     if epsilon is not None:
-        ok &= np.abs(modulus_statistic(h_bar, h_hat)) <= epsilon
+        # Gamma is per row, so it is computed only where Psi already passed
+        hat, bar = np.broadcast_arrays(h_hat, h_bar)
+        ok[ok] = np.abs(modulus_statistic(bar[ok], hat[ok])) <= epsilon
     return ok
 
 
@@ -283,8 +285,9 @@ def _acceptance_counts(psi, gamma_abs, theta_grid, eps_grid):
     """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k."""
     j_idx = np.searchsorted(theta_grid, psi, side="left")
     k_idx = np.searchsorted(eps_grid, gamma_abs, side="left")
-    hist = np.zeros((theta_grid.size + 1, eps_grid.size + 1), dtype=np.int64)
-    np.add.at(hist, (j_idx, k_idx), 1)
+    shape = (theta_grid.size + 1, eps_grid.size + 1)
+    flat = np.ravel_multi_index((j_idx, k_idx), shape)
+    hist = np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
     return hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
 
 

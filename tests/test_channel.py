@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pla_bench import channel
+from pla_bench.attacks import AttackStrategy
 from pla_bench.channel import (
     ScenarioParams,
+    _cross_epoch,
+    _skip_complex_gaussian,
     alice_estimate_phase2,
     bob_estimate_phase1,
     complex_gaussian,
@@ -203,3 +209,125 @@ def test_channel_functions_deterministic_under_seed():
     a1 = eve_observations(h1, params, Rng(21))
     a2 = eve_observations(h1, params, Rng(21))
     assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernel against the formulas it replaced, bit for bit
+
+def _old_complex_gaussian(rng, shape, variance=1.0):
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return scale * (re + 1j * im)
+
+
+def _old_cross_epoch(mean, alpha, noise_var, params, rng):
+    fade = _old_complex_gaussian(rng, mean.shape, params.power_delay)
+    noise = _old_complex_gaussian(rng, mean.shape, noise_var)
+    return mean + np.sqrt(1.0 - alpha**2) * fade + noise
+
+
+def _old_eve_observations(h_ab, params, rng):
+    r = _old_complex_gaussian(rng, h_ab.shape, params.power_delay)
+    w_ae = _old_complex_gaussian(rng, h_ab.shape, params.sigma2_AE)
+    w_eb = _old_complex_gaussian(rng, h_ab.shape, params.sigma2_EB)
+    h_ae = params.rho_AE * h_ab + np.sqrt(1.0 - params.rho_AE**2) * r + w_ae
+    h_eb = params.rho_EB * h_ab + np.sqrt(1.0 - params.rho_EB**2) * r + w_eb
+    return h_ae, h_eb
+
+
+def _assert_same_bits(new, old):
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def _assert_same_position(rng_a, rng_b):
+    _assert_same_bits(rng_a.standard_normal(5), rng_b.standard_normal(5))
+
+
+@pytest.mark.parametrize("variance", [2.0, np.array([0.5, 1.0, 4.0])],
+                         ids=["scalar", "per-carrier"])
+def test_complex_gaussian_matches_the_promoted_product_bit_for_bit(variance):
+    new_rng, old_rng = Rng(40), Rng(40)
+    _assert_same_bits(complex_gaussian(new_rng, (1000, 3), variance),
+                      _old_complex_gaussian(old_rng, (1000, 3), variance))
+    _assert_same_position(new_rng, old_rng)
+
+
+def test_complex_gaussian_at_zero_variance_matches_up_to_signed_zeros():
+    # the old product formed 0*re - 0*im, so only the signs of its zeros differ
+    new_rng, old_rng = Rng(41), Rng(41)
+    new = complex_gaussian(new_rng, (1000, 3), 0.0)
+    old = _old_complex_gaussian(old_rng, (1000, 3), 0.0)
+    assert not new.any() and not old.any()
+    _assert_same_bits(new + 0.0, old + 0.0)
+    _assert_same_position(new_rng, old_rng)
+
+
+@pytest.mark.parametrize("shape", [0, (0, 3), 7, (1000, 3), (40_000, 1), (70_001, 2)])
+def test_skipping_a_draw_leaves_the_stream_where_the_draw_would(shape, monkeypatch):
+    # (40_000, 1) needs more than one chunk and (70_001, 2) ends in a partial one
+    skipped, drawn = Rng(42), Rng(42)
+    complex_gaussian(drawn, shape)
+    sizes = []
+    standard_normal = Rng.standard_normal
+
+    def spy(self, size, *args, **kwargs):
+        sizes.append(size)
+        return standard_normal(self, size, *args, **kwargs)
+
+    monkeypatch.setattr(Rng, "standard_normal", spy)
+    _skip_complex_gaussian(skipped, shape)
+    monkeypatch.undo()
+    # every call names its size, so counting tracers see each normal
+    assert sum(sizes) == 2 * int(np.prod(shape))
+    assert all(0 < s <= channel._SKIP_CHUNK for s in sizes)
+    _assert_same_position(skipped, drawn)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.8, np.array([1.0, 0.8])],
+                         ids=["still", "faded", "per-carrier"])
+def test_cross_epoch_matches_the_old_law_bit_for_bit(alpha):
+    params = ScenarioParams(n_subcarriers=2, alpha_II=alpha, power_delay=np.array([1.0, 0.5]))
+    h = sample_channel(params, Rng(43), size=2_000)
+    mean = params.alpha_II * h
+    new_rng, old_rng = Rng(44), Rng(44)
+    _assert_same_bits(_cross_epoch(mean, params.alpha_II, params.sigma2_II, params, new_rng),
+                      _old_cross_epoch(mean, params.alpha_II, params.sigma2_II, params, old_rng))
+    _assert_same_position(new_rng, old_rng)
+    # a broadcast mean (one fixed channel) is read, never written
+    fixed = np.broadcast_to(mean[0], mean.shape)
+    new_rng, old_rng = Rng(45), Rng(45)
+    _assert_same_bits(_cross_epoch(fixed, params.alpha_II, params.sigma2_II, params, new_rng),
+                      _old_cross_epoch(fixed, params.alpha_II, params.sigma2_II, params, old_rng))
+
+
+@pytest.mark.parametrize("sigma2_ae, sigma2_eb", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.1), (0.2, 0.1)])
+def test_eve_observations_match_the_old_law_bit_for_bit(sigma2_ae, sigma2_eb):
+    params = ScenarioParams(n_subcarriers=3, rho_AE=0.3, rho_EB=0.6,
+                            sigma2_AE=sigma2_ae, sigma2_EB=sigma2_eb)
+    h = sample_channel(params, Rng(46), size=2_000)
+    new_rng, old_rng = Rng(47), Rng(47)
+    for new, old in zip(eve_observations(h, params, new_rng),
+                        _old_eve_observations(h, params, old_rng)):
+        _assert_same_bits(new, old)
+    _assert_same_position(new_rng, old_rng)
+
+
+@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
+def test_simulate_trials_peak_memory_is_bounded(alpha_ii):
+    # a peak of 7.5 whole (n, N) complex arrays; the out-of-place kernel took 9
+    n, n_sub = 100_000, 3
+    params = ScenarioParams(n_subcarriers=n_sub, alpha_II=alpha_ii, rho_AE=0.5, rho_EB=0.5)
+    attack = AttackStrategy("simplified")
+
+    def forge(h, rng):
+        return attack.forge(*eve_observations(h, params, rng), params)
+
+    tracemalloc.start()
+    try:
+        simulate_trials(params, Rng(48), n, forge=forge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 16 * n * n_sub

@@ -309,6 +309,55 @@ def test_combined_decide_truth_table():
     assert accepts(h_hat, h_bar, s2, 5.0).tolist() == [True, True, True, False, True, True]
 
 
+def _full_row_accepts(h_hat, h_bar, s2, theta, epsilon):
+    return ((llr_statistic(h_hat, h_bar, s2) <= theta)
+            & (np.abs(modulus_statistic(h_bar, h_hat)) <= epsilon))
+
+
+@pytest.mark.parametrize("theta", [-1.0, 3.0, 6.0, 1e9], ids=["none", "few", "many", "all"])
+def test_accepts_computes_gamma_only_where_psi_passes(theta):
+    rng = Rng(50)
+    s2 = np.array([0.5, 1.0, 2.0])
+    h_bar = rng.standard_normal((4_000, 3)) + 1j * rng.standard_normal((4_000, 3))
+    h_hat = h_bar + 0.7 * (rng.standard_normal((4_000, 3)) + 1j * rng.standard_normal((4_000, 3)))
+    want = _full_row_accepts(h_hat, h_bar, s2, theta, 0.4)
+    got = accepts(h_hat, h_bar, s2, theta, 0.4)
+    assert got.dtype == bool and np.array_equal(got, want)
+    # one reference broadcast against many rows
+    got = accepts(h_hat, h_bar[0], s2, theta, 0.4)
+    assert np.array_equal(got, _full_row_accepts(h_hat, h_bar[0], s2, theta, 0.4))
+
+
+def test_accepts_gives_a_0d_result_for_one_vector():
+    # Psi = |h_hat - h_bar|^2 summed over carriers and Gamma = 3 - sum |h_hat|
+    h_bar, s2 = np.array([2.0 + 0j, 1.0j]), np.array([2.0, 2.0])
+    for scale, epsilon, want_combined, want_llr in [(1.1, 1.0, True, True),    # Psi 0.17, |Gamma| 0.3
+                                                    (3.0, 1.0, False, False),  # Psi 20
+                                                    (1.5, 0.1, False, True)]:  # |Gamma| 1.5
+        combined = accepts(scale * h_bar, h_bar, s2, 5.0, epsilon)
+        llr = accepts(scale * h_bar, h_bar, s2, 5.0)
+        assert np.ndim(combined) == 0 and bool(combined) == want_combined
+        assert np.ndim(llr) == 0 and bool(llr) == want_llr
+
+
+def test_acceptance_counts_match_the_add_at_histogram():
+    theta_grid = np.linspace(1.0, 4.0, 7)
+    eps_grid = np.linspace(0.0, 2.0, 5)
+    rng = Rng(51)
+    # values on the grid points, between them, below the first and beyond the last
+    psi = np.concatenate([theta_grid, rng.uniform(0.0, 5.0, 500), [0.0, 4.0, 4.5, 1e9]])
+    gam = np.concatenate([eps_grid, eps_grid[:2], rng.uniform(0.0, 3.0, 500), [2.0, 0.0, 9.0, 2.5]])
+    j_idx = np.searchsorted(theta_grid, psi, side="left")
+    k_idx = np.searchsorted(eps_grid, gam, side="left")
+    hist = np.zeros((theta_grid.size + 1, eps_grid.size + 1), dtype=np.int64)
+    np.add.at(hist, (j_idx, k_idx), 1)
+    want = hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
+    got = statdec._acceptance_counts(psi, gam, theta_grid, eps_grid)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the definition: psi <= theta_j and |gamma| <= eps_k
+    assert got[2, 3] == np.sum((psi <= theta_grid[2]) & (gam <= eps_grid[3]))
+
+
 # ---------------------------------------------------------------------------
 # threshold optimization
 

@@ -13,11 +13,11 @@ failures (infeasible targets, solver caps).
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
+from dataclasses import asdict, replace
 import json
 import sys
 
-from .attacks import AttackStrategy, optimize_attack_exponents
+from .attacks import AttackStrategy
 from .channel import ScenarioParams
 from .errors import ConfigError, NumericError
 from .harness import (
@@ -26,6 +26,7 @@ from .harness import (
     AttackerSpec,
     DefenderSpec,
     ExperimentConfig,
+    _search_cell,
     emit,
     reproduce,
     run_experiment,
@@ -196,21 +197,14 @@ def _cmd_reproduce(args) -> int:
 def _cmd_optimize(args) -> int:
     scn = _scenario(args, args.rho_AE, args.rho_EB)
     thr = optimize_thresholds(scn, args.target_pfa, args.n_mc, Rng(args.seed))
-    print(json.dumps({
-        "theta": thr.theta, "epsilon": thr.epsilon,
-        "pfa_estimate": thr.pfa_estimate, "pmd_estimate": thr.pmd_estimate,
-        "n_feasible": thr.n_feasible,
-    }))
+    print(json.dumps(asdict(thr)))
     return 0
 
 
 def _cmd_attack_search(args) -> int:
     scn = _scenario(args, args.rho, args.rho)
-    rng = Rng(args.seed)
-    thr = optimize_thresholds(scn, args.target_pfa, args.calibration_trials,
-                              rng.derive(0))
-    x, y, pmd = optimize_attack_exponents(
-        (thr.theta, thr.epsilon), scn, args.grid_step, args.n_mc, rng.derive(1))
+    thr, x, y, pmd = _search_cell(scn, args.target_pfa, args.calibration_trials, args.n_mc,
+                                  Rng(args.seed), args.grid_step)
     print(json.dumps({
         "x": x, "y": y, "p_md": pmd,
         "theta": thr.theta, "epsilon": thr.epsilon,

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .attacks import AttackStrategy, mismatched_eval, optimize_attack_exponents
+from .attacks import AttackStrategy, _common_draw_pmd, optimize_attack_exponents
 from .channel import (
     ScenarioParams,
     alice_estimate_phase2,
@@ -56,9 +56,8 @@ from .statdec import (
     accepts,
     calibrate_threshold,
     ideal_llr,
+    llr_threshold,
     modulus_statistic,
-    ncx2_inv,
-    nominal_mu,
     normal_upper_quantile,
     optimize_thresholds,
     per_dim_variance,
@@ -155,6 +154,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, tuple(v))
         for point in self.sweep_points():
             ScenarioParams.from_snr(**point)  # rejects a bad point before any shard runs
+        # no numpy type may reach the CSV or JSON; a per-carrier vector becomes a tuple
+        for name, kind in _SWEEP_FIELDS.items():
+            object.__setattr__(self, name, tuple(
+                kind(v) if np.ndim(v) == 0 else tuple(map(kind, v)) for v in getattr(self, name)))
         if self.defender.kind in ("ideal", "binary_knn", "binary_svm", "kmeans_svm") and any(
                 a != 1.0 for a in self.alpha_I):  # their phase-I forgeries carry no alpha_I fade
             raise ConfigError(f"defender {self.defender.kind!r} draws phase-I forgeries, "
@@ -172,6 +175,8 @@ class ExperimentConfig:
             if len(set(self.n_subcarriers)) != len(self.n_subcarriers):
                 raise ConfigError("per-N target_pfa needs distinct n_subcarriers")
             object.__setattr__(self, "target_pfa", tuple(float(t) for t in self.target_pfa))
+        elif self.target_pfa is not None:
+            object.__setattr__(self, "target_pfa", float(self.target_pfa))
         targets = self.target_pfa if isinstance(self.target_pfa, tuple) else (self.target_pfa,)
         if any(t is not None and not 0.0 < t < 1.0 for t in targets):
             raise ConfigError("target_pfa must lie in (0, 1)")
@@ -276,13 +281,13 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, scn: ScenarioParams,
     target between the two conditions when the budget cannot resolve it.
     """
     if config.defender.kind == "llr":
-        return ncx2_inv(1.0 - target, 2 * scn.n_subcarriers, nominal_mu(scn)), None
+        return llr_threshold(scn, target), None
     rng = Rng(config.seed).derive(p_idx, 1_000_000)
     if target * config.calibration_trials >= 100:
         thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
                                   attack=config.attacker.strategy.forge)
         return thr.theta, thr.epsilon
-    theta = ncx2_inv(1.0 - target / 2.0, 2 * scn.n_subcarriers, nominal_mu(scn))
+    theta = llr_threshold(scn, target / 2.0)
     ref, alice, _ = simulate_trials(scn, rng, 100_000)
     eps = float(np.std(modulus_statistic(ref, alice))) * normal_upper_quantile(target / 4.0)
     return theta, eps
@@ -665,6 +670,17 @@ def _target_configs(name: str, scale: float, seed: int, workers) -> list:
     ]
 
 
+def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int, rng: Rng,
+                 grid_step: float = 0.1) -> tuple:
+    """(thresholds, x, y, P_MD): the combined test calibrated against the
+    simplified attacker on ``rng.derive(0)``, then the exponent grid searched
+    against it on ``rng.derive(1)``."""
+    thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0))
+    x, y, pmd = optimize_attack_exponents(
+        (thr.theta, thr.epsilon), scn, grid_step, n_mc, rng.derive(1))
+    return thr, x, y, pmd
+
+
 def _reproduce_table1(scale: float, seed: int) -> ResultTable:
     rows = []
     n_search = _desk(20_000, scale, floor=2_000)
@@ -675,23 +691,18 @@ def _reproduce_table1(scale: float, seed: int) -> ResultTable:
                 n_subcarriers=n, snr_I_db=15.0, snr_II_db=20.0,
                 rho_AE=rho, rho_EB=rho, alpha_I=1.0, alpha_II=1.0,
             )
-            rng = Rng(seed).derive(n, int(rho * 10))
-            thr = optimize_thresholds(scn, 1e-4, calib, rng.derive(0))
-            x, y, pmd = optimize_attack_exponents(
-                (thr.theta, thr.epsilon), scn, 0.1, n_search, rng.derive(1))
+            thr, x, y, pmd = _search_cell(scn, 1e-4, calib, n_search,
+                                          Rng(seed).derive(n, int(rho * 10)))
             rows.append({
                 "n_subcarriers": n, "rho": rho, "target_pfa": 1e-4,
                 "theta": thr.theta, "epsilon": thr.epsilon,
                 "x": x, "y": y, "p_md": pmd,
             })
-    return ResultTable(
-        columns=["n_subcarriers", "rho", "target_pfa", "theta", "epsilon", "x", "y", "p_md"],
-        rows=rows,
-    )
+    return ResultTable(columns=list(rows[0]), rows=rows)
 
 
 def _reproduce_fig1(scale: float, seed: int) -> ResultTable:
-    """Matched versus mismatched attacker against the combined test."""
+    """Matched versus mismatched attackers against the combined test, scored on one draw."""
     rows = []
     n_mc = _desk(40_000, scale, floor=4_000)
     calib = _desk(400_000, scale, floor=100_000)
@@ -702,25 +713,20 @@ def _reproduce_fig1(scale: float, seed: int) -> ResultTable:
                 rho_AE=0.5, rho_EB=0.5, alpha_I=1.0, alpha_II=alpha2,
             )
             rng = Rng(seed).derive(n, int(alpha2 * 10))
-            thr = optimize_thresholds(scn, 1e-3, calib, rng.derive(0))
-            x, y, pmd_matched = optimize_attack_exponents(
-                (thr.theta, thr.epsilon), scn, 0.1, n_mc, rng.derive(1))
-            for label, strat in (
-                ("matched", AttackStrategy("exponent", x=x, y=y)),
-                ("simplified", AttackStrategy("simplified")),
-                ("modulus", AttackStrategy("modulus")),
-            ):
-                pmd = mismatched_eval(strat, scn, n_mc, rng.derive(2), thr.theta, thr.epsilon)
+            thr, x, y, _ = _search_cell(scn, 1e-3, calib, n_mc, rng)
+            attackers = {"matched": AttackStrategy("exponent", x=x, y=y),
+                         "simplified": AttackStrategy("simplified"),
+                         "modulus": AttackStrategy("modulus")}
+            pmds = _common_draw_pmd(list(attackers.values()), scn, n_mc, rng.derive(2),
+                                    thr.theta, thr.epsilon)
+            for label, pmd in zip(attackers, pmds):
                 rows.append({
                     "n_subcarriers": n, "alpha_II": alpha2, "attacker": label,
                     "x": x if label == "matched" else None,
                     "y": y if label == "matched" else None,
                     "p_md": pmd,
                 })
-    return ResultTable(
-        columns=["n_subcarriers", "alpha_II", "attacker", "x", "y", "p_md"],
-        rows=rows,
-    )
+    return ResultTable(columns=list(rows[0]), rows=rows)
 
 
 # Targets that calibrate and search rather than sweep; they run in the

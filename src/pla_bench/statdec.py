@@ -71,12 +71,6 @@ def _gammainc_lower_reg(a: float, x: float) -> float:
     raise NumericError("incomplete gamma continued fraction did not converge")
 
 
-def _chi2_cdf_scalar(x: float, dof: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    return _gammainc_lower_reg(dof / 2.0, x / 2.0)
-
-
 def _ncx2_cdf_scalar(x: float, dof: int, delta: float) -> float:
     """Poisson mixture of central chi-square CDFs, absolute error < 1e-12.
 
@@ -92,7 +86,7 @@ def _ncx2_cdf_scalar(x: float, dof: int, delta: float) -> float:
         return 0.0
     lam = delta / 2.0
     if lam == 0.0:
-        return _chi2_cdf_scalar(x, dof)
+        return _gammainc_lower_reg(dof / 2.0, x / 2.0)
     xs = x / 2.0
     a0 = dof / 2.0
     j0 = int(lam)
@@ -219,6 +213,12 @@ def nominal_mu(params: ScenarioParams) -> float:
     return float(np.sum((2.0 / s2) * (params.alpha_II - params.alpha_I) ** 2 * params.power_delay))
 
 
+def llr_threshold(params: ScenarioParams, pfa: float) -> float:
+    """theta with P[Psi > theta] = pfa under the noncentral chi-square law
+    of 2N degrees of freedom at the channel-averaged ``nominal_mu``."""
+    return ncx2_inv(1.0 - pfa, 2 * params.n_subcarriers, nominal_mu(params))
+
+
 def noncentrality_mu(params: ScenarioParams, h_ab) -> float:
     """Noncentrality of the statistic when the legitimate user transmits."""
     s2 = per_dim_variance(params)
@@ -315,8 +315,6 @@ def optimize_thresholds(
         from .attacks import AttackStrategy
         attack = AttackStrategy("simplified").forge
 
-    n = scenario.n_subcarriers
-    dof = 2 * n
     s2 = per_dim_variance(scenario)
     if np.any(s2 <= 0):
         raise SingularTestError("scenario gives zero per-dimension variance")
@@ -327,10 +325,9 @@ def optimize_thresholds(
     # H0 calibration sample, fresh channel per trial
     psi0, gam0 = statistics(*simulate_trials(scenario, rng.derive(0), n_mc)[:2])
 
-    mu_nominal = nominal_mu(scenario)
     theta_grid = np.linspace(
-        ncx2_inv(1.0 - min(2.0 * target_pfa, 1.0 - 1e-9), dof, mu_nominal),
-        ncx2_inv(1.0 - target_pfa / 10.0, dof, mu_nominal),
+        llr_threshold(scenario, min(2.0 * target_pfa, 1.0 - 1e-9)),
+        llr_threshold(scenario, target_pfa / 10.0),
         _GRID_POINTS,
     )
     # the top of the epsilon grid must leave the modulus condition with a

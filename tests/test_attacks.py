@@ -3,7 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pla_bench.attacks import AttackStrategy, mismatched_eval, optimize_attack_exponents
+from pla_bench.attacks import (
+    AttackStrategy,
+    _common_draw_pmd,
+    mismatched_eval,
+    optimize_attack_exponents,
+)
 from pla_bench.channel import ScenarioParams, sample_channel
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
@@ -223,6 +228,16 @@ def test_optimize_attack_exponents_with_zero_rho_ae_reports_a_forgeable_cell():
     assert mismatched_eval(atk, scn, n_mc, Rng(8), 9.0, 0.8) == pmd
     with pytest.raises(ConfigError):
         mismatched_eval(AttackStrategy("exponent", x=-0.5, y=y), scn, n_mc, Rng(8), 9.0, 0.8)
+
+
+@pytest.mark.parametrize("epsilon", [0.8, None])
+def test_common_draw_pmd_equals_one_mismatched_eval_per_strategy(epsilon):
+    # fig1 scores its three attackers in one call on the stream each of
+    # three mismatched_eval calls would redraw
+    scn = ScenarioParams.from_snr(3, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5, alpha_II=0.8)
+    strategies = [AttackStrategy("exponent", x=0.5, y=-0.5), SIMPLIFIED, MODULUS]
+    shared = _common_draw_pmd(strategies, scn, 4000, Rng(16), 9.0, epsilon)
+    assert shared == [mismatched_eval(s, scn, 4000, Rng(16), 9.0, epsilon) for s in strategies]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,7 @@ class TestOptimizeThresholdsCommand:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["theta", "epsilon", "pfa_estimate", "pmd_estimate", "n_feasible"]
         assert payload["theta"] > 0.0
         assert payload["epsilon"] > 0.0
         assert 0.0 <= payload["pfa_estimate"] <= 1.0

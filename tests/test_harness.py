@@ -214,6 +214,30 @@ def test_sweep_points_order_and_target_for():
     assert cfg.target_for(pts[3]) == 0.001
 
 
+def test_numpy_scalars_in_a_config_reach_the_output_as_plain_values(tmp_path):
+    # a sweep of numpy scalars gives the same config, and so the same bytes,
+    # as one of plain ints and floats
+    plain = _tiny_llr_config(n_subcarriers=(1, 2), rho_AE=(0.1, 0.5))
+    cfg = _tiny_llr_config(n_subcarriers=tuple(np.array([1, 2])),
+                           rho_AE=tuple(np.array([0.1, 0.5])), target_pfa=np.float64(0.05))
+    assert cfg == plain
+    assert type(cfg.n_subcarriers[0]) is int and type(cfg.rho_AE[0]) is float
+    assert type(cfg.target_pfa) is float
+    tables = {"np": run_experiment(cfg), "plain": run_experiment(plain)}
+    for fmt in ("csv", "json"):
+        for name, table in tables.items():
+            emit(table, fmt, tmp_path / f"{name}.{fmt}")
+        assert (tmp_path / f"np.{fmt}").read_bytes() == (tmp_path / f"plain.{fmt}").read_bytes()
+
+
+def test_a_per_carrier_alpha_sweep_value_is_stored_as_a_tuple(tmp_path):
+    plain = _tiny_llr_config(n_subcarriers=(2,), alpha_II=((1.0, 0.8),))
+    cfg = _tiny_llr_config(n_subcarriers=(2,), alpha_II=(np.array([1.0, 0.8]),))
+    assert cfg == plain and type(cfg.alpha_II[0][1]) is float
+    emit(run_experiment(cfg), "json", tmp_path / "out.json")
+    assert json.loads((tmp_path / "out.json").read_text())["rows"][0]["alpha_II"] == [1.0, 0.8]
+
+
 # ---------------------------------------------------------------------------
 # result table helpers
 

@@ -15,6 +15,7 @@ from pla_bench.statdec import (
     calibrate_threshold,
     ideal_llr,
     llr_statistic,
+    llr_threshold,
     modulus_statistic,
     ncx2_cdf,
     ncx2_inv,
@@ -205,6 +206,15 @@ def test_statistic_distribution_under_h0():
     model = ncx2_cdf(grid, 4, mu)
     ks = np.max(np.abs(emp - model))
     assert ks < 1.63 / math.sqrt(n_trials)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
+@pytest.mark.parametrize("pfa", [1e-2, 1e-4])
+def test_llr_threshold_leaves_pfa_above_it(n, alpha_ii, pfa):
+    scn = ScenarioParams.from_snr(n, 15.0, 20.0, alpha_II=alpha_ii)
+    theta = llr_threshold(scn, pfa)
+    assert abs(1.0 - ncx2_cdf(theta, 2 * n, nominal_mu(scn)) - pfa) <= 1e-9
 
 
 def test_noncentrality_mu_zero_when_coefficients_match():

@@ -6,11 +6,11 @@ verifier) to the vector she transmits, by one linear law
 g = a * h_ae + b * h_eb whose coefficients (a, b) name the strategy. None
 of them may depend on the classification-phase fading coefficient: the
 attacker plans as if the channel were static, which is her conservative
-choice.
+choice. The configured adversary forges through ``AttackerSpec.forger``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +71,33 @@ class AttackStrategy:
     def forge(self, h_ae, h_eb, params: ScenarioParams) -> np.ndarray:
         a, b = self.coefficients(params)
         return a * np.asarray(h_ae, dtype=complex) + b * np.asarray(h_eb, dtype=complex)
+
+
+@dataclass(frozen=True)
+class AttackerSpec:
+    strategy: AttackStrategy = AttackStrategy("simplified")
+    averaged: bool = False  # average the adversary's M observation pairs first
+
+    def label(self) -> str:
+        s = self.strategy
+        name = s.kind if s.kind != "exponent" else f"exponent({s.x:g},{s.y:g})"
+        return name + ("-avg" if self.averaged else "")
+
+    def forger(self, scn: ScenarioParams):
+        """``forge(h, rng)``: one forged vector per row of h, from the
+        adversary's observations of both links, as ``simulate_trials`` takes it.
+
+        When she averages m_training observation pairs, the mean is drawn
+        directly from a scenario whose innovation and noise variances are
+        scaled by 1/m. That samples the average exactly because everything
+        is Gaussian and the two links share each draw's innovation.
+        """
+        obs_scn = scn
+        if self.averaged:
+            m = scn.m_training
+            obs_scn = replace(scn, power_delay=scn.power_delay / m,
+                              sigma2_AE=scn.sigma2_AE / m, sigma2_EB=scn.sigma2_EB / m)
+        return lambda h, rng: self.strategy.forge(*eve_observations(h, obs_scn, rng), scn)
 
 
 def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,

@@ -196,7 +196,8 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_optimize(args) -> int:
     scn = _scenario(args, args.rho_AE, args.rho_EB)
-    thr = optimize_thresholds(scn, args.target_pfa, args.n_mc, Rng(args.seed))
+    thr = optimize_thresholds(scn, args.target_pfa, args.n_mc, Rng(args.seed),
+                              AttackerSpec().forger(scn))
     print(json.dumps(asdict(thr)))
     return 0
 

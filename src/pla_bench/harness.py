@@ -14,7 +14,7 @@ fig1..fig10) at desk scale; each sweep target is one entry of ``_TARGETS``.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import csv
 import io
 import itertools
@@ -24,13 +24,12 @@ import time
 
 import numpy as np
 
-from .attacks import AttackStrategy, _common_draw_pmd, optimize_attack_exponents
+from .attacks import AttackerSpec, AttackStrategy, _common_draw_pmd, optimize_attack_exponents
 from .channel import (
     ScenarioParams,
     alice_estimate_phase2,
     bob_estimate_phase1,
     complex_gaussian,  # noqa: F401  (an import site the perfbench tracer patches and checks)
-    eve_observations,
     forged_observation,
     sample_channel,
     simulate_trials,
@@ -102,17 +101,6 @@ class DefenderSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
-class AttackerSpec:
-    strategy: AttackStrategy = AttackStrategy("simplified")
-    averaged: bool = False  # average the adversary's M observation pairs first
-
-    def label(self) -> str:
-        s = self.strategy
-        name = s.kind if s.kind != "exponent" else f"exponent({s.x:g},{s.y:g})"
-        return name + ("-avg" if self.averaged else "")
-
-
 # each swept field and the type of its elements
 _SWEEP_FIELDS = {
     "n_subcarriers": int,
@@ -158,8 +146,9 @@ class ExperimentConfig:
         for name, kind in _SWEEP_FIELDS.items():
             object.__setattr__(self, name, tuple(
                 kind(v) if np.ndim(v) == 0 else tuple(map(kind, v)) for v in getattr(self, name)))
+        # their phase-I forgeries carry no alpha_I fade; a per-carrier alpha_I is a tuple
         if self.defender.kind in ("ideal", "binary_knn", "binary_svm", "kmeans_svm") and any(
-                a != 1.0 for a in self.alpha_I):  # their phase-I forgeries carry no alpha_I fade
+                np.any(np.asarray(a) != 1.0) for a in self.alpha_I):
             raise ConfigError(f"defender {self.defender.kind!r} draws phase-I forgeries, "
                               "which need alpha_I = 1")
         if self.n_trials < 1_000:
@@ -220,22 +209,6 @@ def _ideal_calibration_size(target: float) -> int:
     return size
 
 
-def _forge(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng) -> np.ndarray:
-    """Forged vectors, one per row of h.
-
-    When the adversary averages m_training observation pairs, the mean is
-    drawn directly from a scenario whose innovation and noise variances are
-    scaled by 1/m. That samples the average exactly because everything is
-    Gaussian and the two links share each draw's innovation.
-    """
-    obs_scn = scn
-    if attacker.averaged:
-        m = scn.m_training
-        obs_scn = replace(scn, power_delay=scn.power_delay / m,
-                          sigma2_AE=scn.sigma2_AE / m, sigma2_EB=scn.sigma2_EB / m)
-    return attacker.strategy.forge(*eve_observations(h, obs_scn, rng), scn)
-
-
 def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
                     n: int, phase: str = "II") -> np.ndarray:
     """n forged packets over the fixed channel h, as the verifier receives them.
@@ -243,7 +216,7 @@ def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, 
     The averaging adversary forges once per dataset and sends that one
     forgery n times; otherwise every packet is forged afresh.
     """
-    g = _forge(scn, attacker, np.broadcast_to(h, (1 if attacker.averaged else n, h.size)), rng)
+    g = attacker.forger(scn)(np.broadcast_to(h, (1 if attacker.averaged else n, h.size)), rng)
     return forged_observation(np.broadcast_to(g, (n, h.size)), scn, rng, phase=phase)
 
 
@@ -260,19 +233,19 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
     Neyman-Pearson test of its own model.
     """
     s2 = scn.sigma2_I + scn.sigma2_II
+    forge = attacker.forger(scn)
     h = sample_channel(scn, rng, size=n)
     ref = bob_estimate_phase1(h, scn, rng)
-    eve_ref = forged_observation(_forge(scn, attacker, h, rng), scn, rng, phase="I")
+    eve_ref = forged_observation(forge(h, rng), scn, rng, phase="I")
     alice = alice_estimate_phase2(h, scn, rng)
-    eve = forged_observation(_forge(scn, attacker, h, rng), scn, rng)
+    eve = forged_observation(forge(h, rng), scn, rng)
     return ideal_llr(alice, ref, eve_ref, s2), ideal_llr(eve, ref, eve_ref, s2)
 
 
 # --------------------------------------------------------------------------
 # shard execution
 
-def _point_thresholds(config: ExperimentConfig, p_idx: int, scn: ScenarioParams,
-                      target: float) -> tuple:
+def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tuple:
     """The (theta, epsilon) every dataset of one sweep point of an llr or
     combined test shares (the ideal bound calibrates per shard).
 
@@ -280,12 +253,13 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, scn: ScenarioParams,
     calibrated by Monte Carlo, and falls back to an analytic split of the
     target between the two conditions when the budget cannot resolve it.
     """
+    scn, target = ScenarioParams.from_snr(**point), config.target_for(point)
     if config.defender.kind == "llr":
         return llr_threshold(scn, target), None
     rng = Rng(config.seed).derive(p_idx, 1_000_000)
     if target * config.calibration_trials >= 100:
         thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
-                                  attack=config.attacker.strategy.forge)
+                                  config.attacker.forger(scn))
         return thr.theta, thr.epsilon
     theta = llr_threshold(scn, target / 2.0)
     ref, alice, _ = simulate_trials(scn, rng, 100_000)
@@ -294,10 +268,10 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, scn: ScenarioParams,
 
 
 def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
-               thresholds: tuple | None) -> dict:
+               thresholds: tuple | None = None) -> dict:
     """One (sweep point, dataset) cell; a pure function of its arguments.
 
-    ``thresholds`` is the point's ``_point_thresholds``. Statistical
+    ``thresholds`` is the point's ``_point_thresholds`` or None. Statistical
     defenders have no per-dataset trained state, so their trials each draw
     a fresh channel, reference and packet (the closed forms describe
     exactly that average). Learned defenders train one model per dataset
@@ -320,8 +294,7 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
         return _shard_result(psi_a <= theta, psi_e <= theta, {"theta": theta}, train_seconds)
     if thresholds is not None:
         theta, eps = thresholds
-        ref, alice, eve = simulate_trials(
-            scn, r_eval, n_eval, forge=lambda h, r: _forge(scn, attacker, h, r))
+        ref, alice, eve = simulate_trials(scn, r_eval, n_eval, forge=attacker.forger(scn))
         s2 = per_dim_variance(scn)
         return _shard_result(accepts(alice, ref, s2, theta, eps), accepts(eve, ref, s2, theta, eps),
                              {"theta": theta, "epsilon": eps}, 0.0)
@@ -367,15 +340,16 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     return _shard_result(accept(featurize(alice)), accept(featurize(eve)), trained, train_seconds)
 
 
-def _addressed_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
-                     thresholds: tuple | None = None) -> dict:
-    """_run_shard, re-raising a ConfigError or NumericError as the same type
-    with the shard's (point, dataset) address and sweep point in front."""
+def _addressed(task, config: ExperimentConfig, address: tuple, point: dict, *deps):
+    """task(config, *address, point, *deps), re-raising a ConfigError or
+    NumericError as the same type with the address, (point p) for thresholds
+    or (point p, dataset d) for a shard, and the sweep point in front."""
     try:
-        return _run_shard(config, point_idx, dataset_idx, point, thresholds)
+        return task(config, *address, point, *deps)
     except (ConfigError, NumericError) as exc:
+        label = ", ".join(f"{name} {i}" for name, i in zip(("point", "dataset"), address))
         where = ", ".join(f"{k}={v}" for k, v in point.items())
-        raise type(exc)(f"(point {point_idx}, dataset {dataset_idx}) {where}: {exc}") from exc
+        raise type(exc)(f"({label}) {where}: {exc}") from exc
 
 
 def _shard_result(acc_a, acc_e, trained: dict, train_seconds: float) -> dict:
@@ -520,11 +494,12 @@ def run_plan(configs: list, workers: int | None) -> list:
         shared = config.defender.kind in ("llr", "combined")  # one (theta, epsilon) per point
         for p_idx, point in enumerate(config.sweep_points()):
             if shared:
-                tasks[c_idx, 0, p_idx, 0] = (_point_thresholds, (
-                    config, p_idx, ScenarioParams.from_snr(**point), config.target_for(point)), ())
+                tasks[c_idx, 0, p_idx, 0] = (
+                    _addressed, (_point_thresholds, config, (p_idx,), point), ())
             for d_idx in range(config.n_datasets):
-                tasks[c_idx, 1, p_idx, d_idx] = (_addressed_shard, (config, p_idx, d_idx, point),
-                                                 ((c_idx, 0, p_idx, 0),) if shared else ())
+                tasks[c_idx, 1, p_idx, d_idx] = (
+                    _addressed, (_run_shard, config, (p_idx, d_idx), point),
+                    ((c_idx, 0, p_idx, 0),) if shared else ())
     results = _run_pooled(tasks, workers) if workers and workers > 1 else {}
     for key in sorted(tasks.keys() - results.keys()):  # a serial run's tasks, in plan order
         fn, args, deps = tasks[key]
@@ -675,7 +650,7 @@ def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int
     """(thresholds, x, y, P_MD): the combined test calibrated against the
     simplified attacker on ``rng.derive(0)``, then the exponent grid searched
     against it on ``rng.derive(1)``."""
-    thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0))
+    thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0), AttackerSpec().forger(scn))
     x, y, pmd = optimize_attack_exponents(
         (thr.theta, thr.epsilon), scn, grid_step, n_mc, rng.derive(1))
     return thr, x, y, pmd

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import ScenarioParams, eve_observations, simulate_trials
+from .channel import ScenarioParams, simulate_trials
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
 from .rng import Rng
 
@@ -296,24 +296,21 @@ def optimize_thresholds(
     target_pfa: float,
     n_mc: int,
     rng: Rng,
-    attack=None,
+    forge,
 ) -> ThresholdResult:
     """Two-step Monte Carlo selection of (theta, epsilon).
 
     Step 1 enumerates grid pairs whose estimated false-alarm rate matches
     the target within its 95% binomial interval; step 2 returns the
     feasible pair with the smallest estimated missed-detection rate under
-    the given attack (a callable mapping the adversary's two observations
-    and the scenario to a forged vector; defaults to the scaled-replay
-    strategy). Ties prefer the larger theta, then the larger epsilon.
+    the attack ``forge``, the trial kernel's ``forge(h, rng)`` (the
+    adversary's ``AttackerSpec.forger``). Ties prefer the larger theta,
+    then the larger epsilon.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ConfigError("target_pfa must lie in (0, 1)")
     if target_pfa * n_mc < 100:
         raise ConfigError("n_mc too small for the requested false-alarm target")
-    if attack is None:
-        from .attacks import AttackStrategy
-        attack = AttackStrategy("simplified").forge
 
     s2 = per_dim_variance(scenario)
     if np.any(s2 <= 0):
@@ -347,9 +344,7 @@ def optimize_thresholds(
         )
 
     # H1 sample under the configured attack
-    ref, _, eve = simulate_trials(
-        scenario, rng.derive(1), n_mc, genuine=False,
-        forge=lambda h, r: attack(*eve_observations(h, scenario, r), scenario))
+    ref, _, eve = simulate_trials(scenario, rng.derive(1), n_mc, genuine=False, forge=forge)
     psi1, gam1 = statistics(ref, eve)
     pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
 

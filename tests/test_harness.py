@@ -11,12 +11,11 @@ import pytest
 
 from pla_bench.attacks import AttackStrategy
 from pla_bench.channel import ScenarioParams, eve_observations
-from pla_bench.errors import ConfigError, NumericError
+from pla_bench.errors import ConfigError, InfeasibleTargetError, NumericError
 from pla_bench import cli, harness
 from pla_bench.harness import (
     _BASE_COLUMNS,
     _binomial_se,
-    _forge,
     _forged_packets,
     _shard_result,
     REPRODUCE_TARGETS,
@@ -29,6 +28,7 @@ from pla_bench.harness import (
     run_experiment,
 )
 from pla_bench.rng import Rng
+from pla_bench.statdec import optimize_thresholds
 
 # ---------------------------------------------------------------------------
 # specs
@@ -150,6 +150,27 @@ def test_failing_shard_names_its_address(kind, m, cause, workers):
     assert f"m_training={m}: " in msg and cause in msg
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_calibration_names_its_point(monkeypatch, workers):
+    # a pool worker inherits the patched calibration only when it is forked
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers are not forked on this platform")
+
+    def infeasible(*args, **kwargs):
+        raise InfeasibleTargetError("no grid point reaches the target")
+
+    monkeypatch.setattr(harness, "optimize_thresholds", infeasible)
+    cfg = ExperimentConfig(defender=DefenderSpec("combined"), n_subcarriers=(2,),
+                           target_pfa=0.01, n_trials=1000, n_datasets=2,
+                           calibration_trials=20_000, workers=workers)
+    with pytest.raises(InfeasibleTargetError) as excinfo:
+        run_experiment(cfg)
+    assert type(excinfo.value) is InfeasibleTargetError
+    assert str(excinfo.value) == (
+        "(point 0) n_subcarriers=2, alpha_I=1.0, alpha_II=1.0, rho_AE=0.1, rho_EB=0.0, "
+        "snr_I_db=15.0, snr_II_db=20.0, m_training=1000: no grid point reaches the target")
+
+
 def test_failing_shard_keeps_its_error_type(monkeypatch):
     def diverge(*args, **kwargs):
         raise NumericError("dual solver hit its iteration cap")
@@ -169,6 +190,12 @@ def test_phase_i_forgery_kinds_reject_alpha_i_below_one(kind):
     with pytest.raises(ConfigError, match=f"{kind}.*alpha_I = 1"):
         ExperimentConfig(defender=DefenderSpec(kind), alpha_I=(1.0, 0.8), target_pfa=target)
     ExperimentConfig(defender=DefenderSpec(kind), alpha_I=(1.0,), target_pfa=target)
+    # a per-carrier alpha_I is a tuple, compared with 1 carrier by carrier
+    with pytest.raises(ConfigError, match=f"{kind}.*alpha_I = 1"):
+        ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(2,),
+                         alpha_I=((1.0, 0.8),), target_pfa=target)
+    ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(2,), alpha_I=((1.0, 1.0),),
+                     target_pfa=target)
     # the one-class defenders draw no phase-I forgeries (fig2 runs ocnn at alpha_I = 0.8)
     ExperimentConfig(defender=DefenderSpec("ocnn"), alpha_I=(0.8,))
 
@@ -333,7 +360,7 @@ def test_averaged_attacker_matches_explicit_average():
                                   sigma2_AE=0.2, sigma2_EB=0.1, m_training=m)
     h = np.full((n, 1), 0.8 - 0.6j)
     observer = _Observer()
-    _forge(scn, AttackerSpec(observer, averaged=True), h, Rng(30))
+    AttackerSpec(observer, averaged=True).forger(scn)(h, Rng(30))
     ae, eb = (x[:, 0] for x in observer.seen[0])
     rng = Rng(31)
     pairs = [eve_observations(h, scn, rng) for _ in range(m)]
@@ -353,6 +380,23 @@ def test_averaged_attacker_matches_explicit_average():
         assert abs(cov(got, got) - cov(want, want)) < 3.0 * se * var
     assert abs(cov(ae, eb) - cov(ae_ref, eb_ref)) < 3.0 * se * np.sqrt(var_ae * var_eb)
     assert abs(cov(ae, eb) - cross) < 3.0 * np.sqrt(var_ae * var_eb / n)
+
+
+def test_combined_calibration_faces_the_averaging_adversary():
+    # the point's thresholds come from the forger its shards score, averaging included
+    attacker = AttackerSpec(AttackStrategy("simplified"), averaged=True)
+    cfg = ExperimentConfig(defender=DefenderSpec("combined"), attacker=attacker,
+                           n_subcarriers=(2,), rho_AE=(0.5,), rho_EB=(0.3,), m_training=(10,),
+                           target_pfa=0.01, n_trials=1000, n_datasets=1, seed=7,
+                           calibration_trials=20_000)
+    scn = ScenarioParams.from_snr(**next(cfg.sweep_points()))
+    stream = Rng(7).derive(0, 1_000_000)
+    thr = optimize_thresholds(scn, 0.01, 20_000, stream, attacker.forger(scn))
+    row = run_experiment(cfg).rows[0]
+    assert (row["theta"], row["epsilon"]) == (thr.theta, thr.epsilon)
+    # the replay without averaging is a different adversary, with other thresholds
+    plain = optimize_thresholds(scn, 0.01, 20_000, stream, AttackerSpec().forger(scn))
+    assert (plain.theta, plain.epsilon) != (thr.theta, thr.epsilon)
 
 
 def test_averaged_attacker_sends_one_forgery_per_dataset():

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and only
-the channel layer draws complex Gaussians.
+"""Every name a package module imports is used in that module, the
+package's modules import each other without a cycle, and only the channel
+layer draws complex Gaussians.
 
 A deletion that leaves an import behind fails here. ``__init__.py`` is
 exempt, since its imports are the package's exports, and so is an import
@@ -60,3 +61,51 @@ def test_only_the_channel_layer_draws_complex_gaussians(path):
 def test_call_detection():
     source = "f(1)\nchannel.f(2)\ng(f)\n"
     assert calls_of(source, "f") == [1, 2]
+
+
+def relative_imports(source: str) -> set:
+    """Sibling modules a module imports relatively, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of the module graph as a closed path, or [] if there is none."""
+    state = {}  # module -> "open" while on the search path, "done" after
+
+    def visit(module, path):
+        state[module] = "open"
+        for dep in sorted(graph.get(module, ())):
+            if state.get(dep) == "open":
+                return path[path.index(dep):] + [dep]
+            if dep not in state:
+                cycle = visit(dep, path + [dep])
+                if cycle:
+                    return cycle
+        state[module] = "done"
+        return []
+
+    for module in sorted(graph):
+        if module not in state:
+            cycle = visit(module, [module])
+            if cycle:
+                return cycle
+    return []
+
+
+def test_package_imports_form_no_cycle():
+    graph = {p.stem: relative_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert import_cycle(graph) == []
+
+
+def test_cycle_detection():
+    source = "from .a import f\nfrom . import b\ndef g():\n    from .c.d import h\n"
+    assert relative_imports(source) == {"a", "b", "c"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]

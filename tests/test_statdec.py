@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from pla_bench import statdec
+from pla_bench.attacks import AttackerSpec
 from pla_bench.channel import ScenarioParams, sample_channel
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
@@ -375,11 +376,11 @@ def test_acceptance_counts_match_the_add_at_histogram():
 def test_optimize_thresholds_validation():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     with pytest.raises(ConfigError):
-        optimize_thresholds(scn, 0.0, 100_000, Rng(0))
+        optimize_thresholds(scn, 0.0, 100_000, Rng(0), AttackerSpec().forger(scn))
     with pytest.raises(ConfigError):
-        optimize_thresholds(scn, 1.0, 100_000, Rng(0))
+        optimize_thresholds(scn, 1.0, 100_000, Rng(0), AttackerSpec().forger(scn))
     with pytest.raises(ConfigError):
-        optimize_thresholds(scn, 1e-3, 50_000, Rng(0))
+        optimize_thresholds(scn, 1e-3, 50_000, Rng(0), AttackerSpec().forger(scn))
 
 
 def test_optimize_thresholds_infeasible_with_coarse_grid(monkeypatch):
@@ -388,13 +389,13 @@ def test_optimize_thresholds_infeasible_with_coarse_grid(monkeypatch):
     monkeypatch.setattr(statdec, "_GRID_POINTS", 2)
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     with pytest.raises(InfeasibleTargetError):
-        optimize_thresholds(scn, 1e-2, 100_000, Rng(8))
+        optimize_thresholds(scn, 1e-2, 100_000, Rng(8), AttackerSpec().forger(scn))
 
 
 def test_optimize_thresholds_happy_path():
     target = 1e-2
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
-    res = optimize_thresholds(scn, target, 200_000, Rng(21))
+    res = optimize_thresholds(scn, target, 200_000, Rng(21), AttackerSpec().forger(scn))
     assert isinstance(res, ThresholdResult)
     assert res.n_feasible >= 1
     assert res.epsilon > 0
@@ -410,7 +411,7 @@ def test_optimize_thresholds_false_alarm_on_fresh_stream():
     target = 1e-2
     n_check = 200_000
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
-    res = optimize_thresholds(scn, target, 200_000, Rng(30))
+    res = optimize_thresholds(scn, target, 200_000, Rng(30), AttackerSpec().forger(scn))
     rng = Rng(31)
     h = sample_channel(scn, rng, size=n_check)
     noise_ref = (rng.standard_normal((n_check, 1)) + 1j * rng.standard_normal((n_check, 1))) * math.sqrt(scn.sigma2_I / 2)
@@ -428,8 +429,8 @@ def test_optimize_thresholds_false_alarm_on_fresh_stream():
 
 def test_optimize_thresholds_deterministic():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
-    a = optimize_thresholds(scn, 1e-2, 100_000, Rng(9))
-    b = optimize_thresholds(scn, 1e-2, 100_000, Rng(9))
+    a = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn))
+    b = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn))
     assert a == b
 
 

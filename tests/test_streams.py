@@ -51,7 +51,7 @@ EXPERIMENTS = [
 
 
 def thresholds():
-    thr = optimize_thresholds(SCN, 1e-2, 20_000, Rng(101))
+    thr = optimize_thresholds(SCN, 1e-2, 20_000, Rng(101), AttackerSpec().forger(SCN))
     return (thr.theta, thr.epsilon, thr.pfa_estimate, thr.pmd_estimate, thr.n_feasible)
 
 
@@ -106,7 +106,7 @@ EXPECTED_EXPERIMENTS = {
     ('combined', 'ml', 0.8): (1984, 16, 1230, 770, 14.885865369732752, 1.9147029640041144),
     ('combined', 'ml', 1.0): (1972, 28, 59, 1941, 13.070808078781067, 0.6736017305200229),
     ('combined', 'simplified-avg', 0.8): (1984, 16, 1708, 292, 14.885865369732752, 1.9147029640041144),
-    ('combined', 'simplified-avg', 1.0): (1972, 28, 216, 1784, 13.070808078781067, 0.6736017305200229),
+    ('combined', 'simplified-avg', 1.0): (1971, 29, 143, 1857, 18.35890569451416, 0.523912457071129),
     ('ideal', 'simplified', 0.8): (1975, 25, 1605, 395, 18.39133349073296, None),
     ('ideal', 'simplified', 1.0): (1985, 15, 1020, 980, -0.6736767268330857, None),
     ('ideal', 'ml', 0.8): (1975, 25, 1605, 395, 18.39133349073296, None),

@@ -16,11 +16,12 @@ header or row count, a missing golden table or any cell beyond those
 rules exits 1.
 
     python golden/compare.py            # regenerate and compare
-    python golden/compare.py --write    # replace golden/ with this checkout's tables
+    python golden/compare.py --write    # the same report, then replace golden/
 
-A change that moves rows on purpose rewrites ``golden/`` with ``--write``
-in the same commit and quotes this script's report. Standard library and
-pla_bench only.
+``--write`` prints the same per-table report before it rewrites each
+table, and exits 0. A change that moves rows on purpose rewrites
+``golden/`` with ``--write`` in the same commit and quotes that run's
+report. Standard library and pla_bench only.
 """
 from __future__ import annotations
 
@@ -114,10 +115,6 @@ def main(argv=None) -> int:
     for target in REPRODUCE_TARGETS:
         text = table_csv(target)
         path = GOLDEN / f"{target}.csv"
-        if args.write:
-            path.write_bytes(text.encode())
-            print(f"{target}: wrote {path.name}")
-            continue
         if not path.exists():
             ok, lines = False, [f"no golden table {path.name}"]
         else:
@@ -125,7 +122,10 @@ def main(argv=None) -> int:
         print(f"{target}: " + ("ok" if ok else "CHANGED"))
         for line in lines:
             print(f"  {line}")
-        if not ok:
+        if args.write:
+            path.write_bytes(text.encode())
+            print(f"  wrote {path.name}")
+        elif not ok:
             failed.append(target)
     if failed:
         print("changed beyond tolerance: " + ", ".join(failed))

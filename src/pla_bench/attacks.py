@@ -47,6 +47,9 @@ class AttackStrategy:
             raise ConfigError(f"unknown attack kind {self.kind!r}")
         if self.kind == "exponent" and not (-1.0 <= self.x <= 1.0 and -1.0 <= self.y <= 1.0):
             raise ConfigError("exponents must lie in [-1, 1]")
+        # an exponent the kind ignores would forge unchanged under the kind's label
+        if self.kind != "exponent" and (self.x, self.y) != (1.0, 1.0):
+            raise ConfigError(f"attack {self.kind!r} takes no x or y")
 
     def coefficients(self, params: ScenarioParams):
         """The (a, b) of g = a * h_ae + b * h_eb, scalars or per-carrier arrays.

@@ -133,16 +133,18 @@ def _skip_complex_gaussian(rng: Rng, shape) -> None:
         left -= _SKIP_CHUNK
 
 
-def _add_complex_gaussian(acc: ChannelVector, rng: Rng, variance) -> None:
-    """``acc += complex_gaussian(rng, acc.shape, variance)`` in place, one part
-    at a time; at zero variance the draw is skipped past, never built."""
+def _add_complex_gaussian(acc: ChannelVector, rng: Rng, variance, weight=1.0) -> None:
+    """``acc += weight * complex_gaussian(rng, acc.shape, variance)`` in place,
+    one part at a time, scaling the normals by the deviation, then by
+    ``weight``; a draw whose every term is zero is skipped past, never built."""
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    if not scale.any():
+    if not (scale * weight).any():
         _skip_complex_gaussian(rng, acc.shape)
         return
     for part in (acc.real, acc.imag):
         x = rng.standard_normal(acc.shape)
         x *= scale
+        x *= weight
         part += x
 
 
@@ -157,16 +159,10 @@ def _cross_epoch(mean: ChannelVector, alpha, noise_var: float, params: ScenarioP
     """The epoch-crossing law: (mean + sqrt(1 - alpha^2) * fade) + noise.
 
     The fade is drawn first, then the estimation noise, both of the mean's
-    shape. A fade whose every weight is zero (alpha = 1) is skipped past.
+    shape; a fade whose every weight is zero (alpha = 1) is skipped past.
     """
-    keep = np.sqrt(1.0 - alpha**2)
-    if keep.any():
-        out = complex_gaussian(rng, mean.shape, params.power_delay)
-        out *= keep
-        out += mean
-    else:
-        _skip_complex_gaussian(rng, mean.shape)
-        out = np.array(mean, dtype=complex, order="C")
+    out = np.array(mean, dtype=complex, order="C")
+    _add_complex_gaussian(out, rng, params.power_delay, np.sqrt(1.0 - alpha**2))
     _add_complex_gaussian(out, rng, noise_var)
     return out
 
@@ -212,19 +208,17 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
                        phase: str = "II") -> ChannelVector:
     """What the verifier estimates when the adversary transmits ``g``.
 
-    phase "II" is the classification phase (the usual case): the forged
-    vector keeps its mean but crosses the epoch boundary by the same law as
-    a genuine packet, which keeps the closed-form error rates exact for
-    every alpha_II. Phase "I" models forged packets injected during
-    enrollment, as used by the ideal-knowledge bound; they draw noise only,
-    since ExperimentConfig rejects alpha_I != 1 for every kind that draws them.
+    The forged vector keeps its mean and crosses the epoch boundary by the
+    same law as a genuine estimate of its phase: "II", the classification
+    phase (the usual case), with alpha_II and sigma2_II, which keeps the
+    closed-form error rates exact for every alpha_II; "I", forged packets
+    injected during enrollment (the ideal bound's forged reference, the
+    binary defenders' training negatives), with alpha_I and sigma2_I.
     """
-    g = np.asarray(g, dtype=complex)
-    if phase == "II":
-        return _cross_epoch(g, params.alpha_II, params.sigma2_II, params, rng)
-    if phase == "I":
-        return g + complex_gaussian(rng, g.shape, params.sigma2_I)
-    raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
+    epochs = {"I": (params.alpha_I, params.sigma2_I), "II": (params.alpha_II, params.sigma2_II)}
+    if phase not in epochs:
+        raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
+    return _cross_epoch(np.asarray(g, dtype=complex), *epochs[phase], params, rng)
 
 
 def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,

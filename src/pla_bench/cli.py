@@ -83,6 +83,7 @@ def parse_config(text: str) -> ExperimentConfig:
     defender: dict = {}
     attacker: dict = {}
     sections = {"": values, "defender": defender, "attacker": attacker}
+    set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +94,8 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
         section, _, name = key.rpartition(".")
         try:
             sections[section][name] = _KEYS[key](val)

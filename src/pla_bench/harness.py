@@ -146,11 +146,6 @@ class ExperimentConfig:
         for name, kind in _SWEEP_FIELDS.items():
             object.__setattr__(self, name, tuple(
                 kind(v) if np.ndim(v) == 0 else tuple(map(kind, v)) for v in getattr(self, name)))
-        # their phase-I forgeries carry no alpha_I fade; a per-carrier alpha_I is a tuple
-        if self.defender.kind in ("ideal", "binary_knn", "binary_svm", "kmeans_svm") and any(
-                np.any(np.asarray(a) != 1.0) for a in self.alpha_I):
-            raise ConfigError(f"defender {self.defender.kind!r} draws phase-I forgeries, "
-                              "which need alpha_I = 1")
         if self.n_trials < 1_000:
             raise ConfigError("n_trials must be at least 1000")
         if self.n_datasets < 1:
@@ -220,8 +215,8 @@ def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, 
     return forged_observation(np.broadcast_to(g, (n, h.size)), scn, rng, phase=phase)
 
 
-def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
-               n: int) -> tuple[np.ndarray, np.ndarray]:
+def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
+               forged: bool = True) -> tuple:
     """Genuine- and forged-packet statistics of the two-reference test.
 
     Every trial is a fresh universe: the verifier holds an enrollment
@@ -230,16 +225,20 @@ def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng,
     by sigma2_I + sigma2_II, E|alice - ref|^2 per carrier under H0 at
     alpha_II = 1 only; H1 is wider (its two forgeries are independent). So
     this is a valid test with an empirical threshold, not the
-    Neyman-Pearson test of its own model.
+    Neyman-Pearson test of its own model. Without ``forged`` (the
+    calibration) it stops before the forged packet, the trial's last draw,
+    and returns None in its place.
     """
     s2 = scn.sigma2_I + scn.sigma2_II
     forge = attacker.forger(scn)
     h = sample_channel(scn, rng, size=n)
     ref = bob_estimate_phase1(h, scn, rng)
     eve_ref = forged_observation(forge(h, rng), scn, rng, phase="I")
-    alice = alice_estimate_phase2(h, scn, rng)
+    psi_a = ideal_llr(alice_estimate_phase2(h, scn, rng), ref, eve_ref, s2)
+    if not forged:
+        return psi_a, None
     eve = forged_observation(forge(h, rng), scn, rng)
-    return ideal_llr(alice, ref, eve_ref, s2), ideal_llr(eve, ref, eve_ref, s2)
+    return psi_a, ideal_llr(eve, ref, eve_ref, s2)
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +286,8 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
 
     if kind == "ideal":
         target = config.target_for(point)
-        psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5), _ideal_calibration_size(target))
+        psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5), _ideal_calibration_size(target),
+                                forged=False)
         theta = calibrate_threshold(psi_cal, target)
         train_seconds = time.perf_counter() - t0
         psi_a, psi_e = _ideal_psi(scn, attacker, r_eval, n_eval)
@@ -546,9 +546,9 @@ def _result_table(config: ExperimentConfig, shard_results: list) -> ResultTable:
         })
         for name in ("theta", "epsilon", "theta_d", "nu", "sigma_svm", "svm_c"):
             row[name] = _median_or_none([r["trained"].get(name) for r in shards])
-        for name in ("j", "k", "knn_k"):
-            med = _median_or_none([r["trained"].get(name) for r in shards])
-            row[name] = int(med) if med is not None else None
+        for name in ("j", "k", "knn_k"):  # the lower median, a value some dataset chose
+            picks = sorted(int(r["trained"][name]) for r in shards if name in r["trained"])
+            row[name] = picks[(len(picks) - 1) // 2] if picks else None
         row["x"] = row["y"] = None
         if config.attacker.strategy.kind == "exponent":
             row["x"], row["y"] = config.attacker.strategy.x, config.attacker.strategy.y

@@ -269,7 +269,7 @@ def svm_decision(model: KernelModel, x) -> np.ndarray:
 _BOX = 1e-12
 
 
-def _dual_solve(kmat, lam, grad, lo, hi, tol: float, max_iter: int | None = None):
+def _dual_solve(kmat, lam, grad, lo, hi, tol: float):
     """Solve a batch of duals min 1/2 l^T K l + p^T l over one Gram matrix.
 
     Row b keeps sum l fixed and lo[b] <= l <= hi[b]; lam is a feasible
@@ -278,13 +278,10 @@ def _dual_solve(kmat, lam, grad, lo, hi, tol: float, max_iter: int | None = None
     coordinates that most violates the KKT conditions: the smallest
     gradient among coordinates below hi (up) and the largest among those
     above lo (down), first index on ties. A row whose violation is within
-    tol takes steps of 0 from then on. The cap is max(300 m, 20000) steps
-    unless max_iter is given. Returns each row's smallest up and largest
-    down gradient at the stop.
+    tol takes steps of 0 from then on. The cap is max(300 m, 20000) steps.
+    Returns each row's smallest up and largest down gradient at the stop.
     """
     rows, m = lam.shape
-    if max_iter is None:
-        max_iter = max(300 * m, 20_000)
     hi_box, lo_box = hi - _BOX, lo + _BOX
     diag = kmat.diagonal()
     # 0 where a coordinate may move up (down), inf (-inf) where it may not;
@@ -298,7 +295,7 @@ def _dual_solve(kmat, lam, grad, lo, hi, tol: float, max_iter: int | None = None
     lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
     hi_box_f, lo_box_f = hi_box.reshape(-1), lo_box.reshape(-1)
     row0 = np.arange(rows) * m
-    for _ in range(max_iter):
+    for _ in range(max(300 * m, 20_000)):
         i = np.add(grad, up_pen, out=up).argmin(axis=1)
         j = np.add(grad, dn_pen, out=dn).argmax(axis=1)
         fi, fj = row0 + i, row0 + j

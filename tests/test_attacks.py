@@ -174,6 +174,16 @@ def test_attack_strategy_validation_and_dispatch():
         assert np.array_equal(strategy.forge(h_ae, h_eb, scn), a * h_ae + b * h_eb)
 
 
+@pytest.mark.parametrize("kind", ["ml", "simplified", "modulus"])
+def test_non_exponent_kinds_take_no_exponents(kind):
+    # an ignored x would forge the kind's vector under the kind's label
+    for xy in ({"x": 0.5}, {"y": -1.0}, {"x": 0.5, "y": 0.5}):
+        with pytest.raises(ConfigError, match=f"{kind}.*takes no x or y"):
+            AttackStrategy(kind, **xy)
+    # the defaults are no setting, so the strategy equals the plain kind
+    assert AttackStrategy(kind, x=1.0, y=1.0) == AttackStrategy(kind)
+
+
 # ---------------------------------------------------------------------------
 # exponent grid search
 

@@ -137,6 +137,13 @@ def test_forged_observation_phases():
     assert abs(got2.mean() - g[0]) < 3.0 * np.sqrt(params.sigma2_II / N_SAMPLES)
     with pytest.raises(ConfigError):
         forged_observation(g, params, Rng(16), phase="III")
+    # a phase-I forgery keeps its mean and collects the alpha_I fade of a genuine estimate
+    faded = ScenarioParams(n_subcarriers=2, alpha_I=0.8, power_delay=np.array([1.0, 0.5]))
+    got1 = forged_observation(np.tile([3.0 + 0j, -1.0j], (N_SAMPLES, 1)), faded, Rng(19), phase="I")
+    want_var = (1.0 - 0.8**2) * faded.power_delay + faded.sigma2_I
+    assert np.all(np.abs(got1.mean(axis=0) - [3.0, -1.0j]) < 3.0 * np.sqrt(want_var / N_SAMPLES))
+    assert np.all(np.abs(np.var(got1, axis=0) - want_var)
+                  < _three_se_of_variance(want_var, N_SAMPLES))
 
 
 def test_forged_observation_phase2_collects_fading():

@@ -89,6 +89,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config("defender.kind = llr\nattacker.bogus = 1\n")
 
+    def test_key_set_twice(self):
+        # the later value would otherwise run silently in place of the first
+        with pytest.raises(ConfigError, match=r"line 4: 'seed' is already set on line 2"):
+            cli.parse_config("defender.kind = llr\nseed = 1\ntarget_pfa = 0.01\nseed = 2\n")
+        with pytest.raises(ConfigError, match=r"line 3: 'attacker\.x' is already set on line 2"):
+            cli.parse_config("defender.kind = llr\nattacker.x = 0.5\nattacker.x = 0.7\n")
+
+    def test_exponent_on_the_default_attack(self):
+        # the scaled replay would run unchanged under its own label
+        with pytest.raises(ConfigError, match="simplified.*takes no x or y"):
+            cli.parse_config("defender.kind = llr\ntarget_pfa = 0.01\nattacker.x = 0.5\n")
+
     def test_missing_defender_kind(self):
         with pytest.raises(ConfigError, match="defender.kind"):
             cli.parse_config("n_trials = 1000\n")

@@ -51,3 +51,23 @@ def test_compare_rules():
                                 f"fp {fp} -> {fp + 1}; p_md {row['p_md']} -> {(fp + 1) / n_eve!r}"]
     assert not compare(text, text + text.splitlines(keepends=True)[1])[0]
     assert not compare(text, _with_cell(text, 0, "defender", "llr2"))[0]
+
+
+def test_write_prints_the_report_then_rewrites(monkeypatch, tmp_path, capsys):
+    module = _compare_module()
+    text = (GOLDEN / "table4.csv").read_text()
+    fp = int(next(csv.DictReader(io.StringIO(text)))["fp"])
+    moved = _with_cell(text, 0, "fp", str(fp + 1))
+    (tmp_path / "table4.csv").write_text(text)
+    monkeypatch.setattr(module, "GOLDEN", tmp_path)
+    monkeypatch.setattr(module, "REPRODUCE_TARGETS", ("table4",))
+    monkeypatch.setattr(module, "table_csv", lambda target: moved)
+    # the default mode reports the move and fails; --write reports it, writes and passes
+    assert module.main([]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert (tmp_path / "table4.csv").read_text() == text
+    assert module.main(["--write"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == report[:-1] + ["  wrote table4.csv"]
+    assert report[0] == "table4: CHANGED" and f"fp {fp} -> {fp + 1}" in report[1]
+    assert (tmp_path / "table4.csv").read_text() == moved

@@ -17,6 +17,7 @@ from pla_bench.harness import (
     _BASE_COLUMNS,
     _binomial_se,
     _forged_packets,
+    _result_table,
     _shard_result,
     REPRODUCE_TARGETS,
     AttackerSpec,
@@ -118,8 +119,6 @@ class _PoolStarted(Exception):
     ("ocnn", "defender.variant = 2NN"),
     # below 1/400,000 the ideal bound's calibration cannot resolve the target
     ("ideal", "target_pfa = 1e-6"),
-    # phase-I forgeries carry no alpha_I fade
-    ("binary_knn", "alpha_I = 0.8"),
     # a learned defender's tuning sets its own false-alarm rate
     ("ocnn", "target_pfa = 1e-3"),
 ])
@@ -183,21 +182,13 @@ def test_failing_shard_keeps_its_error_type(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["binary_knn", "binary_svm", "kmeans_svm", "ideal"])
-def test_phase_i_forgery_kinds_reject_alpha_i_below_one(kind):
-    # forged_observation(phase="I") draws noise only, with no alpha_I fade,
-    # so these kinds would fade the genuine phase-I estimates but not the forged ones
-    target = 0.01 if kind == "ideal" else None
-    with pytest.raises(ConfigError, match=f"{kind}.*alpha_I = 1"):
-        ExperimentConfig(defender=DefenderSpec(kind), alpha_I=(1.0, 0.8), target_pfa=target)
-    ExperimentConfig(defender=DefenderSpec(kind), alpha_I=(1.0,), target_pfa=target)
-    # a per-carrier alpha_I is a tuple, compared with 1 carrier by carrier
-    with pytest.raises(ConfigError, match=f"{kind}.*alpha_I = 1"):
-        ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(2,),
-                         alpha_I=((1.0, 0.8),), target_pfa=target)
-    ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(2,), alpha_I=((1.0, 1.0),),
-                     target_pfa=target)
-    # the one-class defenders draw no phase-I forgeries (fig2 runs ocnn at alpha_I = 0.8)
-    ExperimentConfig(defender=DefenderSpec("ocnn"), alpha_I=(0.8,))
+def test_phase_i_forgery_kinds_run_at_alpha_i_below_one(kind):
+    # their phase-I forgeries fade by alpha_I like the genuine phase-I estimates
+    cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(2,), alpha_I=(0.8,),
+                           m_training=(40,), target_pfa=0.05 if kind == "ideal" else None,
+                           n_trials=1000, n_datasets=1, seed=5)
+    row = run_experiment(cfg).rows[0]
+    assert row["alpha_I"] == 0.8 and row["n_alice"] == row["n_eve"] == 1000
 
 
 def test_pooled_plan_stops_at_its_first_failing_shard(monkeypatch, tmp_path):
@@ -341,6 +332,22 @@ def test_shard_result_maps_all_four_outcomes():
     assert got["trained"] == {"theta": 1.0}
 
 
+def test_integer_parameters_report_a_value_some_dataset_chose():
+    # two datasets picking k = 3 and 5 report 3, not the truncated mean 4, an even kNN k
+    accept = np.array([True, False])
+    knn = ExperimentConfig(defender=DefenderSpec("binary_knn"), n_trials=1000, n_datasets=2)
+    shards = [_shard_result(accept, accept, {"knn_k": k}, 0.0) for k in (5, 3)]
+    row = _result_table(knn, shards).rows[0]
+    assert row["knn_k"] == 3 and type(row["knn_k"]) is int
+    # the NN family's neighbour counts come as numpy integers and leave as plain ones
+    ocnn = ExperimentConfig(defender=DefenderSpec("ocnn"), n_trials=1000, n_datasets=2)
+    shards = [_shard_result(accept, accept, {"j": np.int64(j), "k": np.int64(k), "theta_d": t}, 0.0)
+              for j, k, t in ((2, 7, 1.0), (1, 12, 2.0))]
+    row = _result_table(ocnn, shards).rows[0]
+    assert (row["j"], row["k"], row["theta_d"]) == (1, 7, 1.5)
+    assert type(row["j"]) is int and row["knn_k"] is None
+
+
 class _Observer:
     """Forging strategy that keeps the adversary's observations."""
 
@@ -400,8 +407,8 @@ def test_combined_calibration_faces_the_averaging_adversary():
 
 
 def test_averaged_attacker_sends_one_forgery_per_dataset():
-    # phase-I arrivals are the forgery plus noise, so with no noise every
-    # packet is the forgery itself
+    # at alpha_I = 1 phase-I arrivals are the forgery plus noise, so with no
+    # noise every packet is the forgery itself
     scn = ScenarioParams.from_snr(2, math.inf, 20.0, rho_AE=0.6, m_training=10)
     attacker = AttackerSpec(AttackStrategy("simplified"), averaged=True)
     h = np.array([1.0 + 0j, -0.5j])
@@ -417,16 +424,8 @@ class _Captured(Exception):
     """Stops a shard once its training set is built."""
 
 
-@pytest.mark.parametrize("kind, alpha_ii, want", [
-    # rho^2 (1 - rho^2) from the forgery, plus the phase-I noise
-    ("binary_knn", 0.9, 0.1**2 * (1 - 0.1**2) + 10**-1.5),
-    # plus the fading innovation and the phase-II noise
-    ("ocnn", 0.9, 0.1**2 * (1 - 0.1**2) + (1 - 0.9**2) + 10**-2.0),
-    ("ocnn", 1.0, 0.1**2 * (1 - 0.1**2) + 10**-2.0),
-])
-def test_training_negatives_have_independent_noise(monkeypatch, kind, alpha_ii, want):
-    # the arrival noise of the synthetic attack draws must not reuse the
-    # normals that drew the adversary's innovation
+def _training_negatives_variance(monkeypatch, kind, **sweep) -> float:
+    """Total variance of one shard's 200,000 training negatives."""
     captured = {}
 
     def capture_ocnn(positives, variant, metric, negatives, rng):
@@ -440,14 +439,34 @@ def test_training_negatives_have_independent_noise(monkeypatch, kind, alpha_ii, 
     monkeypatch.setattr(harness, "ocnn_train", capture_ocnn)
     monkeypatch.setattr(harness, "binary_knn_tune", capture_knn)
     m = 400_000 if kind == "binary_knn" else 200_000
-    config = ExperimentConfig(defender=DefenderSpec(kind), alpha_II=(alpha_ii,), m_training=(m,),
-                              n_trials=1000, n_datasets=1, seed=11)
+    config = ExperimentConfig(defender=DefenderSpec(kind), m_training=(m,), n_trials=1000,
+                              n_datasets=1, seed=11, **sweep)
     with pytest.raises(_Captured):
         harness._run_shard(config, 0, 0, next(config.sweep_points()), None)
     neg = captured["neg"]
     assert neg.shape == (200_000, 2)
-    var = float(np.sum(np.var(neg, axis=0)))
-    assert abs(var - want) < 3.0 * want / np.sqrt(neg.shape[0])
+    return float(np.sum(np.var(neg, axis=0)))
+
+
+@pytest.mark.parametrize("kind, alpha_ii, want", [
+    # rho^2 (1 - rho^2) from the forgery, plus the phase-I noise
+    ("binary_knn", 0.9, 0.1**2 * (1 - 0.1**2) + 10**-1.5),
+    # plus the fading innovation and the phase-II noise
+    ("ocnn", 0.9, 0.1**2 * (1 - 0.1**2) + (1 - 0.9**2) + 10**-2.0),
+    ("ocnn", 1.0, 0.1**2 * (1 - 0.1**2) + 10**-2.0),
+])
+def test_training_negatives_have_independent_noise(monkeypatch, kind, alpha_ii, want):
+    # the arrival noise of the synthetic attack draws must not reuse the
+    # normals that drew the adversary's innovation
+    var = _training_negatives_variance(monkeypatch, kind, alpha_II=(alpha_ii,))
+    assert abs(var - want) < 3.0 * want / np.sqrt(200_000)
+
+
+def test_phase_i_training_negatives_cross_the_epoch(monkeypatch):
+    # the binary kinds' forged negatives fade by alpha_I, as their positives do
+    want = 0.1**2 * (1 - 0.1**2) + (1 - 0.8**2) + 10**-1.5
+    var = _training_negatives_variance(monkeypatch, "binary_knn", alpha_I=(0.8,))
+    assert abs(var - want) < 3.0 * want / np.sqrt(200_000)
 
 
 def test_run_experiment_deterministic():

@@ -498,13 +498,14 @@ def test_ocsvm_nu_one_returns_the_uniform_point():
 
 
 def test_ocsvm_solve_iteration_cap():
+    # a negative tolerance is never met, so the solver runs to its cap of 20,000 steps
     rng = Rng(29)
     x = rng.standard_normal((30, 2))
     kmat = _gram(x, x, "gaussian", 1.0)
     lam = np.full((2, 30), 1.0 / 30)
     hi = np.array([1.0 / 3.0, 1.0 / 15.0])[:, None].repeat(30, axis=1)
-    with pytest.raises(NumericError):
-        _dual_solve(kmat, lam, lam @ kmat, np.zeros_like(lam), hi, 1e-10, 2)
+    with pytest.raises(NumericError, match="iteration cap"):
+        _dual_solve(kmat, lam, lam @ kmat, np.zeros_like(lam), hi, -1.0)
 
 
 def test_median_heuristic_hand_case_and_degenerate():

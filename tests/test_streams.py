@@ -107,12 +107,12 @@ EXPECTED_EXPERIMENTS = {
     ('combined', 'ml', 1.0): (1972, 28, 59, 1941, 13.070808078781067, 0.6736017305200229),
     ('combined', 'simplified-avg', 0.8): (1984, 16, 1708, 292, 14.885865369732752, 1.9147029640041144),
     ('combined', 'simplified-avg', 1.0): (1971, 29, 143, 1857, 18.35890569451416, 0.523912457071129),
-    ('ideal', 'simplified', 0.8): (1975, 25, 1605, 395, 18.39133349073296, None),
-    ('ideal', 'simplified', 1.0): (1985, 15, 1020, 980, -0.6736767268330857, None),
-    ('ideal', 'ml', 0.8): (1975, 25, 1605, 395, 18.39133349073296, None),
-    ('ideal', 'ml', 1.0): (1985, 15, 1020, 980, -0.6736767268330857, None),
-    ('ideal', 'simplified-avg', 0.8): (1976, 24, 1647, 353, 21.106616595262253, None),
-    ('ideal', 'simplified-avg', 1.0): (1974, 26, 70, 1930, 0.44052761653946004, None),
+    ('ideal', 'simplified', 0.8): (1982, 18, 1654, 346, 17.93003255668988, None),
+    ('ideal', 'simplified', 1.0): (1980, 20, 1041, 959, -0.690155761787046, None),
+    ('ideal', 'ml', 0.8): (1982, 18, 1654, 346, 17.93003255668988, None),
+    ('ideal', 'ml', 1.0): (1980, 20, 1041, 959, -0.690155761787046, None),
+    ('ideal', 'simplified-avg', 0.8): (1981, 19, 1639, 361, 20.731579058038406, None),
+    ('ideal', 'simplified-avg', 1.0): (1981, 19, 62, 1938, 0.40375660876910974, None),
 }
 EXPECTED_FALLBACK = (1982, 18, 1310, 690, 16.246412680141077, 1.6863036760313501)
 
@@ -124,11 +124,11 @@ EXPECTED_LEARNED = {
     'ocnn-11NN-llr': (821, 181, 268, 734, 1, 1, 2.0, None, None, None),
     'ocsvm': (1002, 0, 119, 883, None, None, None, 0.05, 0.6375548966141846, None),
     'ocsvm-poly': (998, 4, 230, 772, None, None, None, 0.2, 1.0, None),
-    'binary_knn': (1002, 0, 226, 776, None, None, None, None, None, 7),
-    'binary_svm': (1002, 0, 152, 850, None, None, None, None, 0.6135589095679158, None),
-    'kmeans_svm': (1002, 0, 396, 606, None, None, None, None, 0.6135589095679158, None),
-    'binary_svm-m1000': (1002, 0, 120, 882, None, None, None, None, 0.49925028737059785, None),
-    'kmeans_svm-m1000': (1002, 0, 369, 633, None, None, None, None, 0.6462538232054326, None),
+    'binary_knn': (1001, 1, 209, 793, None, None, None, None, None, 3),
+    'binary_svm': (1002, 0, 159, 843, None, None, None, None, 0.6260947696762768, None),
+    'kmeans_svm': (1002, 0, 435, 567, None, None, None, None, 0.6260947696762768, None),
+    'binary_svm-m1000': (1002, 0, 124, 878, None, None, None, None, 0.49410834014736627, None),
+    'kmeans_svm-m1000': (1002, 0, 413, 589, None, None, None, None, 0.6434076187072966, None),
 }
 
 

@@ -71,9 +71,12 @@ class AttackStrategy:
         x, y = _EXPONENTS.get(self.kind, (self.x, self.y))
         return _power(params.rho_AE, x, "rho_AE"), _power(params.rho_EB, y, "rho_EB")
 
-    def forge(self, h_ae, h_eb, params: ScenarioParams) -> np.ndarray:
+    def forge(self, h_ae, h_eb, params: ScenarioParams, out=None) -> np.ndarray:
+        """a * h_ae + b * h_eb, written into ``out`` (which may be h_ae) when given."""
         a, b = self.coefficients(params)
-        return a * np.asarray(h_ae, dtype=complex) + b * np.asarray(h_eb, dtype=complex)
+        out = np.multiply(a, np.asarray(h_ae, dtype=complex), out=out)
+        out += b * np.asarray(h_eb, dtype=complex)
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,14 +96,20 @@ class AttackerSpec:
         When she averages m_training observation pairs, the mean is drawn
         directly from a scenario whose innovation and noise variances are
         scaled by 1/m. That samples the average exactly because everything
-        is Gaussian and the two links share each draw's innovation.
+        is Gaussian and the two links share each draw's innovation. The
+        forgery is written over the observation of the first link, which
+        nothing else holds.
         """
         obs_scn = scn
         if self.averaged:
             m = scn.m_training
             obs_scn = replace(scn, power_delay=scn.power_delay / m,
                               sigma2_AE=scn.sigma2_AE / m, sigma2_EB=scn.sigma2_EB / m)
-        return lambda h, rng: self.strategy.forge(*eve_observations(h, obs_scn, rng), scn)
+        def forge(h, rng):
+            h_ae, h_eb = eve_observations(h, obs_scn, rng)
+            return self.strategy.forge(h_ae, h_eb, scn, out=h_ae)
+
+        return forge
 
 
 def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
@@ -108,8 +117,8 @@ def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
     """P_MD of each strategy against one fixed (theta, epsilon), on shared draws.
 
     The trial kernel runs once on ``rng.derive(0)``: every strategy forges
-    from the same observations and its forgery crosses the same phase-II
-    perturbation.
+    from the same observations, into one buffer they reuse, and its forgery
+    crosses the same phase-II perturbation.
     """
     observed = []
 
@@ -121,9 +130,12 @@ def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
     h_bar, _, perturbation = simulate_trials(
         scenario, rng.derive(0), n_mc, forge=observe, genuine=False)
     s2 = per_dim_variance(scenario)
-    return [float(np.mean(accepts(s.forge(*observed, scenario) + perturbation,
-                                  h_bar, s2, theta, epsilon)))
-            for s in strategies]
+    forged, pmds = np.empty_like(perturbation), []
+    for s in strategies:
+        s.forge(*observed, scenario, out=forged)
+        forged += perturbation
+        pmds.append(float(np.mean(accepts(forged, h_bar, s2, theta, epsilon))))
+    return pmds
 
 
 def _forgeable(strategy: AttackStrategy, scenario: ScenarioParams) -> bool:

@@ -36,6 +36,7 @@ from .channel import (
 )
 from .errors import ConfigError, NumericError
 from .mlauth import (
+    KERNELS,
     OCNN_VARIANTS,
     DistanceMetric,
     binary_knn,
@@ -68,7 +69,6 @@ DEFENDER_KINDS = (
 )
 
 STAT_DEFENDERS = ("llr", "combined", "ideal")
-_SVM_KINDS = ("ocsvm", "binary_svm", "kmeans_svm")
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class DefenderSpec:
     kind: str
     variant: str = "1KNN"          # one-class NN flavor
     metric: str = "euclidean"      # "euclidean" or "llr"
-    kernel: str = "gaussian"       # "gaussian", "linear" or "poly"
+    kernel: str = "gaussian"       # the one-class SVM's, one of mlauth.KERNELS
 
     def __post_init__(self):
         if self.kind not in DEFENDER_KINDS:
@@ -85,11 +85,11 @@ class DefenderSpec:
             raise ConfigError(f"unknown defender metric {self.metric!r}")
         if self.variant not in OCNN_VARIANTS:
             raise ConfigError(f"defender variant must be one of {OCNN_VARIANTS}")
-        if self.kernel not in ("gaussian", "linear", "poly"):
+        if self.kernel not in KERNELS:
             raise ConfigError(f"unknown defender kernel {self.kernel!r}")
         # a field the kind ignores would run unchanged under the default label
-        for name, kinds in (("variant", ("ocnn",)), ("metric", ("ocnn",)), ("kernel", _SVM_KINDS)):
-            if self.kind not in kinds and getattr(self, name) != getattr(DefenderSpec, name):
+        for name, kind in (("variant", "ocnn"), ("metric", "ocnn"), ("kernel", "ocsvm")):
+            if self.kind != kind and getattr(self, name) != getattr(DefenderSpec, name):
                 raise ConfigError(f"defender {self.kind!r} takes no {name}")
 
     def label(self) -> str:
@@ -329,7 +329,7 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
         accept = lambda f: binary_knn(x_tr, y_tr, k_sel, f)
     else:
         sig = median_heuristic(x_tr)
-        model = binary_svm_train(x_tr, y_tr, c=1.0, sigma_svm=sig, kernel=defender.kernel)
+        model = binary_svm_train(x_tr, y_tr, c=1.0, sigma_svm=sig)
         trained = {"svm_c": 1.0, "sigma_svm": sig}
         accept = lambda f: binary_svm_classify(model, f)
 
@@ -579,7 +579,7 @@ def _each(specs, **overrides) -> list:
     return [(spec, overrides) for spec in specs]
 
 
-_OCNN_VARIANTS = tuple(DefenderSpec("ocnn", variant=v) for v in ("11NN", "1KNN", "J1NN", "JKNN"))
+_OCNN_VARIANTS = tuple(DefenderSpec("ocnn", variant=v) for v in OCNN_VARIANTS)
 _STAT_TESTS = (DefenderSpec("llr"), DefenderSpec("combined"))
 
 
@@ -601,7 +601,7 @@ _TARGETS = {
         for spec in (*_OCNN_VARIANTS, DefenderSpec("binary_knn"))
     ]),
     "table3": (40_000, 20, _each(
-        [DefenderSpec("ocsvm", kernel=k) for k in ("gaussian", "poly", "linear")],
+        [DefenderSpec("ocsvm", kernel=k) for k in KERNELS],
         n_subcarriers=(1, 2, 3))),
     "table4": _stat_ml_table(0.1),
     "table5": _stat_ml_table(0.8),
@@ -659,14 +659,13 @@ def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int
 def _reproduce_table1(scale: float, seed: int) -> ResultTable:
     rows = []
     n_search = _desk(20_000, scale, floor=2_000)
-    calib = _desk(1_000_000, scale, floor=1_000_000)
     for n in (1, 3):
         for rho in (0.1, 0.7, 0.9):
             scn = ScenarioParams.from_snr(
                 n_subcarriers=n, snr_I_db=15.0, snr_II_db=20.0,
                 rho_AE=rho, rho_EB=rho, alpha_I=1.0, alpha_II=1.0,
             )
-            thr, x, y, pmd = _search_cell(scn, 1e-4, calib, n_search,
+            thr, x, y, pmd = _search_cell(scn, 1e-4, 1_000_000, n_search,
                                           Rng(seed).derive(n, int(rho * 10)))
             rows.append({
                 "n_subcarriers": n, "rho": rho, "target_pfa": 1e-4,

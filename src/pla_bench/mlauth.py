@@ -36,18 +36,22 @@ from .rng import Rng
 _OCNN_TUNES = {"11NN": (False, False), "1KNN": (False, True),
                "J1NN": (True, False), "JKNN": (True, True)}
 OCNN_VARIANTS = tuple(_OCNN_TUNES)
+KERNELS = ("gaussian", "poly", "linear")  # the one-class SVM's kernels
 
 
 # ---------------------------------------------------------------------------
 # cross-validation shared by the tuners
 
 _FOLDS = 5
+# each tuner's grid ascends, so the first best candidate is the smallest
 _THETA_GRID = np.arange(1.0, 5.01, 0.5)
+_OCSVM_NUS = (0.01, 0.02, 0.05, 0.1, 0.2)
+_SIGMA_FACTORS = (0.5, 1.0, 2.0)  # Gaussian widths, in units of median_heuristic
 _NEIGHBOR_CAP = 30
 _CV_TOL = 1e-4  # one-class SVM solver tolerance while scoring candidates
 _POLY_DEGREE = 3  # degree of the "poly" kernel
 _MEDIAN_CAP = 256  # sample size of median_heuristic
-_KMEANS_STARTS = 50  # random starts of kmeans_oracle_labels
+_KMEANS_STARTS = 50  # random starts of kmeans_label
 
 
 def _fold_slices(n: int):
@@ -455,15 +459,10 @@ def _ocsvm_cv_scores(sel, neg_sel, nus, sigmas, kernel: str) -> np.ndarray:
     return score
 
 
-def ocsvm_train_cv(
-    positives,
-    negatives,
-    rng: Rng,
-    nus=(0.01, 0.02, 0.05, 0.1, 0.2),
-    sigma_factors=(0.5, 1.0, 2.0),
-    kernel: str = "gaussian",
-) -> tuple[KernelModel, float, float]:
-    """Tune (nu, sigma_svm) by the same cross-validated score as ocnn_train.
+def ocsvm_train_cv(positives, negatives, rng: Rng, kernel: str) -> tuple[KernelModel, float, float]:
+    """Tune (nu, sigma_svm) over _OCSVM_NUS and _SIGMA_FACTORS times the
+    median heuristic (a Gaussian kernel's only) by the same cross-validated
+    score as ocnn_train.
 
     Selection solves every (nu, fold) problem of one kernel width as one
     lockstep batch at a loose solver tolerance; ties resolve to the
@@ -472,15 +471,14 @@ def ocsvm_train_cv(
     """
     pos = np.atleast_2d(np.asarray(positives, dtype=float))
     m = pos.shape[0]
-    nus = sorted(nus)
     base = median_heuristic(pos)
-    sigmas = [base * f for f in sorted(sigma_factors)] if kernel == "gaussian" else [1.0]
+    sigmas = [base * f for f in _SIGMA_FACTORS] if kernel == "gaussian" else [1.0]
     perm = rng.permutation(m)
     neg = np.atleast_2d(np.asarray(negatives, dtype=float))
     neg = neg[rng.permutation(neg.shape[0])]
-    score = _ocsvm_cv_scores(pos[perm], neg[:m], nus, sigmas, kernel)
+    score = _ocsvm_cv_scores(pos[perm], neg[:m], _OCSVM_NUS, sigmas, kernel)
     a, s = np.unravel_index(np.argmax(score), score.shape)
-    nu, sig = nus[a], sigmas[s]
+    nu, sig = _OCSVM_NUS[a], sigmas[s]
     return ocsvm_train(pos, nu, sig, kernel=kernel), nu, sig
 
 
@@ -530,10 +528,9 @@ def binary_svm_train(
     train_y,
     c: float = 1.0,
     sigma_svm: float = 1.0,
-    kernel: str = "gaussian",
     tol: float = 1e-6,
 ) -> KernelModel:
-    """Soft-margin kernel SVM: the one-row case of the pairwise dual solver.
+    """Soft-margin Gaussian-kernel SVM: the one-row case of the pairwise dual solver.
 
     It solves for beta = y * alpha, min 1/2 b^T K b - y^T b with sum b = 0
     and 0 <= y_i b_i <= c, from b = 0, and keeps beta as the model's
@@ -549,14 +546,13 @@ def binary_svm_train(
         raise ConfigError("c must be positive")
     if np.all(y > 0) or np.all(y < 0):
         raise ConfigError("both labels must be present")
-    kmat = _gram(x, x, kernel, sigma_svm)
+    kmat = _gram(x, x, "gaussian", sigma_svm)
     beta = np.zeros((1, x.shape[0]))
     b_up, b_lo = _dual_solve(kmat, beta, -y[None], np.where(y > 0, 0.0, -c)[None],
                              np.where(y > 0, c, 0.0)[None], tol)
     keep = np.abs(beta[0]) > _BOX
     return KernelModel(support=x[keep], lambdas=beta[0, keep],
-                       offset=float(-0.5 * (b_up[0] + b_lo[0])),
-                       sigma_svm=sigma_svm, kernel=kernel)
+                       offset=float(-0.5 * (b_up[0] + b_lo[0])), sigma_svm=sigma_svm)
 
 
 def binary_svm_classify(model: KernelModel, query) -> np.ndarray:
@@ -567,14 +563,9 @@ def binary_svm_classify(model: KernelModel, query) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # clustering
 
-@dataclass(frozen=True)
-class KmeansResult:
-    labels: np.ndarray
-    wcss: float
-
-
-def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
-    """Lloyd's algorithm, best of n_init random starts by final WCSS.
+def kmeans_label(samples, rng: Rng) -> np.ndarray:
+    """Two-cluster Lloyd's algorithm, best of _KMEANS_STARTS random starts by
+    final WCSS; the cluster index, 0 or 1, of each sample.
 
     Initial centroids are drawn uniformly without replacement from the
     samples; an emptied cluster is reseeded at the point farthest from its
@@ -582,19 +573,16 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     m = x.shape[0]
-    if not 1 <= k <= m:
-        raise ConfigError("k must lie in [1, number of samples]")
-    if n_init < 1:
-        raise ConfigError("n_init must be at least 1")
-    best = None
-    for _ in range(n_init):
-        idx = rng.choice(m, size=k, replace=False)
-        cent = x[idx].copy()
+    if m < 2:
+        raise ConfigError("two clusters need at least two samples")
+    best = best_wcss = None
+    for _ in range(_KMEANS_STARTS):
+        cent = x[rng.choice(m, size=2, replace=False)].copy()
         prev = None
         for _ in range(300):
             d2 = _sq_dists(x, cent)
             labels = np.argmin(d2, axis=1)
-            for c in range(k):
+            for c in range(2):
                 mask = labels == c
                 if mask.any():
                     cent[c] = x[mask].mean(axis=0)
@@ -608,8 +596,8 @@ def kmeans_label(samples, k: int, n_init: int, rng: Rng) -> KmeansResult:
         d2 = _sq_dists(x, cent)
         labels = np.argmin(d2, axis=1)
         wcss = float(np.sum(np.maximum(d2[np.arange(m), labels], 0.0)))
-        if best is None or wcss < best.wcss:
-            best = KmeansResult(labels=labels, wcss=wcss)
+        if best is None or wcss < best_wcss:
+            best, best_wcss = labels, wcss
     return best
 
 
@@ -617,7 +605,7 @@ def kmeans_oracle_labels(samples, true_labels, rng: Rng) -> np.ndarray:
     """0/1 labels of a two-cluster kmeans_label: 1 on the cluster whose true
     labels have the larger mean (cluster 0 on a tie), an oracle no unlabelled
     setting has; a coin-split, 0, 1, 0, 1, ..., when one cluster takes all."""
-    labels = kmeans_label(samples, 2, _KMEANS_STARTS, rng).labels
+    labels = kmeans_label(samples, rng)
     if labels.min() == labels.max():
         return np.arange(labels.size) % 2
     share = [np.mean(np.asarray(true_labels)[labels == c]) for c in (0, 1)]

@@ -57,10 +57,23 @@ def test_defender_labels():
     assert DefenderSpec(kind="ocnn", variant="1KNN", metric="llr").label() == "ocnn-1KNN-llr"
     assert DefenderSpec(kind="ocsvm", kernel="linear").label() == "ocsvm-linear"
     assert DefenderSpec(kind="ocsvm").label() == "ocsvm"
+    assert DefenderSpec(kind="ocsvm", kernel="poly").label() == "ocsvm-poly"
     assert DefenderSpec(kind="binary_knn").label() == "binary_knn"
-    assert DefenderSpec(kind="binary_svm", kernel="linear").label() == "binary_svm-linear"
-    assert DefenderSpec(kind="kmeans_svm", kernel="poly").label() == "kmeans_svm-poly"
+    assert DefenderSpec(kind="binary_svm").label() == "binary_svm"
     assert DefenderSpec(kind="kmeans_svm").label() == "kmeans_svm"
+
+
+# the binary SVMs are Gaussian; only the one-class SVM takes a kernel
+@pytest.mark.parametrize("kind", ["binary_svm", "kmeans_svm"])
+@pytest.mark.parametrize("kernel", ["poly", "linear"])
+def test_only_the_one_class_svm_takes_a_kernel(kind, kernel):
+    message = f"defender '{kind}' takes no kernel"
+    with pytest.raises(ConfigError, match=message):
+        DefenderSpec(kind=kind, kernel=kernel)
+    with pytest.raises(ConfigError, match=message):
+        cli.parse_config(f"defender.kind = {kind}\ndefender.kernel = {kernel}\n")
+    assert cli.parse_config(f"defender.kind = ocsvm\ndefender.kernel = {kernel}\n"
+                            ).defender == DefenderSpec("ocsvm", kernel=kernel)
 
 
 def test_attacker_labels():
@@ -354,7 +367,7 @@ class _Observer:
     def __init__(self):
         self.seen = []
 
-    def forge(self, h_ae, h_eb, params):
+    def forge(self, h_ae, h_eb, params, out=None):
         self.seen.append((h_ae, h_eb))
         return h_ae
 

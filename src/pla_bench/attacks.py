@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ScenarioParams, eve_observations, simulate_trials
 from .errors import ConfigError
 from .rng import Rng
-from .statdec import accepts, per_dim_variance
+from .statdec import modulus_statistic, per_dim_variance
 
 # the exponent points the named replays sit on
 _EXPONENTS = {"simplified": (1.0, 1.0), "modulus": (-1.0, -1.0)}
@@ -117,9 +117,14 @@ def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
     """P_MD of each strategy against one fixed (theta, epsilon), on shared draws.
 
     The trial kernel runs once on ``rng.derive(0)``: every strategy forges
-    from the same observations, into one buffer they reuse, and its forgery
-    crosses the same phase-II perturbation.
+    a * u + b * v from the same observations u, v and crosses the same
+    phase-II perturbation p. With q = p - h_bar, Psi is
+    a^2 A + b^2 B + C + 2ab D + 2a E + 2b F, whose six terms are products
+    of u, v and q weighted by 2 / sigma_n^2 and reduced once. Gamma is
+    scored only where Psi passes.
     """
+    if n_mc < 1:
+        raise ConfigError("n_mc must be positive")
     observed = []
 
     def observe(h, r):
@@ -129,12 +134,32 @@ def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
 
     h_bar, _, perturbation = simulate_trials(
         scenario, rng.derive(0), n_mc, forge=observe, genuine=False)
-    s2 = per_dim_variance(scenario)
-    forged, pmds = np.empty_like(perturbation), []
-    for s in strategies:
-        s.forge(*observed, scenario, out=forged)
-        forged += perturbation
-        pmds.append(float(np.mean(accepts(forged, h_bar, s2, theta, epsilon))))
+    u, v = observed
+    q = perturbation - h_bar
+    w = 2.0 / per_dim_variance(scenario)
+    # w |u|^2, w |v|^2, w |q|^2, w Re(u v*), w Re(u q*), w Re(v q*) per carrier
+    products = [w * (s.real * t.real + s.imag * t.imag)
+                for s, t in ((u, u), (v, v), (q, q), (u, v), (u, q), (v, q))]
+    sums = [p.sum(axis=-1) for p in products]
+
+    def term(c, k):
+        # per-carrier coefficients weight the products before the carrier sum
+        return c * sums[k] if np.ndim(c) == 0 else np.sum(c * products[k], axis=-1)
+
+    pmds = []
+    for strategy in strategies:
+        a, b = strategy.coefficients(scenario)
+        # paired so that where u = v, swapping a and b leaves every bit of Psi
+        psi = (term(a * a, 0) + term(b * b, 1)) + (term(2.0 * a, 4) + term(2.0 * b, 5))
+        psi += term(2.0 * a * b, 3) + sums[2]
+        rows = np.flatnonzero(psi <= theta)
+        if epsilon is not None:
+            # the forgery in the order AttackStrategy.forge builds it
+            forged = a * u.take(rows, axis=0)
+            forged += b * v.take(rows, axis=0)
+            forged += perturbation.take(rows, axis=0)
+            rows = rows[np.abs(modulus_statistic(h_bar.take(rows, axis=0), forged)) <= epsilon]
+        pmds.append(rows.size / n_mc)
     return pmds
 
 

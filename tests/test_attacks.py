@@ -9,9 +9,16 @@ from pla_bench.attacks import (
     mismatched_eval,
     optimize_attack_exponents,
 )
-from pla_bench.channel import ScenarioParams, sample_channel
+from pla_bench.channel import ScenarioParams, eve_observations, sample_channel, simulate_trials
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
+from pla_bench.statdec import (
+    accepts,
+    llr_statistic,
+    llr_threshold,
+    modulus_statistic,
+    per_dim_variance,
+)
 
 
 def _pinned_params(**kw):
@@ -196,6 +203,15 @@ def test_optimize_attack_exponents_requires_rng_and_even_grid():
         optimize_attack_exponents((10.0, 1.0), scn, 0.3, 1000, Rng(0))
 
 
+def test_attack_evaluator_rejects_an_empty_draw():
+    # a P_MD over no trials has no value; it must not become a NaN optimum
+    scn = _pinned_params()
+    with pytest.raises(ConfigError, match="n_mc must be positive"):
+        optimize_attack_exponents((10.0, 1.0), scn, 0.5, 0, Rng(0))
+    with pytest.raises(ConfigError, match="n_mc must be positive"):
+        mismatched_eval(SIMPLIFIED, scn, 0, Rng(0), 10.0, 1.0)
+
+
 def test_optimize_attack_exponents_tie_break_prefers_one_one():
     # with both correlations at one every grid cell forges the same vector,
     # and wide-open thresholds accept everything: the tie-break must pick
@@ -248,6 +264,80 @@ def test_common_draw_pmd_equals_one_mismatched_eval_per_strategy(epsilon):
     strategies = [AttackStrategy("exponent", x=0.5, y=-0.5), SIMPLIFIED, MODULUS]
     shared = _common_draw_pmd(strategies, scn, 4000, Rng(16), 9.0, epsilon)
     assert shared == [mismatched_eval(s, scn, 4000, Rng(16), 9.0, epsilon) for s in strategies]
+
+
+def _forged_arrivals(strategies, scn, n_mc, rng):
+    """(h_bar, sigma_n^2, each strategy's forged arrivals): every cell forged
+    whole, on the draw ``_common_draw_pmd`` makes."""
+    observed = []
+
+    def observe(h, r):
+        observed.extend(eve_observations(h, scn, r))
+        return np.zeros_like(h)
+
+    h_bar, _, perturbation = simulate_trials(scn, rng.derive(0), n_mc, forge=observe,
+                                             genuine=False)
+    return h_bar, per_dim_variance(scn), [s.forge(*observed, scn) + perturbation
+                                          for s in strategies]
+
+
+def _assert_counts_agree(strategies, scn, seed, combined):
+    """``_common_draw_pmd`` counts within 2 of ``accepts`` on the forged
+    arrivals, at thresholds set at the median Psi (and median |Gamma|) of
+    all cells, so that the counts move with the coefficients."""
+    n_mc = 4000
+    h_bar, s2, arrivals = _forged_arrivals(strategies, scn, n_mc, Rng(seed))
+    theta = float(np.median([llr_statistic(f, h_bar, s2) for f in arrivals]))
+    eps = None
+    if combined:
+        eps = float(np.median([np.abs(modulus_statistic(h_bar, f)) for f in arrivals]))
+    want = np.array([np.count_nonzero(accepts(f, h_bar, s2, theta, eps)) for f in arrivals])
+    got = np.rint(np.array(_common_draw_pmd(strategies, scn, n_mc, Rng(seed), theta, eps)) * n_mc)
+    assert np.all(np.abs(got - want) <= 2), np.abs(got - want).max()
+    assert np.any((0 < want) & (want < n_mc)), want
+
+
+@pytest.mark.parametrize("combined", [False, True])
+@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_common_draw_pmd_agrees_with_forging_each_cell(n, alpha_ii, combined):
+    # Psi from six per-row sums must count what forging every cell and
+    # scoring it with accepts counts, up to round-off at the threshold
+    scn = ScenarioParams.from_snr(n, 15.0, 20.0, rho_AE=0.6, rho_EB=0.4, alpha_II=alpha_ii)
+    steps = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    cells = [AttackStrategy("exponent", x=x, y=y) for x in steps for y in steps]
+    _assert_counts_agree(cells + [ML, SIMPLIFIED, MODULUS], scn, 21, combined)
+
+
+@pytest.mark.parametrize("combined", [False, True])
+def test_common_draw_pmd_agrees_with_forging_per_carrier_weights(combined):
+    # adversary noise, rho_AB and an uneven profile give the ml attacker its
+    # own (a_n, b_n) on every carrier
+    scn = ScenarioParams.from_snr(3, 15.0, 20.0, rho_AE=0.7, rho_EB=0.5, rho_AB=0.3,
+                                  sigma2_AE=0.05, sigma2_EB=0.02, alpha_II=0.8,
+                                  power_delay=np.array([0.4, 1.0, 1.6]))
+    a, b = ML.coefficients(scn)
+    assert np.unique(a).size == np.unique(b).size == 3
+    _assert_counts_agree([ML], scn, 22, combined)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_table1_points_score_swapped_exponents_alike(n):
+    # at table1's points (rho_AE = rho_EB, no adversary noise) the two
+    # observations are one vector, so every cell forges (rho^x + rho^y) u
+    # and the grid is a one-parameter family in c = rho^x + rho^y
+    scn = ScenarioParams.from_snr(n, 15.0, 20.0, rho_AE=0.1, rho_EB=0.1)
+    h = sample_channel(scn, Rng(23), size=500)
+    h_ae, h_eb = eve_observations(h, scn, Rng(24))
+    assert np.array_equal(h_ae, h_eb)
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    pairs = [(x, y) for x in grid for y in grid if x < y]
+    cells = [AttackStrategy("exponent", x=x, y=y) for x, y in pairs]
+    swapped = [AttackStrategy("exponent", x=y, y=x) for x, y in pairs]
+    theta, eps = llr_threshold(scn, 1e-4), 1.0
+    pmds = _common_draw_pmd(cells, scn, 4000, Rng(25), theta, eps)
+    assert pmds == _common_draw_pmd(swapped, scn, 4000, Rng(25), theta, eps)
+    assert max(pmds) > 0
 
 
 # ---------------------------------------------------------------------------

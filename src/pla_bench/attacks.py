@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ScenarioParams, eve_observations, simulate_trials
+from .channel import ScenarioParams, _add_scaled, eve_observations, simulate_trials
 from .errors import ConfigError
 from .rng import Rng
 from .statdec import modulus_statistic, per_dim_variance
@@ -72,10 +72,11 @@ class AttackStrategy:
         return _power(params.rho_AE, x, "rho_AE"), _power(params.rho_EB, y, "rho_EB")
 
     def forge(self, h_ae, h_eb, params: ScenarioParams, out=None) -> np.ndarray:
-        """a * h_ae + b * h_eb, written into ``out`` (which may be h_ae) when given."""
+        """a * h_ae + b * h_eb, written into ``out`` (which may be h_ae) when
+        given; nothing else is written."""
         a, b = self.coefficients(params)
         out = np.multiply(a, np.asarray(h_ae, dtype=complex), out=out)
-        out += b * np.asarray(h_eb, dtype=complex)
+        _add_scaled(out, b, np.asarray(h_eb, dtype=complex))
         return out
 
 
@@ -138,13 +139,17 @@ def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
     q = perturbation - h_bar
     w = 2.0 / per_dim_variance(scenario)
     # w |u|^2, w |v|^2, w |q|^2, w Re(u v*), w Re(u q*), w Re(v q*) per carrier
-    products = [w * (s.real * t.real + s.imag * t.imag)
-                for s, t in ((u, u), (v, v), (q, q), (u, v), (u, q), (v, q))]
-    sums = [p.sum(axis=-1) for p in products]
+    pairs = ((u, u), (v, v), (q, q), (u, v), (u, q), (v, q))
+
+    def product(k):
+        s, t = pairs[k]
+        return w * (s.real * t.real + s.imag * t.imag)
+
+    sums = [product(k).sum(axis=-1) for k in range(len(pairs))]
 
     def term(c, k):
-        # per-carrier coefficients weight the products before the carrier sum
-        return c * sums[k] if np.ndim(c) == 0 else np.sum(c * products[k], axis=-1)
+        # per-carrier coefficients weight the product, formed again, before the carrier sum
+        return c * sums[k] if np.ndim(c) == 0 else np.sum(c * product(k), axis=-1)
 
     pmds = []
     for strategy in strategies:

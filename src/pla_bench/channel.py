@@ -110,13 +110,14 @@ class ScenarioParams:
 def complex_gaussian(rng: Rng, shape, variance=1.0) -> np.ndarray:
     """Circularly symmetric complex Gaussian, total variance per component.
 
-    All real parts are drawn first, then all imaginary parts, each scaled
-    straight into the result.
+    All real parts are drawn first, then all imaginary parts, each into one
+    buffer and scaled from there into the result.
     """
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
     out = np.empty(shape, dtype=complex)
+    buf = np.empty(shape)
     for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(shape), scale, out=part)
+        np.multiply(rng.standard_normal(shape, out=buf), scale, out=part)
     return out
 
 
@@ -126,26 +127,45 @@ _SKIP_CHUNK = 1 << 16
 
 def _skip_complex_gaussian(rng: Rng, shape) -> None:
     """Advance ``rng`` exactly as ``complex_gaussian(rng, shape)`` would, in
-    bounded chunks, keeping none of the normals."""
+    bounded chunks drawn into one buffer, keeping none of the normals."""
     left = 2 * int(np.prod(shape))
+    buf = np.empty(min(left, _SKIP_CHUNK))
     while left > 0:
-        rng.standard_normal(min(left, _SKIP_CHUNK))
-        left -= _SKIP_CHUNK
+        size = min(left, _SKIP_CHUNK)
+        rng.standard_normal(size, out=buf[:size])
+        left -= size
 
 
 def _add_complex_gaussian(acc: ChannelVector, rng: Rng, variance, weight=1.0) -> None:
     """``acc += weight * complex_gaussian(rng, acc.shape, variance)`` in place,
-    one part at a time, scaling the normals by the deviation, then by
-    ``weight``; a draw whose every term is zero is skipped past, never built."""
+    one part at a time through one buffer, scaling the normals by the
+    deviation, then by ``weight``; a draw whose every term is zero is
+    skipped past, never built."""
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
     if not (scale * weight).any():
         _skip_complex_gaussian(rng, acc.shape)
         return
+    buf = np.empty(acc.shape)
     for part in (acc.real, acc.imag):
-        x = rng.standard_normal(acc.shape)
-        x *= scale
-        x *= weight
-        part += x
+        rng.standard_normal(acc.shape, out=buf)
+        buf *= scale
+        buf *= weight
+        part += buf
+
+
+# rows per block when a scaled array is added into another in place
+_ROW_BLOCK = 1 << 13
+
+
+def _add_scaled(acc: ChannelVector, weight, x) -> None:
+    """``acc += weight * x`` one block of rows at a time, so the product is
+    never whole; each element is the one the whole-array sum gives."""
+    if acc.ndim < 2:
+        acc += weight * x
+        return
+    x = np.broadcast_to(x, acc.shape)
+    for lo in range(0, acc.shape[0], _ROW_BLOCK):
+        acc[lo:lo + _ROW_BLOCK] += weight * x[lo:lo + _ROW_BLOCK]
 
 
 def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) -> ChannelVector:
@@ -156,15 +176,16 @@ def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) ->
 
 def _cross_epoch(mean: ChannelVector, alpha, noise_var: float, params: ScenarioParams,
                  rng: Rng) -> ChannelVector:
-    """The epoch-crossing law: (mean + sqrt(1 - alpha^2) * fade) + noise.
+    """The epoch-crossing law, (mean + sqrt(1 - alpha^2) * fade) + noise,
+    written over ``mean`` and returned; the mean is a complex array of the
+    observations' shape that the caller owns and gives up.
 
     The fade is drawn first, then the estimation noise, both of the mean's
     shape; a fade whose every weight is zero (alpha = 1) is skipped past.
     """
-    out = np.array(mean, dtype=complex, order="C")
-    _add_complex_gaussian(out, rng, params.power_delay, np.sqrt(1.0 - alpha**2))
-    _add_complex_gaussian(out, rng, noise_var)
-    return out
+    _add_complex_gaussian(mean, rng, params.power_delay, np.sqrt(1.0 - alpha**2))
+    _add_complex_gaussian(mean, rng, noise_var)
+    return mean
 
 
 def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> ChannelVector:
@@ -174,14 +195,14 @@ def bob_estimate_phase1(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -
     A training set of one fixed channel passes that channel broadcast to
     ``m_training`` rows.
     """
-    h_ab = np.asarray(h_ab, dtype=complex)
-    return _cross_epoch(params.alpha_I * h_ab, params.alpha_I, params.sigma2_I, params, rng)
+    mean = np.multiply(params.alpha_I, h_ab, dtype=complex, order="C")
+    return _cross_epoch(mean, params.alpha_I, params.sigma2_I, params, rng)
 
 
 def alice_estimate_phase2(h_ab: ChannelVector, params: ScenarioParams, rng: Rng) -> ChannelVector:
     """Classification-phase estimates of genuine packets, one per row of ``h_ab``."""
-    h_ab = np.asarray(h_ab, dtype=complex)
-    return _cross_epoch(params.alpha_II * h_ab, params.alpha_II, params.sigma2_II, params, rng)
+    mean = np.multiply(params.alpha_II, h_ab, dtype=complex, order="C")
+    return _cross_epoch(mean, params.alpha_II, params.sigma2_II, params, rng)
 
 
 def eve_observations(h_ab: ChannelVector, params: ScenarioParams,
@@ -191,15 +212,19 @@ def eve_observations(h_ab: ChannelVector, params: ScenarioParams,
 
     Both observations share one innovation draw per packet, which is what
     couples them beyond their common dependence on the true channel.
+    The second observation is built in the innovation's own storage:
+    sqrt(1 - rho_EB^2) * r + rho_EB * h is, bit for bit, the
+    rho_EB * h + sqrt(1 - rho_EB^2) * r of the law, since IEEE addition
+    commutes.
     """
     h_ab = np.asarray(h_ab, dtype=complex)
     r = complex_gaussian(rng, h_ab.shape, params.power_delay)
     h_ae = params.rho_AE * h_ab
-    h_ae += np.sqrt(1.0 - params.rho_AE**2) * r
+    _add_scaled(h_ae, np.sqrt(1.0 - params.rho_AE**2), r)
     _add_complex_gaussian(h_ae, rng, params.sigma2_AE)
-    r *= np.sqrt(1.0 - params.rho_EB**2)
-    h_eb = params.rho_EB * h_ab
-    h_eb += r
+    h_eb = r
+    h_eb *= np.sqrt(1.0 - params.rho_EB**2)
+    _add_scaled(h_eb, params.rho_EB, h_ab)
     _add_complex_gaussian(h_eb, rng, params.sigma2_EB)
     return h_ae, h_eb
 
@@ -218,7 +243,8 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
     epochs = {"I": (params.alpha_I, params.sigma2_I), "II": (params.alpha_II, params.sigma2_II)}
     if phase not in epochs:
         raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
-    return _cross_epoch(np.asarray(g, dtype=complex), *epochs[phase], params, rng)
+    # one copy, so that g itself is only read
+    return _cross_epoch(np.array(g, dtype=complex, order="C"), *epochs[phase], params, rng)
 
 
 def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,
@@ -229,12 +255,15 @@ def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,
     single-shot enrollment reference, a genuine classification-phase
     packet (None unless ``genuine``) and the arrival of a forged packet
     (None unless ``forge`` is given). ``forge(h, rng)`` maps the channel
-    rows to the vectors the adversary transmits. The draw order (channel,
+    rows to the vectors the adversary transmits, as a fresh complex array
+    that the forged arrival is written over. The draw order (channel,
     reference, genuine packet, forgery, forged arrival) is part of the
     stream contract of every caller.
     """
     h = sample_channel(params, rng, size=n)
     ref = bob_estimate_phase1(h, params, rng)
     alice = alice_estimate_phase2(h, params, rng) if genuine else None
-    eve = forged_observation(forge(h, rng), params, rng) if forge is not None else None
+    eve = None
+    if forge is not None:
+        eve = _cross_epoch(forge(h, rng), params.alpha_II, params.sigma2_II, params, rng)
     return ref, alice, eve

@@ -335,6 +335,7 @@ def optimize_thresholds(
     eps_grid = np.linspace(0.0, eps_hi, _GRID_POINTS)
 
     acc0 = _acceptance_counts(psi0, gam0, theta_grid, eps_grid)
+    del psi0, gam0  # H0's statistics are counted; free them before the H1 draw
     pfa_est = 1.0 - acc0 / float(n_mc)
     ci = 1.96 * math.sqrt(target_pfa * (1.0 - target_pfa) / n_mc)
     feasible = np.abs(pfa_est - target_pfa) <= ci

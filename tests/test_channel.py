@@ -19,6 +19,7 @@ from pla_bench.channel import (
 )
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
+from pla_bench.statdec import optimize_thresholds
 
 N_SAMPLES = 200_000
 
@@ -271,11 +272,9 @@ def test_complex_gaussian_at_zero_variance_matches_up_to_signed_zeros():
     _assert_same_position(new_rng, old_rng)
 
 
-@pytest.mark.parametrize("shape", [0, (0, 3), 7, (1000, 3), (40_000, 1), (70_001, 2)])
-def test_skipping_a_draw_leaves_the_stream_where_the_draw_would(shape, monkeypatch):
-    # (40_000, 1) needs more than one chunk and (70_001, 2) ends in a partial one
-    skipped, drawn = Rng(42), Rng(42)
-    complex_gaussian(drawn, shape)
+def _normal_sizes(monkeypatch, run):
+    """The ``size`` each ``Rng.standard_normal`` call passes while ``run()``
+    runs; a call that names no size fails, as a counting tracer would miss it."""
     sizes = []
     standard_normal = Rng.standard_normal
 
@@ -284,36 +283,61 @@ def test_skipping_a_draw_leaves_the_stream_where_the_draw_would(shape, monkeypat
         return standard_normal(self, size, *args, **kwargs)
 
     monkeypatch.setattr(Rng, "standard_normal", spy)
-    _skip_complex_gaussian(skipped, shape)
+    run()
     monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("shape", [0, (0, 3), 7, (1000, 3), (40_000, 1), (70_001, 2)])
+def test_skipping_a_draw_leaves_the_stream_where_the_draw_would(shape, monkeypatch):
+    # (40_000, 1) needs more than one chunk and (70_001, 2) ends in a partial one
+    skipped, drawn = Rng(42), Rng(42)
+    complex_gaussian(drawn, shape)
+    sizes = _normal_sizes(monkeypatch, lambda: _skip_complex_gaussian(skipped, shape))
     # every call names its size, so counting tracers see each normal
     assert sum(sizes) == 2 * int(np.prod(shape))
     assert all(0 < s <= channel._SKIP_CHUNK for s in sizes)
     _assert_same_position(skipped, drawn)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.8, np.array([1.0, 0.8])],
-                         ids=["still", "faded", "per-carrier"])
-def test_cross_epoch_matches_the_old_law_bit_for_bit(alpha):
+# rows inside one block of channel._add_scaled, and rows over several blocks
+# that end in a partial one
+_ROWS = {"": 2_000, "-blocks": 3 * channel._ROW_BLOCK + 7}
+
+
+def _with_rows(cases):
+    return [pytest.param(*case, rows, id=name + suffix)
+            for name, case in cases for suffix, rows in _ROWS.items()]
+
+
+@pytest.mark.parametrize("alpha, rows", _with_rows(
+    [("still", (1.0,)), ("faded", (0.8,)), ("per-carrier", (np.array([1.0, 0.8]),))]))
+def test_cross_epoch_matches_the_old_law_bit_for_bit(alpha, rows):
     params = ScenarioParams(n_subcarriers=2, alpha_II=alpha, power_delay=np.array([1.0, 0.5]))
-    h = sample_channel(params, Rng(43), size=2_000)
+    h = sample_channel(params, Rng(43), size=rows)
     mean = params.alpha_II * h
     new_rng, old_rng = Rng(44), Rng(44)
-    _assert_same_bits(_cross_epoch(mean, params.alpha_II, params.sigma2_II, params, new_rng),
-                      _old_cross_epoch(mean, params.alpha_II, params.sigma2_II, params, old_rng))
+    old = _old_cross_epoch(mean, params.alpha_II, params.sigma2_II, params, old_rng)
+    # the law is written over the mean its caller owns
+    owned = mean.copy()
+    new = _cross_epoch(owned, params.alpha_II, params.sigma2_II, params, new_rng)
+    assert new is owned
+    _assert_same_bits(new, old)
     _assert_same_position(new_rng, old_rng)
-    # a broadcast mean (one fixed channel) is read, never written
+    # a broadcast mean (one fixed channel) goes through forged_observation,
+    # which copies it once; the read-only view would refuse any write
     fixed = np.broadcast_to(mean[0], mean.shape)
     new_rng, old_rng = Rng(45), Rng(45)
-    _assert_same_bits(_cross_epoch(fixed, params.alpha_II, params.sigma2_II, params, new_rng),
+    _assert_same_bits(forged_observation(fixed, params, new_rng),
                       _old_cross_epoch(fixed, params.alpha_II, params.sigma2_II, params, old_rng))
 
 
-@pytest.mark.parametrize("sigma2_ae, sigma2_eb", [(0.0, 0.0), (0.2, 0.0), (0.0, 0.1), (0.2, 0.1)])
-def test_eve_observations_match_the_old_law_bit_for_bit(sigma2_ae, sigma2_eb):
+@pytest.mark.parametrize("sigma2_ae, sigma2_eb, rows", _with_rows(
+    [(f"{ae}-{eb}", (ae, eb)) for ae, eb in [(0.0, 0.0), (0.0, 0.1), (0.2, 0.0), (0.2, 0.1)]]))
+def test_eve_observations_match_the_old_law_bit_for_bit(sigma2_ae, sigma2_eb, rows):
     params = ScenarioParams(n_subcarriers=3, rho_AE=0.3, rho_EB=0.6,
                             sigma2_AE=sigma2_ae, sigma2_EB=sigma2_eb)
-    h = sample_channel(params, Rng(46), size=2_000)
+    h = sample_channel(params, Rng(46), size=rows)
     new_rng, old_rng = Rng(47), Rng(47)
     for new, old in zip(eve_observations(h, params, new_rng),
                         _old_eve_observations(h, params, old_rng)):
@@ -321,18 +345,80 @@ def test_eve_observations_match_the_old_law_bit_for_bit(sigma2_ae, sigma2_eb):
     _assert_same_position(new_rng, old_rng)
 
 
-@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
-def test_simulate_trials_peak_memory_is_bounded(alpha_ii):
-    # a peak of 6.5 whole (n, N) complex arrays; the out-of-place kernel took
-    # 9, and a forger that did not write over its own observations 7.2
-    n, n_sub = 100_000, 3
-    params = ScenarioParams(n_subcarriers=n_sub, alpha_II=alpha_ii, rho_AE=0.5, rho_EB=0.5)
-    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
+def test_forge_into_its_first_observation_matches_the_whole_array_sum():
+    # per-carrier ml weights over rows that span several blocks
+    params = ScenarioParams(n_subcarriers=3, rho_AE=0.6, rho_EB=0.4, rho_AB=0.3,
+                            sigma2_AE=0.05, sigma2_EB=0.02,
+                            power_delay=np.array([0.4, 1.0, 1.6]))
+    strategy = AttackStrategy("ml")
+    a, b = strategy.coefficients(params)
+    assert np.ndim(a) == 1 and np.ndim(b) == 1
+    h_ae, h_eb = eve_observations(sample_channel(params, Rng(49), size=_ROWS["-blocks"]),
+                                  params, Rng(50))
+    want = a * h_ae + b * h_eb
+    ae, eb = h_ae.copy(), h_eb.copy()
+    # without out, neither observation is written
+    _assert_same_bits(strategy.forge(h_ae, h_eb, params), want)
+    _assert_same_bits(h_ae, ae)
+    _assert_same_bits(h_eb, eb)
+    got = strategy.forge(h_ae, h_eb, params, out=h_ae)
+    assert got is h_ae
+    _assert_same_bits(got, want)
+    _assert_same_bits(h_eb, eb)
 
+
+def test_forged_observation_leaves_its_input_untouched():
+    params = ScenarioParams(n_subcarriers=2, alpha_I=0.9, alpha_II=0.8)
+    g = sample_channel(params, Rng(51), size=1_000)
+    kept = g.copy()
+    for phase in ("I", "II"):
+        forged_observation(g, params, Rng(52), phase=phase)
+        _assert_same_bits(g, kept)
+
+
+def test_simulate_trials_draws_ten_complex_draws_of_named_size(monkeypatch):
+    # channel, reference (fade, noise), genuine packet (fade, noise), the
+    # adversary's innovation and two noises, forged arrival (fade, noise); the
+    # reference's fade (alpha_I = 1) and the noise of h_eb are skipped past.
+    # A counting tracer reads each normal from the size argument, so every
+    # draw into a buffer must still pass it.
+    n, n_sub = 40_000, 3
+    params = ScenarioParams(n_subcarriers=n_sub, alpha_II=0.8, rho_AE=0.5, rho_EB=0.5,
+                            sigma2_AE=0.1)
+    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
+    sizes = _normal_sizes(monkeypatch, lambda: simulate_trials(params, Rng(53), n, forge=forge))
+    assert sum(int(np.prod(s)) for s in sizes) == 10 * 2 * n * n_sub
+
+
+def _peak_arrays(run, n, n_sub):
+    """tracemalloc peak of ``run()`` in whole (n, N) complex arrays."""
     tracemalloc.start()
     try:
-        simulate_trials(params, Rng(48), n, forge=forge)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 16 * n * n_sub
+    return peak / (16 * n * n_sub)
+
+
+@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
+def test_simulate_trials_peak_memory_is_bounded(alpha_ii):
+    # a peak of 5.5 whole (n, N) complex arrays: the channel, reference,
+    # genuine packet and both observations, as the second is built; the
+    # out-of-place kernel took 9, and the kernel before the observations
+    # and the forged arrival were built in place 6.3
+    n, n_sub = 100_000, 3
+    params = ScenarioParams(n_subcarriers=n_sub, alpha_II=alpha_ii, rho_AE=0.5, rho_EB=0.5)
+    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
+    assert _peak_arrays(lambda: simulate_trials(params, Rng(48), n, forge=forge), n, n_sub) <= 5.5
+
+
+def test_optimize_thresholds_peak_memory_is_bounded():
+    # at most 4.5 whole (n, N) complex arrays: H0's statistics are freed before
+    # the H1 draw, whose peak is the channel, reference and both observations;
+    # the calibration took 5.5 while H0's statistics outlived their counts
+    n, n_sub = 100_000, 3
+    params = ScenarioParams(n_subcarriers=n_sub, rho_AE=0.5, rho_EB=0.5)
+    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
+    assert _peak_arrays(lambda: optimize_thresholds(params, 1e-3, n, Rng(54), forge),
+                        n, n_sub) <= 4.5

@@ -14,11 +14,11 @@ The adversary sees spatially correlated versions of the legitimate link,
 with correlations ``rho_AE`` and ``rho_EB`` sharing a common innovation
 term per observation.
 
-The draw contract: a complex draw takes all its real parts, then all its
-imaginary parts, from the stream. A term whose weight is zero (the fade
-at alpha = 1, the adversary's noise at zero variance) is still drawn, so
-every later draw stays where it was, but it is never built: the stream
-is only advanced past it.
+The draw contract: one routine, ``_add_complex_gaussian``, makes every
+complex draw. It takes all real parts, then all imaginary parts, from the
+stream, in blocks of rows through one buffer. A term whose weight is zero
+(the fade at alpha = 1, the adversary's noise at zero variance) is drawn,
+so every later draw stays where it was, but never added.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ def _as_alpha_vector(value, n: int, name: str) -> np.ndarray:
         arr = np.full(n, float(arr[0]))
     if arr.shape != (n,):
         raise ConfigError(f"{name} must be scalar or length-{n}, got shape {arr.shape}")
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both
         raise ConfigError(f"{name} components must lie in [0, 1]")
     return arr
 
@@ -90,8 +90,8 @@ class ScenarioParams:
             pd = np.atleast_1d(np.asarray(pd, dtype=float))
             if pd.shape != (n,):
                 raise ConfigError(f"power_delay must have length {n}")
-            if np.any(pd <= 0):
-                raise ConfigError("power_delay must be strictly positive componentwise")
+            if not np.all((pd > 0) & np.isfinite(pd)):
+                raise ConfigError("power_delay must be finite and strictly positive componentwise")
         object.__setattr__(self, "power_delay", pd)
         self.alpha_I.setflags(write=False)
         self.alpha_II.setflags(write=False)
@@ -108,64 +108,46 @@ class ScenarioParams:
 
 
 def complex_gaussian(rng: Rng, shape, variance=1.0) -> np.ndarray:
-    """Circularly symmetric complex Gaussian, total variance per component.
-
-    All real parts are drawn first, then all imaginary parts, each into one
-    buffer and scaled from there into the result.
-    """
-    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    out = np.empty(shape, dtype=complex)
-    buf = np.empty(shape)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(shape, out=buf), scale, out=part)
+    """Circularly symmetric complex Gaussian, total variance per component."""
+    out = np.zeros(shape, dtype=complex)
+    _add_complex_gaussian(out, rng, variance)
     return out
 
 
-# normals drawn per call while skipping past a draw nobody reads
-_SKIP_CHUNK = 1 << 16
-
-
-def _skip_complex_gaussian(rng: Rng, shape) -> None:
-    """Advance ``rng`` exactly as ``complex_gaussian(rng, shape)`` would, in
-    bounded chunks drawn into one buffer, keeping none of the normals."""
-    left = 2 * int(np.prod(shape))
-    buf = np.empty(min(left, _SKIP_CHUNK))
-    while left > 0:
-        size = min(left, _SKIP_CHUNK)
-        rng.standard_normal(size, out=buf[:size])
-        left -= size
+# rows per block when a draw or a scaled array is added into an array in place
+_ROW_BLOCK = 1 << 13
 
 
 def _add_complex_gaussian(acc: ChannelVector, rng: Rng, variance, weight=1.0) -> None:
     """``acc += weight * complex_gaussian(rng, acc.shape, variance)`` in place,
-    one part at a time through one buffer, scaling the normals by the
-    deviation, then by ``weight``; a draw whose every term is zero is
-    skipped past, never built."""
+    the channel layer's one complex draw.
+
+    All real parts are drawn, then all imaginary parts, one block of
+    ``_ROW_BLOCK`` rows at a time into one buffer; each block's normals are
+    scaled by the deviation, then by ``weight``, and added. A draw whose
+    every term is zero takes the same normals and adds none of them.
+    """
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    if not (scale * weight).any():
-        _skip_complex_gaussian(rng, acc.shape)
-        return
-    buf = np.empty(acc.shape)
-    for part in (acc.real, acc.imag):
-        rng.standard_normal(acc.shape, out=buf)
-        buf *= scale
-        buf *= weight
-        part += buf
-
-
-# rows per block when a scaled array is added into another in place
-_ROW_BLOCK = 1 << 13
+    add = (scale * weight).any()
+    rows = np.atleast_2d(acc)  # a view: one vector is one row
+    buf = np.empty((min(len(rows), _ROW_BLOCK),) + rows.shape[1:])
+    for part in (rows.real, rows.imag):
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            block = part[lo:lo + _ROW_BLOCK]
+            normals = rng.standard_normal(block.shape, out=buf[:len(block)])
+            if add:
+                normals *= scale
+                normals *= weight
+                block += normals
 
 
 def _add_scaled(acc: ChannelVector, weight, x) -> None:
     """``acc += weight * x`` one block of rows at a time, so the product is
     never whole; each element is the one the whole-array sum gives."""
-    if acc.ndim < 2:
-        acc += weight * x
-        return
-    x = np.broadcast_to(x, acc.shape)
-    for lo in range(0, acc.shape[0], _ROW_BLOCK):
-        acc[lo:lo + _ROW_BLOCK] += weight * x[lo:lo + _ROW_BLOCK]
+    rows = np.atleast_2d(acc)
+    x = np.atleast_2d(np.broadcast_to(x, acc.shape))
+    for lo in range(0, len(rows), _ROW_BLOCK):
+        rows[lo:lo + _ROW_BLOCK] += weight * x[lo:lo + _ROW_BLOCK]
 
 
 def sample_channel(params: ScenarioParams, rng: Rng, size: int | None = None) -> ChannelVector:
@@ -181,7 +163,8 @@ def _cross_epoch(mean: ChannelVector, alpha, noise_var: float, params: ScenarioP
     observations' shape that the caller owns and gives up.
 
     The fade is drawn first, then the estimation noise, both of the mean's
-    shape; a fade whose every weight is zero (alpha = 1) is skipped past.
+    shape; a fade whose every weight is zero (alpha = 1) is drawn but never
+    added.
     """
     _add_complex_gaussian(mean, rng, params.power_delay, np.sqrt(1.0 - alpha**2))
     _add_complex_gaussian(mean, rng, noise_var)

@@ -7,8 +7,8 @@ from pla_bench import channel
 from pla_bench.attacks import AttackerSpec, AttackStrategy
 from pla_bench.channel import (
     ScenarioParams,
+    _add_complex_gaussian,
     _cross_epoch,
-    _skip_complex_gaussian,
     alice_estimate_phase2,
     bob_estimate_phase1,
     complex_gaussian,
@@ -188,12 +188,19 @@ def test_scenario_params_validation():
         ScenarioParams(n_subcarriers=1, sigma2_I=-1.0)
     with pytest.raises(ConfigError):
         ScenarioParams(n_subcarriers=1, alpha_II=1.1)
+    # NaN compares false both ways, so it must fail the range test, not pass it
+    for alpha in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ConfigError, match="alpha_II"):
+            ScenarioParams(n_subcarriers=2, alpha_II=alpha)
     with pytest.raises(ConfigError):
         ScenarioParams(n_subcarriers=2, alpha_I=np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ConfigError):
         ScenarioParams(n_subcarriers=2, power_delay=np.array([1.0]))
     with pytest.raises(ConfigError):
         ScenarioParams(n_subcarriers=2, power_delay=np.array([1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="power_delay"):
+            ScenarioParams(n_subcarriers=2, power_delay=np.array([1.0, bad]))
     # counts must be integral, not truncated
     for kw in ({"n_subcarriers": 1.5}, {"n_subcarriers": 1, "m_training": 99.9}):
         with pytest.raises(ConfigError, match="positive integer"):
@@ -256,10 +263,13 @@ def _assert_same_position(rng_a, rng_b):
 @pytest.mark.parametrize("variance", [2.0, np.array([0.5, 1.0, 4.0])],
                          ids=["scalar", "per-carrier"])
 def test_complex_gaussian_matches_the_promoted_product_bit_for_bit(variance):
-    new_rng, old_rng = Rng(40), Rng(40)
-    _assert_same_bits(complex_gaussian(new_rng, (1000, 3), variance),
-                      _old_complex_gaussian(old_rng, (1000, 3), variance))
-    _assert_same_position(new_rng, old_rng)
+    # one row block, several ending in a partial one, and one vector
+    # (sample_channel's size=None)
+    for shape in [(1000, 3), (3 * channel._ROW_BLOCK + 7, 3), (3,)]:
+        new_rng, old_rng = Rng(40), Rng(40)
+        _assert_same_bits(complex_gaussian(new_rng, shape, variance),
+                          _old_complex_gaussian(old_rng, shape, variance))
+        _assert_same_position(new_rng, old_rng)
 
 
 def test_complex_gaussian_at_zero_variance_matches_up_to_signed_zeros():
@@ -290,17 +300,20 @@ def _normal_sizes(monkeypatch, run):
 
 @pytest.mark.parametrize("shape", [0, (0, 3), 7, (1000, 3), (40_000, 1), (70_001, 2)])
 def test_skipping_a_draw_leaves_the_stream_where_the_draw_would(shape, monkeypatch):
-    # (40_000, 1) needs more than one chunk and (70_001, 2) ends in a partial one
+    # (40_000, 1) and (70_001, 2) span several row blocks, ending in a partial one
     skipped, drawn = Rng(42), Rng(42)
     complex_gaussian(drawn, shape)
-    sizes = _normal_sizes(monkeypatch, lambda: _skip_complex_gaussian(skipped, shape))
+    acc = np.zeros(shape, dtype=complex)
+    sizes = _normal_sizes(monkeypatch, lambda: _add_complex_gaussian(acc, skipped, 0.0))
     # every call names its size, so counting tracers see each normal
-    assert sum(sizes) == 2 * int(np.prod(shape))
-    assert all(0 < s <= channel._SKIP_CHUNK for s in sizes)
+    assert sum(int(np.prod(s)) for s in sizes) == 2 * int(np.prod(shape))
+    assert all(s[0] <= channel._ROW_BLOCK for s in sizes)
+    # a zero-weight draw adds nothing, not even a signed zero
+    _assert_same_bits(acc, np.zeros(shape, dtype=complex))
     _assert_same_position(skipped, drawn)
 
 
-# rows inside one block of channel._add_scaled, and rows over several blocks
+# rows inside one row block of the channel layer, and rows over several blocks
 # that end in a partial one
 _ROWS = {"": 2_000, "-blocks": 3 * channel._ROW_BLOCK + 7}
 
@@ -379,7 +392,8 @@ def test_forged_observation_leaves_its_input_untouched():
 def test_simulate_trials_draws_ten_complex_draws_of_named_size(monkeypatch):
     # channel, reference (fade, noise), genuine packet (fade, noise), the
     # adversary's innovation and two noises, forged arrival (fade, noise); the
-    # reference's fade (alpha_I = 1) and the noise of h_eb are skipped past.
+    # reference's fade (alpha_I = 1) and the noise of h_eb are drawn but
+    # never added.
     # A counting tracer reads each normal from the size argument, so every
     # draw into a buffer must still pass it.
     n, n_sub = 40_000, 3
@@ -399,6 +413,25 @@ def _peak_arrays(run, n, n_sub):
     finally:
         tracemalloc.stop()
     return peak / (16 * n * n_sub)
+
+
+def test_sample_channel_peak_memory_is_bounded():
+    # the channel itself plus one row block's buffer; drawing each part
+    # through a whole-shape buffer took 1.5
+    n, n_sub = 100_000, 3
+    params = ScenarioParams(n_subcarriers=n_sub)
+    rng = Rng(55)  # outside the trace: a first generator's setup is not the draw's
+    assert _peak_arrays(lambda: sample_channel(params, rng, n), n, n_sub) <= 1.1
+
+
+def test_bob_estimate_phase1_peak_memory_is_bounded():
+    # the channel and the estimate written over alpha_I * h, plus one row
+    # block's buffer; whole-shape buffers took 2.5
+    n, n_sub = 100_000, 3
+    params = ScenarioParams(n_subcarriers=n_sub, alpha_I=0.8)
+    rng = Rng(56)
+    assert _peak_arrays(lambda: bob_estimate_phase1(sample_channel(params, rng, n), params, rng),
+                        n, n_sub) <= 2.1
 
 
 @pytest.mark.parametrize("alpha_ii", [1.0, 0.8])

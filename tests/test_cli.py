@@ -202,6 +202,19 @@ class TestRunCommand:
         assert "target_pfa must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["llr", "ocnn"])
+    def test_nan_alpha_exits_2(self, tmp_path, capsys, kind):
+        # NaN compares false both ways; it must not reach a calibration or a row
+        text = TINY_CONFIG.replace("defender.kind = llr", f"defender.kind = {kind}")
+        if kind == "ocnn":
+            text = text.replace("target_pfa = 0.05\n", "")
+        cfg = write_config(tmp_path, text + "alpha_II = nan\n")
+        out = tmp_path / "res.csv"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "alpha_II" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failing_shard_exits_2_with_its_address(self, tmp_path, capsys, workers):
         cfg = write_config(tmp_path, "defender.kind = ocsvm\nm_training = 5\n"

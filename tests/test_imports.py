@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, the
 package's modules import each other without a cycle, and only the channel
-layer draws complex Gaussians.
+layer draws complex Gaussians, all through one routine.
 
 A deletion that leaves an import behind fails here. ``__init__.py`` is
 exempt, since its imports are the package's exports, and so is an import
@@ -56,6 +56,14 @@ def calls_of(source: str, name: str) -> list:
 def test_only_the_channel_layer_draws_complex_gaussians(path):
     # every other layer reaches the channel model through its row functions
     assert calls_of(path.read_text(), "complex_gaussian") == []
+
+
+def test_one_routine_draws_every_normal():
+    # the generator's own method, and the channel layer's one complex draw
+    callers = [(path.name, fn.name) for path in sorted(PACKAGE.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef) and calls_of(ast.unparse(fn), "standard_normal")]
+    assert callers == [("channel.py", "_add_complex_gaussian"), ("rng.py", "standard_normal")]
 
 
 def test_call_detection():

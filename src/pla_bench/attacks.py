@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ScenarioParams, _add_scaled, eve_observations, simulate_trials
+from .channel import (
+    ScenarioParams,
+    _add_scaled,
+    eve_observations,
+    genuine_arrival_law,
+    simulate_trials,
+)
 from .errors import ConfigError
 from .rng import Rng
 from .statdec import modulus_statistic, per_dim_variance
@@ -90,27 +96,51 @@ class AttackerSpec:
         name = s.kind if s.kind != "exponent" else f"exponent({s.x:g},{s.y:g})"
         return name + ("-avg" if self.averaged else "")
 
-    def forger(self, scn: ScenarioParams):
-        """``forge(h, rng)``: one forged vector per row of h, from the
-        adversary's observations of both links, as ``simulate_trials`` takes it.
+    def forger(self, scn: ScenarioParams) -> "Forger":
+        """The adversary's forging entry point for one scenario (see ``Forger``)."""
+        return Forger(self, scn)
 
-        When she averages m_training observation pairs, the mean is drawn
-        directly from a scenario whose innovation and noise variances are
-        scaled by 1/m. That samples the average exactly because everything
-        is Gaussian and the two links share each draw's innovation. The
-        forgery is written over the observation of the first link, which
-        nothing else holds.
+
+class Forger:
+    """``forge(h, rng)``: one forged vector per row of h, from the
+    adversary's observations of both links, as ``simulate_trials`` takes it;
+    ``arrival_law()`` is the law of its phase-II arrival.
+
+    When she averages m_training observation pairs, the mean is drawn
+    directly from a scenario whose innovation and noise variances are
+    scaled by 1/m. That samples the average exactly because everything
+    is Gaussian and the two links share each draw's innovation. The
+    forgery is written over the observation of the first link, which
+    nothing else holds.
+    """
+
+    def __init__(self, attacker: AttackerSpec, scn: ScenarioParams):
+        self.strategy, self.scn = attacker.strategy, scn
+        self.m = scn.m_training if attacker.averaged else 1
+        self.obs_scn = scn if self.m == 1 else replace(
+            scn, power_delay=scn.power_delay / self.m,
+            sigma2_AE=scn.sigma2_AE / self.m, sigma2_EB=scn.sigma2_EB / self.m)
+
+    def __call__(self, h, rng: Rng) -> np.ndarray:
+        h_ae, h_eb = eve_observations(h, self.obs_scn, rng)
+        return self.strategy.forge(h_ae, h_eb, self.scn, out=h_ae)
+
+    def arrival_law(self) -> tuple:
+        """``(coef, spread)`` of the forged arrival, as ``sample_pairs`` takes it.
+
+        With (a, b) the strategy's coefficients, the forgery is
+        c * h + d * r + a * n_AE + b * n_EB, where c = a * rho_AE + b * rho_EB,
+        d = a * sqrt(1 - rho_AE^2) + b * sqrt(1 - rho_EB^2) and r is the shared
+        innovation (all three terms 1/m as wide when averaged); it then
+        crosses the epoch as a genuine packet does.
         """
-        obs_scn = scn
-        if self.averaged:
-            m = scn.m_training
-            obs_scn = replace(scn, power_delay=scn.power_delay / m,
-                              sigma2_AE=scn.sigma2_AE / m, sigma2_EB=scn.sigma2_EB / m)
-        def forge(h, rng):
-            h_ae, h_eb = eve_observations(h, obs_scn, rng)
-            return self.strategy.forge(h_ae, h_eb, scn, out=h_ae)
-
-        return forge
+        scn = self.scn
+        a, b = self.strategy.coefficients(scn)
+        c = a * scn.rho_AE + b * scn.rho_EB
+        d = a * np.sqrt(1.0 - scn.rho_AE**2) + b * np.sqrt(1.0 - scn.rho_EB**2)
+        _, epoch = genuine_arrival_law(scn)
+        observed = d * d * scn.power_delay + a * a * scn.sigma2_AE + b * b * scn.sigma2_EB
+        return c, observed / self.m + epoch
 
 
 def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
@@ -176,6 +206,16 @@ def _forgeable(strategy: AttackStrategy, scenario: ScenarioParams) -> bool:
     return True
 
 
+def _exponent_grid(grid_step: float) -> list:
+    """The exponent values -1, -1 + grid_step, ..., 1 of each grid axis."""
+    if not 0.0 < grid_step <= 2.0:  # NaN fails it too
+        raise ConfigError(f"grid_step must be finite and lie in (0, 2], got {grid_step!r}")
+    steps = round(2.0 / grid_step)
+    if abs(steps * grid_step - 2.0) > 1e-9:
+        raise ConfigError("grid_step must divide the interval [-1, 1] evenly")
+    return [float(v) for v in np.round(np.linspace(-1.0, 1.0, steps + 1), 12)]
+
+
 def optimize_attack_exponents(
     bob: tuple[float, float],
     scenario: ScenarioParams,
@@ -193,10 +233,7 @@ def optimize_attack_exponents(
     at the optimum), which ``mismatched_eval`` of that exponent strategy
     reproduces exactly on the same ``rng``.
     """
-    steps = round(2.0 / grid_step)
-    if abs(steps * grid_step - 2.0) > 1e-9:
-        raise ConfigError("grid_step must divide the interval [-1, 1] evenly")
-    grid = [float(v) for v in np.round(np.linspace(-1.0, 1.0, steps + 1), 12)]
+    grid = _exponent_grid(grid_step)
     cells = [s for s in (AttackStrategy("exponent", x=x, y=y) for x in grid for y in grid)
              if _forgeable(s, scenario)]
     pmds = _common_draw_pmd(cells, scenario, n_mc, rng, *bob)

@@ -14,6 +14,12 @@ The adversary sees spatially correlated versions of the legitimate link,
 with correlations ``rho_AE`` and ``rho_EB`` sharing a common innovation
 term per observation.
 
+Threshold calibrations need only each trial's (reference, arrival) pair,
+which per carrier is a zero-mean circular complex Gaussian pair whose
+covariance the scenario and the arrival's law fix; ``sample_pairs`` draws
+it directly, two complex draws per carrier and trial, one row block at a
+time. ``simulate_trials`` draws every term of the trial kernel.
+
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
 stream, in blocks of rows through one buffer. A term whose weight is zero
@@ -228,6 +234,40 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
         raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
     # one copy, so that g itself is only read
     return _cross_epoch(np.array(g, dtype=complex, order="C"), *epochs[phase], params, rng)
+
+
+def genuine_arrival_law(params: ScenarioParams) -> tuple:
+    """``(coef, spread)`` of a genuine classification-phase packet: coef * h
+    plus an independent CN(0, spread), with coef = alpha_II and
+    spread = (1 - alpha_II^2) * power_delay + sigma2_II, per carrier."""
+    return params.alpha_II, (1.0 - params.alpha_II**2) * params.power_delay + params.sigma2_II
+
+
+def sample_pairs(params: ScenarioParams, rng: Rng, n: int, law: tuple):
+    """n trials' (reference, arrival) pairs from their per-carrier joint law,
+    yielded in blocks of at most ``_ROW_BLOCK`` rows, one fresh channel per trial.
+
+    ``law = (coef, spread)`` says the arrival is coef * h plus an
+    independent CN(0, spread) (``genuine_arrival_law``, or a forger's
+    ``arrival_law``). With lambda = power_delay, per carrier the reference
+    has variance lambda + sigma2_I, the arrival coef^2 * lambda + spread,
+    and their covariance is alpha_I * coef * lambda. Each block draws the
+    reference, then the arrival as k * ref plus its innovation, with
+    k = Cov / Var ref and the innovation's variance Var arrival - k * Cov
+    clipped at 0; a zero innovation is drawn and not added.
+    """
+    coef, spread = law
+    lam = params.power_delay
+    var_ref = lam + params.sigma2_I
+    cov = params.alpha_I * coef * lam
+    k = cov / var_ref
+    innovation = np.maximum(coef**2 * lam + spread - k * cov, 0.0)
+    for lo in range(0, n, _ROW_BLOCK):
+        ref = np.zeros((min(_ROW_BLOCK, n - lo), params.n_subcarriers), dtype=complex)
+        _add_complex_gaussian(ref, rng, var_ref)
+        arrival = k * ref
+        _add_complex_gaussian(arrival, rng, innovation)
+        yield ref, arrival
 
 
 def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,

@@ -24,14 +24,22 @@ import time
 
 import numpy as np
 
-from .attacks import AttackerSpec, AttackStrategy, _common_draw_pmd, optimize_attack_exponents
+from .attacks import (
+    AttackerSpec,
+    AttackStrategy,
+    _common_draw_pmd,
+    _exponent_grid,
+    optimize_attack_exponents,
+)
 from .channel import (
     ScenarioParams,
     alice_estimate_phase2,
     bob_estimate_phase1,
     complex_gaussian,  # noqa: F401  (an import site the perfbench tracer patches and checks)
     forged_observation,
+    genuine_arrival_law,
     sample_channel,
+    sample_pairs,
     simulate_trials,
 )
 from .errors import ConfigError, NumericError
@@ -261,8 +269,9 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tupl
                                   config.attacker.forger(scn))
         return thr.theta, thr.epsilon
     theta = llr_threshold(scn, target / 2.0)
-    ref, alice, _ = simulate_trials(scn, rng, 100_000)
-    eps = float(np.std(modulus_statistic(ref, alice))) * normal_upper_quantile(target / 4.0)
+    gamma = np.concatenate([modulus_statistic(ref, alice) for ref, alice
+                            in sample_pairs(scn, rng, 100_000, genuine_arrival_law(scn))])
+    eps = float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
     return theta, eps
 
 
@@ -649,7 +658,9 @@ def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int
                  grid_step: float = 0.1) -> tuple:
     """(thresholds, x, y, P_MD): the combined test calibrated against the
     simplified attacker on ``rng.derive(0)``, then the exponent grid searched
-    against it on ``rng.derive(1)``."""
+    against it on ``rng.derive(1)``. A bad grid step is rejected before
+    the calibration runs."""
+    _exponent_grid(grid_step)
     thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0), AttackerSpec().forger(scn))
     x, y, pmd = optimize_attack_exponents(
         (thr.theta, thr.epsilon), scn, grid_step, n_mc, rng.derive(1))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import ScenarioParams, simulate_trials
+from .channel import ScenarioParams, genuine_arrival_law, sample_pairs
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
 from .rng import Rng
 
@@ -303,9 +303,14 @@ def optimize_thresholds(
     Step 1 enumerates grid pairs whose estimated false-alarm rate matches
     the target within its 95% binomial interval; step 2 returns the
     feasible pair with the smallest estimated missed-detection rate under
-    the attack ``forge``, the trial kernel's ``forge(h, rng)`` (the
-    adversary's ``AttackerSpec.forger``). Ties prefer the larger theta,
-    then the larger epsilon.
+    the attack ``forge`` (the adversary's ``AttackerSpec.forger``), whose
+    ``arrival_law()`` is all this reads of it. Ties prefer the larger
+    theta, then the larger epsilon.
+
+    Both samples come from ``sample_pairs``, one fresh channel per trial:
+    H0's genuine pairs on ``rng.derive(0)`` and H1's forged ones on
+    ``rng.derive(1)``. Psi and |Gamma| are formed one row block at a time,
+    so only those two n-vectors are ever whole.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ConfigError("target_pfa must lie in (0, 1)")
@@ -316,11 +321,17 @@ def optimize_thresholds(
     if np.any(s2 <= 0):
         raise SingularTestError("scenario gives zero per-dimension variance")
 
-    def statistics(ref, pkt):
-        return llr_statistic(pkt, ref, s2), np.abs(modulus_statistic(ref, pkt))
+    def statistics(stream, law):
+        psi, gam = np.empty(n_mc), np.empty(n_mc)
+        lo = 0
+        for ref, pkt in sample_pairs(scenario, stream, n_mc, law):
+            hi = lo + len(ref)
+            psi[lo:hi] = llr_statistic(pkt, ref, s2)
+            gam[lo:hi] = np.abs(modulus_statistic(ref, pkt))
+            lo = hi
+        return psi, gam
 
-    # H0 calibration sample, fresh channel per trial
-    psi0, gam0 = statistics(*simulate_trials(scenario, rng.derive(0), n_mc)[:2])
+    psi0, gam0 = statistics(rng.derive(0), genuine_arrival_law(scenario))
 
     theta_grid = np.linspace(
         llr_threshold(scenario, min(2.0 * target_pfa, 1.0 - 1e-9)),
@@ -345,8 +356,7 @@ def optimize_thresholds(
         )
 
     # H1 sample under the configured attack
-    ref, _, eve = simulate_trials(scenario, rng.derive(1), n_mc, genuine=False, forge=forge)
-    psi1, gam1 = statistics(ref, eve)
+    psi1, gam1 = statistics(rng.derive(1), forge.arrival_law())
     pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
 
     # lexsort orders by its last key first: P_MD up, then theta down, then epsilon down

@@ -1,8 +1,10 @@
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
 
+from pla_bench import harness
 from pla_bench.attacks import (
     AttackStrategy,
     _common_draw_pmd,
@@ -201,6 +203,26 @@ def test_optimize_attack_exponents_requires_rng_and_even_grid():
         optimize_attack_exponents((10.0, 1.0), scn, 0.5, 1000)
     with pytest.raises(ConfigError):
         optimize_attack_exponents((10.0, 1.0), scn, 0.3, 1000, Rng(0))
+
+
+BAD_GRID_STEPS = [0.0, math.nan, -0.5]
+
+
+@pytest.mark.parametrize("step", BAD_GRID_STEPS)
+def test_optimize_attack_exponents_rejects_a_bad_grid_step(step):
+    # a zero or NaN step used to escape as ZeroDivisionError or ValueError,
+    # and a negative one passed the "divides [-1, 1]" check
+    with pytest.raises(ConfigError, match="grid_step"):
+        optimize_attack_exponents((10.0, 1.0), _pinned_params(), step, 1000, Rng(0))
+
+
+@pytest.mark.parametrize("step", BAD_GRID_STEPS)
+def test_search_cell_rejects_a_bad_grid_step_before_calibrating(monkeypatch, step):
+    calls = []
+    monkeypatch.setattr(harness, "optimize_thresholds", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="grid_step"):
+        harness._search_cell(_pinned_params(), 1e-2, 1_000_000, 2_000, Rng(0), step)
+    assert calls == []
 
 
 def test_attack_evaluator_rejects_an_empty_draw():

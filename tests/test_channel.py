@@ -447,11 +447,12 @@ def test_simulate_trials_peak_memory_is_bounded(alpha_ii):
 
 
 def test_optimize_thresholds_peak_memory_is_bounded():
-    # at most 4.5 whole (n, N) complex arrays: H0's statistics are freed before
-    # the H1 draw, whose peak is the channel, reference and both observations;
-    # the calibration took 5.5 while H0's statistics outlived their counts
+    # at most 1.25 whole (n, N) complex arrays: one hypothesis's Psi and |Gamma|
+    # vectors, the counting's index arrays and one row block's pair; drawing
+    # whole trial arrays took 4.1, and 5.5 while H0's statistics outlived
+    # their counts
     n, n_sub = 100_000, 3
     params = ScenarioParams(n_subcarriers=n_sub, rho_AE=0.5, rho_EB=0.5)
     forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
     assert _peak_arrays(lambda: optimize_thresholds(params, 1e-3, n, Rng(54), forge),
-                        n, n_sub) <= 4.5
+                        n, n_sub) <= 1.25

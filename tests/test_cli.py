@@ -286,6 +286,18 @@ class TestAttackSearchCommand:
         assert payload["theta"] > 0.0
 
 
+    @pytest.mark.parametrize("step", ["0", "nan", "-0.5"])
+    def test_bad_grid_step_exits_2_before_calibrating(self, monkeypatch, capsys, step):
+        calls = []
+        monkeypatch.setattr(harness, "optimize_thresholds", lambda *args: calls.append(args))
+        code = cli.main(["attack-search", "--n", "1", "--rho", "0.5", "--target-pfa", "0.01",
+                         "--grid-step", step, "--n-mc", "2000",
+                         "--calibration-trials", "1000000"])
+        assert code == 2
+        assert "grid_step" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestArgparseBehaviour:
     def test_reproduce_rejects_unknown_target(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pla_bench import statdec
-from pla_bench.attacks import AttackerSpec
-from pla_bench.channel import ScenarioParams, sample_channel
+from pla_bench import channel, statdec
+from pla_bench.attacks import AttackerSpec, AttackStrategy
+from pla_bench.channel import (
+    ScenarioParams,
+    genuine_arrival_law,
+    sample_channel,
+    sample_pairs,
+    simulate_trials,
+)
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
 from pla_bench.statdec import (
@@ -427,11 +433,128 @@ def test_optimize_thresholds_false_alarm_on_fresh_stream():
     assert abs(fa - target) < 5 * se
 
 
+def test_optimize_thresholds_pmd_estimate_on_fresh_stream():
+    n_check = 200_000
+    scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
+    forge = AttackerSpec().forger(scn)
+    res = optimize_thresholds(scn, 1e-2, 200_000, Rng(30), forge)
+    ref, _, eve = simulate_trials(scn, Rng(32), n_check, forge=forge, genuine=False)
+    pmd = np.mean(accepts(eve, ref, per_dim_variance(scn), res.theta, res.epsilon))
+    se = math.sqrt(pmd * (1 - pmd) * (1 / 200_000 + 1 / n_check))
+    assert abs(res.pmd_estimate - pmd) < 4 * se
+
+
 def test_optimize_thresholds_deterministic():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     a = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn))
     b = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the calibration's per-carrier joint law against the trial kernel
+
+PER_CARRIER = dict(power_delay=np.array([0.4, 1.0, 1.6]), sigma2_AE=0.05, sigma2_EB=0.02,
+                   alpha_I=0.9, alpha_II=0.8)
+LAW_CASES = {
+    "table1-N1-rho0.1": (dict(n_subcarriers=1, rho_AE=0.1, rho_EB=0.1), AttackerSpec()),
+    "table1-N3-rho0.7": (dict(n_subcarriers=3, rho_AE=0.7, rho_EB=0.7), AttackerSpec()),
+    "alpha_II-0.8": (dict(n_subcarriers=3, rho_AE=0.5, rho_EB=0.5, alpha_II=0.8),
+                     AttackerSpec()),
+    "ml-per-carrier": (dict(n_subcarriers=3, rho_AE=0.6, rho_EB=0.4, **PER_CARRIER),
+                       AttackerSpec(AttackStrategy("ml"))),
+    "ml-per-carrier-avg": (dict(n_subcarriers=3, rho_AE=0.6, rho_EB=0.4, m_training=10,
+                                **PER_CARRIER),
+                           AttackerSpec(AttackStrategy("ml"), averaged=True)),
+    "simplified-avg": (dict(n_subcarriers=2, rho_AE=0.5, rho_EB=0.3, m_training=10,
+                            sigma2_AE=0.05, sigma2_EB=0.02),
+                       AttackerSpec(averaged=True)),
+    "alpha_I-0.8": (dict(n_subcarriers=2, rho_AE=0.5, rho_EB=0.3, alpha_I=0.8),
+                    AttackerSpec(AttackStrategy("exponent", x=-0.5, y=0.5))),
+}
+LAW_TRIALS = 100_000
+
+
+def _law_scenario(case):
+    sweep, attacker = LAW_CASES[case]
+    return ScenarioParams.from_snr(snr_I_db=15.0, snr_II_db=20.0, **sweep), attacker
+
+
+def _law_draws(case, forged):
+    """(reference, arrival) from the pair sampler and from the trial kernel."""
+    scn, attacker = _law_scenario(case)
+    forge = attacker.forger(scn)
+    law = forge.arrival_law() if forged else genuine_arrival_law(scn)
+    blocks = list(sample_pairs(scn, Rng(60), LAW_TRIALS, law))
+    pairs = tuple(np.concatenate(part) for part in zip(*blocks))
+    ref, alice, eve = simulate_trials(scn, Rng(61), LAW_TRIALS, forge=forge if forged else None)
+    return scn, pairs, (ref, eve if forged else alice)
+
+
+def _closed_form(scn, attacker, forged):
+    """Per-carrier Var ref, Var arrival and Cov(ref, arrival), written out."""
+    lam = scn.power_delay
+    var_ref = lam + scn.sigma2_I
+    if not forged:
+        return var_ref, lam + scn.sigma2_II, scn.alpha_I * scn.alpha_II * lam
+    a, b = attacker.strategy.coefficients(scn)
+    m = scn.m_training if attacker.averaged else 1
+    c = a * scn.rho_AE + b * scn.rho_EB
+    d = a * np.sqrt(1 - scn.rho_AE**2) + b * np.sqrt(1 - scn.rho_EB**2)
+    var_eve = ((c**2 + 1 - scn.alpha_II**2) * lam + scn.sigma2_II
+               + (d**2 * lam + a**2 * scn.sigma2_AE + b**2 * scn.sigma2_EB) / m)
+    return var_ref, var_eve, scn.alpha_I * c * lam
+
+
+def _moments(ref, arrival):
+    """Per-carrier means and standard errors of |ref|^2, |arrival|^2 and the
+    real and imaginary parts of ref * conj(arrival)."""
+    cross = ref * np.conj(arrival)
+    products = [np.abs(ref) ** 2, np.abs(arrival) ** 2, cross.real, cross.imag]
+    return ([x.mean(axis=0) for x in products],
+            [x.std(axis=0) / math.sqrt(len(x)) for x in products])
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_sample_pairs_moments_match_the_trial_kernel(case, forged):
+    scn, pairs, kernel = _law_draws(case, forged)
+    got, got_se = _moments(*pairs)
+    want, want_se = _moments(*kernel)
+    var_ref, var_arrival, cov = _closed_form(scn, LAW_CASES[case][1], forged)
+    exact = [var_ref, var_arrival, cov, np.zeros_like(cov)]
+    for g, g_se, w, w_se, x in zip(got, got_se, want, want_se, exact):
+        assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se))
+        assert np.all(np.abs(g - x) < 4 * g_se)
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_sample_pairs_statistics_match_the_trial_kernel(case, forged):
+    scn, (ref, arrival), (k_ref, k_arrival) = _law_draws(case, forged)
+    s2 = per_dim_variance(scn)
+    for stat in (lambda r, a: llr_statistic(a, r, s2),
+                 lambda r, a: np.abs(modulus_statistic(r, a))):
+        assert stats.ks_2samp(stat(ref, arrival), stat(k_ref, k_arrival)).pvalue > 0.001
+
+
+def test_sample_pairs_blocks_and_stream():
+    scn, _ = _law_scenario("alpha_II-0.8")
+    n = 2 * channel._ROW_BLOCK + 5
+    blocks = list(sample_pairs(scn, Rng(62), n, genuine_arrival_law(scn)))
+    assert [len(ref) for ref, _ in blocks] == [channel._ROW_BLOCK] * 2 + [5]
+    assert all(ref.shape == arr.shape == (len(ref), 3) for ref, arr in blocks)
+    again = list(sample_pairs(scn, Rng(62), n, genuine_arrival_law(scn)))
+    assert all(np.array_equal(a, b) for x, y in zip(blocks, again) for a, b in zip(x, y))
+
+
+def test_sample_pairs_draws_but_never_adds_a_zero_innovation():
+    # no noise and no fade: the genuine arrival is the reference itself, so
+    # its innovation has zero variance and is drawn but never added
+    scn = ScenarioParams.from_snr(2, math.inf, math.inf)
+    (ref, arrival), = sample_pairs(scn, Rng(63), 10, genuine_arrival_law(scn))
+    assert np.array_equal(arrival, ref)
+    assert np.all(ref != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,11 @@ def learned(label):
                                   "nu", "sigma_svm", "knn_k"))
 
 
-EXPECTED_THRESHOLDS = (13.508345547192938, 1.433996716725254, 0.011199999999999988, 0.35245, 169)
-EXPECTED_EXPONENTS = (1.0, 1.0, 0.35)
+EXPECTED_THRESHOLDS = (13.396126757524, 1.4599276540042136, 0.011349999999999971, 0.35275, 164)
+EXPECTED_EXPONENTS = (1.0, 1.0, 0.347)
 EXPECTED_MISMATCHED = {
-    'llr': 0.39125,
-    'combined': 0.38725,
+    'llr': 0.3885,
+    'combined': 0.38525,
 }
 EXPECTED_EXPERIMENTS = {
     ('llr', 'simplified', 0.8): (1983, 17, 1213, 787, 14.528338639881103, None),
@@ -101,12 +101,12 @@ EXPECTED_EXPERIMENTS = {
     ('llr', 'ml', 1.0): (1974, 26, 62, 1938, 13.276703990286183, None),
     ('llr', 'simplified-avg', 0.8): (1983, 17, 1702, 298, 14.528338639881103, None),
     ('llr', 'simplified-avg', 1.0): (1974, 26, 240, 1760, 13.276703990286183, None),
-    ('combined', 'simplified', 0.8): (1984, 16, 1230, 770, 14.885865369732752, 1.9147029640041144),
-    ('combined', 'simplified', 1.0): (1972, 28, 59, 1941, 13.070808078781067, 0.6736017305200229),
-    ('combined', 'ml', 0.8): (1984, 16, 1230, 770, 14.885865369732752, 1.9147029640041144),
-    ('combined', 'ml', 1.0): (1972, 28, 59, 1941, 13.070808078781067, 0.6736017305200229),
-    ('combined', 'simplified-avg', 0.8): (1984, 16, 1708, 292, 14.885865369732752, 1.9147029640041144),
-    ('combined', 'simplified-avg', 1.0): (1971, 29, 143, 1857, 18.35890569451416, 0.523912457071129),
+    ('combined', 'simplified', 0.8): (1980, 20, 1195, 805, 14.417917970668988, 1.9829085723379178),
+    ('combined', 'simplified', 1.0): (1971, 29, 60, 1940, 13.178728438285825, 0.6565879562299844),
+    ('combined', 'ml', 0.8): (1980, 20, 1195, 805, 14.417917970668988, 1.9829085723379178),
+    ('combined', 'ml', 1.0): (1971, 29, 60, 1940, 13.178728438285825, 0.6565879562299844),
+    ('combined', 'simplified-avg', 0.8): (1979, 21, 1686, 314, 14.65189167020087, 1.8255348761206227),
+    ('combined', 'simplified-avg', 1.0): (1972, 28, 148, 1852, 15.984657785409507, 0.5295064163145036),
     ('ideal', 'simplified', 0.8): (1982, 18, 1654, 346, 17.93003255668988, None),
     ('ideal', 'simplified', 1.0): (1980, 20, 1041, 959, -0.690155761787046, None),
     ('ideal', 'ml', 0.8): (1982, 18, 1654, 346, 17.93003255668988, None),
@@ -114,7 +114,7 @@ EXPECTED_EXPERIMENTS = {
     ('ideal', 'simplified-avg', 0.8): (1981, 19, 1639, 361, 20.731579058038406, None),
     ('ideal', 'simplified-avg', 1.0): (1981, 19, 62, 1938, 0.40375660876910974, None),
 }
-EXPECTED_FALLBACK = (1982, 18, 1310, 690, 16.246412680141077, 1.6863036760313501)
+EXPECTED_FALLBACK = (1983, 17, 1310, 690, 16.246412680141077, 1.6933414347835478)
 
 EXPECTED_LEARNED = {
     'ocnn-11NN': (851, 151, 297, 705, 1, 1, 1.5, None, None, None),

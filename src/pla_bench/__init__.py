@@ -15,7 +15,6 @@ from .channel import (
     eve_observations,
     forged_observation,
     sample_channel,
-    simulate_trials,
 )
 from .errors import (
     ConfigError,

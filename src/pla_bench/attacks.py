@@ -17,9 +17,11 @@ import numpy as np
 from .channel import (
     ScenarioParams,
     _add_scaled,
+    bob_estimate_phase1,
     eve_observations,
+    forged_observation,
     genuine_arrival_law,
-    simulate_trials,
+    sample_channel,
 )
 from .errors import ConfigError
 from .rng import Rng
@@ -103,8 +105,9 @@ class AttackerSpec:
 
 class Forger:
     """``forge(h, rng)``: one forged vector per row of h, from the
-    adversary's observations of both links, as ``simulate_trials`` takes it;
-    ``arrival_law()`` is the law of its phase-II arrival.
+    adversary's observations of both links, which ``forged_observation``
+    carries to the verifier; ``arrival_law()`` is the law of its phase-II
+    arrival.
 
     When she averages m_training observation pairs, the mean is drawn
     directly from a scenario whose innovation and noise variances are
@@ -147,25 +150,22 @@ def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
                      theta: float, epsilon: float | None) -> list:
     """P_MD of each strategy against one fixed (theta, epsilon), on shared draws.
 
-    The trial kernel runs once on ``rng.derive(0)``: every strategy forges
-    a * u + b * v from the same observations u, v and crosses the same
-    phase-II perturbation p. With q = p - h_bar, Psi is
+    One draw on ``rng.derive(0)`` (channel, reference, the adversary's
+    observations u, v, then the phase-II arrival p of a zero forgery)
+    serves every strategy: each forges a * u + b * v and crosses the same
+    perturbation p. With q = p - h_bar, Psi is
     a^2 A + b^2 B + C + 2ab D + 2a E + 2b F, whose six terms are products
     of u, v and q weighted by 2 / sigma_n^2 and reduced once. Gamma is
     scored only where Psi passes.
     """
     if n_mc < 1:
         raise ConfigError("n_mc must be positive")
-    observed = []
-
-    def observe(h, r):
-        # the kernel forges zeros, so its forged arrival is the perturbation
-        observed.extend(eve_observations(h, scenario, r))
-        return np.zeros_like(h)
-
-    h_bar, _, perturbation = simulate_trials(
-        scenario, rng.derive(0), n_mc, forge=observe, genuine=False)
-    u, v = observed
+    draw = rng.derive(0)
+    h = sample_channel(scenario, draw, size=n_mc)
+    h_bar = bob_estimate_phase1(h, scenario, draw)
+    u, v = eve_observations(h, scenario, draw)
+    del h  # nothing reads the channel again; the zero forgery's copy takes its place
+    perturbation = forged_observation(np.zeros_like(u), scenario, draw)
     q = perturbation - h_bar
     w = 2.0 / per_dim_variance(scenario)
     # w |u|^2, w |v|^2, w |q|^2, w Re(u v*), w Re(u q*), w Re(v q*) per carrier

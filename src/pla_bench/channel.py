@@ -14,11 +14,12 @@ The adversary sees spatially correlated versions of the legitimate link,
 with correlations ``rho_AE`` and ``rho_EB`` sharing a common innovation
 term per observation.
 
-Threshold calibrations need only each trial's (reference, arrival) pair,
-which per carrier is a zero-mean circular complex Gaussian pair whose
-covariance the scenario and the arrival's law fix; ``sample_pairs`` draws
-it directly, two complex draws per carrier and trial, one row block at a
-time. ``simulate_trials`` draws every term of the trial kernel.
+A statistical trial (a threshold calibration's, or an llr or combined
+shard's) needs only its (reference, arrival) pair, which per carrier is a
+zero-mean circular complex Gaussian pair whose covariance the scenario
+and the arrival's law fix; ``sample_pairs`` draws it directly, two
+complex draws per carrier and trial, one row block at a time, with a
+fresh channel and reference for every trial.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
@@ -268,25 +269,3 @@ def sample_pairs(params: ScenarioParams, rng: Rng, n: int, law: tuple):
         arrival = k * ref
         _add_complex_gaussian(arrival, rng, innovation)
         yield ref, arrival
-
-
-def simulate_trials(params: ScenarioParams, rng: Rng, n: int, forge=None,
-                    genuine: bool = True):
-    """n independent authentication trials, one fresh channel per trial.
-
-    Returns ``(ref, alice, eve)``, each of shape (n, N): the verifier's
-    single-shot enrollment reference, a genuine classification-phase
-    packet (None unless ``genuine``) and the arrival of a forged packet
-    (None unless ``forge`` is given). ``forge(h, rng)`` maps the channel
-    rows to the vectors the adversary transmits, as a fresh complex array
-    that the forged arrival is written over. The draw order (channel,
-    reference, genuine packet, forgery, forged arrival) is part of the
-    stream contract of every caller.
-    """
-    h = sample_channel(params, rng, size=n)
-    ref = bob_estimate_phase1(h, params, rng)
-    alice = alice_estimate_phase2(h, params, rng) if genuine else None
-    eve = None
-    if forge is not None:
-        eve = _cross_epoch(forge(h, rng), params.alpha_II, params.sigma2_II, params, rng)
-    return ref, alice, eve

@@ -40,7 +40,6 @@ from .channel import (
     genuine_arrival_law,
     sample_channel,
     sample_pairs,
-    simulate_trials,
 )
 from .errors import ConfigError, NumericError
 from .mlauth import (
@@ -280,10 +279,14 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     """One (sweep point, dataset) cell; a pure function of its arguments.
 
     ``thresholds`` is the point's ``_point_thresholds`` or None. Statistical
-    defenders have no per-dataset trained state, so their trials each draw
-    a fresh channel, reference and packet (the closed forms describe
-    exactly that average). Learned defenders train one model per dataset
-    on a fixed channel and classify packets over it.
+    defenders have no per-dataset trained state, so each genuine and each
+    forged trial draws its own channel, reference and packet (the closed
+    forms describe exactly that average). The llr and combined shards draw
+    them as ``optimize_thresholds`` does: genuine (reference, arrival)
+    pairs from ``sample_pairs`` on ``rng.derive(9, 0)`` and forged ones on
+    ``rng.derive(9, 1)``, scored one row block at a time. Learned
+    defenders train one model per dataset on a fixed channel and classify
+    packets over it.
     """
     defender, attacker = config.defender, config.attacker
     n_eval = math.ceil(config.n_trials / config.n_datasets)
@@ -303,9 +306,14 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
         return _shard_result(psi_a <= theta, psi_e <= theta, {"theta": theta}, train_seconds)
     if thresholds is not None:
         theta, eps = thresholds
-        ref, alice, eve = simulate_trials(scn, r_eval, n_eval, forge=attacker.forger(scn))
         s2 = per_dim_variance(scn)
-        return _shard_result(accepts(alice, ref, s2, theta, eps), accepts(eve, ref, s2, theta, eps),
+
+        def accepted(stream, law):
+            return np.concatenate([accepts(arrival, ref, s2, theta, eps)
+                                   for ref, arrival in sample_pairs(scn, stream, n_eval, law)])
+
+        return _shard_result(accepted(r_eval.derive(0), genuine_arrival_law(scn)),
+                             accepted(r_eval.derive(1), attacker.forger(scn).arrival_law()),
                              {"theta": theta, "epsilon": eps}, 0.0)
 
     # learned defenders: one model per dataset on a fixed channel

@@ -11,7 +11,13 @@ from pla_bench.attacks import (
     mismatched_eval,
     optimize_attack_exponents,
 )
-from pla_bench.channel import ScenarioParams, eve_observations, sample_channel, simulate_trials
+from pla_bench.channel import (
+    ScenarioParams,
+    bob_estimate_phase1,
+    eve_observations,
+    forged_observation,
+    sample_channel,
+)
 from pla_bench.errors import ConfigError
 from pla_bench.rng import Rng
 from pla_bench.statdec import (
@@ -290,15 +296,12 @@ def test_common_draw_pmd_equals_one_mismatched_eval_per_strategy(epsilon):
 
 def _forged_arrivals(strategies, scn, n_mc, rng):
     """(h_bar, sigma_n^2, each strategy's forged arrivals): every cell forged
-    whole, on the draw ``_common_draw_pmd`` makes."""
-    observed = []
-
-    def observe(h, r):
-        observed.extend(eve_observations(h, scn, r))
-        return np.zeros_like(h)
-
-    h_bar, _, perturbation = simulate_trials(scn, rng.derive(0), n_mc, forge=observe,
-                                             genuine=False)
+    whole, on the four calls ``_common_draw_pmd`` makes."""
+    draw = rng.derive(0)
+    h = sample_channel(scn, draw, size=n_mc)
+    h_bar = bob_estimate_phase1(h, scn, draw)
+    observed = eve_observations(h, scn, draw)
+    perturbation = forged_observation(np.zeros_like(h), scn, draw)
     return h_bar, per_dim_variance(scn), [s.forge(*observed, scn) + perturbation
                                           for s in strategies]
 

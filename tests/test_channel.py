@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pla_bench import channel
-from pla_bench.attacks import AttackerSpec, AttackStrategy
+from pla_bench import channel, harness
+from pla_bench.attacks import AttackerSpec, AttackStrategy, optimize_attack_exponents
 from pla_bench.channel import (
     ScenarioParams,
     _add_complex_gaussian,
@@ -15,9 +15,9 @@ from pla_bench.channel import (
     eve_observations,
     forged_observation,
     sample_channel,
-    simulate_trials,
 )
 from pla_bench.errors import ConfigError
+from pla_bench.harness import DefenderSpec, ExperimentConfig
 from pla_bench.rng import Rng
 from pla_bench.statdec import optimize_thresholds
 
@@ -65,10 +65,11 @@ def test_bob_estimate_phase1_moments():
 
 
 def test_reference_estimate_has_full_phase1_variance():
-    # the kernel's reference is one full-variance enrollment estimate, not
-    # an average of m_training of them
+    # a fresh-channel trial's reference is one full-variance enrollment
+    # estimate, not an average of m_training of them
     params = ScenarioParams(n_subcarriers=1, alpha_I=1.0, m_training=100)
-    ref, _, _ = simulate_trials(params, Rng(50), N_SAMPLES, genuine=False)
+    rng = Rng(50)
+    ref = bob_estimate_phase1(sample_channel(params, rng, size=N_SAMPLES), params, rng)
     want_var = 1.0 + params.sigma2_I
     assert abs(np.var(ref) - want_var) < _three_se_of_variance(want_var, N_SAMPLES)
 
@@ -76,8 +77,11 @@ def test_reference_estimate_has_full_phase1_variance():
 def test_reference_estimate_alpha_bar_matches_scenario():
     # reference and genuine packet share only alpha_I * alpha_II of the channel
     params = ScenarioParams(n_subcarriers=3, alpha_I=0.9, alpha_II=0.8)
-    ref, alice, eve = simulate_trials(params, Rng(7), N_SAMPLES)
-    assert ref.shape == alice.shape == (N_SAMPLES, 3) and eve is None
+    rng = Rng(7)
+    h = sample_channel(params, rng, size=N_SAMPLES)
+    ref = bob_estimate_phase1(h, params, rng)
+    alice = alice_estimate_phase2(h, params, rng)
+    assert ref.shape == alice.shape == (N_SAMPLES, 3)
     cross = np.mean(ref * np.conj(alice), axis=0)
     assert np.all(np.abs(cross - 0.9 * 0.8) < 5.0 / np.sqrt(N_SAMPLES))
 
@@ -154,27 +158,6 @@ def test_forged_observation_phase2_collects_fading():
     want_var = (1.0 - 0.8**2) + params.sigma2_II
     assert abs(got.mean() - g[0, 0]) < 3.0 * np.sqrt(want_var / N_SAMPLES)
     assert abs(np.var(got) - want_var) < _three_se_of_variance(want_var, N_SAMPLES)
-
-
-def test_simulate_trials_draws_in_stream_order():
-    params = ScenarioParams(n_subcarriers=2, alpha_I=0.9, alpha_II=0.7, rho_AE=0.5)
-
-    def forge(h, rng):
-        return 0.5 * eve_observations(h, params, rng)[0]
-
-    ref, alice, eve = simulate_trials(params, Rng(18), 6, forge=forge)
-    rng = Rng(18)
-    h = sample_channel(params, rng, size=6)
-    assert np.array_equal(ref, bob_estimate_phase1(h, params, rng))
-    assert np.array_equal(alice, alice_estimate_phase2(h, params, rng))
-    assert np.array_equal(eve, forged_observation(forge(h, rng), params, rng))
-    # skipping the genuine packet leaves the rest of the stream in order
-    ref2, alice2, eve2 = simulate_trials(params, Rng(18), 6, forge=forge, genuine=False)
-    rng = Rng(18)
-    h = sample_channel(params, rng, size=6)
-    assert np.array_equal(ref2, ref) and alice2 is None
-    bob_estimate_phase1(h, params, rng)
-    assert np.array_equal(eve2, forged_observation(forge(h, rng), params, rng))
 
 
 def test_scenario_params_validation():
@@ -389,19 +372,25 @@ def test_forged_observation_leaves_its_input_untouched():
         _assert_same_bits(g, kept)
 
 
-def test_simulate_trials_draws_ten_complex_draws_of_named_size(monkeypatch):
-    # channel, reference (fade, noise), genuine packet (fade, noise), the
-    # adversary's innovation and two noises, forged arrival (fade, noise); the
-    # reference's fade (alpha_I = 1) and the noise of h_eb are drawn but
-    # never added.
-    # A counting tracer reads each normal from the size argument, so every
-    # draw into a buffer must still pass it.
+def _stat_shard(kind, n, n_sub):
+    """One llr or combined shard of n genuine and n forged trials over N
+    carriers, as a thunk; its thresholds are fixed outside it."""
+    cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(n_sub,), alpha_II=(0.8,),
+                           rho_AE=(0.5,), rho_EB=(0.5,), target_pfa=1e-2, n_trials=n,
+                           n_datasets=1, seed=3, calibration_trials=20_000)
+    point = next(cfg.sweep_points())
+    thresholds = harness._point_thresholds(cfg, 0, point)
+    return lambda: harness._run_shard(cfg, 0, 0, point, thresholds)
+
+
+@pytest.mark.parametrize("kind", ["llr", "combined"])
+def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kind, monkeypatch):
+    # each hypothesis draws its (reference, arrival) pairs from their joint
+    # law; the ten-draw trial kernel took 20 normals per carrier and trial.
+    # A counting tracer reads each normal from the size argument.
     n, n_sub = 40_000, 3
-    params = ScenarioParams(n_subcarriers=n_sub, alpha_II=0.8, rho_AE=0.5, rho_EB=0.5,
-                            sigma2_AE=0.1)
-    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
-    sizes = _normal_sizes(monkeypatch, lambda: simulate_trials(params, Rng(53), n, forge=forge))
-    assert sum(int(np.prod(s)) for s in sizes) == 10 * 2 * n * n_sub
+    sizes = _normal_sizes(monkeypatch, _stat_shard(kind, n, n_sub))
+    assert sum(int(np.prod(s)) for s in sizes) == 2 * 2 * 2 * n * n_sub
 
 
 def _peak_arrays(run, n, n_sub):
@@ -434,16 +423,25 @@ def test_bob_estimate_phase1_peak_memory_is_bounded():
                         n, n_sub) <= 2.1
 
 
-@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
-def test_simulate_trials_peak_memory_is_bounded(alpha_ii):
-    # a peak of 5.5 whole (n, N) complex arrays: the channel, reference,
-    # genuine packet and both observations, as the second is built; the
-    # out-of-place kernel took 9, and the kernel before the observations
-    # and the forged arrival were built in place 6.3
+@pytest.mark.parametrize("kind", ["llr", "combined"])
+def test_stat_shard_peak_memory_is_bounded(kind):
+    # a few row blocks' pairs and statistics, and the two accept masks;
+    # scoring whole trial arrays from the trial kernel took 5.1 (llr) and
+    # 6.0 (combined)
     n, n_sub = 100_000, 3
-    params = ScenarioParams(n_subcarriers=n_sub, alpha_II=alpha_ii, rho_AE=0.5, rho_EB=0.5)
-    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
-    assert _peak_arrays(lambda: simulate_trials(params, Rng(48), n, forge=forge), n, n_sub) <= 5.5
+    assert _peak_arrays(_stat_shard(kind, n, n_sub), n, n_sub) <= 0.6
+
+
+@pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
+def test_exponent_grid_peak_memory_is_bounded(alpha_ii):
+    # the reference, both observations, the perturbation and a few per-row
+    # products; holding the channel after the adversary observed it took 7.86
+    n, n_sub = 100_000, 3
+    params = ScenarioParams.from_snr(n_sub, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5,
+                                     alpha_II=alpha_ii)
+    rng = Rng(57)
+    assert _peak_arrays(lambda: optimize_attack_exponents((9.0, 0.8), params, 0.5, n, rng),
+                        n, n_sub) <= 7.0
 
 
 def test_optimize_thresholds_peak_memory_is_bounded():

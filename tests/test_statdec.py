@@ -8,10 +8,12 @@ from pla_bench import channel, statdec
 from pla_bench.attacks import AttackerSpec, AttackStrategy
 from pla_bench.channel import (
     ScenarioParams,
+    alice_estimate_phase2,
+    bob_estimate_phase1,
+    forged_observation,
     genuine_arrival_law,
     sample_channel,
     sample_pairs,
-    simulate_trials,
 )
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
@@ -438,7 +440,10 @@ def test_optimize_thresholds_pmd_estimate_on_fresh_stream():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     forge = AttackerSpec().forger(scn)
     res = optimize_thresholds(scn, 1e-2, 200_000, Rng(30), forge)
-    ref, _, eve = simulate_trials(scn, Rng(32), n_check, forge=forge, genuine=False)
+    rng = Rng(32)
+    h = sample_channel(scn, rng, size=n_check)
+    ref = bob_estimate_phase1(h, scn, rng)
+    eve = forged_observation(forge(h, rng), scn, rng)
     pmd = np.mean(accepts(eve, ref, per_dim_variance(scn), res.theta, res.epsilon))
     se = math.sqrt(pmd * (1 - pmd) * (1 / 200_000 + 1 / n_check))
     assert abs(res.pmd_estimate - pmd) < 4 * se
@@ -452,7 +457,7 @@ def test_optimize_thresholds_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the calibration's per-carrier joint law against the trial kernel
+# the per-carrier joint law against the physical trial it stands for
 
 PER_CARRIER = dict(power_delay=np.array([0.4, 1.0, 1.6]), sigma2_AE=0.05, sigma2_EB=0.02,
                    alpha_I=0.9, alpha_II=0.8)
@@ -481,14 +486,21 @@ def _law_scenario(case):
 
 
 def _law_draws(case, forged):
-    """(reference, arrival) from the pair sampler and from the trial kernel."""
+    """(reference, arrival) from the pair sampler and from the physical
+    trial: channel, reference, genuine packet and, if forged, the forger's
+    vector carried to the verifier."""
     scn, attacker = _law_scenario(case)
     forge = attacker.forger(scn)
     law = forge.arrival_law() if forged else genuine_arrival_law(scn)
     blocks = list(sample_pairs(scn, Rng(60), LAW_TRIALS, law))
     pairs = tuple(np.concatenate(part) for part in zip(*blocks))
-    ref, alice, eve = simulate_trials(scn, Rng(61), LAW_TRIALS, forge=forge if forged else None)
-    return scn, pairs, (ref, eve if forged else alice)
+    rng = Rng(61)
+    h = sample_channel(scn, rng, size=LAW_TRIALS)
+    ref = bob_estimate_phase1(h, scn, rng)
+    arrival = alice_estimate_phase2(h, scn, rng)
+    if forged:
+        arrival = forged_observation(forge(h, rng), scn, rng)
+    return scn, pairs, (ref, arrival)
 
 
 def _closed_form(scn, attacker, forged):

@@ -73,14 +73,19 @@ def same_cell(old: str, new: str) -> bool:
 
 
 def _se_units(old: dict, new: dict, rate: str) -> str:
-    """|delta rate| / se_rate of one row, or "" where the table has no SE."""
+    """|delta rate| / se_rate of one row, or "" where the table has no SE.
+
+    The SE is floored at 1/n, the binomial SE of the one-event rate over the
+    row's n trials (n_alice for p_fa, n_eve for p_md), so a row whose golden
+    copy saw no error still reads in finite units.
+    """
+    trials = {"p_fa": "n_alice", "p_md": "n_eve"}[rate]
     try:
         delta = abs(float(new[rate]) - float(old[rate]))
-        se = float(old["se_" + rate.replace("_", "")])
+        se = max(float(old["se_" + rate.replace("_", "")]), 1.0 / int(old[trials]))
     except (KeyError, ValueError):
         return ""
-    units = delta / se if se > 0 else (0.0 if delta == 0 else math.inf)
-    return f"|d{rate}|/se {units:.2f}"
+    return f"|d{rate}|/se {delta / se:.2f}"
 
 
 def compare(old_text: str, new_text: str) -> tuple[bool, list]:

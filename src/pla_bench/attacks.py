@@ -128,20 +128,22 @@ class Forger:
         h_ae, h_eb = eve_observations(h, self.obs_scn, rng)
         return self.strategy.forge(h_ae, h_eb, self.scn, out=h_ae)
 
-    def arrival_law(self) -> tuple:
-        """``(coef, spread)`` of the forged arrival, as ``sample_pairs`` takes it.
+    def arrival_law(self, phase: str = "II") -> tuple:
+        """``(coef, spread)`` of the forged arrival of a phase ("II", a
+        classification-phase packet; "I", a forged enrollment reference), as
+        ``sample_pairs`` takes it.
 
         With (a, b) the strategy's coefficients, the forgery is
         c * h + d * r + a * n_AE + b * n_EB, where c = a * rho_AE + b * rho_EB,
         d = a * sqrt(1 - rho_AE^2) + b * sqrt(1 - rho_EB^2) and r is the shared
         innovation (all three terms 1/m as wide when averaged); it then
-        crosses the epoch as a genuine packet does.
+        crosses the epoch as a genuine estimate of that phase does.
         """
         scn = self.scn
         a, b = self.strategy.coefficients(scn)
         c = a * scn.rho_AE + b * scn.rho_EB
         d = a * np.sqrt(1.0 - scn.rho_AE**2) + b * np.sqrt(1.0 - scn.rho_EB**2)
-        _, epoch = genuine_arrival_law(scn)
+        _, epoch = genuine_arrival_law(scn, phase)
         observed = d * d * scn.power_delay + a * a * scn.sigma2_AE + b * b * scn.sigma2_EB
         return c, observed / self.m + epoch
 

@@ -19,7 +19,13 @@ shard's) needs only its (reference, arrival) pair, which per carrier is a
 zero-mean circular complex Gaussian pair whose covariance the scenario
 and the arrival's law fix; ``sample_pairs`` draws it directly, two
 complex draws per carrier and trial, one row block at a time, with a
-fresh channel and reference for every trial.
+fresh channel and reference for every trial. The ideal bound's trial
+(``harness._ideal_psi``) has four members, reference, forged reference,
+genuine packet and forged packet, each coef * h plus its own independent
+circular Gaussian, by ``genuine_arrival_law`` and the forger's
+``arrival_law`` of its phase ("I" for the references, "II" for the
+packets); they share only the channel, so it draws h and then each
+member, five complex draws per carrier and trial.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
@@ -227,21 +233,31 @@ def forged_observation(g: ChannelVector, params: ScenarioParams, rng: Rng,
     same law as a genuine estimate of its phase: "II", the classification
     phase (the usual case), with alpha_II and sigma2_II, which keeps the
     closed-form error rates exact for every alpha_II; "I", forged packets
-    injected during enrollment (the ideal bound's forged reference, the
-    binary defenders' training negatives), with alpha_I and sigma2_I.
+    injected during enrollment (the binary defenders' training negatives;
+    the ideal bound draws its forged reference from the forger's phase-I
+    ``arrival_law``), with alpha_I and sigma2_I.
     """
+    # one copy, so that g itself is only read
+    return _cross_epoch(np.array(g, dtype=complex, order="C"), *_epoch(params, phase), params, rng)
+
+
+def _epoch(params: ScenarioParams, phase: str) -> tuple:
+    """``(alpha, noise variance)`` of a phase: "I", enrollment, or "II",
+    classification."""
     epochs = {"I": (params.alpha_I, params.sigma2_I), "II": (params.alpha_II, params.sigma2_II)}
     if phase not in epochs:
         raise ConfigError(f"phase must be 'I' or 'II', got {phase!r}")
-    # one copy, so that g itself is only read
-    return _cross_epoch(np.array(g, dtype=complex, order="C"), *epochs[phase], params, rng)
+    return epochs[phase]
 
 
-def genuine_arrival_law(params: ScenarioParams) -> tuple:
-    """``(coef, spread)`` of a genuine classification-phase packet: coef * h
-    plus an independent CN(0, spread), with coef = alpha_II and
-    spread = (1 - alpha_II^2) * power_delay + sigma2_II, per carrier."""
-    return params.alpha_II, (1.0 - params.alpha_II**2) * params.power_delay + params.sigma2_II
+def genuine_arrival_law(params: ScenarioParams, phase: str = "II") -> tuple:
+    """``(coef, spread)`` of a genuine estimate of the phase: coef * h plus an
+    independent CN(0, spread), with coef = alpha and
+    spread = (1 - alpha^2) * power_delay + noise variance, per carrier, from
+    the phase's alpha and noise variance ("II", a classification-phase
+    packet; "I", an enrollment reference)."""
+    alpha, noise_var = _epoch(params, phase)
+    return alpha, (1.0 - alpha**2) * params.power_delay + noise_var
 
 
 def sample_pairs(params: ScenarioParams, rng: Rng, n: int, law: tuple):

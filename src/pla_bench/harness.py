@@ -33,6 +33,8 @@ from .attacks import (
 )
 from .channel import (
     ScenarioParams,
+    _ROW_BLOCK,
+    _add_complex_gaussian,
     alice_estimate_phase2,
     bob_estimate_phase1,
     complex_gaussian,  # noqa: F401  (an import site the perfbench tracer patches and checks)
@@ -222,30 +224,50 @@ def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, 
     return forged_observation(np.broadcast_to(g, (n, h.size)), scn, rng, phase=phase)
 
 
+def _ideal_trials(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
+                  forged: bool = True):
+    """n ideal-bound trials from their per-carrier joint law, in blocks of at
+    most ``_ROW_BLOCK`` rows: [reference, forged reference, genuine packet,
+    forged packet], the last left out without ``forged``.
+
+    Each member is coef * h plus its own CN(0, spread), by
+    ``genuine_arrival_law`` or the forger's ``arrival_law`` of its phase, so
+    the members share only the channel and the two forgeries are
+    independent. A block draws h, then each member in that order.
+    """
+    forger = attacker.forger(scn)
+    laws = [genuine_arrival_law(scn, "I"), forger.arrival_law("I"), genuine_arrival_law(scn)]
+    if forged:
+        laws.append(forger.arrival_law())
+    for lo in range(0, n, _ROW_BLOCK):
+        h = sample_channel(scn, rng, size=min(_ROW_BLOCK, n - lo))
+        members = [coef * h for coef, _ in laws]
+        for member, (_, spread) in zip(members, laws):
+            _add_complex_gaussian(member, rng, spread)
+        yield members
+
+
 def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
                forged: bool = True) -> tuple:
     """Genuine- and forged-packet statistics of the two-reference test.
 
-    Every trial is a fresh universe: the verifier holds an enrollment
-    reference of the genuine channel and one of the adversary's forgery,
-    and scores phase-II packets against both. Both distances are weighted
-    by sigma2_I + sigma2_II, E|alice - ref|^2 per carrier under H0 at
-    alpha_II = 1 only; H1 is wider (its two forgeries are independent). So
-    this is a valid test with an empirical threshold, not the
-    Neyman-Pearson test of its own model. Without ``forged`` (the
-    calibration) it stops before the forged packet, the trial's last draw,
-    and returns None in its place.
+    Every trial is a fresh universe (``_ideal_trials``): the verifier holds
+    an enrollment reference of the genuine channel and one of the
+    adversary's forgery, and scores phase-II packets against both. Both
+    distances are weighted by sigma2_I + sigma2_II, E|alice - ref|^2 per
+    carrier under H0 at alpha_II = 1 only; H1 is wider (its two forgeries
+    are independent). So this is a valid test with an empirical threshold,
+    not the Neyman-Pearson test of its own model. Without ``forged`` (the
+    calibration) no forged packet is drawn, and None is returned in its
+    place.
     """
     s2 = scn.sigma2_I + scn.sigma2_II
-    forge = attacker.forger(scn)
-    h = sample_channel(scn, rng, size=n)
-    ref = bob_estimate_phase1(h, scn, rng)
-    eve_ref = forged_observation(forge(h, rng), scn, rng, phase="I")
-    psi_a = ideal_llr(alice_estimate_phase2(h, scn, rng), ref, eve_ref, s2)
-    if not forged:
-        return psi_a, None
-    eve = forged_observation(forge(h, rng), scn, rng)
-    return psi_a, ideal_llr(eve, ref, eve_ref, s2)
+    psi = [np.empty(n), np.empty(n) if forged else None]
+    blocks = _ideal_trials(scn, attacker, rng, n, forged)
+    for lo, (ref, eve_ref, *packets) in zip(range(0, n, _ROW_BLOCK), blocks):
+        for out, packet in zip(psi, packets):
+            out[lo:lo + len(ref)] = ideal_llr(packet, ref, eve_ref, s2)
+    return tuple(psi)
 
 
 # --------------------------------------------------------------------------

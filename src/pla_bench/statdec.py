@@ -378,8 +378,10 @@ def optimize_thresholds(
 def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
-    Both distances share one sigma2, which fits H0 only (harness._ideal_psi),
-    so this is no Neyman-Pearson statistic. Accept at or below a threshold.
+    Both distances share one sigma2, which fits H0 only
+    (``harness._ideal_psi``, whose trials, the packet and both references,
+    come from their per-carrier joint law), so this is no Neyman-Pearson
+    statistic. Accept at or below a threshold.
     """
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)

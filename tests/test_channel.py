@@ -373,13 +373,14 @@ def test_forged_observation_leaves_its_input_untouched():
 
 
 def _stat_shard(kind, n, n_sub):
-    """One llr or combined shard of n genuine and n forged trials over N
-    carriers, as a thunk; its thresholds are fixed outside it."""
+    """One statistical shard of n genuine and n forged trials over N
+    carriers, as a thunk; an llr or combined shard's thresholds are fixed
+    outside it, and the ideal bound calibrates inside it."""
     cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(n_sub,), alpha_II=(0.8,),
                            rho_AE=(0.5,), rho_EB=(0.5,), target_pfa=1e-2, n_trials=n,
                            n_datasets=1, seed=3, calibration_trials=20_000)
     point = next(cfg.sweep_points())
-    thresholds = harness._point_thresholds(cfg, 0, point)
+    thresholds = None if kind == "ideal" else harness._point_thresholds(cfg, 0, point)
     return lambda: harness._run_shard(cfg, 0, 0, point, thresholds)
 
 
@@ -391,6 +392,16 @@ def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kin
     n, n_sub = 40_000, 3
     sizes = _normal_sizes(monkeypatch, _stat_shard(kind, n, n_sub))
     assert sum(int(np.prod(s)) for s in sizes) == 2 * 2 * 2 * n * n_sub
+
+
+def test_ideal_shard_draws_five_complex_draws_per_carrier_and_trial(monkeypatch):
+    # the channel and the four members of each evaluation trial, and the
+    # channel and three members of each calibration trial; the physical
+    # chain took 15 and 10
+    n, n_sub = 40_000, 3
+    n_cal = harness._ideal_calibration_size(1e-2)
+    sizes = _normal_sizes(monkeypatch, _stat_shard("ideal", n, n_sub))
+    assert sum(int(np.prod(s)) for s in sizes) == 2 * n_sub * (5 * n + 4 * n_cal)
 
 
 def _peak_arrays(run, n, n_sub):
@@ -430,6 +441,13 @@ def test_stat_shard_peak_memory_is_bounded(kind):
     # 6.0 (combined)
     n, n_sub = 100_000, 3
     assert _peak_arrays(_stat_shard(kind, n, n_sub), n, n_sub) <= 0.6
+
+
+def test_ideal_shard_peak_memory_is_bounded():
+    # the two Psi vectors and one row block's trials; scoring whole trial
+    # arrays from the physical chain took 5.85
+    n, n_sub = 100_000, 3
+    assert _peak_arrays(_stat_shard("ideal", n, n_sub), n, n_sub) <= 1.25
 
 
 @pytest.mark.parametrize("alpha_ii", [1.0, 0.8])

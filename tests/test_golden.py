@@ -53,6 +53,20 @@ def test_compare_rules():
     assert not compare(text, _with_cell(text, 0, "defender", "llr2"))[0]
 
 
+def test_a_move_off_a_zero_error_row_reads_in_one_event_units():
+    compare = _compare_module().compare
+    text = (GOLDEN / "table4.csv").read_text()
+    n_alice = int(next(csv.DictReader(io.StringIO(text)))["n_alice"])
+    # a golden row that saw no false alarm has se_pfa 0; two false alarms
+    # read against the one-event SE, 1 / n_alice
+    old = text
+    for column, value in (("fn", "0"), ("p_fa", "0.0"), ("se_pfa", "0.0")):
+        old = _with_cell(old, 0, column, value)
+    new = _with_cell(_with_cell(old, 0, "fn", "2"), 0, "p_fa", repr(2 / n_alice))
+    ok, lines = compare(old, new)
+    assert not ok and lines[0].startswith("row 0: |dp_fa|/se 2.00; |dp_md|/se 0.00; ")
+
+
 def test_write_prints_the_report_then_rewrites(monkeypatch, tmp_path, capsys):
     module = _compare_module()
     text = (GOLDEN / "table4.csv").read_text()

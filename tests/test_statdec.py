@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pla_bench import channel, statdec
+from pla_bench import channel, harness, statdec
 from pla_bench.attacks import AttackerSpec, AttackStrategy
 from pla_bench.channel import (
     ScenarioParams,
@@ -567,6 +568,111 @@ def test_sample_pairs_draws_but_never_adds_a_zero_innovation():
     (ref, arrival), = sample_pairs(scn, Rng(63), 10, genuine_arrival_law(scn))
     assert np.array_equal(arrival, ref)
     assert np.all(ref != 0)
+
+
+def test_arrival_laws_take_the_phase_epoch():
+    scn, attacker = _law_scenario("ml-per-carrier")  # alpha_I 0.9, alpha_II 0.8
+    forger = attacker.forger(scn)
+    observed = forger.arrival_law()[1] - genuine_arrival_law(scn)[1]
+    for phase, alpha, noise_var in (("I", scn.alpha_I, scn.sigma2_I),
+                                    ("II", scn.alpha_II, scn.sigma2_II)):
+        epoch = (1 - alpha**2) * scn.power_delay + noise_var
+        coef, spread = genuine_arrival_law(scn, phase)
+        assert np.array_equal(coef, alpha) and np.allclose(spread, epoch)
+        # the forgery keeps its coefficient and its own spread in both phases
+        coef, spread = forger.arrival_law(phase)
+        assert np.array_equal(coef, forger.arrival_law()[0])
+        assert np.allclose(spread, observed + epoch)
+    for law in (lambda p: genuine_arrival_law(scn, p), forger.arrival_law):
+        with pytest.raises(ConfigError):
+            law("III")
+
+
+# ---------------------------------------------------------------------------
+# the ideal bound's four-member joint law against the physical trial
+
+
+def _ideal_draws(case):
+    """The ideal trial's [reference, forged reference, genuine packet, forged
+    packet] from the joint law and from the physical chain: channel,
+    reference, a forgery carried to the verifier in phase I, genuine packet
+    and a second, independent forgery carried in phase II."""
+    scn, attacker = _law_scenario(case)
+    blocks = list(harness._ideal_trials(scn, attacker, Rng(64), LAW_TRIALS))
+    law = [np.concatenate(part) for part in zip(*blocks)]
+    forge = attacker.forger(scn)
+    rng = Rng(65)
+    h = sample_channel(scn, rng, size=LAW_TRIALS)
+    ref = bob_estimate_phase1(h, scn, rng)
+    eve_ref = forged_observation(forge(h, rng), scn, rng, phase="I")
+    alice = alice_estimate_phase2(h, scn, rng)
+    eve = forged_observation(forge(h, rng), scn, rng)
+    return scn, attacker, law, [ref, eve_ref, alice, eve]
+
+
+def _ideal_closed_form(scn, attacker):
+    """Per-carrier E[x_i conj(x_j)] of the four members, written out: each is
+    coef * h plus its own noise, so off the diagonal only the channel's
+    lambda = power_delay remains, and every entry is real."""
+    lam = scn.power_delay
+    a, b = attacker.strategy.coefficients(scn)
+    m = scn.m_training if attacker.averaged else 1
+    c = a * scn.rho_AE + b * scn.rho_EB
+    d = a * np.sqrt(1 - scn.rho_AE**2) + b * np.sqrt(1 - scn.rho_EB**2)
+    observed = (d**2 * lam + a**2 * scn.sigma2_AE + b**2 * scn.sigma2_EB) / m
+    coefs = [scn.alpha_I, c, scn.alpha_II, c]
+    variances = [lam + scn.sigma2_I,
+                 (c**2 + 1 - scn.alpha_I**2) * lam + scn.sigma2_I + observed,
+                 lam + scn.sigma2_II,
+                 (c**2 + 1 - scn.alpha_II**2) * lam + scn.sigma2_II + observed]
+    return [[variances[i] if i == j else coefs[i] * coefs[j] * lam for j in range(4)]
+            for i in range(4)]
+
+
+def _cross_moments(members):
+    """{(i, j, part): (per-carrier mean, standard error)} of the real and
+    imaginary parts of x_i * conj(x_j), i < j, and of |x_i|^2."""
+    out = {}
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        cross = members[i] * np.conj(members[j])
+        for part in (("real", "imag") if i < j else ("real",)):
+            x = getattr(cross, part)
+            out[i, j, part] = x.mean(axis=0), x.std(axis=0) / math.sqrt(len(x))
+    return out
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_ideal_trials_moments_match_the_physical_chain(case):
+    scn, attacker, law, chain = _ideal_draws(case)
+    exact = _ideal_closed_form(scn, attacker)
+    want = _cross_moments(chain)
+    for (i, j, part), (g, g_se) in _cross_moments(law).items():
+        w, w_se = want[i, j, part]
+        x = exact[i][j] if part == "real" else 0.0
+        assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se)), (i, j, part)
+        assert np.all(np.abs(g - x) < 4 * g_se), (i, j, part)
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_ideal_psi_matches_the_physical_chain(case):
+    scn, attacker, _, (ref, eve_ref, alice, eve) = _ideal_draws(case)
+    psi = harness._ideal_psi(scn, attacker, Rng(64), LAW_TRIALS)
+    s2 = scn.sigma2_I + scn.sigma2_II
+    for got, packet in zip(psi, (alice, eve)):  # H0, then H1
+        want = ideal_llr(packet, ref, eve_ref, s2)
+        assert stats.ks_2samp(got, want).pvalue > 0.001
+
+
+def test_ideal_calibration_draws_no_forged_packet():
+    scn, attacker = _law_scenario("alpha_I-0.8")
+    n = channel._ROW_BLOCK + 5
+    blocks = list(harness._ideal_trials(scn, attacker, Rng(66), n, forged=False))
+    assert [[m.shape for m in b] for b in blocks] == [[(channel._ROW_BLOCK, 2)] * 3, [(5, 2)] * 3]
+    psi_a, psi_e = harness._ideal_psi(scn, attacker, Rng(66), n, forged=False)
+    assert psi_e is None and psi_a.shape == (n,)
+    s2 = scn.sigma2_I + scn.sigma2_II
+    want = np.concatenate([ideal_llr(alice, ref, eve_ref, s2) for ref, eve_ref, alice in blocks])
+    assert np.array_equal(psi_a, want)
 
 
 # ---------------------------------------------------------------------------

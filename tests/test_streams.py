@@ -1,12 +1,12 @@
 """Exact outputs of the seeded Monte Carlo paths, pinned bit for bit.
 
 Every value below depends on the order of each path's draws (the pair
-sampler's row blocks in the calibrations and the llr and combined shards;
-the channel, estimate and forgery draws everywhere else), on the stream
-keys each caller derives and on the floating-point association of the
-statistics. A refactor must leave them all unchanged. A deliberate
-stream change updates them in the same commit and records why in
-CHANGES.md.
+sampler's row blocks in the calibrations and the llr and combined shards,
+the ideal bound's joint-law row blocks; the channel, estimate and forgery
+draws everywhere else), on the stream keys each caller derives and on the
+floating-point association of the statistics. A refactor must leave them
+all unchanged. A deliberate stream change updates them in the same commit
+and records why in CHANGES.md.
 """
 import pytest
 
@@ -109,12 +109,12 @@ EXPECTED_EXPERIMENTS = {
     ('combined', 'ml', 1.0): (1974, 26, 59, 1941, 13.178728438285825, 0.6565879562299844),
     ('combined', 'simplified-avg', 0.8): (1977, 23, 1714, 286, 14.65189167020087, 1.8255348761206227),
     ('combined', 'simplified-avg', 1.0): (1977, 23, 129, 1871, 15.984657785409507, 0.5295064163145036),
-    ('ideal', 'simplified', 0.8): (1982, 18, 1654, 346, 17.93003255668988, None),
-    ('ideal', 'simplified', 1.0): (1980, 20, 1041, 959, -0.690155761787046, None),
-    ('ideal', 'ml', 0.8): (1982, 18, 1654, 346, 17.93003255668988, None),
-    ('ideal', 'ml', 1.0): (1980, 20, 1041, 959, -0.690155761787046, None),
-    ('ideal', 'simplified-avg', 0.8): (1981, 19, 1639, 361, 20.731579058038406, None),
-    ('ideal', 'simplified-avg', 1.0): (1981, 19, 62, 1938, 0.40375660876910974, None),
+    ('ideal', 'simplified', 0.8): (1985, 15, 1634, 366, 18.280455658213672, None),
+    ('ideal', 'simplified', 1.0): (1983, 17, 1056, 944, -0.7161871042791561, None),
+    ('ideal', 'ml', 0.8): (1985, 15, 1634, 366, 18.280455658213672, None),
+    ('ideal', 'ml', 1.0): (1983, 17, 1056, 944, -0.7161871042791561, None),
+    ('ideal', 'simplified-avg', 0.8): (1983, 17, 1666, 334, 21.31745113496644, None),
+    ('ideal', 'simplified-avg', 1.0): (1974, 26, 73, 1927, 0.48201562259967007, None),
 }
 EXPECTED_FALLBACK = (1983, 17, 1380, 620, 16.246412680141077, 1.6933414347835478)
 

@@ -14,24 +14,22 @@ The adversary sees spatially correlated versions of the legitimate link,
 with correlations ``rho_AE`` and ``rho_EB`` sharing a common innovation
 term per observation.
 
-A statistical trial (a threshold calibration's, or an llr or combined
-shard's) needs only its (reference, arrival) pair, which per carrier is a
-zero-mean circular complex Gaussian pair whose covariance the scenario
-and the arrival's law fix; ``sample_pairs`` draws it directly, two
-complex draws per carrier and trial, one row block at a time, with a
-fresh channel and reference for every trial. The ideal bound's trial
-(``harness._ideal_psi``) has four members, reference, forged reference,
-genuine packet and forged packet, each coef * h plus its own independent
-circular Gaussian, by ``genuine_arrival_law`` and the forger's
-``arrival_law`` of its phase ("I" for the references, "II" for the
-packets); they share only the channel, so it draws h and then each
-member, five complex draws per carrier and trial.
+A statistical trial (a threshold calibration's, or an llr, combined or
+ideal shard's) is a fresh-channel universe: the enrollment reference and
+one or more arrivals (genuine or forged packets, and for the ideal bound a
+forged reference), each coef * h plus its own independent circular
+Gaussian, by ``genuine_arrival_law`` or the forger's ``arrival_law`` of its
+phase. Per carrier the members are a zero-mean circular complex Gaussian
+vector whose covariance these laws fix, and ``score_trials`` draws it
+directly, one complex draw per member, carrier and trial, one row block
+at a time, and scores each block.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
 stream, in blocks of rows through one buffer. A term whose weight is zero
-(the fade at alpha = 1, the adversary's noise at zero variance) is drawn,
-so every later draw stays where it was, but never added.
+(the fade at alpha = 1, the adversary's noise at zero variance, a trial
+member's zero innovation) is drawn, so every later draw stays where it
+was, but never added.
 """
 from __future__ import annotations
 
@@ -260,28 +258,61 @@ def genuine_arrival_law(params: ScenarioParams, phase: str = "II") -> tuple:
     return alpha, (1.0 - alpha**2) * params.power_delay + noise_var
 
 
-def sample_pairs(params: ScenarioParams, rng: Rng, n: int, law: tuple):
-    """n trials' (reference, arrival) pairs from their per-carrier joint law,
-    yielded in blocks of at most ``_ROW_BLOCK`` rows, one fresh channel per trial.
+def score_trials(params: ScenarioParams, rng: Rng, n: int, laws, statistic) -> tuple:
+    """Score n fresh-channel trials: the enrollment reference, then one member
+    per ``(coef, spread)`` of ``laws`` (``genuine_arrival_law`` or a
+    forger's ``arrival_law``), each coef * h plus its own CN(0, spread).
 
-    ``law = (coef, spread)`` says the arrival is coef * h plus an
-    independent CN(0, spread) (``genuine_arrival_law``, or a forger's
-    ``arrival_law``). With lambda = power_delay, per carrier the reference
-    has variance lambda + sigma2_I, the arrival coef^2 * lambda + spread,
-    and their covariance is alpha_I * coef * lambda. Each block draws the
-    reference, then the arrival as k * ref plus its innovation, with
-    k = Cov / Var ref and the innovation's variance Var arrival - k * Cov
-    clipped at 0; a zero innovation is drawn and not added.
+    Per carrier, Cov(x_i, x_j) = coef_i * coef_j * power_delay + [i = j] *
+    spread_i, with the reference's law ``genuine_arrival_law(params, "I")``.
+    Its LDL^T, E_ij = C_ij - sum_l E_il L_jl, L_ij = E_ij / D_j and
+    D_i = C_ii - sum_j L_ij E_ij (clipped at 0; a zero pivot weighs 0),
+    draws each member as sum_j L_ij z_j plus its own innovation z_i of
+    variance D_i, added last: one complex draw per member, carrier and
+    trial, and no channel. Each block of at most ``_ROW_BLOCK`` trials is
+    passed as ``statistic(ref, *members)``, which returns a tuple of
+    per-trial arrays; the result holds each one's n trials.
     """
-    coef, spread = law
+    coefs, spreads = zip(genuine_arrival_law(params, "I"), *laws)
     lam = params.power_delay
-    var_ref = lam + params.sigma2_I
-    cov = params.alpha_I * coef * lam
-    k = cov / var_ref
-    innovation = np.maximum(coef**2 * lam + spread - k * cov, 0.0)
+    weights, pivots = [], []  # weights[i][j] = L_ij, j < i
+    for i, (coef, spread) in enumerate(zip(coefs, spreads)):
+        cross, row = [], []  # E_ij and L_ij, j < i
+        pivot = coef * coef * lam + spread
+        for j in range(i):
+            e = coef * coefs[j] * lam
+            for l in range(j):
+                e = e - cross[l] * weights[j][l]
+            cross.append(e)
+            row.append(np.divide(e, pivots[j], out=np.zeros_like(e), where=pivots[j] > 0))
+            pivot = pivot - row[j] * e
+        weights.append(row)
+        pivots.append(np.maximum(pivot, 0.0))
+    outputs = None
     for lo in range(0, n, _ROW_BLOCK):
-        ref = np.zeros((min(_ROW_BLOCK, n - lo), params.n_subcarriers), dtype=complex)
-        _add_complex_gaussian(ref, rng, var_ref)
-        arrival = k * ref
-        _add_complex_gaussian(arrival, rng, innovation)
-        yield ref, arrival
+        shape = (min(_ROW_BLOCK, n - lo), params.n_subcarriers)
+        members, innovations = [], []
+        for i, (row, pivot) in enumerate(zip(weights, pivots)):
+            if i == 0:
+                member = np.zeros(shape, dtype=complex)
+            else:
+                member = row[0] * innovations[0]
+                for weight, z in zip(row[1:], innovations[1:]):
+                    member += weight * z
+            if 0 < i < len(pivots) - 1:
+                # a later member reads this innovation on its own
+                z = np.zeros(shape, dtype=complex)
+                _add_complex_gaussian(z, rng, pivot)
+                member += z
+            else:
+                # the reference is its own innovation, and no member reads the last one's
+                _add_complex_gaussian(member, rng, pivot)
+                z = member
+            members.append(member)
+            innovations.append(z)
+        scores = statistic(*members)
+        if outputs is None:
+            outputs = tuple(np.empty((n,) + s.shape[1:], dtype=s.dtype) for s in scores)
+        for out, s in zip(outputs, scores):
+            out[lo:lo + shape[0]] = s
+    return outputs

@@ -200,7 +200,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_optimize(args) -> int:
     scn = _scenario(args, args.rho_AE, args.rho_EB)
     thr = optimize_thresholds(scn, args.target_pfa, args.n_mc, Rng(args.seed),
-                              AttackerSpec().forger(scn))
+                              AttackerSpec().forger(scn).arrival_law())
     print(json.dumps(asdict(thr)))
     return 0
 

@@ -33,15 +33,13 @@ from .attacks import (
 )
 from .channel import (
     ScenarioParams,
-    _ROW_BLOCK,
-    _add_complex_gaussian,
     alice_estimate_phase2,
     bob_estimate_phase1,
     complex_gaussian,  # noqa: F401  (an import site the perfbench tracer patches and checks)
     forged_observation,
     genuine_arrival_law,
     sample_channel,
-    sample_pairs,
+    score_trials,
 )
 from .errors import ConfigError, NumericError
 from .mlauth import (
@@ -224,52 +222,6 @@ def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, 
     return forged_observation(np.broadcast_to(g, (n, h.size)), scn, rng, phase=phase)
 
 
-def _ideal_trials(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
-                  forged: bool = True):
-    """n ideal-bound trials from their per-carrier joint law, in blocks of at
-    most ``_ROW_BLOCK`` rows: [reference, forged reference, genuine packet,
-    forged packet], the last left out without ``forged``.
-
-    Each member is coef * h plus its own CN(0, spread), by
-    ``genuine_arrival_law`` or the forger's ``arrival_law`` of its phase, so
-    the members share only the channel and the two forgeries are
-    independent. A block draws h, then each member in that order.
-    """
-    forger = attacker.forger(scn)
-    laws = [genuine_arrival_law(scn, "I"), forger.arrival_law("I"), genuine_arrival_law(scn)]
-    if forged:
-        laws.append(forger.arrival_law())
-    for lo in range(0, n, _ROW_BLOCK):
-        h = sample_channel(scn, rng, size=min(_ROW_BLOCK, n - lo))
-        members = [coef * h for coef, _ in laws]
-        for member, (_, spread) in zip(members, laws):
-            _add_complex_gaussian(member, rng, spread)
-        yield members
-
-
-def _ideal_psi(scn: ScenarioParams, attacker: AttackerSpec, rng: Rng, n: int,
-               forged: bool = True) -> tuple:
-    """Genuine- and forged-packet statistics of the two-reference test.
-
-    Every trial is a fresh universe (``_ideal_trials``): the verifier holds
-    an enrollment reference of the genuine channel and one of the
-    adversary's forgery, and scores phase-II packets against both. Both
-    distances are weighted by sigma2_I + sigma2_II, E|alice - ref|^2 per
-    carrier under H0 at alpha_II = 1 only; H1 is wider (its two forgeries
-    are independent). So this is a valid test with an empirical threshold,
-    not the Neyman-Pearson test of its own model. Without ``forged`` (the
-    calibration) no forged packet is drawn, and None is returned in its
-    place.
-    """
-    s2 = scn.sigma2_I + scn.sigma2_II
-    psi = [np.empty(n), np.empty(n) if forged else None]
-    blocks = _ideal_trials(scn, attacker, rng, n, forged)
-    for lo, (ref, eve_ref, *packets) in zip(range(0, n, _ROW_BLOCK), blocks):
-        for out, packet in zip(psi, packets):
-            out[lo:lo + len(ref)] = ideal_llr(packet, ref, eve_ref, s2)
-    return tuple(psi)
-
-
 # --------------------------------------------------------------------------
 # shard execution
 
@@ -287,11 +239,11 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tupl
     rng = Rng(config.seed).derive(p_idx, 1_000_000)
     if target * config.calibration_trials >= 100:
         thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
-                                  config.attacker.forger(scn))
+                                  config.attacker.forger(scn).arrival_law())
         return thr.theta, thr.epsilon
     theta = llr_threshold(scn, target / 2.0)
-    gamma = np.concatenate([modulus_statistic(ref, alice) for ref, alice
-                            in sample_pairs(scn, rng, 100_000, genuine_arrival_law(scn))])
+    gamma, = score_trials(scn, rng, 100_000, [genuine_arrival_law(scn)],
+                          lambda ref, alice: (modulus_statistic(ref, alice),))
     eps = float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
     return theta, eps
 
@@ -303,12 +255,17 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     ``thresholds`` is the point's ``_point_thresholds`` or None. Statistical
     defenders have no per-dataset trained state, so each genuine and each
     forged trial draws its own channel, reference and packet (the closed
-    forms describe exactly that average). The llr and combined shards draw
-    them as ``optimize_thresholds`` does: genuine (reference, arrival)
-    pairs from ``sample_pairs`` on ``rng.derive(9, 0)`` and forged ones on
-    ``rng.derive(9, 1)``, scored one row block at a time. Learned
-    defenders train one model per dataset on a fixed channel and classify
-    packets over it.
+    forms describe exactly that average) through ``score_trials``, as
+    ``optimize_thresholds`` does: the llr and combined shards score genuine
+    (reference, arrival) pairs on ``rng.derive(9, 0)`` and forged ones on
+    ``rng.derive(9, 1)``. The ideal bound's trial holds the reference, the
+    adversary's forged reference (the forger's phase-I law) and the genuine
+    and forged packets, scored against both references with the weight
+    sigma2_I + sigma2_II (E|alice - ref|^2 per carrier under H0 at
+    alpha_II = 1 only; H1 is wider, its two forgeries being independent),
+    so its threshold is calibrated empirically, on ``rng.derive(5)`` with
+    no forged packet. Learned defenders train one model per dataset on a
+    fixed channel and classify packets over it.
     """
     defender, attacker = config.defender, config.attacker
     n_eval = math.ceil(config.n_trials / config.n_datasets)
@@ -320,19 +277,25 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
 
     if kind == "ideal":
         target = config.target_for(point)
-        psi_cal, _ = _ideal_psi(scn, attacker, rng.derive(5), _ideal_calibration_size(target),
-                                forged=False)
+        forger = attacker.forger(scn)
+        laws = [forger.arrival_law("I"), genuine_arrival_law(scn), forger.arrival_law()]
+        s2 = scn.sigma2_I + scn.sigma2_II
+
+        def psi(ref, eve_ref, *packets):
+            return tuple(ideal_llr(packet, ref, eve_ref, s2) for packet in packets)
+
+        psi_cal, = score_trials(scn, rng.derive(5), _ideal_calibration_size(target), laws[:2], psi)
         theta = calibrate_threshold(psi_cal, target)
         train_seconds = time.perf_counter() - t0
-        psi_a, psi_e = _ideal_psi(scn, attacker, r_eval, n_eval)
+        psi_a, psi_e = score_trials(scn, r_eval, n_eval, laws, psi)
         return _shard_result(psi_a <= theta, psi_e <= theta, {"theta": theta}, train_seconds)
     if thresholds is not None:
         theta, eps = thresholds
         s2 = per_dim_variance(scn)
 
         def accepted(stream, law):
-            return np.concatenate([accepts(arrival, ref, s2, theta, eps)
-                                   for ref, arrival in sample_pairs(scn, stream, n_eval, law)])
+            return score_trials(scn, stream, n_eval, [law], lambda ref, arrival: (
+                accepts(arrival, ref, s2, theta, eps),))[0]
 
         return _shard_result(accepted(r_eval.derive(0), genuine_arrival_law(scn)),
                              accepted(r_eval.derive(1), attacker.forger(scn).arrival_law()),
@@ -691,7 +654,8 @@ def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int
     against it on ``rng.derive(1)``. A bad grid step is rejected before
     the calibration runs."""
     _exponent_grid(grid_step)
-    thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0), AttackerSpec().forger(scn))
+    thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0),
+                              AttackerSpec().forger(scn).arrival_law())
     x, y, pmd = optimize_attack_exponents(
         (thr.theta, thr.epsilon), scn, grid_step, n_mc, rng.derive(1))
     return thr, x, y, pmd

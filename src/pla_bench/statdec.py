@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channel import ScenarioParams, genuine_arrival_law, sample_pairs
+from .channel import ScenarioParams, genuine_arrival_law, score_trials
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
 from .rng import Rng
 
@@ -296,21 +296,20 @@ def optimize_thresholds(
     target_pfa: float,
     n_mc: int,
     rng: Rng,
-    forge,
+    forged_law: tuple,
 ) -> ThresholdResult:
     """Two-step Monte Carlo selection of (theta, epsilon).
 
     Step 1 enumerates grid pairs whose estimated false-alarm rate matches
     the target within its 95% binomial interval; step 2 returns the
     feasible pair with the smallest estimated missed-detection rate under
-    the attack ``forge`` (the adversary's ``AttackerSpec.forger``), whose
-    ``arrival_law()`` is all this reads of it. Ties prefer the larger
-    theta, then the larger epsilon.
+    the attack whose forged arrival has the law ``forged_law`` (the
+    ``arrival_law()`` of the adversary's ``AttackerSpec.forger``). Ties
+    prefer the larger theta, then the larger epsilon.
 
-    Both samples come from ``sample_pairs``, one fresh channel per trial:
-    H0's genuine pairs on ``rng.derive(0)`` and H1's forged ones on
-    ``rng.derive(1)``. Psi and |Gamma| are formed one row block at a time,
-    so only those two n-vectors are ever whole.
+    Both samples are scored by ``score_trials``, one fresh channel per
+    trial: H0's genuine pairs on ``rng.derive(0)`` and H1's forged ones on
+    ``rng.derive(1)``. Only the Psi and |Gamma| n-vectors are ever whole.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ConfigError("target_pfa must lie in (0, 1)")
@@ -322,14 +321,8 @@ def optimize_thresholds(
         raise SingularTestError("scenario gives zero per-dimension variance")
 
     def statistics(stream, law):
-        psi, gam = np.empty(n_mc), np.empty(n_mc)
-        lo = 0
-        for ref, pkt in sample_pairs(scenario, stream, n_mc, law):
-            hi = lo + len(ref)
-            psi[lo:hi] = llr_statistic(pkt, ref, s2)
-            gam[lo:hi] = np.abs(modulus_statistic(ref, pkt))
-            lo = hi
-        return psi, gam
+        return score_trials(scenario, stream, n_mc, [law], lambda ref, pkt: (
+            llr_statistic(pkt, ref, s2), np.abs(modulus_statistic(ref, pkt))))
 
     psi0, gam0 = statistics(rng.derive(0), genuine_arrival_law(scenario))
 
@@ -356,7 +349,7 @@ def optimize_thresholds(
         )
 
     # H1 sample under the configured attack
-    psi1, gam1 = statistics(rng.derive(1), forge.arrival_law())
+    psi1, gam1 = statistics(rng.derive(1), forged_law)
     pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
 
     # lexsort orders by its last key first: P_MD up, then theta down, then epsilon down
@@ -365,7 +358,7 @@ def optimize_thresholds(
     j, k = jj[best], kk[best]
     return ThresholdResult(
         theta=float(theta_grid[j]),
-        epsilon=float(eps_grid[k] if eps_grid[k] > 0 else eps_grid[1]),
+        epsilon=float(eps_grid[k]),
         pfa_estimate=float(pfa_est[j, k]),
         pmd_estimate=float(pmd_est[j, k]),
         n_feasible=int(feasible.sum()),
@@ -378,10 +371,10 @@ def optimize_thresholds(
 def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
-    Both distances share one sigma2, which fits H0 only
-    (``harness._ideal_psi``, whose trials, the packet and both references,
-    come from their per-carrier joint law), so this is no Neyman-Pearson
-    statistic. Accept at or below a threshold.
+    Both distances share one sigma2, which fits H0 only (the ideal shard's
+    trials, the packet and both references, come from their per-carrier
+    joint law through ``channel.score_trials``), so this is no
+    Neyman-Pearson statistic. Accept at or below a threshold.
     """
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)

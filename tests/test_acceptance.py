@@ -301,7 +301,8 @@ def test_criterion_05_ordering_claims():
     # same calibrated combined test, common random numbers throughout
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     rng = Rng(21)
-    thr = optimize_thresholds(scn, 1e-2, 200_000, rng.derive(0), AttackerSpec().forger(scn))
+    thr = optimize_thresholds(scn, 1e-2, 200_000, rng.derive(0),
+                              AttackerSpec().forger(scn).arrival_law())
     x_opt, y_opt, _ = optimize_attack_exponents(
         (thr.theta, thr.epsilon), scn, 0.1, 20_000, rng.derive(1)
     )

@@ -394,14 +394,14 @@ def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kin
     assert sum(int(np.prod(s)) for s in sizes) == 2 * 2 * 2 * n * n_sub
 
 
-def test_ideal_shard_draws_five_complex_draws_per_carrier_and_trial(monkeypatch):
-    # the channel and the four members of each evaluation trial, and the
-    # channel and three members of each calibration trial; the physical
-    # chain took 15 and 10
+def test_ideal_shard_draws_four_complex_draws_per_carrier_and_trial(monkeypatch):
+    # the four members of each evaluation trial and the three of each
+    # calibration trial, one innovation each and no channel; drawing the
+    # channel first took 5 and 4, and the physical chain 15 and 10
     n, n_sub = 40_000, 3
     n_cal = harness._ideal_calibration_size(1e-2)
     sizes = _normal_sizes(monkeypatch, _stat_shard("ideal", n, n_sub))
-    assert sum(int(np.prod(s)) for s in sizes) == 2 * n_sub * (5 * n + 4 * n_cal)
+    assert sum(int(np.prod(s)) for s in sizes) == 2 * n_sub * (4 * n + 3 * n_cal)
 
 
 def _peak_arrays(run, n, n_sub):
@@ -469,6 +469,6 @@ def test_optimize_thresholds_peak_memory_is_bounded():
     # their counts
     n, n_sub = 100_000, 3
     params = ScenarioParams(n_subcarriers=n_sub, rho_AE=0.5, rho_EB=0.5)
-    forge = AttackerSpec(AttackStrategy("simplified")).forger(params)
-    assert _peak_arrays(lambda: optimize_thresholds(params, 1e-3, n, Rng(54), forge),
+    law = AttackerSpec(AttackStrategy("simplified")).forger(params).arrival_law()
+    assert _peak_arrays(lambda: optimize_thresholds(params, 1e-3, n, Rng(54), law),
                         n, n_sub) <= 1.25

@@ -411,11 +411,12 @@ def test_combined_calibration_faces_the_averaging_adversary():
                            calibration_trials=20_000)
     scn = ScenarioParams.from_snr(**next(cfg.sweep_points()))
     stream = Rng(7).derive(0, 1_000_000)
-    thr = optimize_thresholds(scn, 0.01, 20_000, stream, attacker.forger(scn))
+    thr = optimize_thresholds(scn, 0.01, 20_000, stream, attacker.forger(scn).arrival_law())
     row = run_experiment(cfg).rows[0]
     assert (row["theta"], row["epsilon"]) == (thr.theta, thr.epsilon)
     # the replay without averaging is a different adversary, with other thresholds
-    plain = optimize_thresholds(scn, 0.01, 20_000, stream, AttackerSpec().forger(scn))
+    plain = optimize_thresholds(scn, 0.01, 20_000, stream,
+                                AttackerSpec().forger(scn).arrival_law())
     assert (plain.theta, plain.epsilon) != (thr.theta, thr.epsilon)
 
 

@@ -51,11 +51,21 @@ def calls_of(source: str, name: str) -> list:
                  or getattr(node.func, "attr", None) == name)]
 
 
+def imported_names(source: str) -> set:
+    """Names a module imports from anywhere, inside functions too."""
+    return {alias.name.split(".")[-1] for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
 @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
                                   if p.name != "channel.py"], ids=lambda p: p.name)
 def test_only_the_channel_layer_draws_complex_gaussians(path):
     # every other layer reaches the channel model through its row functions
-    assert calls_of(path.read_text(), "complex_gaussian") == []
+    # and score_trials, never through its private draw
+    source = path.read_text()
+    assert calls_of(source, "complex_gaussian") == []
+    assert calls_of(source, "_add_complex_gaussian") == []
+    assert "_add_complex_gaussian" not in imported_names(source)
 
 
 def test_one_routine_draws_every_normal():
@@ -69,6 +79,8 @@ def test_one_routine_draws_every_normal():
 def test_call_detection():
     source = "f(1)\nchannel.f(2)\ng(f)\n"
     assert calls_of(source, "f") == [1, 2]
+    source = "from .channel import (\n    _f,\n    g as h,\n)\ndef k():\n    import a.b\n"
+    assert imported_names(source) == {"_f", "g", "b"}
 
 
 def relative_imports(source: str) -> set:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pla_bench import channel, harness, statdec
+from pla_bench import channel, statdec
 from pla_bench.attacks import AttackerSpec, AttackStrategy
 from pla_bench.channel import (
     ScenarioParams,
@@ -14,7 +14,7 @@ from pla_bench.channel import (
     forged_observation,
     genuine_arrival_law,
     sample_channel,
-    sample_pairs,
+    score_trials,
 )
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
@@ -385,11 +385,11 @@ def test_acceptance_counts_match_the_add_at_histogram():
 def test_optimize_thresholds_validation():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     with pytest.raises(ConfigError):
-        optimize_thresholds(scn, 0.0, 100_000, Rng(0), AttackerSpec().forger(scn))
+        optimize_thresholds(scn, 0.0, 100_000, Rng(0), AttackerSpec().forger(scn).arrival_law())
     with pytest.raises(ConfigError):
-        optimize_thresholds(scn, 1.0, 100_000, Rng(0), AttackerSpec().forger(scn))
+        optimize_thresholds(scn, 1.0, 100_000, Rng(0), AttackerSpec().forger(scn).arrival_law())
     with pytest.raises(ConfigError):
-        optimize_thresholds(scn, 1e-3, 50_000, Rng(0), AttackerSpec().forger(scn))
+        optimize_thresholds(scn, 1e-3, 50_000, Rng(0), AttackerSpec().forger(scn).arrival_law())
 
 
 def test_optimize_thresholds_infeasible_with_coarse_grid(monkeypatch):
@@ -398,13 +398,14 @@ def test_optimize_thresholds_infeasible_with_coarse_grid(monkeypatch):
     monkeypatch.setattr(statdec, "_GRID_POINTS", 2)
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     with pytest.raises(InfeasibleTargetError):
-        optimize_thresholds(scn, 1e-2, 100_000, Rng(8), AttackerSpec().forger(scn))
+        optimize_thresholds(scn, 1e-2, 100_000, Rng(8), AttackerSpec().forger(scn).arrival_law())
 
 
 def test_optimize_thresholds_happy_path():
     target = 1e-2
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
-    res = optimize_thresholds(scn, target, 200_000, Rng(21), AttackerSpec().forger(scn))
+    res = optimize_thresholds(scn, target, 200_000, Rng(21),
+                              AttackerSpec().forger(scn).arrival_law())
     assert isinstance(res, ThresholdResult)
     assert res.n_feasible >= 1
     assert res.epsilon > 0
@@ -420,7 +421,8 @@ def test_optimize_thresholds_false_alarm_on_fresh_stream():
     target = 1e-2
     n_check = 200_000
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
-    res = optimize_thresholds(scn, target, 200_000, Rng(30), AttackerSpec().forger(scn))
+    res = optimize_thresholds(scn, target, 200_000, Rng(30),
+                              AttackerSpec().forger(scn).arrival_law())
     rng = Rng(31)
     h = sample_channel(scn, rng, size=n_check)
     noise_ref = (rng.standard_normal((n_check, 1)) + 1j * rng.standard_normal((n_check, 1))) * math.sqrt(scn.sigma2_I / 2)
@@ -440,7 +442,7 @@ def test_optimize_thresholds_pmd_estimate_on_fresh_stream():
     n_check = 200_000
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     forge = AttackerSpec().forger(scn)
-    res = optimize_thresholds(scn, 1e-2, 200_000, Rng(30), forge)
+    res = optimize_thresholds(scn, 1e-2, 200_000, Rng(30), forge.arrival_law())
     rng = Rng(32)
     h = sample_channel(scn, rng, size=n_check)
     ref = bob_estimate_phase1(h, scn, rng)
@@ -452,13 +454,28 @@ def test_optimize_thresholds_pmd_estimate_on_fresh_stream():
 
 def test_optimize_thresholds_deterministic():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
-    a = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn))
-    b = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn))
+    a = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn).arrival_law())
+    b = optimize_thresholds(scn, 1e-2, 100_000, Rng(9), AttackerSpec().forger(scn).arrival_law())
     assert a == b
 
 
+def test_optimize_thresholds_returns_the_pair_it_scored():
+    # at a 0.99 target the epsilon = 0 column, which rejects every packet,
+    # is feasible and misses nothing, so it wins; the result must be that
+    # column's pair, whose false-alarm rate on the same H0 sample is the estimate
+    scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
+    res = optimize_thresholds(scn, 0.99, 200, Rng(3), AttackerSpec().forger(scn).arrival_law())
+    s2 = per_dim_variance(scn)
+    ok, = score_trials(scn, Rng(3).derive(0), 200, [genuine_arrival_law(scn)], lambda ref, pkt: (
+        accepts(pkt, ref, s2, res.theta, res.epsilon),))
+    assert res.pfa_estimate == pytest.approx(1.0 - ok.mean(), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
-# the per-carrier joint law against the physical trial it stands for
+# the per-carrier joint law against the physical trial it stands for.
+# ``score_trials`` draws every trial; the tests named after the pair sampler
+# and the ideal bound's sampler it replaced keep those names, so their ids
+# stay comparable across runs
 
 PER_CARRIER = dict(power_delay=np.array([0.4, 1.0, 1.6]), sigma2_AE=0.05, sigma2_EB=0.02,
                    alpha_I=0.9, alpha_II=0.8)
@@ -486,88 +503,150 @@ def _law_scenario(case):
     return ScenarioParams.from_snr(snr_I_db=15.0, snr_II_db=20.0, **sweep), attacker
 
 
-def _law_draws(case, forged):
-    """(reference, arrival) from the pair sampler and from the physical
-    trial: channel, reference, genuine packet and, if forged, the forger's
-    vector carried to the verifier."""
+# the members a fresh-channel trial draws after its reference, as indices
+# into the physical chain's [reference, forged reference, genuine packet,
+# forged packet]: a genuine pair, a forged pair and the ideal bound's quadruple
+MEMBER_SETS = {"genuine": [2], "forged": [3], "ideal": [1, 2, 3]}
+
+
+def _trial_draws(case, member_set):
+    """The trial [reference, *members] from ``score_trials`` with an identity
+    statistic, and the same members from the physical chain: channel,
+    reference, a forgery carried to the verifier in phase I, genuine packet
+    and a second, independent forgery carried in phase II."""
     scn, attacker = _law_scenario(case)
     forge = attacker.forger(scn)
-    law = forge.arrival_law() if forged else genuine_arrival_law(scn)
-    blocks = list(sample_pairs(scn, Rng(60), LAW_TRIALS, law))
-    pairs = tuple(np.concatenate(part) for part in zip(*blocks))
+    laws = [forge.arrival_law("I"), genuine_arrival_law(scn), forge.arrival_law()]
+    picks = [0] + MEMBER_SETS[member_set]
+    law = score_trials(scn, Rng(60), LAW_TRIALS, [laws[i - 1] for i in picks[1:]],
+                       lambda *members: members)
     rng = Rng(61)
     h = sample_channel(scn, rng, size=LAW_TRIALS)
-    ref = bob_estimate_phase1(h, scn, rng)
-    arrival = alice_estimate_phase2(h, scn, rng)
-    if forged:
-        arrival = forged_observation(forge(h, rng), scn, rng)
-    return scn, pairs, (ref, arrival)
+    chain = [bob_estimate_phase1(h, scn, rng),
+             forged_observation(forge(h, rng), scn, rng, phase="I"),
+             alice_estimate_phase2(h, scn, rng),
+             forged_observation(forge(h, rng), scn, rng)]
+    return scn, attacker, picks, list(law), [chain[i] for i in picks]
 
 
-def _closed_form(scn, attacker, forged):
-    """Per-carrier Var ref, Var arrival and Cov(ref, arrival), written out."""
+def _closed_form(scn, attacker):
+    """Per-carrier E[x_i conj(x_j)] of the chain's four members, written out:
+    each is coef * h plus its own noise, so off the diagonal only the
+    channel's lambda = power_delay remains, and every entry is real."""
     lam = scn.power_delay
-    var_ref = lam + scn.sigma2_I
-    if not forged:
-        return var_ref, lam + scn.sigma2_II, scn.alpha_I * scn.alpha_II * lam
     a, b = attacker.strategy.coefficients(scn)
     m = scn.m_training if attacker.averaged else 1
     c = a * scn.rho_AE + b * scn.rho_EB
     d = a * np.sqrt(1 - scn.rho_AE**2) + b * np.sqrt(1 - scn.rho_EB**2)
-    var_eve = ((c**2 + 1 - scn.alpha_II**2) * lam + scn.sigma2_II
-               + (d**2 * lam + a**2 * scn.sigma2_AE + b**2 * scn.sigma2_EB) / m)
-    return var_ref, var_eve, scn.alpha_I * c * lam
+    observed = (d**2 * lam + a**2 * scn.sigma2_AE + b**2 * scn.sigma2_EB) / m
+    coefs = [scn.alpha_I, c, scn.alpha_II, c]
+    variances = [lam + scn.sigma2_I,
+                 (c**2 + 1 - scn.alpha_I**2) * lam + scn.sigma2_I + observed,
+                 lam + scn.sigma2_II,
+                 (c**2 + 1 - scn.alpha_II**2) * lam + scn.sigma2_II + observed]
+    return [[variances[i] if i == j else coefs[i] * coefs[j] * lam for j in range(4)]
+            for i in range(4)]
 
 
-def _moments(ref, arrival):
-    """Per-carrier means and standard errors of |ref|^2, |arrival|^2 and the
-    real and imaginary parts of ref * conj(arrival)."""
-    cross = ref * np.conj(arrival)
-    products = [np.abs(ref) ** 2, np.abs(arrival) ** 2, cross.real, cross.imag]
-    return ([x.mean(axis=0) for x in products],
-            [x.std(axis=0) / math.sqrt(len(x)) for x in products])
+def _cross_moments(members):
+    """{(i, j, part): (per-carrier mean, standard error)} of the real and
+    imaginary parts of x_i * conj(x_j), i < j, and of |x_i|^2."""
+    out = {}
+    for i, j in itertools.combinations_with_replacement(range(len(members)), 2):
+        cross = members[i] * np.conj(members[j])
+        for part in (("real", "imag") if i < j else ("real",)):
+            x = getattr(cross, part)
+            out[i, j, part] = x.mean(axis=0), x.std(axis=0) / math.sqrt(len(x))
+    return out
+
+
+def _assert_law_matches_the_physical_chain(case, member_set):
+    """Every cross moment of the trial agrees with the physical chain's
+    within 4 combined standard errors and with the closed form within 4 of
+    its own."""
+    scn, attacker, picks, law, chain = _trial_draws(case, member_set)
+    exact = _closed_form(scn, attacker)
+    want = _cross_moments(chain)
+    for (i, j, part), (g, g_se) in _cross_moments(law).items():
+        w, w_se = want[i, j, part]
+        x = exact[picks[i]][picks[j]] if part == "real" else 0.0
+        assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se)), (i, j, part)
+        assert np.all(np.abs(g - x) < 4 * g_se), (i, j, part)
 
 
 @pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_sample_pairs_moments_match_the_trial_kernel(case, forged):
-    scn, pairs, kernel = _law_draws(case, forged)
-    got, got_se = _moments(*pairs)
-    want, want_se = _moments(*kernel)
-    var_ref, var_arrival, cov = _closed_form(scn, LAW_CASES[case][1], forged)
-    exact = [var_ref, var_arrival, cov, np.zeros_like(cov)]
-    for g, g_se, w, w_se, x in zip(got, got_se, want, want_se, exact):
-        assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se))
-        assert np.all(np.abs(g - x) < 4 * g_se)
+    _assert_law_matches_the_physical_chain(case, "forged" if forged else "genuine")
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_ideal_trials_moments_match_the_physical_chain(case):
+    _assert_law_matches_the_physical_chain(case, "ideal")
 
 
 @pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_sample_pairs_statistics_match_the_trial_kernel(case, forged):
-    scn, (ref, arrival), (k_ref, k_arrival) = _law_draws(case, forged)
+    scn, _, _, law, chain = _trial_draws(case, "forged" if forged else "genuine")
     s2 = per_dim_variance(scn)
     for stat in (lambda r, a: llr_statistic(a, r, s2),
                  lambda r, a: np.abs(modulus_statistic(r, a))):
-        assert stats.ks_2samp(stat(ref, arrival), stat(k_ref, k_arrival)).pvalue > 0.001
+        assert stats.ks_2samp(stat(*law), stat(*chain)).pvalue > 0.001
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_ideal_psi_matches_the_physical_chain(case):
+    scn, _, _, (ref, eve_ref, *packets), (k_ref, k_eve_ref, *k_packets) = _trial_draws(
+        case, "ideal")
+    s2 = scn.sigma2_I + scn.sigma2_II
+    for packet, k_packet in zip(packets, k_packets):  # H0, then H1
+        assert stats.ks_2samp(ideal_llr(packet, ref, eve_ref, s2),
+                              ideal_llr(k_packet, k_ref, k_eve_ref, s2)).pvalue > 0.001
+
+
+def _blocks(scn, rng, n, laws):
+    """The row blocks ``score_trials`` passes to its statistic, and its result."""
+    blocks = []
+
+    def keep(*members):
+        blocks.append(members)
+        return members
+
+    return blocks, score_trials(scn, rng, n, laws, keep)
 
 
 def test_sample_pairs_blocks_and_stream():
     scn, _ = _law_scenario("alpha_II-0.8")
     n = 2 * channel._ROW_BLOCK + 5
-    blocks = list(sample_pairs(scn, Rng(62), n, genuine_arrival_law(scn)))
-    assert [len(ref) for ref, _ in blocks] == [channel._ROW_BLOCK] * 2 + [5]
-    assert all(ref.shape == arr.shape == (len(ref), 3) for ref, arr in blocks)
-    again = list(sample_pairs(scn, Rng(62), n, genuine_arrival_law(scn)))
-    assert all(np.array_equal(a, b) for x, y in zip(blocks, again) for a, b in zip(x, y))
+    blocks, (ref, arrival) = _blocks(scn, Rng(62), n, [genuine_arrival_law(scn)])
+    assert [[m.shape for m in b] for b in blocks] == (
+        [[(channel._ROW_BLOCK, 3)] * 2] * 2 + [[(5, 3)] * 2])
+    assert np.array_equal(ref, np.concatenate([b[0] for b in blocks]))
+    assert np.array_equal(arrival, np.concatenate([b[1] for b in blocks]))
+    again = score_trials(scn, Rng(62), n, [genuine_arrival_law(scn)], lambda *m: m)
+    assert np.array_equal(again[0], ref) and np.array_equal(again[1], arrival)
 
 
 def test_sample_pairs_draws_but_never_adds_a_zero_innovation():
     # no noise and no fade: the genuine arrival is the reference itself, so
     # its innovation has zero variance and is drawn but never added
     scn = ScenarioParams.from_snr(2, math.inf, math.inf)
-    (ref, arrival), = sample_pairs(scn, Rng(63), 10, genuine_arrival_law(scn))
+    ref, arrival = score_trials(scn, Rng(63), 10, [genuine_arrival_law(scn)], lambda *m: m)
     assert np.array_equal(arrival, ref)
     assert np.all(ref != 0)
+
+
+def test_score_trials_gives_a_zero_pivot_weight_zero():
+    # no noise and rho 1: the replay forges 2h exactly, so after the reference
+    # every pivot is zero; a weight over a zero pivot is 0, not 0/0
+    scn = ScenarioParams.from_snr(2, math.inf, math.inf, rho_AE=1.0, rho_EB=1.0)
+    forge = AttackerSpec().forger(scn)
+    laws = [forge.arrival_law("I"), genuine_arrival_law(scn), forge.arrival_law()]
+    ref, eve_ref, alice, eve = score_trials(scn, Rng(67), 10, laws, lambda *m: m)
+    assert np.all(np.isfinite(ref)) and np.all(ref != 0)
+    for member, coef in ((eve_ref, 2.0), (alice, 1.0), (eve, 2.0)):
+        assert np.array_equal(member, coef * ref)
 
 
 def test_arrival_laws_take_the_phase_epoch():
@@ -588,91 +667,19 @@ def test_arrival_laws_take_the_phase_epoch():
             law("III")
 
 
-# ---------------------------------------------------------------------------
-# the ideal bound's four-member joint law against the physical trial
-
-
-def _ideal_draws(case):
-    """The ideal trial's [reference, forged reference, genuine packet, forged
-    packet] from the joint law and from the physical chain: channel,
-    reference, a forgery carried to the verifier in phase I, genuine packet
-    and a second, independent forgery carried in phase II."""
-    scn, attacker = _law_scenario(case)
-    blocks = list(harness._ideal_trials(scn, attacker, Rng(64), LAW_TRIALS))
-    law = [np.concatenate(part) for part in zip(*blocks)]
-    forge = attacker.forger(scn)
-    rng = Rng(65)
-    h = sample_channel(scn, rng, size=LAW_TRIALS)
-    ref = bob_estimate_phase1(h, scn, rng)
-    eve_ref = forged_observation(forge(h, rng), scn, rng, phase="I")
-    alice = alice_estimate_phase2(h, scn, rng)
-    eve = forged_observation(forge(h, rng), scn, rng)
-    return scn, attacker, law, [ref, eve_ref, alice, eve]
-
-
-def _ideal_closed_form(scn, attacker):
-    """Per-carrier E[x_i conj(x_j)] of the four members, written out: each is
-    coef * h plus its own noise, so off the diagonal only the channel's
-    lambda = power_delay remains, and every entry is real."""
-    lam = scn.power_delay
-    a, b = attacker.strategy.coefficients(scn)
-    m = scn.m_training if attacker.averaged else 1
-    c = a * scn.rho_AE + b * scn.rho_EB
-    d = a * np.sqrt(1 - scn.rho_AE**2) + b * np.sqrt(1 - scn.rho_EB**2)
-    observed = (d**2 * lam + a**2 * scn.sigma2_AE + b**2 * scn.sigma2_EB) / m
-    coefs = [scn.alpha_I, c, scn.alpha_II, c]
-    variances = [lam + scn.sigma2_I,
-                 (c**2 + 1 - scn.alpha_I**2) * lam + scn.sigma2_I + observed,
-                 lam + scn.sigma2_II,
-                 (c**2 + 1 - scn.alpha_II**2) * lam + scn.sigma2_II + observed]
-    return [[variances[i] if i == j else coefs[i] * coefs[j] * lam for j in range(4)]
-            for i in range(4)]
-
-
-def _cross_moments(members):
-    """{(i, j, part): (per-carrier mean, standard error)} of the real and
-    imaginary parts of x_i * conj(x_j), i < j, and of |x_i|^2."""
-    out = {}
-    for i, j in itertools.combinations_with_replacement(range(4), 2):
-        cross = members[i] * np.conj(members[j])
-        for part in (("real", "imag") if i < j else ("real",)):
-            x = getattr(cross, part)
-            out[i, j, part] = x.mean(axis=0), x.std(axis=0) / math.sqrt(len(x))
-    return out
-
-
-@pytest.mark.parametrize("case", LAW_CASES)
-def test_ideal_trials_moments_match_the_physical_chain(case):
-    scn, attacker, law, chain = _ideal_draws(case)
-    exact = _ideal_closed_form(scn, attacker)
-    want = _cross_moments(chain)
-    for (i, j, part), (g, g_se) in _cross_moments(law).items():
-        w, w_se = want[i, j, part]
-        x = exact[i][j] if part == "real" else 0.0
-        assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se)), (i, j, part)
-        assert np.all(np.abs(g - x) < 4 * g_se), (i, j, part)
-
-
-@pytest.mark.parametrize("case", LAW_CASES)
-def test_ideal_psi_matches_the_physical_chain(case):
-    scn, attacker, _, (ref, eve_ref, alice, eve) = _ideal_draws(case)
-    psi = harness._ideal_psi(scn, attacker, Rng(64), LAW_TRIALS)
-    s2 = scn.sigma2_I + scn.sigma2_II
-    for got, packet in zip(psi, (alice, eve)):  # H0, then H1
-        want = ideal_llr(packet, ref, eve_ref, s2)
-        assert stats.ks_2samp(got, want).pvalue > 0.001
-
-
 def test_ideal_calibration_draws_no_forged_packet():
+    # the calibration's trials stop at the genuine packet
     scn, attacker = _law_scenario("alpha_I-0.8")
+    forge = attacker.forger(scn)
+    laws = [forge.arrival_law("I"), genuine_arrival_law(scn)]
     n = channel._ROW_BLOCK + 5
-    blocks = list(harness._ideal_trials(scn, attacker, Rng(66), n, forged=False))
+    blocks, _ = _blocks(scn, Rng(66), n, laws)
     assert [[m.shape for m in b] for b in blocks] == [[(channel._ROW_BLOCK, 2)] * 3, [(5, 2)] * 3]
-    psi_a, psi_e = harness._ideal_psi(scn, attacker, Rng(66), n, forged=False)
-    assert psi_e is None and psi_a.shape == (n,)
     s2 = scn.sigma2_I + scn.sigma2_II
+    psi, = score_trials(scn, Rng(66), n, laws,
+                        lambda ref, eve_ref, alice: (ideal_llr(alice, ref, eve_ref, s2),))
     want = np.concatenate([ideal_llr(alice, ref, eve_ref, s2) for ref, eve_ref, alice in blocks])
-    assert np.array_equal(psi_a, want)
+    assert psi.shape == (n,) and np.array_equal(psi, want)
 
 
 # ---------------------------------------------------------------------------

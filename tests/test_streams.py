@@ -1,9 +1,9 @@
 """Exact outputs of the seeded Monte Carlo paths, pinned bit for bit.
 
-Every value below depends on the order of each path's draws (the pair
-sampler's row blocks in the calibrations and the llr and combined shards,
-the ideal bound's joint-law row blocks; the channel, estimate and forgery
-draws everywhere else), on the stream keys each caller derives and on the
+Every value below depends on the order of each path's draws (the row
+blocks of ``channel.score_trials`` in the calibrations and in the llr,
+combined and ideal shards; the channel, estimate and forgery draws
+everywhere else), on the stream keys each caller derives and on the
 floating-point association of the statistics. A refactor must leave them
 all unchanged. A deliberate stream change updates them in the same commit
 and records why in CHANGES.md.
@@ -53,7 +53,8 @@ EXPERIMENTS = [
 
 
 def thresholds():
-    thr = optimize_thresholds(SCN, 1e-2, 20_000, Rng(101), AttackerSpec().forger(SCN))
+    thr = optimize_thresholds(SCN, 1e-2, 20_000, Rng(101),
+                              AttackerSpec().forger(SCN).arrival_law())
     return (thr.theta, thr.epsilon, thr.pfa_estimate, thr.pmd_estimate, thr.n_feasible)
 
 
@@ -109,12 +110,12 @@ EXPECTED_EXPERIMENTS = {
     ('combined', 'ml', 1.0): (1974, 26, 59, 1941, 13.178728438285825, 0.6565879562299844),
     ('combined', 'simplified-avg', 0.8): (1977, 23, 1714, 286, 14.65189167020087, 1.8255348761206227),
     ('combined', 'simplified-avg', 1.0): (1977, 23, 129, 1871, 15.984657785409507, 0.5295064163145036),
-    ('ideal', 'simplified', 0.8): (1985, 15, 1634, 366, 18.280455658213672, None),
-    ('ideal', 'simplified', 1.0): (1983, 17, 1056, 944, -0.7161871042791561, None),
-    ('ideal', 'ml', 0.8): (1985, 15, 1634, 366, 18.280455658213672, None),
-    ('ideal', 'ml', 1.0): (1983, 17, 1056, 944, -0.7161871042791561, None),
-    ('ideal', 'simplified-avg', 0.8): (1983, 17, 1666, 334, 21.31745113496644, None),
-    ('ideal', 'simplified-avg', 1.0): (1974, 26, 73, 1927, 0.48201562259967007, None),
+    ('ideal', 'simplified', 0.8): (1972, 28, 1618, 382, 17.583346576920768, None),
+    ('ideal', 'simplified', 1.0): (1973, 27, 1060, 940, -0.6834237220114547, None),
+    ('ideal', 'ml', 0.8): (1972, 28, 1618, 382, 17.583346576920768, None),
+    ('ideal', 'ml', 1.0): (1973, 27, 1060, 940, -0.6834237220114547, None),
+    ('ideal', 'simplified-avg', 0.8): (1978, 22, 1638, 362, 20.545803305948503, None),
+    ('ideal', 'simplified-avg', 1.0): (1983, 17, 60, 1940, 0.43424657531981087, None),
 }
 EXPECTED_FALLBACK = (1983, 17, 1380, 620, 16.246412680141077, 1.6933414347835478)
 

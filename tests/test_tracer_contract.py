@@ -68,7 +68,7 @@ def test_tracer_counts_the_statistical_searches():
     tracer.install()
     try:
         thr = statdec.optimize_thresholds(scn, 1e-2, n_mc, Rng(1),
-                                          attacks.AttackerSpec().forger(scn))
+                                          attacks.AttackerSpec().forger(scn).arrival_law())
         attacks.optimize_attack_exponents((thr.theta, thr.epsilon), scn, grid_step, 2_000, Rng(2))
         attacks.mismatched_eval(AttackStrategy("modulus"), scn, 2_000, Rng(3),
                                 thr.theta, thr.epsilon)

@@ -20,9 +20,12 @@ one or more arrivals (genuine or forged packets, and for the ideal bound a
 forged reference), each coef * h plus its own independent circular
 Gaussian, by ``genuine_arrival_law`` or the forger's ``arrival_law`` of its
 phase. Per carrier the members are a zero-mean circular complex Gaussian
-vector whose covariance these laws fix, and ``score_trials`` draws it
-directly, one complex draw per member, carrier and trial, one row block
-at a time, and scores each block.
+vector whose covariance these laws fix (``trial_covariance``).
+``score_trials`` draws it directly, one complex draw per member, carrier
+and trial, one row block at a time, and scores each block: the
+calibrations' and the combined shards' trials. The llr and ideal shards
+draw no trial: their statistics are weighted sums of exponentials whose
+weights ``statdec`` reads from the same covariance.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
@@ -258,29 +261,40 @@ def genuine_arrival_law(params: ScenarioParams, phase: str = "II") -> tuple:
     return alpha, (1.0 - alpha**2) * params.power_delay + noise_var
 
 
+def trial_covariance(params: ScenarioParams, laws) -> list:
+    """Per-carrier Cov(x_i, x_j) = coef_i * coef_j * power_delay + [i = j] *
+    spread_i of a fresh-channel trial's members: the enrollment reference
+    (law ``genuine_arrival_law(params, "I")``), then one member per
+    ``(coef, spread)`` of ``laws``. Entry [i][j] is a length-N array; every
+    entry is real, since the members share only the channel."""
+    coefs, spreads = zip(genuine_arrival_law(params, "I"), *laws)
+    lam = params.power_delay
+    return [[coef * other * lam + spread if i == j else coef * other * lam
+             for j, other in enumerate(coefs)]
+            for i, (coef, spread) in enumerate(zip(coefs, spreads))]
+
+
 def score_trials(params: ScenarioParams, rng: Rng, n: int, laws, statistic) -> tuple:
     """Score n fresh-channel trials: the enrollment reference, then one member
     per ``(coef, spread)`` of ``laws`` (``genuine_arrival_law`` or a
     forger's ``arrival_law``), each coef * h plus its own CN(0, spread).
 
-    Per carrier, Cov(x_i, x_j) = coef_i * coef_j * power_delay + [i = j] *
-    spread_i, with the reference's law ``genuine_arrival_law(params, "I")``.
-    Its LDL^T, E_ij = C_ij - sum_l E_il L_jl, L_ij = E_ij / D_j and
-    D_i = C_ii - sum_j L_ij E_ij (clipped at 0; a zero pivot weighs 0),
-    draws each member as sum_j L_ij z_j plus its own innovation z_i of
-    variance D_i, added last: one complex draw per member, carrier and
-    trial, and no channel. Each block of at most ``_ROW_BLOCK`` trials is
-    passed as ``statistic(ref, *members)``, which returns a tuple of
-    per-trial arrays; the result holds each one's n trials.
+    Per carrier, the LDL^T of ``trial_covariance`` C, E_ij = C_ij -
+    sum_l E_il L_jl, L_ij = E_ij / D_j and D_i = C_ii - sum_j L_ij E_ij
+    (clipped at 0; a zero pivot weighs 0), draws each member as
+    sum_j L_ij z_j plus its own innovation z_i of variance D_i, added last:
+    one complex draw per member, carrier and trial, and no channel. Each
+    block of at most ``_ROW_BLOCK`` trials is passed as
+    ``statistic(ref, *members)``, which returns a tuple of per-trial arrays;
+    the result holds each one's n trials.
     """
-    coefs, spreads = zip(genuine_arrival_law(params, "I"), *laws)
-    lam = params.power_delay
+    cov = trial_covariance(params, laws)
     weights, pivots = [], []  # weights[i][j] = L_ij, j < i
-    for i, (coef, spread) in enumerate(zip(coefs, spreads)):
+    for i in range(len(cov)):
         cross, row = [], []  # E_ij and L_ij, j < i
-        pivot = coef * coef * lam + spread
+        pivot = cov[i][i]
         for j in range(i):
-            e = coef * coefs[j] * lam
+            e = cov[i][j]
             for l in range(j):
                 e = e - cross[l] * weights[j][l]
             cross.append(e)

@@ -62,12 +62,14 @@ from .rng import Rng
 from .statdec import (
     accepts,
     calibrate_threshold,
-    ideal_llr,
+    ideal_weights,
     llr_threshold,
+    llr_weights,
     modulus_statistic,
     normal_upper_quantile,
     optimize_thresholds,
     per_dim_variance,
+    weighted_exponential_sums,
 )
 
 DEFENDER_KINDS = (
@@ -254,18 +256,20 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
 
     ``thresholds`` is the point's ``_point_thresholds`` or None. Statistical
     defenders have no per-dataset trained state, so each genuine and each
-    forged trial draws its own channel, reference and packet (the closed
-    forms describe exactly that average) through ``score_trials``, as
-    ``optimize_thresholds`` does: the llr and combined shards score genuine
-    (reference, arrival) pairs on ``rng.derive(9, 0)`` and forged ones on
-    ``rng.derive(9, 1)``. The ideal bound's trial holds the reference, the
-    adversary's forged reference (the forger's phase-I law) and the genuine
-    and forged packets, scored against both references with the weight
+    forged trial is a fresh channel (the closed forms describe exactly that
+    average), with genuine trials on ``rng.derive(9, 0)`` and forged ones on
+    ``rng.derive(9, 1)``. The combined shards score (reference, arrival)
+    pairs through ``score_trials``, as ``optimize_thresholds`` does. The llr
+    and ideal statistics are weighted sums of exponentials over that law,
+    so those shards draw them through ``weighted_exponential_sums`` with
+    ``llr_weights`` or ``ideal_weights`` and build no trial. The ideal
+    bound scores the packet against the reference and the adversary's
+    forged reference (the forger's phase-I law) with the weight
     sigma2_I + sigma2_II (E|alice - ref|^2 per carrier under H0 at
     alpha_II = 1 only; H1 is wider, its two forgeries being independent),
     so its threshold is calibrated empirically, on ``rng.derive(5)`` with
-    no forged packet. Learned defenders train one model per dataset on a
-    fixed channel and classify packets over it.
+    H0's weights. Learned defenders train one model per dataset on a fixed
+    channel and classify packets over it.
     """
     defender, attacker = config.defender, config.attacker
     n_eval = math.ceil(config.n_trials / config.n_datasets)
@@ -273,32 +277,35 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     scn = ScenarioParams.from_snr(**point)
     kind = defender.kind
     r_eval = rng.derive(9)
+    forger = attacker.forger(scn)
+    genuine, forged = genuine_arrival_law(scn), forger.arrival_law()  # a statistical trial's laws
     t0 = time.perf_counter()
 
     if kind == "ideal":
         target = config.target_for(point)
-        forger = attacker.forger(scn)
-        laws = [forger.arrival_law("I"), genuine_arrival_law(scn), forger.arrival_law()]
-        s2 = scn.sigma2_I + scn.sigma2_II
+        forged_ref = forger.arrival_law("I")
 
-        def psi(ref, eve_ref, *packets):
-            return tuple(ideal_llr(packet, ref, eve_ref, s2) for packet in packets)
+        def psi(stream, n, packet_law):
+            return weighted_exponential_sums(ideal_weights(scn, forged_ref, packet_law), stream, n)
 
-        psi_cal, = score_trials(scn, rng.derive(5), _ideal_calibration_size(target), laws[:2], psi)
-        theta = calibrate_threshold(psi_cal, target)
+        theta = calibrate_threshold(psi(rng.derive(5), _ideal_calibration_size(target), genuine),
+                                    target)
         train_seconds = time.perf_counter() - t0
-        psi_a, psi_e = score_trials(scn, r_eval, n_eval, laws, psi)
-        return _shard_result(psi_a <= theta, psi_e <= theta, {"theta": theta}, train_seconds)
+        return _shard_result(psi(r_eval.derive(0), n_eval, genuine) <= theta,
+                             psi(r_eval.derive(1), n_eval, forged) <= theta,
+                             {"theta": theta}, train_seconds)
     if thresholds is not None:
         theta, eps = thresholds
         s2 = per_dim_variance(scn)
 
         def accepted(stream, law):
+            if kind == "llr":
+                return weighted_exponential_sums(llr_weights(scn, law), stream, n_eval) <= theta
             return score_trials(scn, stream, n_eval, [law], lambda ref, arrival: (
                 accepts(arrival, ref, s2, theta, eps),))[0]
 
-        return _shard_result(accepted(r_eval.derive(0), genuine_arrival_law(scn)),
-                             accepted(r_eval.derive(1), attacker.forger(scn).arrival_law()),
+        return _shard_result(accepted(r_eval.derive(0), genuine),
+                             accepted(r_eval.derive(1), forged),
                              {"theta": theta, "epsilon": eps}, 0.0)
 
     # learned defenders: one model per dataset on a fixed channel

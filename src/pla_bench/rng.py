@@ -38,6 +38,9 @@ class Rng:
     def standard_normal(self, *args, **kwargs):
         return self.gen.standard_normal(*args, **kwargs)
 
+    def standard_exponential(self, *args, **kwargs):
+        return self.gen.standard_exponential(*args, **kwargs)
+
     def uniform(self, *args, **kwargs):
         return self.gen.uniform(*args, **kwargs)
 

@@ -15,7 +15,13 @@ import math
 
 import numpy as np
 
-from .channel import ScenarioParams, genuine_arrival_law, score_trials
+from .channel import (
+    _ROW_BLOCK,
+    ScenarioParams,
+    genuine_arrival_law,
+    score_trials,
+    trial_covariance,
+)
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
 from .rng import Rng
 
@@ -371,10 +377,10 @@ def optimize_thresholds(
 def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
-    Both distances share one sigma2, which fits H0 only (the ideal shard's
-    trials, the packet and both references, come from their per-carrier
-    joint law through ``channel.score_trials``), so this is no
-    Neyman-Pearson statistic. Accept at or below a threshold.
+    Both distances share one sigma2, which fits H0 only, so this is no
+    Neyman-Pearson statistic. Accept at or below a threshold. The ideal
+    shard draws its fresh-channel values from ``ideal_weights`` without
+    building the packet or either reference.
     """
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)
@@ -387,3 +393,67 @@ def calibrate_threshold(samples, target_pfa: float) -> float:
     if samples.size * target_pfa < 1:
         raise ConfigError("not enough calibration samples for the target rate")
     return float(np.quantile(samples, 1.0 - target_pfa, method="higher"))
+
+
+# ---------------------------------------------------------------------------
+# fresh-channel statistics as weighted sums of exponentials
+#
+# Over fresh-channel trials the members are a zero-mean circular Gaussian
+# vector, so a Hermitian form in them is a weighted sum of independent Exp(1)
+# variables, weighted by the eigenvalues of the form's matrix times the
+# members' covariance (Turin, Biometrika 47, 1960; Mathai & Provost,
+# "Quadratic Forms in Random Variables", 1992).
+
+def llr_weights(params: ScenarioParams, law: tuple) -> np.ndarray:
+    """Per-carrier weights of ``llr_statistic(arrival, reference, s2)`` over
+    fresh-channel trials whose arrival has the law ``(coef, spread)``.
+
+    x_n = arrival - reference is CN(0, v_n) with v_n = Var ref +
+    Var arrival - 2 Cov, so |x_n|^2 = v_n E_n and
+    Psi = sum_n (2 v_n / s2_n) E_n.
+    """
+    (var_ref, cov), (_, var_arrival) = trial_covariance(params, [law])
+    return 2.0 * (var_ref + var_arrival - 2.0 * cov) / per_dim_variance(params)
+
+
+def ideal_weights(params: ScenarioParams, forged_reference_law: tuple,
+                  packet_law: tuple) -> np.ndarray:
+    """Per-carrier weights, shape (N, 2), of ``ideal_llr(packet, reference,
+    forged reference, sigma2_I + sigma2_II)`` over fresh-channel trials
+    whose forged reference and packet have the given laws.
+
+    Per carrier, x = packet - reference and y = packet - forged reference
+    are jointly CN(0, C), and Psi_n = (|x|^2 - |y|^2) / (2 s2). Its weights
+    are the eigenvalues of diag(1, -1) C / (2 s2), t/2 + r and t/2 - r with
+    t = C_xx - C_yy and r = sqrt(t^2/4 + det C): one is at least 0 and the
+    other at most 0.
+    """
+    (rr, re, rp), (_, ee, ep), (_, _, pp) = trial_covariance(
+        params, [forged_reference_law, packet_law])
+    c_xx = pp + rr - 2.0 * rp
+    c_yy = pp + ee - 2.0 * ep
+    c_xy = pp - ep - rp + re
+    half_trace = (c_xx - c_yy) / 2.0
+    root = np.sqrt(np.maximum(half_trace**2 + c_xx * c_yy - c_xy**2, 0.0))
+    s2 = params.sigma2_I + params.sigma2_II
+    return np.stack([half_trace + root, half_trace - root], axis=-1) / (2.0 * s2)
+
+
+def weighted_exponential_sums(weights, rng: Rng, n: int) -> np.ndarray:
+    """n draws of sum_k w_k E_k over the flattened ``weights``, with every E_k
+    an independent Exp(1).
+
+    Each block of at most ``_ROW_BLOCK`` draws takes its exponentials
+    weight-major, one row per weight, scales each row by its weight and
+    sums the rows in order (no BLAS call, so no thread count moves a bit).
+    """
+    weights = np.ravel(weights)
+    k = weights.size
+    out = np.empty(n)
+    buf = np.empty(k * min(n, _ROW_BLOCK))
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n - lo)
+        block = rng.standard_exponential((k, rows), out=buf[:k * rows].reshape(k, rows))
+        block *= weights[:, None]
+        np.sum(block, axis=0, out=out[lo:lo + rows])
+    return out

@@ -265,20 +265,28 @@ def test_complex_gaussian_at_zero_variance_matches_up_to_signed_zeros():
     _assert_same_position(new_rng, old_rng)
 
 
-def _normal_sizes(monkeypatch, run):
-    """The ``size`` each ``Rng.standard_normal`` call passes while ``run()``
-    runs; a call that names no size fails, as a counting tracer would miss it."""
-    sizes = []
-    standard_normal = Rng.standard_normal
+def _draw_sizes(monkeypatch, run):
+    """The ``size`` each ``Rng.standard_normal`` and each
+    ``Rng.standard_exponential`` call passes while ``run()`` runs, by
+    method; a call that names no size fails, as a counting tracer would
+    miss it."""
+    sizes = {"standard_normal": [], "standard_exponential": []}
+    for name, calls in sizes.items():
+        def spy(self, size, *args, _draw=getattr(Rng, name), _calls=calls, **kwargs):
+            _calls.append(size)
+            return _draw(self, size, *args, **kwargs)
 
-    def spy(self, size, *args, **kwargs):
-        sizes.append(size)
-        return standard_normal(self, size, *args, **kwargs)
-
-    monkeypatch.setattr(Rng, "standard_normal", spy)
+        monkeypatch.setattr(Rng, name, spy)
     run()
     monkeypatch.undo()
     return sizes
+
+
+def _draw_counts(monkeypatch, run):
+    """(normals, exponentials) that ``run()`` draws."""
+    sizes = _draw_sizes(monkeypatch, run)
+    return tuple(sum(int(np.prod(s)) for s in sizes[name])
+                 for name in ("standard_normal", "standard_exponential"))
 
 
 @pytest.mark.parametrize("shape", [0, (0, 3), 7, (1000, 3), (40_000, 1), (70_001, 2)])
@@ -287,7 +295,8 @@ def test_skipping_a_draw_leaves_the_stream_where_the_draw_would(shape, monkeypat
     skipped, drawn = Rng(42), Rng(42)
     complex_gaussian(drawn, shape)
     acc = np.zeros(shape, dtype=complex)
-    sizes = _normal_sizes(monkeypatch, lambda: _add_complex_gaussian(acc, skipped, 0.0))
+    sizes = _draw_sizes(monkeypatch,
+                        lambda: _add_complex_gaussian(acc, skipped, 0.0))["standard_normal"]
     # every call names its size, so counting tracers see each normal
     assert sum(int(np.prod(s)) for s in sizes) == 2 * int(np.prod(shape))
     assert all(s[0] <= channel._ROW_BLOCK for s in sizes)
@@ -386,22 +395,30 @@ def _stat_shard(kind, n, n_sub):
 
 @pytest.mark.parametrize("kind", ["llr", "combined"])
 def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kind, monkeypatch):
-    # each hypothesis draws its (reference, arrival) pairs from their joint
-    # law; the ten-draw trial kernel took 20 normals per carrier and trial.
-    # A counting tracer reads each normal from the size argument.
+    # a combined shard draws each hypothesis's (reference, arrival) pairs
+    # from their joint law; an llr shard draws its statistic directly, N
+    # weighted exponentials per trial and hypothesis, and no pair (it drew
+    # the combined shard's pairs before). The ten-draw trial kernel took 20
+    # normals per carrier and trial. A counting tracer reads each draw from
+    # the size argument.
     n, n_sub = 40_000, 3
-    sizes = _normal_sizes(monkeypatch, _stat_shard(kind, n, n_sub))
-    assert sum(int(np.prod(s)) for s in sizes) == 2 * 2 * 2 * n * n_sub
+    normals, exponentials = _draw_counts(monkeypatch, _stat_shard(kind, n, n_sub))
+    if kind == "llr":
+        assert (normals, exponentials) == (0, 2 * n * n_sub)
+    else:
+        assert (normals, exponentials) == (2 * 2 * 2 * n * n_sub, 0)
 
 
 def test_ideal_shard_draws_four_complex_draws_per_carrier_and_trial(monkeypatch):
-    # the four members of each evaluation trial and the three of each
-    # calibration trial, one innovation each and no channel; drawing the
-    # channel first took 5 and 4, and the physical chain 15 and 10
+    # two weighted exponentials per carrier, trial and hypothesis, and as
+    # many per calibration trial, and no normal; scoring the four members of
+    # each evaluation trial and the three of each calibration trial took 4
+    # and 3 complex draws per carrier, the channel drawn first 5 and 4, and
+    # the physical chain 15 and 10
     n, n_sub = 40_000, 3
     n_cal = harness._ideal_calibration_size(1e-2)
-    sizes = _normal_sizes(monkeypatch, _stat_shard("ideal", n, n_sub))
-    assert sum(int(np.prod(s)) for s in sizes) == 2 * n_sub * (4 * n + 3 * n_cal)
+    normals, exponentials = _draw_counts(monkeypatch, _stat_shard("ideal", n, n_sub))
+    assert (normals, exponentials) == (0, 2 * n_sub * (2 * n + n_cal))
 
 
 def _peak_arrays(run, n, n_sub):

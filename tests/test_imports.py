@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, the
-package's modules import each other without a cycle, and only the channel
-layer draws complex Gaussians, all through one routine.
+package's modules import each other without a cycle, only the channel
+layer draws complex Gaussians, all through one routine, and one routine
+draws every exponential.
 
 A deletion that leaves an import behind fails here. ``__init__.py`` is
 exempt, since its imports are the package's exports, and so is an import
@@ -74,6 +75,17 @@ def test_one_routine_draws_every_normal():
                for fn in ast.walk(ast.parse(path.read_text()))
                if isinstance(fn, ast.FunctionDef) and calls_of(ast.unparse(fn), "standard_normal")]
     assert callers == [("channel.py", "_add_complex_gaussian"), ("rng.py", "standard_normal")]
+
+
+def test_one_routine_draws_every_exponential():
+    # the generator's own method, and the weighted sums of the llr and ideal
+    # statistics
+    callers = [(path.name, fn.name) for path in sorted(PACKAGE.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and calls_of(ast.unparse(fn), "standard_exponential")]
+    assert callers == [("rng.py", "standard_exponential"),
+                       ("statdec.py", "weighted_exponential_sums")]
 
 
 def test_call_detection():

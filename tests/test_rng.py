@@ -10,6 +10,18 @@ def test_same_seed_same_stream():
     assert np.array_equal(a, b)
 
 
+def test_standard_exponential_is_deterministic_and_keyed():
+    a = Rng(42).derive(1).standard_exponential((3, 64))
+    b = Rng(42).derive(1).standard_exponential((3, 64))
+    assert np.array_equal(a, b) and np.all(a >= 0)
+    assert not np.array_equal(a, Rng(42).derive(2).standard_exponential((3, 64)))
+    # the pass-through is the generator's own draw, out= included
+    out = np.empty(5)
+    Rng(42).standard_exponential(5, out=out)
+    gen = Rng(42).gen
+    assert np.array_equal(out, gen.standard_exponential(5))
+
+
 def test_different_seed_different_stream():
     a = Rng(42).standard_normal(64)
     b = Rng(43).standard_normal(64)

@@ -24,8 +24,10 @@ from pla_bench.statdec import (
     analytic_pfa_pmd,
     calibrate_threshold,
     ideal_llr,
+    ideal_weights,
     llr_statistic,
     llr_threshold,
+    llr_weights,
     modulus_statistic,
     ncx2_cdf,
     ncx2_inv,
@@ -35,6 +37,7 @@ from pla_bench.statdec import (
     normal_upper_quantile,
     optimize_thresholds,
     per_dim_variance,
+    weighted_exponential_sums,
 )
 
 # ---------------------------------------------------------------------------
@@ -509,23 +512,29 @@ def _law_scenario(case):
 MEMBER_SETS = {"genuine": [2], "forged": [3], "ideal": [1, 2, 3]}
 
 
+def _physical_chain(scn, forge):
+    """LAW_TRIALS physical trials [reference, forged reference, genuine
+    packet, forged packet]: channel, reference, a forgery carried to the
+    verifier in phase I, genuine packet and a second, independent forgery
+    carried in phase II."""
+    rng = Rng(61)
+    h = sample_channel(scn, rng, size=LAW_TRIALS)
+    return [bob_estimate_phase1(h, scn, rng),
+            forged_observation(forge(h, rng), scn, rng, phase="I"),
+            alice_estimate_phase2(h, scn, rng),
+            forged_observation(forge(h, rng), scn, rng)]
+
+
 def _trial_draws(case, member_set):
     """The trial [reference, *members] from ``score_trials`` with an identity
-    statistic, and the same members from the physical chain: channel,
-    reference, a forgery carried to the verifier in phase I, genuine packet
-    and a second, independent forgery carried in phase II."""
+    statistic, and the same members from the physical chain."""
     scn, attacker = _law_scenario(case)
     forge = attacker.forger(scn)
     laws = [forge.arrival_law("I"), genuine_arrival_law(scn), forge.arrival_law()]
     picks = [0] + MEMBER_SETS[member_set]
     law = score_trials(scn, Rng(60), LAW_TRIALS, [laws[i - 1] for i in picks[1:]],
                        lambda *members: members)
-    rng = Rng(61)
-    h = sample_channel(scn, rng, size=LAW_TRIALS)
-    chain = [bob_estimate_phase1(h, scn, rng),
-             forged_observation(forge(h, rng), scn, rng, phase="I"),
-             alice_estimate_phase2(h, scn, rng),
-             forged_observation(forge(h, rng), scn, rng)]
+    chain = _physical_chain(scn, forge)
     return scn, attacker, picks, list(law), [chain[i] for i in picks]
 
 
@@ -680,6 +689,97 @@ def test_ideal_calibration_draws_no_forged_packet():
                         lambda ref, eve_ref, alice: (ideal_llr(alice, ref, eve_ref, s2),))
     want = np.concatenate([ideal_llr(alice, ref, eve_ref, s2) for ref, eve_ref, alice in blocks])
     assert psi.shape == (n,) and np.array_equal(psi, want)
+
+
+# ---------------------------------------------------------------------------
+# the llr and ideal statistics as weighted sums of exponentials, against the
+# covariance they come from and the physical chain they stand for
+
+def _weights(scn, attacker, statistic, forged):
+    """The statistic's per-carrier weights under H0 (a genuine packet) or H1
+    (a forged one), and the physical chain's statistic of the same trials."""
+    forge = attacker.forger(scn)
+    law = forge.arrival_law() if forged else genuine_arrival_law(scn)
+    if statistic == "llr":
+        weights = llr_weights(scn, law)
+        return weights, lambda ref, eve_ref, alice, eve: llr_statistic(
+            eve if forged else alice, ref, per_dim_variance(scn))
+    weights = ideal_weights(scn, forge.arrival_law("I"), law)
+    return weights, lambda ref, eve_ref, alice, eve: ideal_llr(
+        eve if forged else alice, ref, eve_ref, scn.sigma2_I + scn.sigma2_II)
+
+
+@pytest.mark.parametrize("statistic", ["llr", "ideal"])
+@pytest.mark.parametrize("forged", [False, True], ids=["H0", "H1"])
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_weighted_exponential_sums_match_the_physical_chain(case, forged, statistic):
+    # a weighted sum of Exp(1) has mean sum w and variance sum w^2; each
+    # moment within 4 standard errors, and the law the physical chain's
+    # statistic by a two-sample KS test
+    scn, attacker = _law_scenario(case)
+    weights, chain_statistic = _weights(scn, attacker, statistic, forged)
+    psi = weighted_exponential_sums(weights, Rng(68), LAW_TRIALS)
+    root_n = math.sqrt(LAW_TRIALS)
+    assert abs(psi.mean() - weights.sum()) < 4 * psi.std() / root_n
+    dev2 = (psi - psi.mean()) ** 2
+    assert abs(dev2.mean() - np.sum(weights**2)) < 4 * dev2.std() / root_n
+    chain = chain_statistic(*_physical_chain(scn, attacker.forger(scn)))
+    assert stats.ks_2samp(psi, chain).pvalue > 0.001
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["H0", "H1"])
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_weights_are_the_eigenvalues_of_the_forms_covariance(case, forged):
+    # x = packet - reference and y = packet - forged reference, read off
+    # the written-out covariance of [ref, forged ref, genuine packet,
+    # forged packet]; llr weighs |x|^2, ideal |x|^2 - |y|^2
+    scn, attacker = _law_scenario(case)
+    cov = np.moveaxis(np.broadcast_arrays(*itertools.chain(*_closed_form(scn, attacker))), 0, -1)
+    cov = cov.reshape(scn.n_subcarriers, 4, 4)
+    packet = 3 if forged else 2
+    x, y = np.zeros(4), np.zeros(4)
+    x[[packet, 0]], y[[packet, 1]] = (1, -1), (1, -1)
+    c_x = np.stack([x, y]) @ cov @ np.stack([x, y]).T  # (N, 2, 2)
+    llr, _ = _weights(scn, attacker, "llr", forged)
+    assert np.allclose(llr, 2 * c_x[:, 0, 0] / per_dim_variance(scn), rtol=1e-12)
+    ideal, _ = _weights(scn, attacker, "ideal", forged)
+    eig = np.sort(np.linalg.eigvals(np.diag([1.0, -1.0]) @ c_x).real, axis=-1)[:, ::-1]
+    assert np.allclose(ideal, eig / (2 * (scn.sigma2_I + scn.sigma2_II)), rtol=1e-9, atol=1e-12)
+    assert np.all(ideal[:, 0] >= 0) and np.all(ideal[:, 1] <= 0)
+
+
+@pytest.mark.parametrize("case", ["table1-N1-rho0.1", "table1-N3-rho0.7", "alpha_II-0.8",
+                                  "alpha_I-0.8"])
+def test_llr_weights_at_scalar_alpha_on_a_flat_profile(case):
+    # Psi = (2 v / s^2) * chi^2(2N) / 2, with v0 = s^2 + (alpha_II - alpha_I)^2
+    # for a genuine arrival and, for a forgery g = a h_AE + b h_EB,
+    # v1 = (c - alpha_I)^2 + d^2 + (1 - alpha_I^2) + (1 - alpha_II^2)
+    #      + a^2 sigma2_AE + b^2 sigma2_EB + sigma2_I + sigma2_II
+    scn, attacker = _law_scenario(case)
+    a, b = attacker.strategy.coefficients(scn)
+    c = a * scn.rho_AE + b * scn.rho_EB
+    d = a * math.sqrt(1 - scn.rho_AE**2) + b * math.sqrt(1 - scn.rho_EB**2)
+    alpha_i, alpha_ii = scn.alpha_I[0], scn.alpha_II[0]
+    s2 = per_dim_variance(scn)
+    v0 = s2 + (alpha_ii - alpha_i) ** 2
+    v1 = ((c - alpha_i) ** 2 + d**2 + (1 - alpha_i**2) + (1 - alpha_ii**2)
+          + a**2 * scn.sigma2_AE + b**2 * scn.sigma2_EB + scn.sigma2_I + scn.sigma2_II)
+    assert np.allclose(llr_weights(scn, genuine_arrival_law(scn)), 2 * v0 / s2, rtol=1e-12)
+    assert np.allclose(llr_weights(scn, attacker.forger(scn).arrival_law()), 2 * v1 / s2,
+                       rtol=1e-12)
+
+
+def test_weighted_exponential_sums_blocks_and_stream():
+    # each row block's exponentials weight-major, weighted and summed in order
+    weights = np.array([[0.5, -1.0], [2.0, 0.25]])
+    n = 2 * channel._ROW_BLOCK + 5
+    got = weighted_exponential_sums(weights, Rng(69), n)
+    rng, want = Rng(69), []
+    for rows in (channel._ROW_BLOCK, channel._ROW_BLOCK, 5):
+        block = rng.standard_exponential((4, rows))
+        want.append(sum(w * e for w, e in zip(weights.ravel(), block)))
+    assert got.shape == (n,) and np.array_equal(got, np.concatenate(want))
+    assert weighted_exponential_sums(weights, Rng(69), 0).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact outputs of the seeded Monte Carlo paths, pinned bit for bit.
 
 Every value below depends on the order of each path's draws (the row
-blocks of ``channel.score_trials`` in the calibrations and in the llr,
-combined and ideal shards; the channel, estimate and forgery draws
-everywhere else), on the stream keys each caller derives and on the
-floating-point association of the statistics. A refactor must leave them
+blocks of ``channel.score_trials`` in the calibrations and in the combined
+shards; the row blocks of ``statdec.weighted_exponential_sums`` in the llr
+and ideal shards; the channel, estimate and forgery draws everywhere
+else), on the stream keys each caller derives and on the floating-point
+association of the statistics. A refactor must leave them
 all unchanged. A deliberate stream change updates them in the same commit
 and records why in CHANGES.md.
 """
@@ -98,24 +99,24 @@ EXPECTED_MISMATCHED = {
     'combined': 0.38525,
 }
 EXPECTED_EXPERIMENTS = {
-    ('llr', 'simplified', 0.8): (1981, 19, 1304, 696, 14.528338639881103, None),
-    ('llr', 'simplified', 1.0): (1975, 25, 60, 1940, 13.276703990286183, None),
-    ('llr', 'ml', 0.8): (1981, 19, 1304, 696, 14.528338639881103, None),
-    ('llr', 'ml', 1.0): (1975, 25, 60, 1940, 13.276703990286183, None),
-    ('llr', 'simplified-avg', 0.8): (1981, 19, 1736, 264, 14.528338639881103, None),
-    ('llr', 'simplified-avg', 1.0): (1975, 25, 212, 1788, 13.276703990286183, None),
+    ('llr', 'simplified', 0.8): (1985, 15, 1271, 729, 14.528338639881103, None),
+    ('llr', 'simplified', 1.0): (1985, 15, 66, 1934, 13.276703990286183, None),
+    ('llr', 'ml', 0.8): (1985, 15, 1271, 729, 14.528338639881103, None),
+    ('llr', 'ml', 1.0): (1985, 15, 66, 1934, 13.276703990286183, None),
+    ('llr', 'simplified-avg', 0.8): (1985, 15, 1728, 272, 14.528338639881103, None),
+    ('llr', 'simplified-avg', 1.0): (1985, 15, 242, 1758, 13.276703990286183, None),
     ('combined', 'simplified', 0.8): (1978, 22, 1293, 707, 14.417917970668988, 1.9829085723379178),
     ('combined', 'simplified', 1.0): (1974, 26, 59, 1941, 13.178728438285825, 0.6565879562299844),
     ('combined', 'ml', 0.8): (1978, 22, 1293, 707, 14.417917970668988, 1.9829085723379178),
     ('combined', 'ml', 1.0): (1974, 26, 59, 1941, 13.178728438285825, 0.6565879562299844),
     ('combined', 'simplified-avg', 0.8): (1977, 23, 1714, 286, 14.65189167020087, 1.8255348761206227),
     ('combined', 'simplified-avg', 1.0): (1977, 23, 129, 1871, 15.984657785409507, 0.5295064163145036),
-    ('ideal', 'simplified', 0.8): (1972, 28, 1618, 382, 17.583346576920768, None),
-    ('ideal', 'simplified', 1.0): (1973, 27, 1060, 940, -0.6834237220114547, None),
-    ('ideal', 'ml', 0.8): (1972, 28, 1618, 382, 17.583346576920768, None),
-    ('ideal', 'ml', 1.0): (1973, 27, 1060, 940, -0.6834237220114547, None),
-    ('ideal', 'simplified-avg', 0.8): (1978, 22, 1638, 362, 20.545803305948503, None),
-    ('ideal', 'simplified-avg', 1.0): (1983, 17, 60, 1940, 0.43424657531981087, None),
+    ('ideal', 'simplified', 0.8): (1980, 20, 1617, 383, 17.06770022175463, None),
+    ('ideal', 'simplified', 1.0): (1977, 23, 1041, 959, -0.6088096518415562, None),
+    ('ideal', 'ml', 0.8): (1980, 20, 1617, 383, 17.06770022175463, None),
+    ('ideal', 'ml', 1.0): (1977, 23, 1041, 959, -0.6088096518415562, None),
+    ('ideal', 'simplified-avg', 0.8): (1982, 18, 1599, 401, 19.768972048859005, None),
+    ('ideal', 'simplified-avg', 1.0): (1979, 21, 49, 1951, 0.38036636525122336, None),
 }
 EXPECTED_FALLBACK = (1983, 17, 1380, 620, 16.246412680141077, 1.6933414347835478)
 

@@ -21,18 +21,19 @@ forged reference), each coef * h plus its own independent circular
 Gaussian, by ``genuine_arrival_law`` or the forger's ``arrival_law`` of its
 phase. Per carrier the members are a zero-mean circular complex Gaussian
 vector whose covariance these laws fix (``trial_covariance``).
-``score_trials`` draws it directly, one complex draw per member, carrier
-and trial, one row block at a time, and scores each block: the
-calibrations' and the combined shards' trials. The llr and ideal shards
-draw no trial: their statistics are weighted sums of exponentials whose
-weights ``statdec`` reads from the same covariance.
+``score_pairs`` draws the calibrations' and the combined shards'
+(reference, arrival) pairs from it difference first, completing only the
+rows a screen keeps. The llr and ideal shards draw no trial: their
+statistics are weighted sums of exponentials whose weights ``statdec``
+reads from the same covariance.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
 stream, in blocks of rows through one buffer. A term whose weight is zero
-(the fade at alpha = 1, the adversary's noise at zero variance, a trial
-member's zero innovation) is drawn, so every later draw stays where it
-was, but never added.
+(the fade at alpha = 1, the adversary's noise at zero variance, a pair's
+zero-variance term) is drawn, so every later draw stays where it was, but
+never added. Only ``score_pairs`` draws by the data (a reference per row
+its screen keeps), and the same stream still gives the same draws.
 """
 from __future__ import annotations
 
@@ -274,59 +275,36 @@ def trial_covariance(params: ScenarioParams, laws) -> list:
             for i, (coef, spread) in enumerate(zip(coefs, spreads))]
 
 
-def score_trials(params: ScenarioParams, rng: Rng, n: int, laws, statistic) -> tuple:
-    """Score n fresh-channel trials: the enrollment reference, then one member
-    per ``(coef, spread)`` of ``laws`` (``genuine_arrival_law`` or a
-    forger's ``arrival_law``), each coef * h plus its own CN(0, spread).
-
-    Per carrier, the LDL^T of ``trial_covariance`` C, E_ij = C_ij -
-    sum_l E_il L_jl, L_ij = E_ij / D_j and D_i = C_ii - sum_j L_ij E_ij
-    (clipped at 0; a zero pivot weighs 0), draws each member as
-    sum_j L_ij z_j plus its own innovation z_i of variance D_i, added last:
-    one complex draw per member, carrier and trial, and no channel. Each
-    block of at most ``_ROW_BLOCK`` trials is passed as
-    ``statistic(ref, *members)``, which returns a tuple of per-trial arrays;
-    the result holds each one's n trials.
-    """
-    cov = trial_covariance(params, laws)
-    weights, pivots = [], []  # weights[i][j] = L_ij, j < i
-    for i in range(len(cov)):
-        cross, row = [], []  # E_ij and L_ij, j < i
-        pivot = cov[i][i]
-        for j in range(i):
-            e = cov[i][j]
-            for l in range(j):
-                e = e - cross[l] * weights[j][l]
-            cross.append(e)
-            row.append(np.divide(e, pivots[j], out=np.zeros_like(e), where=pivots[j] > 0))
-            pivot = pivot - row[j] * e
-        weights.append(row)
-        pivots.append(np.maximum(pivot, 0.0))
-    outputs = None
+def score_pairs(params: ScenarioParams, rng: Rng, n: int, law, statistic, screen=None) -> tuple:
+    """Score n fresh-channel pairs, the enrollment reference and an arrival of
+    the law ``(coef, spread)``, drawn difference first: per carrier
+    (``trial_covariance``), x = arrival - reference is CN(0, v), v = Var ref +
+    Var arrival - 2 Cov, and given x the reference is beta * x + CN(0, w),
+    beta = (Cov - Var ref) / v, w = Var ref - beta * (Cov - Var ref) (v and w
+    clipped at 0; beta is 0 where v is). Each block of at most ``_ROW_BLOCK``
+    trials draws x for every row, then the reference only on the rows the
+    mask ``screen(x)`` keeps (all, without one): the stream a block takes
+    depends on the data, but the same stream gives the same pairs.
+    ``statistic(ref, arrival)`` of the completed rows returns a tuple of
+    per-trial arrays; the result holds each one's completed rows in order."""
+    (var_ref, cov), (_, var_arrival) = trial_covariance(params, [law])
+    var_x = np.maximum(var_ref + var_arrival - 2.0 * cov, 0.0)
+    lift = cov - var_ref  # Cov(reference, x)
+    beta = np.divide(lift, var_x, out=np.zeros_like(lift), where=var_x > 0)
+    var_given_x = np.maximum(var_ref - beta * lift, 0.0)
+    outputs, done = None, 0
     for lo in range(0, n, _ROW_BLOCK):
-        shape = (min(_ROW_BLOCK, n - lo), params.n_subcarriers)
-        members, innovations = [], []
-        for i, (row, pivot) in enumerate(zip(weights, pivots)):
-            if i == 0:
-                member = np.zeros(shape, dtype=complex)
-            else:
-                member = row[0] * innovations[0]
-                for weight, z in zip(row[1:], innovations[1:]):
-                    member += weight * z
-            if 0 < i < len(pivots) - 1:
-                # a later member reads this innovation on its own
-                z = np.zeros(shape, dtype=complex)
-                _add_complex_gaussian(z, rng, pivot)
-                member += z
-            else:
-                # the reference is its own innovation, and no member reads the last one's
-                _add_complex_gaussian(member, rng, pivot)
-                z = member
-            members.append(member)
-            innovations.append(z)
-        scores = statistic(*members)
-        if outputs is None:
+        x = np.zeros((min(_ROW_BLOCK, n - lo), params.n_subcarriers), dtype=complex)
+        _add_complex_gaussian(x, rng, var_x)
+        if screen is not None:
+            x = x[screen(x)]
+        ref = beta * x
+        _add_complex_gaussian(ref, rng, var_given_x)
+        x += ref
+        scores = statistic(ref, x)
+        if outputs is None:  # n rows each, of which only the completed ones are written
             outputs = tuple(np.empty((n,) + s.shape[1:], dtype=s.dtype) for s in scores)
         for out, s in zip(outputs, scores):
-            out[lo:lo + shape[0]] = s
-    return outputs
+            out[done:done + len(s)] = s
+        done += len(x)
+    return tuple(out[:done] for out in outputs)

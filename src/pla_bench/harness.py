@@ -14,7 +14,7 @@ fig1..fig10) at desk scale; each sweep target is one entry of ``_TARGETS``.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import csv
 import io
 import itertools
@@ -39,7 +39,7 @@ from .channel import (
     forged_observation,
     genuine_arrival_law,
     sample_channel,
-    score_trials,
+    score_pairs,
 )
 from .errors import ConfigError, NumericError
 from .mlauth import (
@@ -63,12 +63,15 @@ from .statdec import (
     accepts,
     calibrate_threshold,
     ideal_weights,
+    llr_statistic,
     llr_threshold,
     llr_weights,
     modulus_statistic,
     normal_upper_quantile,
+    null_calibration,
     optimize_thresholds,
     per_dim_variance,
+    select_thresholds,
     weighted_exponential_sums,
 )
 
@@ -244,8 +247,8 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tupl
                                   config.attacker.forger(scn).arrival_law())
         return thr.theta, thr.epsilon
     theta = llr_threshold(scn, target / 2.0)
-    gamma, = score_trials(scn, rng, 100_000, [genuine_arrival_law(scn)],
-                          lambda ref, alice: (modulus_statistic(ref, alice),))
+    gamma, = score_pairs(scn, rng, 100_000, genuine_arrival_law(scn),
+                         lambda ref, alice: (modulus_statistic(ref, alice),))
     eps = float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
     return theta, eps
 
@@ -259,7 +262,9 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     forged trial is a fresh channel (the closed forms describe exactly that
     average), with genuine trials on ``rng.derive(9, 0)`` and forged ones on
     ``rng.derive(9, 1)``. The combined shards score (reference, arrival)
-    pairs through ``score_trials``, as ``optimize_thresholds`` does. The llr
+    pairs through ``score_pairs``, as ``optimize_thresholds`` does; only
+    pairs whose Psi passes theta are completed and judged by ``accepts``.
+    The llr
     and ideal statistics are weighted sums of exponentials over that law,
     so those shards draw them through ``weighted_exponential_sums`` with
     ``llr_weights`` or ``ideal_weights`` and build no trial. The ideal
@@ -301,8 +306,9 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
         def accepted(stream, law):
             if kind == "llr":
                 return weighted_exponential_sums(llr_weights(scn, law), stream, n_eval) <= theta
-            return score_trials(scn, stream, n_eval, [law], lambda ref, arrival: (
-                accepts(arrival, ref, s2, theta, eps),))[0]
+            ok, = score_pairs(scn, stream, n_eval, law, lambda ref, arrival: (
+                accepts(arrival, ref, s2, theta, eps),), lambda x: llr_statistic(x, 0, s2) <= theta)
+            return np.pad(ok, (0, n_eval - ok.size))  # the screened-out pairs are rejected
 
         return _shard_result(accepted(r_eval.derive(0), genuine),
                              accepted(r_eval.derive(1), forged),
@@ -655,14 +661,16 @@ def _target_configs(name: str, scale: float, seed: int, workers) -> list:
 
 
 def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int, rng: Rng,
-                 grid_step: float = 0.1) -> tuple:
+                 grid_step: float = 0.1, null=None) -> tuple:
     """(thresholds, x, y, P_MD): the combined test calibrated against the
-    simplified attacker on ``rng.derive(0)``, then the exponent grid searched
-    against it on ``rng.derive(1)``. A bad grid step is rejected before
-    the calibration runs."""
+    simplified attacker (H0 from ``null`` when given, else on
+    ``rng.derive(0, 0)``; H1 on ``rng.derive(0, 1)``), then the exponent grid
+    searched against it on ``rng.derive(1)``. A bad grid step is rejected
+    before any draw."""
     _exponent_grid(grid_step)
-    thr = optimize_thresholds(scn, target_pfa, n_calib, rng.derive(0),
-                              AttackerSpec().forger(scn).arrival_law())
+    if null is None:
+        null = null_calibration(scn, target_pfa, n_calib, rng.derive(0, 0))
+    thr = select_thresholds(null, scn, AttackerSpec().forger(scn).arrival_law(), rng.derive(0, 1))
     x, y, pmd = optimize_attack_exponents(
         (thr.theta, thr.epsilon), scn, grid_step, n_mc, rng.derive(1))
     return thr, x, y, pmd
@@ -672,13 +680,13 @@ def _reproduce_table1(scale: float, seed: int) -> ResultTable:
     rows = []
     n_search = _desk(20_000, scale, floor=2_000)
     for n in (1, 3):
+        genuine = ScenarioParams.from_snr(n, 15.0, 20.0, alpha_I=1.0, alpha_II=1.0)
+        # H0 reads no rho: one sample per N, on the rho key 0 no cell uses
+        null = null_calibration(genuine, 1e-4, 1_000_000, Rng(seed).derive(n, 0))
         for rho in (0.1, 0.7, 0.9):
-            scn = ScenarioParams.from_snr(
-                n_subcarriers=n, snr_I_db=15.0, snr_II_db=20.0,
-                rho_AE=rho, rho_EB=rho, alpha_I=1.0, alpha_II=1.0,
-            )
+            scn = replace(genuine, rho_AE=rho, rho_EB=rho)
             thr, x, y, pmd = _search_cell(scn, 1e-4, 1_000_000, n_search,
-                                          Rng(seed).derive(n, int(rho * 10)))
+                                          Rng(seed).derive(n, int(rho * 10)), null=null)
             rows.append({
                 "n_subcarriers": n, "rho": rho, "target_pfa": 1e-4,
                 "theta": thr.theta, "epsilon": thr.epsilon,

@@ -19,7 +19,7 @@ from .channel import (
     _ROW_BLOCK,
     ScenarioParams,
     genuine_arrival_law,
-    score_trials,
+    score_pairs,
     trial_covariance,
 )
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
@@ -297,78 +297,91 @@ def _acceptance_counts(psi, gamma_abs, theta_grid, eps_grid):
     return hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
 
 
-def optimize_thresholds(
-    scenario: ScenarioParams,
-    target_pfa: float,
-    n_mc: int,
-    rng: Rng,
-    forged_law: tuple,
-) -> ThresholdResult:
-    """Two-step Monte Carlo selection of (theta, epsilon).
+@dataclass(frozen=True, eq=False)
+class NullCalibration:
+    """H0's part of a calibration, which reads no attacker or correlation: the grids,
+    each pair's P_FA estimate, the feasible pairs and the ``_genuine_laws`` drawn."""
+    theta_grid: np.ndarray
+    eps_grid: np.ndarray
+    pfa_estimate: np.ndarray
+    feasible: np.ndarray
+    n_mc: int
+    genuine_laws: tuple
 
-    Step 1 enumerates grid pairs whose estimated false-alarm rate matches
-    the target within its 95% binomial interval; step 2 returns the
-    feasible pair with the smallest estimated missed-detection rate under
-    the attack whose forged arrival has the law ``forged_law`` (the
-    ``arrival_law()`` of the adversary's ``AttackerSpec.forger``). Ties
-    prefer the larger theta, then the larger epsilon.
 
-    Both samples are scored by ``score_trials``, one fresh channel per
-    trial: H0's genuine pairs on ``rng.derive(0)`` and H1's forged ones on
-    ``rng.derive(1)``. Only the Psi and |Gamma| n-vectors are ever whole.
-    """
+def _genuine_laws(scenario: ScenarioParams) -> tuple:
+    """What H0's law reads: the reference's and genuine arrival's laws, and power."""
+    return (*genuine_arrival_law(scenario, "I"), *genuine_arrival_law(scenario),
+            scenario.power_delay)
+
+
+def _pair_statistics(scenario, rng: Rng, n_mc: int, law: tuple, theta_max=None) -> tuple:
+    """(Psi, |Gamma|) of n_mc ``score_pairs`` pairs of one law: all of them,
+    or those with Psi <= ``theta_max`` (no other passes a theta of the grid)."""
+    s2 = per_dim_variance(scenario)
+    screen = None if theta_max is None else (lambda x: llr_statistic(x, 0.0, s2) <= theta_max)
+    return score_pairs(scenario, rng, n_mc, law, lambda ref, arrival: (
+        llr_statistic(arrival, ref, s2), np.abs(modulus_statistic(ref, arrival))), screen)
+
+
+def null_calibration(scenario: ScenarioParams, target_pfa: float, n_mc: int,
+                     rng: Rng) -> NullCalibration:
+    """Step 1: draw n_mc genuine pairs on ``rng``, build the grids and count H0
+    once; a pair is feasible when its P_FA is within the target's 95% interval."""
     if not 0.0 < target_pfa < 1.0:
         raise ConfigError("target_pfa must lie in (0, 1)")
     if target_pfa * n_mc < 100:
         raise ConfigError("n_mc too small for the requested false-alarm target")
-
-    s2 = per_dim_variance(scenario)
-    if np.any(s2 <= 0):
+    if np.any(per_dim_variance(scenario) <= 0):
         raise SingularTestError("scenario gives zero per-dimension variance")
-
-    def statistics(stream, law):
-        return score_trials(scenario, stream, n_mc, [law], lambda ref, pkt: (
-            llr_statistic(pkt, ref, s2), np.abs(modulus_statistic(ref, pkt))))
-
-    psi0, gam0 = statistics(rng.derive(0), genuine_arrival_law(scenario))
-
-    theta_grid = np.linspace(
-        llr_threshold(scenario, min(2.0 * target_pfa, 1.0 - 1e-9)),
-        llr_threshold(scenario, target_pfa / 10.0),
-        _GRID_POINTS,
-    )
-    # the top of the epsilon grid must leave the modulus condition with a
-    # false-alarm contribution well under the target, so reach out to the
-    # Gaussian-approximate quantile at a tenth of it
+    psi0, gam0 = _pair_statistics(scenario, rng, n_mc, genuine_arrival_law(scenario))
+    theta_grid = np.linspace(llr_threshold(scenario, min(2.0 * target_pfa, 1.0 - 1e-9)),
+                             llr_threshold(scenario, target_pfa / 10.0), _GRID_POINTS)
+    # the top of the epsilon grid leaves the modulus condition a false-alarm share well
+    # under the target: |Gamma|'s Gaussian-approximate quantile at a tenth of it
     sig_g = float(np.sqrt(np.mean(gam0**2)))
     eps_hi = sig_g * normal_upper_quantile(min(target_pfa / 20.0, 0.25)) + 1e-12
     eps_grid = np.linspace(0.0, eps_hi, _GRID_POINTS)
 
     acc0 = _acceptance_counts(psi0, gam0, theta_grid, eps_grid)
-    del psi0, gam0  # H0's statistics are counted; free them before the H1 draw
+    del psi0, gam0  # counted; only the grids and the counts are kept
     pfa_est = 1.0 - acc0 / float(n_mc)
     ci = 1.96 * math.sqrt(target_pfa * (1.0 - target_pfa) / n_mc)
     feasible = np.abs(pfa_est - target_pfa) <= ci
     if not feasible.any():
-        raise InfeasibleTargetError(
-            f"no (theta, epsilon) grid point reaches P_FA={target_pfa:g} within its 95% interval"
-        )
+        raise InfeasibleTargetError(f"no (theta, epsilon) grid point reaches "
+                                    f"P_FA={target_pfa:g} within its 95% interval")
+    return NullCalibration(theta_grid, eps_grid, pfa_est, feasible, n_mc,
+                           _genuine_laws(scenario))
 
-    # H1 sample under the configured attack
-    psi1, gam1 = statistics(rng.derive(1), forged_law)
-    pmd_est = _acceptance_counts(psi1, gam1, theta_grid, eps_grid) / float(n_mc)
+
+def select_thresholds(null: NullCalibration, scenario: ScenarioParams, forged_law: tuple,
+                      rng: Rng) -> ThresholdResult:
+    """Step 2: the feasible pair of ``null`` with the smallest P_MD estimate on
+    n_mc forged pairs of ``forged_law`` (a forger's ``arrival_law()``) drawn on
+    ``rng`` and screened by the top of the theta grid; ties prefer the larger
+    theta, then epsilon. A null of other genuine laws is a ``ConfigError``."""
+    if not all(map(np.array_equal, _genuine_laws(scenario), null.genuine_laws)):
+        raise ConfigError("the null calibration was drawn for other genuine laws")
+    psi1, gam1 = _pair_statistics(scenario, rng, null.n_mc, forged_law, null.theta_grid[-1])
+    pmd_est = _acceptance_counts(psi1, gam1, null.theta_grid, null.eps_grid) / float(null.n_mc)
 
     # lexsort orders by its last key first: P_MD up, then theta down, then epsilon down
-    jj, kk = np.nonzero(feasible)
-    best = np.lexsort((-eps_grid[kk], -theta_grid[jj], pmd_est[jj, kk]))[0]
+    jj, kk = np.nonzero(null.feasible)
+    best = np.lexsort((-null.eps_grid[kk], -null.theta_grid[jj], pmd_est[jj, kk]))[0]
     j, k = jj[best], kk[best]
-    return ThresholdResult(
-        theta=float(theta_grid[j]),
-        epsilon=float(eps_grid[k]),
-        pfa_estimate=float(pfa_est[j, k]),
-        pmd_estimate=float(pmd_est[j, k]),
-        n_feasible=int(feasible.sum()),
-    )
+    return ThresholdResult(float(null.theta_grid[j]), float(null.eps_grid[k]),
+                           float(null.pfa_estimate[j, k]), float(pmd_est[j, k]),
+                           int(null.feasible.sum()))
+
+
+def optimize_thresholds(scenario: ScenarioParams, target_pfa: float, n_mc: int, rng: Rng,
+                        forged_law: tuple) -> ThresholdResult:
+    """Two-step Monte Carlo selection of (theta, epsilon): ``null_calibration``
+    on ``rng.derive(0)``, then ``select_thresholds`` against ``forged_law``
+    (the adversary forger's ``arrival_law()``) on ``rng.derive(1)``."""
+    return select_thresholds(null_calibration(scenario, target_pfa, n_mc, rng.derive(0)),
+                             scenario, forged_law, rng.derive(1))
 
 
 # ---------------------------------------------------------------------------

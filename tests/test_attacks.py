@@ -225,7 +225,8 @@ def test_optimize_attack_exponents_rejects_a_bad_grid_step(step):
 @pytest.mark.parametrize("step", BAD_GRID_STEPS)
 def test_search_cell_rejects_a_bad_grid_step_before_calibrating(monkeypatch, step):
     calls = []
-    monkeypatch.setattr(harness, "optimize_thresholds", lambda *args: calls.append(args))
+    for name in ("null_calibration", "select_thresholds"):  # every calibration draw
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ConfigError, match="grid_step"):
         harness._search_cell(_pinned_params(), 1e-2, 1_000_000, 2_000, Rng(0), step)
     assert calls == []

@@ -395,18 +395,47 @@ def _stat_shard(kind, n, n_sub):
 
 @pytest.mark.parametrize("kind", ["llr", "combined"])
 def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kind, monkeypatch):
-    # a combined shard draws each hypothesis's (reference, arrival) pairs
-    # from their joint law; an llr shard draws its statistic directly, N
-    # weighted exponentials per trial and hypothesis, and no pair (it drew
-    # the combined shard's pairs before). The ten-draw trial kernel took 20
-    # normals per carrier and trial. A counting tracer reads each draw from
-    # the size argument.
+    # a combined shard draws each hypothesis's differences x = arrival -
+    # reference, one complex draw per carrier and trial, and the reference
+    # given x only on the trials whose Psi passes theta: 2N (n + #{Psi <=
+    # theta}) normals per hypothesis, where it drew every whole pair (2N 2n)
+    # before; an llr shard draws its statistic directly, N weighted
+    # exponentials per trial and hypothesis, and no pair. The ten-draw
+    # trial kernel took 20 normals per carrier and trial. A counting tracer
+    # reads each draw from the size argument.
     n, n_sub = 40_000, 3
-    normals, exponentials = _draw_counts(monkeypatch, _stat_shard(kind, n, n_sub))
+    shard = _stat_shard(kind, n, n_sub)
     if kind == "llr":
-        assert (normals, exponentials) == (0, 2 * n * n_sub)
-    else:
-        assert (normals, exponentials) == (2 * 2 * 2 * n * n_sub, 0)
+        assert _draw_counts(monkeypatch, shard) == (0, 2 * n * n_sub)
+        return
+    drawn, draw = [0], Rng.standard_normal
+
+    def counting_normals(self, size, *args, **kwargs):
+        drawn[0] += int(np.prod(size))
+        return draw(self, size, *args, **kwargs)
+
+    per_hypothesis = []  # (normals, trials whose Psi passed) of each pair draw
+
+    def counting_pairs(params, rng, n, law, statistic, screen):
+        start, kept = drawn[0], []
+
+        def counted(x):
+            keep = screen(x)
+            kept.append(np.count_nonzero(keep))
+            return keep
+
+        out = channel.score_pairs(params, rng, n, law, statistic, counted)
+        per_hypothesis.append((drawn[0] - start, sum(kept)))
+        return out
+
+    monkeypatch.setattr(Rng, "standard_normal", counting_normals)
+    monkeypatch.setattr(harness, "score_pairs", counting_pairs)
+    shard()
+    assert len(per_hypothesis) == 2 and drawn[0] == sum(d for d, _ in per_hypothesis)
+    for normals, passed in per_hypothesis:
+        assert 0 < passed < n and normals == 2 * n_sub * (n + passed)
+    # fewer forged trials than genuine ones pass Psi
+    assert per_hypothesis[1][1] < per_hypothesis[0][1]
 
 
 def test_ideal_shard_draws_four_complex_draws_per_carrier_and_trial(monkeypatch):

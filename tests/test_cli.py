@@ -289,7 +289,8 @@ class TestAttackSearchCommand:
     @pytest.mark.parametrize("step", ["0", "nan", "-0.5"])
     def test_bad_grid_step_exits_2_before_calibrating(self, monkeypatch, capsys, step):
         calls = []
-        monkeypatch.setattr(harness, "optimize_thresholds", lambda *args: calls.append(args))
+        for name in ("null_calibration", "select_thresholds"):  # every calibration draw
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args))
         code = cli.main(["attack-search", "--n", "1", "--rho", "0.5", "--target-pfa", "0.01",
                          "--grid-step", step, "--n-mc", "2000",
                          "--calibration-trials", "1000000"])

@@ -663,6 +663,26 @@ def test_reproduce_targets_listed():
     assert len(REPRODUCE_TARGETS) == len(set(REPRODUCE_TARGETS))
 
 
+def test_table1_draws_one_null_per_subcarrier_count(monkeypatch):
+    # H0 reads neither rho nor the attacker, so table1 draws it once per N,
+    # on the rho key 0 no cell uses (each of its six cells drew its own
+    # before), and every cell selects against its N's null on its own stream
+    calls = {"null_calibration": [], "select_thresholds": []}
+    for name, record in calls.items():
+        def spy(*args, _fn=getattr(harness, name), _record=record):
+            _record.append((args, _fn(*args)))
+            return _record[-1][1]
+
+        monkeypatch.setattr(harness, name, spy)
+    reproduce("table1", scale=0.05, seed=42)
+    nulls = calls["null_calibration"]
+    assert [(args[0].n_subcarriers, args[3].key) for args, _ in nulls] == [(1, (1, 0)),
+                                                                          (3, (3, 0))]
+    selects = calls["select_thresholds"]
+    assert [(args[0], args[3].key) for args, _ in selects] == [
+        (nulls[n > 1][1], (n, rho, 0, 1)) for n in (1, 3) for rho in (1, 7, 9)]
+
+
 # Digest of repr(configs) that each sweep target hands to run_plan at
 # seed 42 and 2 workers, for scales 1.0 and 0.05. A change to a target's
 # plan (a sweep value, trial count, defender or its order) changes these,

@@ -62,7 +62,7 @@ def imported_names(source: str) -> set:
                                   if p.name != "channel.py"], ids=lambda p: p.name)
 def test_only_the_channel_layer_draws_complex_gaussians(path):
     # every other layer reaches the channel model through its row functions
-    # and score_trials, never through its private draw
+    # and score_pairs, never through its private draw
     source = path.read_text()
     assert calls_of(source, "complex_gaussian") == []
     assert calls_of(source, "_add_complex_gaussian") == []

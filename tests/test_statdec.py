@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pla_bench import channel, statdec
+from pla_bench import channel, harness, statdec
 from pla_bench.attacks import AttackerSpec, AttackStrategy
 from pla_bench.channel import (
     ScenarioParams,
@@ -14,7 +14,7 @@ from pla_bench.channel import (
     forged_observation,
     genuine_arrival_law,
     sample_channel,
-    score_trials,
+    score_pairs,
 )
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
@@ -35,8 +35,10 @@ from pla_bench.statdec import (
     noncentrality_mu,
     nominal_mu,
     normal_upper_quantile,
+    null_calibration,
     optimize_thresholds,
     per_dim_variance,
+    select_thresholds,
     weighted_exponential_sums,
 )
 
@@ -469,16 +471,60 @@ def test_optimize_thresholds_returns_the_pair_it_scored():
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     res = optimize_thresholds(scn, 0.99, 200, Rng(3), AttackerSpec().forger(scn).arrival_law())
     s2 = per_dim_variance(scn)
-    ok, = score_trials(scn, Rng(3).derive(0), 200, [genuine_arrival_law(scn)], lambda ref, pkt: (
+    ok, = score_pairs(scn, Rng(3).derive(0), 200, genuine_arrival_law(scn), lambda ref, pkt: (
         accepts(pkt, ref, s2, res.theta, res.epsilon),))
     assert res.pfa_estimate == pytest.approx(1.0 - ok.mean(), abs=1e-12)
 
 
+def _table1_scenario(n, rho=0.0, **kwargs):
+    return ScenarioParams.from_snr(n, 15.0, 20.0, rho_AE=rho, rho_EB=rho, **kwargs)
+
+
+def test_optimize_thresholds_is_null_calibration_then_select_thresholds():
+    scn = _table1_scenario(3, 0.7)
+    law = AttackerSpec().forger(scn).arrival_law()
+    null = null_calibration(scn, 1e-2, 20_000, Rng(9).derive(0))
+    assert select_thresholds(null, scn, law, Rng(9).derive(1)) == optimize_thresholds(
+        scn, 1e-2, 20_000, Rng(9), law)
+
+
+def test_one_null_serves_every_correlation_and_attacker():
+    # H0 reads neither rho nor the attacker: a null drawn at rho 0 selects
+    # the pair one full calibration at rho selects
+    null = null_calibration(_table1_scenario(1), 1e-2, 20_000, Rng(4).derive(0))
+    for rho, attacker in ((0.1, AttackerSpec()), (0.9, AttackerSpec(AttackStrategy("ml")))):
+        scn = _table1_scenario(1, rho)
+        law = attacker.forger(scn).arrival_law()
+        assert select_thresholds(null, scn, law, Rng(4).derive(1)) == optimize_thresholds(
+            scn, 1e-2, 20_000, Rng(4), law)
+
+
+@pytest.mark.parametrize("other", [dict(n=3), dict(alpha_II=0.8), dict(snr_II_db=25.0),
+                                   dict(power_delay=np.array([2.0]))],
+                         ids=["N", "alpha_II", "sigma2_II", "power_delay"])
+def test_select_thresholds_rejects_a_null_of_other_genuine_laws(other):
+    null = null_calibration(_table1_scenario(1), 1e-2, 20_000, Rng(5))
+    kwargs = dict(n_subcarriers=other.pop("n", 1), snr_I_db=15.0, snr_II_db=20.0, rho_AE=0.5,
+                  rho_EB=0.5)
+    kwargs.update(other)
+    scn = ScenarioParams.from_snr(**kwargs)
+    with pytest.raises(ConfigError, match="genuine laws"):
+        select_thresholds(null, scn, AttackerSpec().forger(scn).arrival_law(), Rng(6))
+
+
+def test_null_calibration_keeps_no_trial():
+    null = null_calibration(_table1_scenario(3), 1e-2, 20_000, Rng(7))
+    assert null.theta_grid.shape == null.eps_grid.shape == (statdec._GRID_POINTS,)
+    assert null.pfa_estimate.shape == null.feasible.shape == (statdec._GRID_POINTS,) * 2
+    assert null.n_mc == 20_000 and null.feasible.any()
+    assert all(np.size(v) <= statdec._GRID_POINTS**2 for v in vars(null).values())
+
+
 # ---------------------------------------------------------------------------
 # the per-carrier joint law against the physical trial it stands for.
-# ``score_trials`` draws every trial; the tests named after the pair sampler
-# and the ideal bound's sampler it replaced keep those names, so their ids
-# stay comparable across runs
+# ``score_pairs`` draws every calibration and combined pair; the tests named
+# after the pair sampler and the ideal bound's sampler it replaced keep those
+# names, so their ids stay comparable across runs
 
 PER_CARRIER = dict(power_delay=np.array([0.4, 1.0, 1.6]), sigma2_AE=0.05, sigma2_EB=0.02,
                    alpha_I=0.9, alpha_II=0.8)
@@ -525,17 +571,9 @@ def _physical_chain(scn, forge):
             forged_observation(forge(h, rng), scn, rng)]
 
 
-def _trial_draws(case, member_set):
-    """The trial [reference, *members] from ``score_trials`` with an identity
-    statistic, and the same members from the physical chain."""
-    scn, attacker = _law_scenario(case)
-    forge = attacker.forger(scn)
-    laws = [forge.arrival_law("I"), genuine_arrival_law(scn), forge.arrival_law()]
-    picks = [0] + MEMBER_SETS[member_set]
-    law = score_trials(scn, Rng(60), LAW_TRIALS, [laws[i - 1] for i in picks[1:]],
-                       lambda *members: members)
-    chain = _physical_chain(scn, forge)
-    return scn, attacker, picks, list(law), [chain[i] for i in picks]
+def _member_laws(scn, forge):
+    """The laws of the chain's members after the reference, in its order."""
+    return [forge.arrival_law("I"), genuine_arrival_law(scn), forge.arrival_law()]
 
 
 def _closed_form(scn, attacker):
@@ -569,93 +607,186 @@ def _cross_moments(members):
     return out
 
 
-def _assert_law_matches_the_physical_chain(case, member_set):
-    """Every cross moment of the trial agrees with the physical chain's
-    within 4 combined standard errors and with the closed form within 4 of
-    its own."""
-    scn, attacker, picks, law, chain = _trial_draws(case, member_set)
+def _pair_draws(case, forged, screen=None):
+    """The physical chain's (reference, arrival) pairs, then the pairs
+    ``score_pairs`` completes with an identity statistic, given the chain's
+    pairs when ``screen`` is a function of them."""
+    scn, attacker = _law_scenario(case)
+    forge = attacker.forger(scn)
+    chain = _physical_chain(scn, forge)
+    chain = [chain[0], chain[3 if forged else 2]]
+    law = forge.arrival_law() if forged else genuine_arrival_law(scn)
+    pair = score_pairs(scn, Rng(60), LAW_TRIALS, law, lambda *pair: pair,
+                       None if screen is None else screen(chain))
+    return scn, attacker, pair, chain
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_sample_pairs_moments_match_the_trial_kernel(case, forged):
+    # every cross moment of the pair agrees with the physical chain's within
+    # 4 combined standard errors and with the closed form within 4 of its own
+    scn, attacker, pair, chain = _pair_draws(case, forged)
+    picks = [0] + MEMBER_SETS["forged" if forged else "genuine"]
     exact = _closed_form(scn, attacker)
     want = _cross_moments(chain)
-    for (i, j, part), (g, g_se) in _cross_moments(law).items():
+    for (i, j, part), (g, g_se) in _cross_moments(pair).items():
         w, w_se = want[i, j, part]
         x = exact[picks[i]][picks[j]] if part == "real" else 0.0
         assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se)), (i, j, part)
         assert np.all(np.abs(g - x) < 4 * g_se), (i, j, part)
 
 
-@pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
-@pytest.mark.parametrize("case", LAW_CASES)
-def test_sample_pairs_moments_match_the_trial_kernel(case, forged):
-    _assert_law_matches_the_physical_chain(case, "forged" if forged else "genuine")
+def _assert_covariance_matches_the_physical_chain(scn, attacker, members):
+    """``trial_covariance`` of the reference and ``members`` (indices into the
+    chain after its reference) agrees with the chain's sample covariance
+    within 4 of its standard errors, and with the closed form."""
+    forge = attacker.forger(scn)
+    laws = _member_laws(scn, forge)
+    cov = channel.trial_covariance(scn, [laws[i - 1] for i in members])
+    picks = [0] + members
+    chain = _physical_chain(scn, forge)
+    exact = _closed_form(scn, attacker)
+    for (i, j, part), (w, w_se) in _cross_moments([chain[k] for k in picks]).items():
+        c = cov[i][j] if part == "real" else 0.0
+        # <=: a zero-pivot chain's imaginary parts may be exact zeros, SE included
+        assert np.all(np.abs(c - w) <= 4 * w_se), (i, j, part)
+        if part == "real":
+            assert np.allclose(c, exact[picks[i]][picks[j]], rtol=1e-12), (i, j)
 
 
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_ideal_trials_moments_match_the_physical_chain(case):
-    _assert_law_matches_the_physical_chain(case, "ideal")
+    # the ideal bound's quadruple [reference, forged reference, genuine
+    # packet, forged packet], whose covariance its weights read
+    _assert_covariance_matches_the_physical_chain(*_law_scenario(case), MEMBER_SETS["ideal"])
 
 
 @pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_sample_pairs_statistics_match_the_trial_kernel(case, forged):
-    scn, _, _, law, chain = _trial_draws(case, "forged" if forged else "genuine")
+    scn, _, pair, chain = _pair_draws(case, forged)
     s2 = per_dim_variance(scn)
     for stat in (lambda r, a: llr_statistic(a, r, s2),
                  lambda r, a: np.abs(modulus_statistic(r, a))):
-        assert stats.ks_2samp(stat(*law), stat(*chain)).pvalue > 0.001
+        assert stats.ks_2samp(stat(*pair), stat(*chain)).pvalue > 0.001
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_screened_pairs_match_the_physical_chain(case, forged):
+    # screened at the chain's median Psi: Psi over every row, and the
+    # completed pairs and their |Gamma| over the chain's rows at or below
+    # it, in moments (4 combined standard errors) and by two-sample KS
+    s2 = per_dim_variance(_law_scenario(case)[0])
+    psi = []
+
+    def screen_for(chain):
+        bound = np.median(llr_statistic(chain[1], chain[0], s2))
+
+        def screen(x):
+            psi.append(llr_statistic(x, 0.0, s2))
+            return psi[-1] <= bound
+
+        return screen
+
+    _, _, pair, chain = _pair_draws(case, forged, screen_for)
+    chain_psi = llr_statistic(chain[1], chain[0], s2)
+    bound = np.median(chain_psi)
+    psi = np.concatenate(psi)
+    kept = [m[chain_psi <= bound] for m in chain]
+    assert psi.shape == (LAW_TRIALS,) and len(pair[0]) == np.count_nonzero(psi <= bound)
+    root_n = math.sqrt(LAW_TRIALS)
+    assert abs(psi.mean() - chain_psi.mean()) < 4 * np.hypot(psi.std(), chain_psi.std()) / root_n
+    assert stats.ks_2samp(psi, chain_psi).pvalue > 0.001
+    want = _cross_moments(kept)
+    for key, (g, g_se) in _cross_moments(pair).items():
+        w, w_se = want[key]
+        assert np.all(np.abs(g - w) < 4 * np.hypot(g_se, w_se)), key
+    gamma = [np.abs(modulus_statistic(r, a)) for r, a in (pair, kept)]
+    assert stats.ks_2samp(*gamma).pvalue > 0.001
 
 
 @pytest.mark.parametrize("case", LAW_CASES)
 def test_ideal_psi_matches_the_physical_chain(case):
-    scn, _, _, (ref, eve_ref, *packets), (k_ref, k_eve_ref, *k_packets) = _trial_draws(
-        case, "ideal")
-    s2 = scn.sigma2_I + scn.sigma2_II
-    for packet, k_packet in zip(packets, k_packets):  # H0, then H1
-        assert stats.ks_2samp(ideal_llr(packet, ref, eve_ref, s2),
-                              ideal_llr(k_packet, k_ref, k_eve_ref, s2)).pvalue > 0.001
+    # the ideal statistic reads x = packet - reference and y = packet -
+    # forged reference; their covariance from ``trial_covariance`` against
+    # the chain's sample covariance, within 4 of its standard errors, for
+    # the genuine and the forged packet
+    scn, attacker = _law_scenario(case)
+    forge = attacker.forger(scn)
+    cov = np.array(channel.trial_covariance(scn, _member_laws(scn, forge)))  # (4, 4, N)
+    ref, eve_ref, *packets = _physical_chain(scn, forge)
+    for member, packet in zip((2, 3), packets):  # H0, then H1
+        diff = np.zeros((2, 4))
+        diff[0, [member, 0]] = diff[1, [member, 1]] = (1, -1)
+        want = np.einsum("ai,ijn,bj->abn", diff, cov, diff)
+        got = _cross_moments([packet - ref, packet - eve_ref])
+        for (i, j, part), (g, g_se) in got.items():
+            w = want[i, j] if part == "real" else 0.0
+            assert np.all(np.abs(g - w) < 4 * g_se), (member, i, j, part)
 
 
-def _blocks(scn, rng, n, laws):
-    """The row blocks ``score_trials`` passes to its statistic, and its result."""
+def _blocks(scn, rng, n, law, screen=None):
+    """The row blocks ``score_pairs`` passes to its statistic, and its result."""
     blocks = []
 
-    def keep(*members):
-        blocks.append(members)
-        return members
+    def keep(*pair):
+        blocks.append(pair)
+        return pair
 
-    return blocks, score_trials(scn, rng, n, laws, keep)
+    return blocks, score_pairs(scn, rng, n, law, keep, screen)
 
 
 def test_sample_pairs_blocks_and_stream():
     scn, _ = _law_scenario("alpha_II-0.8")
+    law = genuine_arrival_law(scn)
     n = 2 * channel._ROW_BLOCK + 5
-    blocks, (ref, arrival) = _blocks(scn, Rng(62), n, [genuine_arrival_law(scn)])
+    blocks, (ref, arrival) = _blocks(scn, Rng(62), n, law)
     assert [[m.shape for m in b] for b in blocks] == (
         [[(channel._ROW_BLOCK, 3)] * 2] * 2 + [[(5, 3)] * 2])
     assert np.array_equal(ref, np.concatenate([b[0] for b in blocks]))
     assert np.array_equal(arrival, np.concatenate([b[1] for b in blocks]))
-    again = score_trials(scn, Rng(62), n, [genuine_arrival_law(scn)], lambda *m: m)
+    again = score_pairs(scn, Rng(62), n, law, lambda *m: m)
+    assert np.array_equal(again[0], ref) and np.array_equal(again[1], arrival)
+    # a screen keeps each block's rows it passes, in row order, and the same
+    # stream gives the same pairs
+    masks = []
+
+    def screen(x):
+        masks.append(x[:, 0].real > 0)
+        return masks[-1]
+
+    blocks, (ref, arrival) = _blocks(scn, Rng(62), n, law, screen)
+    assert [len(b[0]) for b in blocks] == [np.count_nonzero(m) for m in masks]
+    assert np.all((arrival - ref)[:, 0].real > 0)
+    again = score_pairs(scn, Rng(62), n, law, lambda *m: m, lambda x: x[:, 0].real > 0)
     assert np.array_equal(again[0], ref) and np.array_equal(again[1], arrival)
 
 
 def test_sample_pairs_draws_but_never_adds_a_zero_innovation():
     # no noise and no fade: the genuine arrival is the reference itself, so
-    # its innovation has zero variance and is drawn but never added
+    # the difference has zero variance and is drawn but never added
     scn = ScenarioParams.from_snr(2, math.inf, math.inf)
-    ref, arrival = score_trials(scn, Rng(63), 10, [genuine_arrival_law(scn)], lambda *m: m)
+    ref, arrival = score_pairs(scn, Rng(63), 10, genuine_arrival_law(scn), lambda *m: m)
     assert np.array_equal(arrival, ref)
     assert np.all(ref != 0)
 
 
-def test_score_trials_gives_a_zero_pivot_weight_zero():
-    # no noise and rho 1: the replay forges 2h exactly, so after the reference
-    # every pivot is zero; a weight over a zero pivot is 0, not 0/0
+def test_score_pairs_gives_a_zero_pivot_weight_zero():
+    # no noise and rho 1: the replay forges 2h exactly, so given the
+    # difference x = h the reference is x itself, with zero variance left
+    # (drawn, weighted 0); and the genuine difference has zero variance, so
+    # its weight on the reference is 0, not 0/0
     scn = ScenarioParams.from_snr(2, math.inf, math.inf, rho_AE=1.0, rho_EB=1.0)
     forge = AttackerSpec().forger(scn)
-    laws = [forge.arrival_law("I"), genuine_arrival_law(scn), forge.arrival_law()]
-    ref, eve_ref, alice, eve = score_trials(scn, Rng(67), 10, laws, lambda *m: m)
+    ref, eve = score_pairs(scn, Rng(67), 10, forge.arrival_law(), lambda *m: m)
     assert np.all(np.isfinite(ref)) and np.all(ref != 0)
-    for member, coef in ((eve_ref, 2.0), (alice, 1.0), (eve, 2.0)):
-        assert np.array_equal(member, coef * ref)
+    assert np.array_equal(eve, 2.0 * ref)
+    ref, alice = score_pairs(scn, Rng(67), 10, genuine_arrival_law(scn), lambda *m: m)
+    assert np.all(np.isfinite(ref)) and np.array_equal(alice, ref)
+    # the rank-one covariance of the quadruple, against the chain's
+    _assert_covariance_matches_the_physical_chain(scn, AttackerSpec(), MEMBER_SETS["ideal"])
 
 
 def test_arrival_laws_take_the_phase_epoch():
@@ -677,18 +808,21 @@ def test_arrival_laws_take_the_phase_epoch():
 
 
 def test_ideal_calibration_draws_no_forged_packet():
-    # the calibration's trials stop at the genuine packet
-    scn, attacker = _law_scenario("alpha_I-0.8")
-    forge = attacker.forger(scn)
-    laws = [forge.arrival_law("I"), genuine_arrival_law(scn)]
-    n = channel._ROW_BLOCK + 5
-    blocks, _ = _blocks(scn, Rng(66), n, laws)
-    assert [[m.shape for m in b] for b in blocks] == [[(channel._ROW_BLOCK, 2)] * 3, [(5, 2)] * 3]
-    s2 = scn.sigma2_I + scn.sigma2_II
-    psi, = score_trials(scn, Rng(66), n, laws,
-                        lambda ref, eve_ref, alice: (ideal_llr(alice, ref, eve_ref, s2),))
-    want = np.concatenate([ideal_llr(alice, ref, eve_ref, s2) for ref, eve_ref, alice in blocks])
-    assert psi.shape == (n,) and np.array_equal(psi, want)
+    # the ideal shard's threshold is the empirical quantile of H0's weighted
+    # exponentials on the shard's stream 5: the reference, the forged
+    # reference and the genuine packet, and no forged packet
+    cfg = harness.ExperimentConfig(
+        defender=harness.DefenderSpec("ideal"), attacker=AttackerSpec(AttackStrategy(
+            "exponent", x=-0.5, y=0.5)), n_subcarriers=(2,), alpha_I=(0.8,), rho_AE=(0.5,),
+        rho_EB=(0.3,), target_pfa=1e-2, n_trials=1_000, n_datasets=1, seed=66)
+    point = next(cfg.sweep_points())
+    scn = ScenarioParams.from_snr(**point)
+    weights = ideal_weights(scn, cfg.attacker.forger(scn).arrival_law("I"),
+                            genuine_arrival_law(scn))
+    n_cal = harness._ideal_calibration_size(1e-2)
+    theta = calibrate_threshold(
+        weighted_exponential_sums(weights, Rng(66).derive(0, 0, 5), n_cal), 1e-2)
+    assert harness._run_shard(cfg, 0, 0, point)["trained"]["theta"] == theta
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,11 @@ def _forgeable(strategy: AttackStrategy, scenario: ScenarioParams) -> bool:
     return True
 
 
-def _exponent_grid(grid_step: float) -> list:
-    """The exponent values -1, -1 + grid_step, ..., 1 of each grid axis."""
+def _search_grid(grid_step: float, n_mc: int) -> list:
+    """The exponent values -1, -1 + grid_step, ..., 1 of each grid axis of a
+    search on n_mc draws; a bad step or an empty draw is rejected."""
+    if n_mc < 1:
+        raise ConfigError("n_mc must be positive")
     if not 0.0 < grid_step <= 2.0:  # NaN fails it too
         raise ConfigError(f"grid_step must be finite and lie in (0, 2], got {grid_step!r}")
     steps = round(2.0 / grid_step)
@@ -235,7 +238,7 @@ def optimize_attack_exponents(
     at the optimum), which ``mismatched_eval`` of that exponent strategy
     reproduces exactly on the same ``rng``.
     """
-    grid = _exponent_grid(grid_step)
+    grid = _search_grid(grid_step, n_mc)
     cells = [s for s in (AttackStrategy("exponent", x=x, y=y) for x in grid for y in grid)
              if _forgeable(s, scenario)]
     pmds = _common_draw_pmd(cells, scenario, n_mc, rng, *bob)

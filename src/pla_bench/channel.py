@@ -23,9 +23,9 @@ phase. Per carrier the members are a zero-mean circular complex Gaussian
 vector whose covariance these laws fix (``trial_covariance``).
 ``score_pairs`` draws the calibrations' and the combined shards'
 (reference, arrival) pairs from it difference first, completing only the
-rows a screen keeps. The llr and ideal shards draw no trial: their
-statistics are weighted sums of exponentials whose weights ``statdec``
-reads from the same covariance.
+rows a screen keeps. The llr and ideal shards, and the ideal bound's
+calibration, draw no trial: their statistics are weighted sums of
+exponentials whose weights ``statdec`` reads from the same covariance.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the

@@ -28,7 +28,7 @@ from .attacks import (
     AttackerSpec,
     AttackStrategy,
     _common_draw_pmd,
-    _exponent_grid,
+    _search_grid,
     optimize_attack_exponents,
 )
 from .channel import (
@@ -180,9 +180,9 @@ class ExperimentConfig:
         if (self.target_pfa is None) == (self.defender.kind in STAT_DEFENDERS):
             verb = "requires" if self.target_pfa is None else "takes no"
             raise ConfigError(f"defender {self.defender.kind!r} {verb} target_pfa")
-        if self.defender.kind == "ideal":
-            for t in targets:
-                _ideal_calibration_size(t)  # rejects a target no shard could calibrate
+        if self.defender.kind == "ideal" and min(targets) * self.calibration_trials < 1:
+            raise ConfigError(f"target_pfa {min(targets):g} is below "
+                              f"1/{self.calibration_trials} calibration_trials")
         Rng(self.seed)  # rejects a seed outside [0, 2**64) before any shard runs
 
     def sweep_points(self):
@@ -203,19 +203,6 @@ def _check_workers(workers) -> None:
         raise ConfigError(f"workers must be at least 1, got {workers}")
 
 
-def _ideal_calibration_size(target: float) -> int:
-    """Calibration draws of the ideal bound: about 100 exceedances of the target.
-
-    The count is kept within [2,000, 400,000], so a target below 1/400,000
-    cannot be resolved and is rejected.
-    """
-    size = min(max(int(100.0 / target), 2_000), 400_000)
-    if size * target < 1:
-        raise ConfigError(f"target_pfa {target:g} is below 1/{size} draws, "
-                          "the ideal bound's calibration limit")
-    return size
-
-
 def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, rng: Rng,
                     n: int, phase: str = "II") -> np.ndarray:
     """n forged packets over the fixed channel h, as the verifier receives them.
@@ -231,20 +218,26 @@ def _forged_packets(scn: ScenarioParams, attacker: AttackerSpec, h: np.ndarray, 
 # shard execution
 
 def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tuple:
-    """The (theta, epsilon) every dataset of one sweep point of an llr or
-    combined test shares (the ideal bound calibrates per shard).
-
-    llr takes the analytic theta and no modulus condition. combined is
-    calibrated by Monte Carlo, and falls back to an analytic split of the
-    target between the two conditions when the budget cannot resolve it.
+    """The (theta, epsilon) every dataset of one sweep point of a statistical
+    test shares: llr's analytic theta; the ideal bound's empirical quantile
+    of ``calibration_trials`` draws of its H0 statistic; combined's Monte
+    Carlo calibration, or an analytic split of the target between its two
+    conditions when the budget cannot resolve it. Only combined has an
+    epsilon; the draws are on ``Rng(seed).derive(p_idx, 1_000_000)``.
     """
     scn, target = ScenarioParams.from_snr(**point), config.target_for(point)
     if config.defender.kind == "llr":
         return llr_threshold(scn, target), None
     rng = Rng(config.seed).derive(p_idx, 1_000_000)
+    forger = config.attacker.forger(scn)
+    if config.defender.kind == "ideal":
+        psi = weighted_exponential_sums(
+            ideal_weights(scn, forger.arrival_law("I"), genuine_arrival_law(scn)),
+            rng, config.calibration_trials)
+        return calibrate_threshold(psi, target), None
     if target * config.calibration_trials >= 100:
         thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
-                                  config.attacker.forger(scn).arrival_law())
+                                  forger.arrival_law())
         return thr.theta, thr.epsilon
     theta = llr_threshold(scn, target / 2.0)
     gamma, = score_pairs(scn, rng, 100_000, genuine_arrival_law(scn),
@@ -257,24 +250,16 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
                thresholds: tuple | None = None) -> dict:
     """One (sweep point, dataset) cell; a pure function of its arguments.
 
-    ``thresholds`` is the point's ``_point_thresholds`` or None. Statistical
-    defenders have no per-dataset trained state, so each genuine and each
-    forged trial is a fresh channel (the closed forms describe exactly that
-    average), with genuine trials on ``rng.derive(9, 0)`` and forged ones on
-    ``rng.derive(9, 1)``. The combined shards score (reference, arrival)
-    pairs through ``score_pairs``, as ``optimize_thresholds`` does; only
-    pairs whose Psi passes theta are completed and judged by ``accepts``.
-    The llr
-    and ideal statistics are weighted sums of exponentials over that law,
-    so those shards draw them through ``weighted_exponential_sums`` with
-    ``llr_weights`` or ``ideal_weights`` and build no trial. The ideal
-    bound scores the packet against the reference and the adversary's
-    forged reference (the forger's phase-I law) with the weight
-    sigma2_I + sigma2_II (E|alice - ref|^2 per carrier under H0 at
-    alpha_II = 1 only; H1 is wider, its two forgeries being independent),
-    so its threshold is calibrated empirically, on ``rng.derive(5)`` with
-    H0's weights. Learned defenders train one model per dataset on a fixed
-    channel and classify packets over it.
+    ``thresholds`` is the point's ``_point_thresholds``, None for a learned
+    defender. A statistical shard judges fresh-channel trials (the closed
+    forms describe exactly that average), genuine ones on ``rng.derive(9, 0)``
+    and forged ones on ``rng.derive(9, 1)``: combined scores (reference,
+    arrival) pairs through ``score_pairs``, as ``optimize_thresholds`` does,
+    and completes only those whose Psi passes theta for ``accepts``; llr and
+    ideal draw their statistics through ``weighted_exponential_sums`` with
+    ``llr_weights`` or ``ideal_weights`` and build no trial. A learned
+    defender trains one model per dataset on a fixed channel and classifies
+    packets over it.
     """
     defender, attacker = config.defender, config.attacker
     n_eval = math.ceil(config.n_trials / config.n_datasets)
@@ -282,39 +267,27 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     scn = ScenarioParams.from_snr(**point)
     kind = defender.kind
     r_eval = rng.derive(9)
-    forger = attacker.forger(scn)
-    genuine, forged = genuine_arrival_law(scn), forger.arrival_law()  # a statistical trial's laws
-    t0 = time.perf_counter()
 
-    if kind == "ideal":
-        target = config.target_for(point)
-        forged_ref = forger.arrival_law("I")
-
-        def psi(stream, n, packet_law):
-            return weighted_exponential_sums(ideal_weights(scn, forged_ref, packet_law), stream, n)
-
-        theta = calibrate_threshold(psi(rng.derive(5), _ideal_calibration_size(target), genuine),
-                                    target)
-        train_seconds = time.perf_counter() - t0
-        return _shard_result(psi(r_eval.derive(0), n_eval, genuine) <= theta,
-                             psi(r_eval.derive(1), n_eval, forged) <= theta,
-                             {"theta": theta}, train_seconds)
-    if thresholds is not None:
+    if kind in STAT_DEFENDERS:
         theta, eps = thresholds
+        forger = attacker.forger(scn)
         s2 = per_dim_variance(scn)
 
         def accepted(stream, law):
-            if kind == "llr":
-                return weighted_exponential_sums(llr_weights(scn, law), stream, n_eval) <= theta
+            if kind != "combined":
+                weights = (llr_weights(scn, law) if kind == "llr"
+                           else ideal_weights(scn, forger.arrival_law("I"), law))
+                return weighted_exponential_sums(weights, stream, n_eval) <= theta
             ok, = score_pairs(scn, stream, n_eval, law, lambda ref, arrival: (
                 accepts(arrival, ref, s2, theta, eps),), lambda x: llr_statistic(x, 0, s2) <= theta)
             return np.pad(ok, (0, n_eval - ok.size))  # the screened-out pairs are rejected
 
-        return _shard_result(accepted(r_eval.derive(0), genuine),
-                             accepted(r_eval.derive(1), forged),
+        return _shard_result(accepted(r_eval.derive(0), genuine_arrival_law(scn)),
+                             accepted(r_eval.derive(1), forger.arrival_law()),
                              {"theta": theta, "epsilon": eps}, 0.0)
 
     # learned defenders: one model per dataset on a fixed channel
+    t0 = time.perf_counter()
     h = sample_channel(scn, rng.derive(0))
     pos = featurize(bob_estimate_phase1(
         np.broadcast_to(h, (scn.m_training, h.size)), scn, rng.derive(1)))
@@ -506,15 +479,14 @@ def run_plan(configs: list, workers: int | None) -> list:
     # a point's shared thresholds are (config, 0, point, 0), a shard (config, 1, point, dataset)
     tasks = {}
     for c_idx, config in enumerate(configs):
-        shared = config.defender.kind in ("llr", "combined")  # one (theta, epsilon) per point
         for p_idx, point in enumerate(config.sweep_points()):
-            if shared:
-                tasks[c_idx, 0, p_idx, 0] = (
-                    _addressed, (_point_thresholds, config, (p_idx,), point), ())
+            deps = ()
+            if config.defender.kind in STAT_DEFENDERS:  # one (theta, epsilon) per point
+                deps = (c_idx, 0, p_idx, 0),
+                tasks[deps[0]] = (_addressed, (_point_thresholds, config, (p_idx,), point), ())
             for d_idx in range(config.n_datasets):
                 tasks[c_idx, 1, p_idx, d_idx] = (
-                    _addressed, (_run_shard, config, (p_idx, d_idx), point),
-                    ((c_idx, 0, p_idx, 0),) if shared else ())
+                    _addressed, (_run_shard, config, (p_idx, d_idx), point), deps)
     results = _run_pooled(tasks, workers) if workers and workers > 1 else {}
     for key in sorted(tasks.keys() - results.keys()):  # a serial run's tasks, in plan order
         fn, args, deps = tasks[key]
@@ -665,9 +637,9 @@ def _search_cell(scn: ScenarioParams, target_pfa: float, n_calib: int, n_mc: int
     """(thresholds, x, y, P_MD): the combined test calibrated against the
     simplified attacker (H0 from ``null`` when given, else on
     ``rng.derive(0, 0)``; H1 on ``rng.derive(0, 1)``), then the exponent grid
-    searched against it on ``rng.derive(1)``. A bad grid step is rejected
-    before any draw."""
-    _exponent_grid(grid_step)
+    searched against it on ``rng.derive(1)``. A bad grid step or search size
+    is rejected before any draw."""
+    _search_grid(grid_step, n_mc)
     if null is None:
         null = null_calibration(scn, target_pfa, n_calib, rng.derive(0, 0))
     thr = select_thresholds(null, scn, AttackerSpec().forger(scn).arrival_law(), rng.derive(0, 1))

@@ -392,8 +392,8 @@ def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
 
     Both distances share one sigma2, which fits H0 only, so this is no
     Neyman-Pearson statistic. Accept at or below a threshold. The ideal
-    shard draws its fresh-channel values from ``ideal_weights`` without
-    building the packet or either reference.
+    shards and their point's calibration draw its fresh-channel values from
+    ``ideal_weights`` without building the packet or either reference.
     """
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)

@@ -222,13 +222,18 @@ def test_optimize_attack_exponents_rejects_a_bad_grid_step(step):
         optimize_attack_exponents((10.0, 1.0), _pinned_params(), step, 1000, Rng(0))
 
 
-@pytest.mark.parametrize("step", BAD_GRID_STEPS)
-def test_search_cell_rejects_a_bad_grid_step_before_calibrating(monkeypatch, step):
+# each bad grid step, and an empty attack draw: (grid_step, n_mc, the field named)
+BAD_SEARCHES = [*((step, 2_000, "grid_step") for step in BAD_GRID_STEPS), (0.1, 0, "n_mc")]
+BAD_SEARCH_IDS = [*map(str, BAD_GRID_STEPS), "n_mc=0"]
+
+
+@pytest.mark.parametrize("step, n_mc, field", BAD_SEARCHES, ids=BAD_SEARCH_IDS)
+def test_search_cell_rejects_a_bad_grid_step_before_calibrating(monkeypatch, step, n_mc, field):
     calls = []
     for name in ("null_calibration", "select_thresholds"):  # every calibration draw
         monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(ConfigError, match="grid_step"):
-        harness._search_cell(_pinned_params(), 1e-2, 1_000_000, 2_000, Rng(0), step)
+    with pytest.raises(ConfigError, match=field):
+        harness._search_cell(_pinned_params(), 1e-2, 1_000_000, n_mc, Rng(0), step)
     assert calls == []
 
 

@@ -381,15 +381,19 @@ def test_forged_observation_leaves_its_input_untouched():
         _assert_same_bits(g, kept)
 
 
-def _stat_shard(kind, n, n_sub):
-    """One statistical shard of n genuine and n forged trials over N
-    carriers, as a thunk; an llr or combined shard's thresholds are fixed
-    outside it, and the ideal bound calibrates inside it."""
+def _stat_point(kind, n, n_sub):
+    """(config, point) of one statistical sweep point of n genuine and n
+    forged trials over N carriers, in one dataset."""
     cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(n_sub,), alpha_II=(0.8,),
                            rho_AE=(0.5,), rho_EB=(0.5,), target_pfa=1e-2, n_trials=n,
                            n_datasets=1, seed=3, calibration_trials=20_000)
-    point = next(cfg.sweep_points())
-    thresholds = None if kind == "ideal" else harness._point_thresholds(cfg, 0, point)
+    return cfg, next(cfg.sweep_points())
+
+
+def _stat_shard(kind, n, n_sub):
+    """That point's one shard as a thunk; its thresholds are fixed outside it."""
+    cfg, point = _stat_point(kind, n, n_sub)
+    thresholds = harness._point_thresholds(cfg, 0, point)
     return lambda: harness._run_shard(cfg, 0, 0, point, thresholds)
 
 
@@ -439,15 +443,17 @@ def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kin
 
 
 def test_ideal_shard_draws_four_complex_draws_per_carrier_and_trial(monkeypatch):
-    # two weighted exponentials per carrier, trial and hypothesis, and as
-    # many per calibration trial, and no normal; scoring the four members of
-    # each evaluation trial and the three of each calibration trial took 4
+    # the shard draws two weighted exponentials per carrier, trial and
+    # hypothesis, and no normal; its point's calibration, made once for all
+    # datasets, draws as many per calibration trial. Scoring the four members
+    # of each evaluation trial and the three of each calibration trial took 4
     # and 3 complex draws per carrier, the channel drawn first 5 and 4, and
     # the physical chain 15 and 10
     n, n_sub = 40_000, 3
-    n_cal = harness._ideal_calibration_size(1e-2)
-    normals, exponentials = _draw_counts(monkeypatch, _stat_shard("ideal", n, n_sub))
-    assert (normals, exponentials) == (0, 2 * n_sub * (2 * n + n_cal))
+    cfg, point = _stat_point("ideal", n, n_sub)
+    assert (_draw_counts(monkeypatch, lambda: harness._point_thresholds(cfg, 0, point))
+            == (0, 2 * n_sub * cfg.calibration_trials))
+    assert _draw_counts(monkeypatch, _stat_shard("ideal", n, n_sub)) == (0, 2 * n_sub * 2 * n)
 
 
 def _peak_arrays(run, n, n_sub):

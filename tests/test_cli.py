@@ -286,16 +286,22 @@ class TestAttackSearchCommand:
         assert payload["theta"] > 0.0
 
 
-    @pytest.mark.parametrize("step", ["0", "nan", "-0.5"])
-    def test_bad_grid_step_exits_2_before_calibrating(self, monkeypatch, capsys, step):
+    # each bad grid step, and an empty attack draw, which used to be caught
+    # only after both calibration draws
+    @pytest.mark.parametrize("step, n_mc, field", [
+        ("0", "2000", "grid_step"), ("nan", "2000", "grid_step"), ("-0.5", "2000", "grid_step"),
+        ("0.1", "0", "n_mc"),
+    ], ids=["0", "nan", "-0.5", "n_mc=0"])
+    def test_bad_grid_step_exits_2_before_calibrating(self, monkeypatch, capsys, step, n_mc,
+                                                      field):
         calls = []
         for name in ("null_calibration", "select_thresholds"):  # every calibration draw
             monkeypatch.setattr(harness, name, lambda *args, **kwargs: calls.append(args))
         code = cli.main(["attack-search", "--n", "1", "--rho", "0.5", "--target-pfa", "0.01",
-                         "--grid-step", step, "--n-mc", "2000",
+                         "--grid-step", step, "--n-mc", n_mc,
                          "--calibration-trials", "1000000"])
         assert code == 2
-        assert "grid_step" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
         assert calls == []
 
 

@@ -130,8 +130,10 @@ class _PoolStarted(Exception):
     ("ocsvm", "rho_AE = 1.5"),
     ("ocsvm", "defender.kernel = gausian"),
     ("ocnn", "defender.variant = 2NN"),
-    # below 1/400,000 the ideal bound's calibration cannot resolve the target
+    # below 1/calibration_trials (200,000 by default) the ideal bound's
+    # calibration cannot resolve the target
     ("ideal", "target_pfa = 1e-6"),
+    ("ideal", "target_pfa = 1e-3\ncalibration_trials = 500"),
     # a learned defender's tuning sets its own false-alarm rate
     ("ocnn", "target_pfa = 1e-3"),
 ])
@@ -162,25 +164,30 @@ def test_failing_shard_names_its_address(kind, m, cause, workers):
     assert f"m_training={m}: " in msg and cause in msg
 
 
+# each Monte Carlo calibration of a point: combined's optimizer and the ideal bound's quantile
+@pytest.mark.parametrize("kind, calibration, error", [
+    ("combined", "optimize_thresholds", InfeasibleTargetError),
+    ("ideal", "calibrate_threshold", NumericError),
+], ids=["combined", "ideal"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failing_calibration_names_its_point(monkeypatch, workers):
+def test_failing_calibration_names_its_point(monkeypatch, workers, kind, calibration, error):
     # a pool worker inherits the patched calibration only when it is forked
     if workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers are not forked on this platform")
 
-    def infeasible(*args, **kwargs):
-        raise InfeasibleTargetError("no grid point reaches the target")
+    def failing(*args, **kwargs):
+        raise error("no threshold reaches the target")
 
-    monkeypatch.setattr(harness, "optimize_thresholds", infeasible)
-    cfg = ExperimentConfig(defender=DefenderSpec("combined"), n_subcarriers=(2,),
+    monkeypatch.setattr(harness, calibration, failing)
+    cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(2,),
                            target_pfa=0.01, n_trials=1000, n_datasets=2,
                            calibration_trials=20_000, workers=workers)
-    with pytest.raises(InfeasibleTargetError) as excinfo:
+    with pytest.raises(error) as excinfo:
         run_experiment(cfg)
-    assert type(excinfo.value) is InfeasibleTargetError
+    assert type(excinfo.value) is error
     assert str(excinfo.value) == (
         "(point 0) n_subcarriers=2, alpha_I=1.0, alpha_II=1.0, rho_AE=0.1, rho_EB=0.0, "
-        "snr_I_db=15.0, snr_II_db=20.0, m_training=1000: no grid point reaches the target")
+        "snr_I_db=15.0, snr_II_db=20.0, m_training=1000: no threshold reaches the target")
 
 
 def test_failing_shard_keeps_its_error_type(monkeypatch):
@@ -506,9 +513,13 @@ def test_run_experiment_more_subcarriers_detect_better():
     assert pmd[1] < pmd[0]
 
 
-def test_run_experiment_workers_give_identical_tables(tmp_path):
-    cfg_serial = _tiny_llr_config(n_subcarriers=(1, 2), target_pfa=0.05)
-    cfg_workers = _tiny_llr_config(n_subcarriers=(1, 2), target_pfa=0.05, workers=2)
+@pytest.mark.parametrize("kind", ["llr", "ideal"])
+def test_run_experiment_workers_give_identical_tables(tmp_path, kind):
+    # both wait for their point's thresholds; the ideal bound's are drawn
+    cfg_serial = _tiny_llr_config(defender=DefenderSpec(kind), n_subcarriers=(1, 2),
+                                  target_pfa=0.05)
+    cfg_workers = _tiny_llr_config(defender=DefenderSpec(kind), n_subcarriers=(1, 2),
+                                   target_pfa=0.05, workers=2)
     t1 = run_experiment(cfg_serial)
     t2 = run_experiment(cfg_workers)
     p1, p2 = tmp_path / "serial.csv", tmp_path / "workers.csv"

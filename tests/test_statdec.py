@@ -808,21 +808,39 @@ def test_arrival_laws_take_the_phase_epoch():
 
 
 def test_ideal_calibration_draws_no_forged_packet():
-    # the ideal shard's threshold is the empirical quantile of H0's weighted
-    # exponentials on the shard's stream 5: the reference, the forged
+    # the ideal bound's threshold is the empirical quantile of H0's weighted
+    # exponentials on its point's stream: the reference, the forged
     # reference and the genuine packet, and no forged packet
     cfg = harness.ExperimentConfig(
         defender=harness.DefenderSpec("ideal"), attacker=AttackerSpec(AttackStrategy(
             "exponent", x=-0.5, y=0.5)), n_subcarriers=(2,), alpha_I=(0.8,), rho_AE=(0.5,),
-        rho_EB=(0.3,), target_pfa=1e-2, n_trials=1_000, n_datasets=1, seed=66)
+        rho_EB=(0.3,), target_pfa=1e-2, n_trials=1_000, n_datasets=1, seed=66,
+        calibration_trials=20_000)
     point = next(cfg.sweep_points())
     scn = ScenarioParams.from_snr(**point)
     weights = ideal_weights(scn, cfg.attacker.forger(scn).arrival_law("I"),
                             genuine_arrival_law(scn))
-    n_cal = harness._ideal_calibration_size(1e-2)
     theta = calibrate_threshold(
-        weighted_exponential_sums(weights, Rng(66).derive(0, 0, 5), n_cal), 1e-2)
-    assert harness._run_shard(cfg, 0, 0, point)["trained"]["theta"] == theta
+        weighted_exponential_sums(weights, Rng(66).derive(0, 1_000_000), 20_000), 1e-2)
+    assert harness._point_thresholds(cfg, 0, point) == (theta, None)
+
+
+def test_ideal_run_calibrates_once_per_point(monkeypatch):
+    # every dataset of a point shares its threshold: 3 datasets at 2 points
+    # calibrate twice, where each shard calibrated for itself (6 times)
+    sizes = []
+
+    def spy(samples, target_pfa):
+        sizes.append(len(samples))
+        return calibrate_threshold(samples, target_pfa)
+
+    monkeypatch.setattr(harness, "calibrate_threshold", spy)
+    cfg = harness.ExperimentConfig(
+        defender=harness.DefenderSpec("ideal"), n_subcarriers=(1, 2), target_pfa=1e-2,
+        n_trials=1_000, n_datasets=3, seed=67, calibration_trials=5_000)
+    table = harness.run_experiment(cfg)
+    assert sizes == [5_000, 5_000]
+    assert [row["epsilon"] for row in table.rows] == [None, None]
 
 
 # ---------------------------------------------------------------------------

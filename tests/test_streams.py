@@ -112,12 +112,12 @@ EXPECTED_EXPERIMENTS = {
     ('combined', 'ml', 1.0): (1976, 24, 62, 1938, 12.96288771927631, 0.6415537938453142),
     ('combined', 'simplified-avg', 0.8): (1971, 29, 1715, 285, 14.534904820434928, 1.8183510925742108),
     ('combined', 'simplified-avg', 1.0): (1972, 28, 123, 1877, 16.740100301942803, 0.5153464901380392),
-    ('ideal', 'simplified', 0.8): (1980, 20, 1617, 383, 17.06770022175463, None),
-    ('ideal', 'simplified', 1.0): (1977, 23, 1041, 959, -0.6088096518415562, None),
-    ('ideal', 'ml', 0.8): (1980, 20, 1617, 383, 17.06770022175463, None),
-    ('ideal', 'ml', 1.0): (1977, 23, 1041, 959, -0.6088096518415562, None),
-    ('ideal', 'simplified-avg', 0.8): (1982, 18, 1599, 401, 19.768972048859005, None),
-    ('ideal', 'simplified-avg', 1.0): (1979, 21, 49, 1951, 0.38036636525122336, None),
+    ('ideal', 'simplified', 0.8): (1980, 20, 1629, 371, 17.690338389282523, None),
+    ('ideal', 'simplified', 1.0): (1974, 26, 1039, 961, -0.659482991444474, None),
+    ('ideal', 'ml', 0.8): (1980, 20, 1629, 371, 17.690338389282523, None),
+    ('ideal', 'ml', 1.0): (1974, 26, 1039, 961, -0.659482991444474, None),
+    ('ideal', 'simplified-avg', 0.8): (1983, 17, 1625, 375, 20.65813193648243, None),
+    ('ideal', 'simplified-avg', 1.0): (1977, 23, 50, 1950, 0.37389728980898373, None),
 }
 EXPECTED_FALLBACK = (1978, 22, 1372, 628, 16.246412680141077, 1.6905899385179035)
 

@@ -131,7 +131,7 @@ class Forger:
     def arrival_law(self, phase: str = "II") -> tuple:
         """``(coef, spread)`` of the forged arrival of a phase ("II", a
         classification-phase packet; "I", a forged enrollment reference), as
-        ``score_pairs`` and ``optimize_thresholds`` take it.
+        ``pairs_given_exponentials`` and ``optimize_thresholds`` take it.
 
         With (a, b) the strategy's coefficients, the forgery is
         c * h + d * r + a * n_AE + b * n_EB, where c = a * rho_AE + b * rho_EB,

@@ -20,20 +20,19 @@ one or more arrivals (genuine or forged packets, and for the ideal bound a
 forged reference), each coef * h plus its own independent circular
 Gaussian, by ``genuine_arrival_law`` or the forger's ``arrival_law`` of its
 phase. Per carrier the members are a zero-mean circular complex Gaussian
-vector whose covariance these laws fix (``trial_covariance``).
-``score_pairs`` draws the calibrations' and the combined shards'
-(reference, arrival) pairs from it difference first, completing only the
-rows a screen keeps. The llr and ideal shards, and the ideal bound's
-calibration, draw no trial: their statistics are weighted sums of
-exponentials whose weights ``statdec`` reads from the same covariance.
+vector whose covariance these laws fix (``trial_covariance``). Its
+statistics are weighted sums of exponentials, with weights ``statdec``
+reads from that covariance, drawn by ``statdec.weighted_exponential_sums``;
+a calibration or combined shard completes a (reference, arrival) pair with
+``pairs_given_exponentials`` only on the rows whose distance it keeps.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
 stream, in blocks of rows through one buffer. A term whose weight is zero
 (the fade at alpha = 1, the adversary's noise at zero variance, a pair's
 zero-variance term) is drawn, so every later draw stays where it was, but
-never added. Only ``score_pairs`` draws by the data (a reference per row
-its screen keeps), and the same stream still gives the same draws.
+never added. The one draw whose size reads the data, the reference of each
+row ``pairs_given_exponentials`` completes, is still fixed by its stream.
 """
 from __future__ import annotations
 
@@ -275,36 +274,22 @@ def trial_covariance(params: ScenarioParams, laws) -> list:
             for i, (coef, spread) in enumerate(zip(coefs, spreads))]
 
 
-def score_pairs(params: ScenarioParams, rng: Rng, n: int, law, statistic, screen=None) -> tuple:
-    """Score n fresh-channel pairs, the enrollment reference and an arrival of
-    the law ``(coef, spread)``, drawn difference first: per carrier
-    (``trial_covariance``), x = arrival - reference is CN(0, v), v = Var ref +
-    Var arrival - 2 Cov, and given x the reference is beta * x + CN(0, w),
-    beta = (Cov - Var ref) / v, w = Var ref - beta * (Cov - Var ref) (v and w
-    clipped at 0; beta is 0 where v is). Each block of at most ``_ROW_BLOCK``
-    trials draws x for every row, then the reference only on the rows the
-    mask ``screen(x)`` keeps (all, without one): the stream a block takes
-    depends on the data, but the same stream gives the same pairs.
-    ``statistic(ref, arrival)`` of the completed rows returns a tuple of
-    per-trial arrays; the result holds each one's completed rows in order."""
+def pairs_given_exponentials(params: ScenarioParams, law, e, rng: Rng) -> tuple:
+    """(reference, arrival) of fresh-channel pairs, an arrival of the law
+    ``(coef, spread)``, given one Exp(1) draw ``e`` (rows, N) per row and carrier.
+
+    Per carrier (``trial_covariance``) x = arrival - reference is CN(0, v),
+    v = Var ref + Var arrival - 2 Cov, and given x the reference is
+    beta * x + CN(0, w), beta = (Cov - Var ref) / v, w = Var ref -
+    beta * (Cov - Var ref) (v and w clipped at 0; beta is 0 where v is).
+    Psi and Gamma do not change when a carrier's pair is rotated by x's
+    phase, so x = sqrt(v * e) is real; only the reference's noise is drawn.
+    """
     (var_ref, cov), (_, var_arrival) = trial_covariance(params, [law])
     var_x = np.maximum(var_ref + var_arrival - 2.0 * cov, 0.0)
     lift = cov - var_ref  # Cov(reference, x)
     beta = np.divide(lift, var_x, out=np.zeros_like(lift), where=var_x > 0)
-    var_given_x = np.maximum(var_ref - beta * lift, 0.0)
-    outputs, done = None, 0
-    for lo in range(0, n, _ROW_BLOCK):
-        x = np.zeros((min(_ROW_BLOCK, n - lo), params.n_subcarriers), dtype=complex)
-        _add_complex_gaussian(x, rng, var_x)
-        if screen is not None:
-            x = x[screen(x)]
-        ref = beta * x
-        _add_complex_gaussian(ref, rng, var_given_x)
-        x += ref
-        scores = statistic(ref, x)
-        if outputs is None:  # n rows each, of which only the completed ones are written
-            outputs = tuple(np.empty((n,) + s.shape[1:], dtype=s.dtype) for s in scores)
-        for out, s in zip(outputs, scores):
-            out[done:done + len(s)] = s
-        done += len(x)
-    return tuple(out[:done] for out in outputs)
+    x = np.sqrt(var_x * e)
+    ref = np.multiply(beta, x, dtype=complex)
+    _add_complex_gaussian(ref, rng, np.maximum(var_ref - beta * lift, 0.0))
+    return ref, ref + x

@@ -38,8 +38,8 @@ from .channel import (
     complex_gaussian,  # noqa: F401  (an import site the perfbench tracer patches and checks)
     forged_observation,
     genuine_arrival_law,
+    pairs_given_exponentials,
     sample_channel,
-    score_pairs,
 )
 from .errors import ConfigError, NumericError
 from .mlauth import (
@@ -60,10 +60,8 @@ from .mlauth import (
 )
 from .rng import Rng
 from .statdec import (
-    accepts,
     calibrate_threshold,
     ideal_weights,
-    llr_statistic,
     llr_threshold,
     llr_weights,
     modulus_statistic,
@@ -180,6 +178,10 @@ class ExperimentConfig:
         if (self.target_pfa is None) == (self.defender.kind in STAT_DEFENDERS):
             verb = "requires" if self.target_pfa is None else "takes no"
             raise ConfigError(f"defender {self.defender.kind!r} {verb} target_pfa")
+        # as DefenderSpec does: only the combined and ideal calibrations read it
+        if (self.defender.kind not in ("combined", "ideal")
+                and self.calibration_trials != ExperimentConfig.calibration_trials):
+            raise ConfigError(f"defender {self.defender.kind!r} takes no calibration_trials")
         if self.defender.kind == "ideal" and min(targets) * self.calibration_trials < 1:
             raise ConfigError(f"target_pfa {min(targets):g} is below "
                               f"1/{self.calibration_trials} calibration_trials")
@@ -239,11 +241,10 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tupl
         thr = optimize_thresholds(scn, target, config.calibration_trials, rng,
                                   forger.arrival_law())
         return thr.theta, thr.epsilon
-    theta = llr_threshold(scn, target / 2.0)
-    gamma, = score_pairs(scn, rng, 100_000, genuine_arrival_law(scn),
-                         lambda ref, alice: (modulus_statistic(ref, alice),))
-    eps = float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
-    return theta, eps
+    theta, law = llr_threshold(scn, target / 2.0), genuine_arrival_law(scn)
+    gamma, = weighted_exponential_sums(llr_weights(scn, law), rng, 100_000, lambda psi, e, fill: (
+        modulus_statistic(*pairs_given_exponentials(scn, law, e.T, fill)),))
+    return theta, float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
 
 
 def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
@@ -253,11 +254,10 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     ``thresholds`` is the point's ``_point_thresholds``, None for a learned
     defender. A statistical shard judges fresh-channel trials (the closed
     forms describe exactly that average), genuine ones on ``rng.derive(9, 0)``
-    and forged ones on ``rng.derive(9, 1)``: combined scores (reference,
-    arrival) pairs through ``score_pairs``, as ``optimize_thresholds`` does,
-    and completes only those whose Psi passes theta for ``accepts``; llr and
-    ideal draw their statistics through ``weighted_exponential_sums`` with
-    ``llr_weights`` or ``ideal_weights`` and build no trial. A learned
+    and forged ones on ``rng.derive(9, 1)``, each drawing Psi by
+    ``weighted_exponential_sums`` (combined llr's Psi, trial for trial) and
+    keeping only its accept mask; combined completes the pairs whose Psi
+    passes theta, as ``optimize_thresholds`` does, to test |Gamma|. A learned
     defender trains one model per dataset on a fixed channel and classifies
     packets over it.
     """
@@ -271,16 +271,18 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     if kind in STAT_DEFENDERS:
         theta, eps = thresholds
         forger = attacker.forger(scn)
-        s2 = per_dim_variance(scn)
 
         def accepted(stream, law):
-            if kind != "combined":
-                weights = (llr_weights(scn, law) if kind == "llr"
-                           else ideal_weights(scn, forger.arrival_law("I"), law))
-                return weighted_exponential_sums(weights, stream, n_eval) <= theta
-            ok, = score_pairs(scn, stream, n_eval, law, lambda ref, arrival: (
-                accepts(arrival, ref, s2, theta, eps),), lambda x: llr_statistic(x, 0, s2) <= theta)
-            return np.pad(ok, (0, n_eval - ok.size))  # the screened-out pairs are rejected
+            def score(psi, e, fill):
+                ok = psi <= theta
+                if eps is not None:
+                    ref, arrival = pairs_given_exponentials(scn, law, e[:, ok].T, fill)
+                    ok[ok] = np.abs(modulus_statistic(ref, arrival)) <= eps
+                return ok,
+
+            weights = (ideal_weights(scn, forger.arrival_law("I"), law) if kind == "ideal"
+                       else llr_weights(scn, law))
+            return weighted_exponential_sums(weights, stream, n_eval, score)[0]
 
         return _shard_result(accepted(r_eval.derive(0), genuine_arrival_law(scn)),
                              accepted(r_eval.derive(1), forger.arrival_law()),

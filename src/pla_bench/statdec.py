@@ -19,7 +19,7 @@ from .channel import (
     _ROW_BLOCK,
     ScenarioParams,
     genuine_arrival_law,
-    score_pairs,
+    pairs_given_exponentials,
     trial_covariance,
 )
 from .errors import ConfigError, InfeasibleTargetError, NumericError, SingularTestError
@@ -315,13 +315,16 @@ def _genuine_laws(scenario: ScenarioParams) -> tuple:
             scenario.power_delay)
 
 
-def _pair_statistics(scenario, rng: Rng, n_mc: int, law: tuple, theta_max=None) -> tuple:
-    """(Psi, |Gamma|) of n_mc ``score_pairs`` pairs of one law: all of them,
-    or those with Psi <= ``theta_max`` (no other passes a theta of the grid)."""
-    s2 = per_dim_variance(scenario)
-    screen = None if theta_max is None else (lambda x: llr_statistic(x, 0.0, s2) <= theta_max)
-    return score_pairs(scenario, rng, n_mc, law, lambda ref, arrival: (
-        llr_statistic(arrival, ref, s2), np.abs(modulus_statistic(ref, arrival))), screen)
+def _pair_statistics(scenario, rng: Rng, n_mc: int, law: tuple, theta_max=np.inf) -> tuple:
+    """(Psi, |Gamma|) of n_mc fresh-channel pairs of one law, Psi drawn first:
+    all of them, or those with Psi <= ``theta_max`` (no other passes a theta
+    of the grid), the only ones ``pairs_given_exponentials`` completes."""
+    def score(psi, e, fill):
+        keep = psi <= theta_max
+        ref, arrival = pairs_given_exponentials(scenario, law, e[:, keep].T, fill)
+        return psi[keep], np.abs(modulus_statistic(ref, arrival))
+
+    return weighted_exponential_sums(llr_weights(scenario, law), rng, n_mc, score)
 
 
 def null_calibration(scenario: ScenarioParams, target_pfa: float, n_mc: int,
@@ -391,9 +394,8 @@ def ideal_llr(h_hat, h_bar, eve_ref, sigma2: float):
     """Log-likelihood ratio when the verifier also knows the forged reference.
 
     Both distances share one sigma2, which fits H0 only, so this is no
-    Neyman-Pearson statistic. Accept at or below a threshold. The ideal
-    shards and their point's calibration draw its fresh-channel values from
-    ``ideal_weights`` without building the packet or either reference.
+    Neyman-Pearson statistic. Accept at or below a threshold. Its
+    fresh-channel draws are those of ``ideal_weights``.
     """
     d0 = np.sum(np.abs(h_hat - h_bar) ** 2, axis=-1)
     d1 = np.sum(np.abs(h_hat - eve_ref) ** 2, axis=-1)
@@ -452,21 +454,31 @@ def ideal_weights(params: ScenarioParams, forged_reference_law: tuple,
     return np.stack([half_trace + root, half_trace - root], axis=-1) / (2.0 * s2)
 
 
-def weighted_exponential_sums(weights, rng: Rng, n: int) -> np.ndarray:
-    """n draws of sum_k w_k E_k over the flattened ``weights``, with every E_k
-    an independent Exp(1).
+def weighted_exponential_sums(weights, rng: Rng, n: int, score=None):
+    """n draws of Psi = sum_k w_k E_k over the flattened ``weights``, every
+    E_k an independent Exp(1): the one draw of every fresh-channel statistic.
 
     Each block of at most ``_ROW_BLOCK`` draws takes its exponentials
     weight-major, one row per weight, scales each row by its weight and
     sums the rows in order (no BLAS call, so no thread count moves a bit).
+    Without ``score`` the result is Psi; with it, the tuple of per-row
+    arrays ``score(psi, e, fill)`` returns for each block's Psi and (k, rows)
+    exponentials, in block order. A score's own draws, such as the pairs it
+    completes, come from ``fill = rng.derive(0)``, so Psi never depends on them.
     """
+    if score is None:
+        return weighted_exponential_sums(weights, rng, n, lambda psi, e, fill: (psi,))[0]
     weights = np.ravel(weights)
-    k = weights.size
-    out = np.empty(n)
-    buf = np.empty(k * min(n, _ROW_BLOCK))
-    for lo in range(0, n, _ROW_BLOCK):
+    buf = np.empty((2, weights.size * min(n, _ROW_BLOCK)))
+    fill, outputs, done = rng.derive(0), (), 0
+    for lo in range(0, max(n, 1), _ROW_BLOCK):  # n = 0 scores one empty block
         rows = min(_ROW_BLOCK, n - lo)
-        block = rng.standard_exponential((k, rows), out=buf[:k * rows].reshape(k, rows))
-        block *= weights[:, None]
-        np.sum(block, axis=0, out=out[lo:lo + rows])
-    return out
+        e, scaled = (b[:weights.size * rows].reshape(weights.size, rows) for b in buf)
+        rng.standard_exponential(e.shape, out=e)
+        scores = score(np.sum(np.multiply(e, weights[:, None], out=scaled), axis=0), e, fill)
+        if not outputs:  # n rows each, of which only the returned ones are written
+            outputs = tuple(np.empty((n,) + s.shape[1:], dtype=s.dtype) for s in scores)
+        for out, s in zip(outputs, scores):
+            out[done:done + len(s)] = s
+        done += len(s)
+    return tuple(out[:done] for out in outputs)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pla_bench import channel, harness
+from pla_bench import channel, harness, statdec
 from pla_bench.attacks import AttackerSpec, AttackStrategy, optimize_attack_exponents
 from pla_bench.channel import (
     ScenarioParams,
@@ -384,9 +384,10 @@ def test_forged_observation_leaves_its_input_untouched():
 def _stat_point(kind, n, n_sub):
     """(config, point) of one statistical sweep point of n genuine and n
     forged trials over N carriers, in one dataset."""
+    budget = {} if kind == "llr" else {"calibration_trials": 20_000}
     cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(n_sub,), alpha_II=(0.8,),
                            rho_AE=(0.5,), rho_EB=(0.5,), target_pfa=1e-2, n_trials=n,
-                           n_datasets=1, seed=3, calibration_trials=20_000)
+                           n_datasets=1, seed=3, **budget)
     return cfg, next(cfg.sweep_points())
 
 
@@ -399,47 +400,32 @@ def _stat_shard(kind, n, n_sub):
 
 @pytest.mark.parametrize("kind", ["llr", "combined"])
 def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kind, monkeypatch):
-    # a combined shard draws each hypothesis's differences x = arrival -
-    # reference, one complex draw per carrier and trial, and the reference
-    # given x only on the trials whose Psi passes theta: 2N (n + #{Psi <=
-    # theta}) normals per hypothesis, where it drew every whole pair (2N 2n)
-    # before; an llr shard draws its statistic directly, N weighted
-    # exponentials per trial and hypothesis, and no pair. The ten-draw
+    # each shard draws its Psi as N weighted exponentials per trial and
+    # hypothesis; a combined shard then completes the pair of each trial
+    # whose Psi passes theta, one complex draw per carrier for the reference
+    # given x: 2N #{Psi <= theta} normals per hypothesis, where it drew x as
+    # 2N normals per trial too before (2N (n + #{Psi <= theta})). The ten-draw
     # trial kernel took 20 normals per carrier and trial. A counting tracer
     # reads each draw from the size argument.
     n, n_sub = 40_000, 3
     shard = _stat_shard(kind, n, n_sub)
+    completed = []  # rows completed per hypothesis, one entry per Psi draw
+
+    def counting_sums(*args):
+        completed.append(0)
+        return statdec.weighted_exponential_sums(*args)
+
+    def counting_pairs(params, law, e, rng):
+        completed[-1] += len(e)
+        return channel.pairs_given_exponentials(params, law, e, rng)
+
+    monkeypatch.setattr(harness, "weighted_exponential_sums", counting_sums)
+    monkeypatch.setattr(harness, "pairs_given_exponentials", counting_pairs)
+    assert _draw_counts(monkeypatch, shard) == (2 * n_sub * sum(completed), 2 * n * n_sub)
     if kind == "llr":
-        assert _draw_counts(monkeypatch, shard) == (0, 2 * n * n_sub)
-        return
-    drawn, draw = [0], Rng.standard_normal
-
-    def counting_normals(self, size, *args, **kwargs):
-        drawn[0] += int(np.prod(size))
-        return draw(self, size, *args, **kwargs)
-
-    per_hypothesis = []  # (normals, trials whose Psi passed) of each pair draw
-
-    def counting_pairs(params, rng, n, law, statistic, screen):
-        start, kept = drawn[0], []
-
-        def counted(x):
-            keep = screen(x)
-            kept.append(np.count_nonzero(keep))
-            return keep
-
-        out = channel.score_pairs(params, rng, n, law, statistic, counted)
-        per_hypothesis.append((drawn[0] - start, sum(kept)))
-        return out
-
-    monkeypatch.setattr(Rng, "standard_normal", counting_normals)
-    monkeypatch.setattr(harness, "score_pairs", counting_pairs)
-    shard()
-    assert len(per_hypothesis) == 2 and drawn[0] == sum(d for d, _ in per_hypothesis)
-    for normals, passed in per_hypothesis:
-        assert 0 < passed < n and normals == 2 * n_sub * (n + passed)
-    # fewer forged trials than genuine ones pass Psi
-    assert per_hypothesis[1][1] < per_hypothesis[0][1]
+        assert completed == [0, 0]
+    else:  # fewer forged trials than genuine ones pass Psi
+        assert 0 < completed[1] < completed[0] < n
 
 
 def test_ideal_shard_draws_four_complex_draws_per_carrier_and_trial(monkeypatch):
@@ -488,16 +474,24 @@ def test_bob_estimate_phase1_peak_memory_is_bounded():
 
 @pytest.mark.parametrize("kind", ["llr", "combined"])
 def test_stat_shard_peak_memory_is_bounded(kind):
-    # a few row blocks' pairs and statistics, and the two accept masks;
+    # a few row blocks' exponentials and pairs, and the two accept masks;
     # scoring whole trial arrays from the trial kernel took 5.1 (llr) and
-    # 6.0 (combined)
+    # 6.0 (combined), and holding llr's whole Psi vectors 0.24
     n, n_sub = 100_000, 3
     assert _peak_arrays(_stat_shard(kind, n, n_sub), n, n_sub) <= 0.6
 
 
+def test_llr_shard_keeps_only_its_accept_masks():
+    # one row block's Psi at a time: whole Psi vectors of both hypotheses
+    # read 0.24; the masks and a block's exponentials read about 0.15
+    n, n_sub = 100_000, 3
+    assert _peak_arrays(_stat_shard("llr", n, n_sub), n, n_sub) <= 0.2
+
+
 def test_ideal_shard_peak_memory_is_bounded():
-    # the two Psi vectors and one row block's trials; scoring whole trial
-    # arrays from the physical chain took 5.85
+    # the two accept masks and one row block's exponentials (0.28 with both
+    # whole Psi vectors); scoring whole trial arrays from the physical chain
+    # took 5.85
     n, n_sub = 100_000, 3
     assert _peak_arrays(_stat_shard("ideal", n, n_sub), n, n_sub) <= 1.25
 

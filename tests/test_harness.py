@@ -12,7 +12,7 @@ import pytest
 from pla_bench.attacks import AttackStrategy
 from pla_bench.channel import ScenarioParams, eve_observations
 from pla_bench.errors import ConfigError, InfeasibleTargetError, NumericError
-from pla_bench import cli, harness
+from pla_bench import channel, cli, harness, statdec
 from pla_bench.harness import (
     _BASE_COLUMNS,
     _binomial_se,
@@ -122,6 +122,19 @@ def test_experiment_config_validation():
     ExperimentConfig(defender=DefenderSpec(kind="ocnn"))
 
 
+@pytest.mark.parametrize("kind", ["llr", "ocnn", "ocsvm", "binary_knn", "binary_svm",
+                                  "kmeans_svm"])
+def test_config_rejects_calibration_trials_its_defender_never_reads(kind):
+    # only the combined and ideal calibrations draw calibration_trials; any
+    # other kind would run unchanged under a budget it never spent
+    target = 0.01 if kind == "llr" else None
+    ExperimentConfig(defender=DefenderSpec(kind), target_pfa=target, calibration_trials=200_000)
+    with pytest.raises(ConfigError, match=f"defender '{kind}' takes no calibration_trials"):
+        ExperimentConfig(defender=DefenderSpec(kind), target_pfa=target, calibration_trials=7)
+    for reader in ("combined", "ideal"):
+        ExperimentConfig(defender=DefenderSpec(reader), target_pfa=0.01, calibration_trials=700)
+
+
 class _PoolStarted(Exception):
     """Raised by a spy in place of starting a worker pool."""
 
@@ -136,6 +149,9 @@ class _PoolStarted(Exception):
     ("ideal", "target_pfa = 1e-3\ncalibration_trials = 500"),
     # a learned defender's tuning sets its own false-alarm rate
     ("ocnn", "target_pfa = 1e-3"),
+    # and neither it nor llr's analytic threshold reads a calibration budget
+    ("ocnn", "calibration_trials = 7"),
+    ("llr", "target_pfa = 1e-2\ncalibration_trials = 7"),
 ])
 def test_run_rejects_a_bad_config_before_starting_the_pool(monkeypatch, tmp_path, kind,
                                                            bad_line):
@@ -407,6 +423,62 @@ def test_averaged_attacker_matches_explicit_average():
         assert abs(cov(got, got) - cov(want, want)) < 3.0 * se * var
     assert abs(cov(ae, eb) - cov(ae_ref, eb_ref)) < 3.0 * se * np.sqrt(var_ae * var_eb)
     assert abs(cov(ae, eb) - cross) < 3.0 * np.sqrt(var_ae * var_eb / n)
+
+
+def _recorded_shard(monkeypatch, kind):
+    """One statistical shard's (Psi, accept mask) of each row block, both
+    hypotheses in turn, the pairs it completed, its scenario and thresholds."""
+    budget = {} if kind == "llr" else {"calibration_trials": 20_000}
+    cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(3,), alpha_II=(0.8,),
+                           rho_AE=(0.1,), target_pfa=1e-2, n_trials=20_000, n_datasets=1,
+                           seed=5, **budget)
+    point = next(cfg.sweep_points())
+    thresholds = harness._point_thresholds(cfg, 0, point)
+    blocks, pairs = [], []
+
+    def recording_sums(weights, rng, n, score):
+        def recording(psi, e, fill):
+            ok, = score(psi, e, fill)
+            blocks.append((psi, ok))
+            return ok,
+
+        return statdec.weighted_exponential_sums(weights, rng, n, recording)
+
+    def recording_pairs(*args):
+        pairs.append(channel.pairs_given_exponentials(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(harness, "weighted_exponential_sums", recording_sums)
+    monkeypatch.setattr(harness, "pairs_given_exponentials", recording_pairs)
+    harness._run_shard(cfg, 0, 0, point, thresholds)
+    monkeypatch.undo()
+    return blocks, pairs, ScenarioParams.from_snr(**point), thresholds
+
+
+def test_combined_shard_draws_the_llr_shards_psi(monkeypatch):
+    # common random numbers: at the same seed, point and dataset a combined
+    # shard scores the llr shard's Psi bit for bit, in every row block of
+    # both hypotheses, whatever pairs it completes on the way
+    llr = _recorded_shard(monkeypatch, "llr")[0]
+    combined = _recorded_shard(monkeypatch, "combined")[0]
+    assert len(llr) == len(combined) == 6  # 10,000 trials a hypothesis, in 3 blocks
+    for (psi, _), (same, _) in zip(llr, combined):
+        assert np.array_equal(psi, same)
+
+
+def test_combined_shard_mask_is_accepts_on_its_completed_pairs(monkeypatch):
+    # each block completes the pairs whose Psi passes theta and only those;
+    # their llr_statistic is the drawn Psi, and accepts on them is the mask
+    blocks, pairs, scn, (theta, eps) = _recorded_shard(monkeypatch, "combined")
+    s2 = statdec.per_dim_variance(scn)
+    assert len(pairs) == len(blocks)
+    for (psi, ok), (ref, arrival) in zip(blocks, pairs):
+        passed = psi <= theta
+        assert not ok[~passed].any() and len(ref) == np.count_nonzero(passed)
+        np.testing.assert_allclose(statdec.llr_statistic(arrival, ref, s2), psi[passed],
+                                   rtol=1e-12)
+        assert np.array_equal(statdec.accepts(arrival, ref, s2, theta, eps), ok[passed])
+        assert 0 < np.count_nonzero(ok) < np.count_nonzero(passed)
 
 
 def test_combined_calibration_faces_the_averaging_adversary():

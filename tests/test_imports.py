@@ -62,7 +62,7 @@ def imported_names(source: str) -> set:
                                   if p.name != "channel.py"], ids=lambda p: p.name)
 def test_only_the_channel_layer_draws_complex_gaussians(path):
     # every other layer reaches the channel model through its row functions
-    # and score_pairs, never through its private draw
+    # and pairs_given_exponentials, never through its private draw
     source = path.read_text()
     assert calls_of(source, "complex_gaussian") == []
     assert calls_of(source, "_add_complex_gaussian") == []
@@ -78,8 +78,8 @@ def test_one_routine_draws_every_normal():
 
 
 def test_one_routine_draws_every_exponential():
-    # the generator's own method, and the weighted sums of the llr and ideal
-    # statistics
+    # the generator's own method, and the weighted sums every fresh-channel
+    # statistic is drawn as
     callers = [(path.name, fn.name) for path in sorted(PACKAGE.glob("*.py"))
                for fn in ast.walk(ast.parse(path.read_text()))
                if isinstance(fn, ast.FunctionDef)

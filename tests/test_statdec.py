@@ -13,8 +13,8 @@ from pla_bench.channel import (
     bob_estimate_phase1,
     forged_observation,
     genuine_arrival_law,
+    pairs_given_exponentials,
     sample_channel,
-    score_pairs,
 )
 from pla_bench.errors import ConfigError, InfeasibleTargetError
 from pla_bench.rng import Rng
@@ -470,9 +470,8 @@ def test_optimize_thresholds_returns_the_pair_it_scored():
     # column's pair, whose false-alarm rate on the same H0 sample is the estimate
     scn = ScenarioParams.from_snr(1, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5)
     res = optimize_thresholds(scn, 0.99, 200, Rng(3), AttackerSpec().forger(scn).arrival_law())
-    s2 = per_dim_variance(scn)
-    ok, = score_pairs(scn, Rng(3).derive(0), 200, genuine_arrival_law(scn), lambda ref, pkt: (
-        accepts(pkt, ref, s2, res.theta, res.epsilon),))
+    ref, pkt = _drawn_pairs(scn, Rng(3).derive(0), 200, genuine_arrival_law(scn))
+    ok = accepts(pkt, ref, per_dim_variance(scn), res.theta, res.epsilon)
     assert res.pfa_estimate == pytest.approx(1.0 - ok.mean(), abs=1e-12)
 
 
@@ -522,9 +521,10 @@ def test_null_calibration_keeps_no_trial():
 
 # ---------------------------------------------------------------------------
 # the per-carrier joint law against the physical trial it stands for.
-# ``score_pairs`` draws every calibration and combined pair; the tests named
-# after the pair sampler and the ideal bound's sampler it replaced keep those
-# names, so their ids stay comparable across runs
+# ``weighted_exponential_sums`` draws every calibration and combined pair's
+# Psi and ``pairs_given_exponentials`` completes the pair; the tests named
+# after the pair samplers these replaced keep those names, so their ids stay
+# comparable across runs
 
 PER_CARRIER = dict(power_delay=np.array([0.4, 1.0, 1.6]), sigma2_AE=0.05, sigma2_EB=0.02,
                    alpha_I=0.9, alpha_II=0.8)
@@ -607,18 +607,27 @@ def _cross_moments(members):
     return out
 
 
-def _pair_draws(case, forged, screen=None):
+def _drawn_pairs(scn, rng, n, law, keep=lambda psi: np.full(psi.shape, True)):
+    """The (reference, arrival) pairs ``weighted_exponential_sums`` draws with
+    ``llr_weights`` and ``pairs_given_exponentials`` completes on the rows
+    where ``keep(psi)`` holds, as the calibrations and combined shards do."""
+    def score(psi, e, fill):
+        return pairs_given_exponentials(scn, law, e[:, keep(psi)].T, fill)
+
+    return weighted_exponential_sums(llr_weights(scn, law), rng, n, score)
+
+
+def _pair_draws(case, forged, keep_for=None):
     """The physical chain's (reference, arrival) pairs, then the pairs
-    ``score_pairs`` completes with an identity statistic, given the chain's
-    pairs when ``screen`` is a function of them."""
+    ``_drawn_pairs`` completes, on the rows ``keep_for(chain)`` keeps when
+    given, a function of the chain's pairs."""
     scn, attacker = _law_scenario(case)
     forge = attacker.forger(scn)
     chain = _physical_chain(scn, forge)
     chain = [chain[0], chain[3 if forged else 2]]
     law = forge.arrival_law() if forged else genuine_arrival_law(scn)
-    pair = score_pairs(scn, Rng(60), LAW_TRIALS, law, lambda *pair: pair,
-                       None if screen is None else screen(chain))
-    return scn, attacker, pair, chain
+    keep = {} if keep_for is None else {"keep": keep_for(chain)}
+    return scn, attacker, _drawn_pairs(scn, Rng(60), LAW_TRIALS, law, **keep), chain
 
 
 @pytest.mark.parametrize("forged", [False, True], ids=["genuine", "forged"])
@@ -681,16 +690,16 @@ def test_screened_pairs_match_the_physical_chain(case, forged):
     s2 = per_dim_variance(_law_scenario(case)[0])
     psi = []
 
-    def screen_for(chain):
+    def keep_for(chain):
         bound = np.median(llr_statistic(chain[1], chain[0], s2))
 
-        def screen(x):
-            psi.append(llr_statistic(x, 0.0, s2))
-            return psi[-1] <= bound
+        def keep(block_psi):
+            psi.append(block_psi)
+            return block_psi <= bound
 
-        return screen
+        return keep
 
-    _, _, pair, chain = _pair_draws(case, forged, screen_for)
+    _, _, pair, chain = _pair_draws(case, forged, keep_for)
     chain_psi = llr_statistic(chain[1], chain[0], s2)
     bound = np.median(chain_psi)
     psi = np.concatenate(psi)
@@ -727,48 +736,43 @@ def test_ideal_psi_matches_the_physical_chain(case):
             assert np.all(np.abs(g - w) < 4 * g_se), (member, i, j, part)
 
 
-def _blocks(scn, rng, n, law, screen=None):
-    """The row blocks ``score_pairs`` passes to its statistic, and its result."""
-    blocks = []
-
-    def keep(*pair):
-        blocks.append(pair)
-        return pair
-
-    return blocks, score_pairs(scn, rng, n, law, keep, screen)
-
-
 def test_sample_pairs_blocks_and_stream():
+    # the score sees each row block's exponentials and their in-order
+    # weighted sum, the unscored draw's Psi, since what it draws is on a
+    # stream of its own; the result holds what it returns, block after
+    # block; a completed pair differs by sqrt(v e), v = w s2 / 2; and the
+    # same stream gives the same pairs
     scn, _ = _law_scenario("alpha_II-0.8")
     law = genuine_arrival_law(scn)
+    weights = llr_weights(scn, law)
     n = 2 * channel._ROW_BLOCK + 5
-    blocks, (ref, arrival) = _blocks(scn, Rng(62), n, law)
-    assert [[m.shape for m in b] for b in blocks] == (
-        [[(channel._ROW_BLOCK, 3)] * 2] * 2 + [[(5, 3)] * 2])
-    assert np.array_equal(ref, np.concatenate([b[0] for b in blocks]))
-    assert np.array_equal(arrival, np.concatenate([b[1] for b in blocks]))
-    again = score_pairs(scn, Rng(62), n, law, lambda *m: m)
-    assert np.array_equal(again[0], ref) and np.array_equal(again[1], arrival)
-    # a screen keeps each block's rows it passes, in row order, and the same
-    # stream gives the same pairs
-    masks = []
+    blocks = []
 
-    def screen(x):
-        masks.append(x[:, 0].real > 0)
-        return masks[-1]
+    def score(psi, e, fill):
+        keep = e[0] > 1.0
+        blocks.append((psi, e.copy(), keep))
+        return (psi[keep], *pairs_given_exponentials(scn, law, e[:, keep].T, fill))
 
-    blocks, (ref, arrival) = _blocks(scn, Rng(62), n, law, screen)
-    assert [len(b[0]) for b in blocks] == [np.count_nonzero(m) for m in masks]
-    assert np.all((arrival - ref)[:, 0].real > 0)
-    again = score_pairs(scn, Rng(62), n, law, lambda *m: m, lambda x: x[:, 0].real > 0)
-    assert np.array_equal(again[0], ref) and np.array_equal(again[1], arrival)
+    psi, ref, arrival = weighted_exponential_sums(weights, Rng(62), n, score)
+    assert [e.shape for _, e, _ in blocks] == [(3, channel._ROW_BLOCK)] * 2 + [(3, 5)]
+    for block_psi, e, _ in blocks:
+        assert np.array_equal(block_psi, sum(w * row for w, row in zip(weights, e)))
+    assert np.array_equal(np.concatenate([p for p, _, _ in blocks]),
+                          weighted_exponential_sums(weights, Rng(62), n))
+    assert np.array_equal(psi, np.concatenate([p[k] for p, _, k in blocks]))
+    kept = np.concatenate([e[:, k] for _, e, k in blocks], axis=1).T
+    v = weights * per_dim_variance(scn) / 2
+    assert np.allclose(arrival - ref, np.sqrt(v * kept), rtol=1e-12, atol=1e-15)
+    again = weighted_exponential_sums(weights, Rng(62), n, score)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (psi, ref, arrival)))
 
 
 def test_sample_pairs_draws_but_never_adds_a_zero_innovation():
     # no noise and no fade: the genuine arrival is the reference itself, so
-    # the difference has zero variance and is drawn but never added
+    # the difference has zero variance and adds nothing to the reference
     scn = ScenarioParams.from_snr(2, math.inf, math.inf)
-    ref, arrival = score_pairs(scn, Rng(63), 10, genuine_arrival_law(scn), lambda *m: m)
+    e = Rng(63).standard_exponential((10, 2))
+    ref, arrival = pairs_given_exponentials(scn, genuine_arrival_law(scn), e, Rng(64))
     assert np.array_equal(arrival, ref)
     assert np.all(ref != 0)
 
@@ -780,10 +784,11 @@ def test_score_pairs_gives_a_zero_pivot_weight_zero():
     # its weight on the reference is 0, not 0/0
     scn = ScenarioParams.from_snr(2, math.inf, math.inf, rho_AE=1.0, rho_EB=1.0)
     forge = AttackerSpec().forger(scn)
-    ref, eve = score_pairs(scn, Rng(67), 10, forge.arrival_law(), lambda *m: m)
+    e = Rng(67).standard_exponential((10, 2))
+    ref, eve = pairs_given_exponentials(scn, forge.arrival_law(), e, Rng(68))
     assert np.all(np.isfinite(ref)) and np.all(ref != 0)
     assert np.array_equal(eve, 2.0 * ref)
-    ref, alice = score_pairs(scn, Rng(67), 10, genuine_arrival_law(scn), lambda *m: m)
+    ref, alice = pairs_given_exponentials(scn, genuine_arrival_law(scn), e, Rng(68))
     assert np.all(np.isfinite(ref)) and np.array_equal(alice, ref)
     # the rank-one covariance of the quadruple, against the chain's
     _assert_covariance_matches_the_physical_chain(scn, AttackerSpec(), MEMBER_SETS["ideal"])

@@ -6,8 +6,10 @@ with ``golden/<target>.csv``; ``fig2`` is stored and compared without its
 ``train_seconds`` column, which holds measured wall-clock times. A table
 whose bytes match is reported as identical. Otherwise each row that
 differs is reported with |delta p_fa| / se_pfa and |delta p_md| / se_pmd,
-in units of the golden row's standard errors (where the table has them),
-and every changed cell, trained parameters included, as old -> new.
+in units of the golden row's standard errors, and every changed cell,
+trained parameters included, as old -> new. ``table1`` and ``fig1`` carry
+no SE column; their p_md moves read in binomial SEs of the golden rate over
+the target's search trials at this scale (SEARCH_TRIALS).
 
 Integer cells (confusion counts, j, k, knn_k, ...) and text cells must
 match exactly and float cells to a relative tolerance of REL_TOL, so
@@ -41,6 +43,9 @@ from pla_bench.harness import REPRODUCE_TARGETS, emit, reproduce  # noqa: E402
 SCALE, SEED, WORKERS = 0.05, 42, 2
 REL_TOL = 1e-9  # float cells; counts and labels compare exactly
 UNTIMED = "train_seconds"
+# trials behind each p_md of the tables without SE columns, at SCALE: the
+# exponent search's draw (reproduce's floors of 2,000 and 4,000)
+SEARCH_TRIALS = {"table1": 2_000, "fig1": 4_000}
 
 
 def table_csv(target: str) -> str:
@@ -72,24 +77,33 @@ def same_cell(old: str, new: str) -> bool:
         return False
 
 
-def _se_units(old: dict, new: dict, rate: str) -> str:
-    """|delta rate| / se_rate of one row, or "" where the table has no SE.
+def _se_units(old: dict, new: dict, rate: str, trials: int | None = None) -> str:
+    """|delta rate| / se of one row, or "" where there is no SE.
 
-    The SE is floored at 1/n, the binomial SE of the one-event rate over the
-    row's n trials (n_alice for p_fa, n_eve for p_md), so a row whose golden
-    copy saw no error still reads in finite units.
+    The SE is the row's se_rate cell over its n trials (n_alice for p_fa,
+    n_eve for p_md), or, in a table without that column, the binomial SE
+    sqrt(p (1 - p) / trials) of the golden rate. Either is floored at 1/n,
+    the binomial SE of the one-event rate, so a row whose golden copy saw
+    no error still reads in finite units.
     """
-    trials = {"p_fa": "n_alice", "p_md": "n_eve"}[rate]
     try:
         delta = abs(float(new[rate]) - float(old[rate]))
-        se = max(float(old["se_" + rate.replace("_", "")]), 1.0 / int(old[trials]))
+        se_column = "se_" + rate.replace("_", "")
+        if se_column in old:
+            se, n = float(old[se_column]), int(old[{"p_fa": "n_alice", "p_md": "n_eve"}[rate]])
+        elif trials:
+            p, n = float(old[rate]), trials
+            se = math.sqrt(p * (1.0 - p) / n)
+        else:
+            return ""
     except (KeyError, ValueError):
         return ""
-    return f"|d{rate}|/se {delta / se:.2f}"
+    return f"|d{rate}|/se {delta / max(se, 1.0 / n):.2f}"
 
 
-def compare(old_text: str, new_text: str) -> tuple[bool, list]:
-    """(within tolerance, report lines) of a regenerated table against its golden text."""
+def compare(old_text: str, new_text: str, trials: int | None = None) -> tuple[bool, list]:
+    """(within tolerance, report lines) of a regenerated table against its golden
+    text; ``trials`` sizes the SE of a table without SE columns."""
     if old_text == new_text:
         return True, ["identical bytes"]
     old_csv, new_csv = csv.DictReader(io.StringIO(old_text)), csv.DictReader(io.StringIO(new_text))
@@ -104,7 +118,7 @@ def compare(old_text: str, new_text: str) -> tuple[bool, list]:
         if not changed:
             continue
         ok &= all(same_cell(old[c], new[c]) for c in changed)
-        units = [u for u in (_se_units(old, new, "p_fa"), _se_units(old, new, "p_md")) if u]
+        units = [u for u in (_se_units(old, new, r, trials) for r in ("p_fa", "p_md")) if u]
         cells = [f"{c} {old[c] or '-'} -> {new[c] or '-'}" for c in changed]
         lines.append(f"row {i}: " + "; ".join(units + cells))
     if ok:
@@ -123,7 +137,7 @@ def main(argv=None) -> int:
         if not path.exists():
             ok, lines = False, [f"no golden table {path.name}"]
         else:
-            ok, lines = compare(path.read_bytes().decode(), text)
+            ok, lines = compare(path.read_bytes().decode(), text, SEARCH_TRIALS.get(target))
         print(f"{target}: " + ("ok" if ok else "CHANGED"))
         for line in lines:
             print(f"  {line}")

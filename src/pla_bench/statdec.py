@@ -288,13 +288,20 @@ _GRID_POINTS = 64
 
 
 def _acceptance_counts(psi, gamma_abs, theta_grid, eps_grid):
-    """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k."""
+    """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k.
+
+    A trial with psi <= theta_0 passes every theta, so one sort of those
+    trials' |gamma| counts them for every eps; only the rest are binned."""
+    low = psi <= theta_grid[0]
+    passing = np.sort(gamma_abs[low])
+    psi, gamma_abs = psi[~low], gamma_abs[~low]
     j_idx = np.searchsorted(theta_grid, psi, side="left")
     k_idx = np.searchsorted(eps_grid, gamma_abs, side="left")
     shape = (theta_grid.size + 1, eps_grid.size + 1)
     flat = np.ravel_multi_index((j_idx, k_idx), shape)
     hist = np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
-    return hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
+    return (hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
+            + np.searchsorted(passing, eps_grid, side="right"))
 
 
 @dataclass(frozen=True, eq=False)

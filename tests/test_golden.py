@@ -7,7 +7,10 @@ its cell rules, on a committed golden table.
 import csv
 import importlib.util
 import io
+import math
 from pathlib import Path
+
+from pla_bench import harness
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -35,7 +38,8 @@ def test_every_reproduce_target_has_a_golden_table():
 
 
 def test_compare_rules():
-    compare = _compare_module().compare
+    module = _compare_module()
+    compare = module.compare
     text = (GOLDEN / "table4.csv").read_text()
     assert compare(text, text) == (True, ["identical bytes"])
     row = next(csv.DictReader(io.StringIO(text)))
@@ -51,6 +55,24 @@ def test_compare_rules():
                                 f"fp {fp} -> {fp + 1}; p_md {row['p_md']} -> {(fp + 1) / n_eve!r}"]
     assert not compare(text, text + text.splitlines(keepends=True)[1])[0]
     assert not compare(text, _with_cell(text, 0, "defender", "llr2"))[0]
+    # table1 has no SE column: its p_md moves read in binomial SEs over the
+    # target's search trials, and with no trial count they read in none
+    table1 = (GOLDEN / "table1.csv").read_text()
+    p_md = float(next(csv.DictReader(io.StringIO(table1)))["p_md"])
+    moved = _with_cell(table1, 0, "p_md", repr(p_md + 0.01))
+    trials = module.SEARCH_TRIALS["table1"]
+    units = 0.01 / max(math.sqrt(p_md * (1 - p_md) / trials), 1 / trials)
+    ok, lines = compare(table1, moved, trials)
+    assert not ok and lines == [f"row 0: |dp_md|/se {units:.2f}; "
+                                f"p_md {p_md!r} -> {p_md + 0.01!r}"]
+    assert compare(table1, moved)[1] == [f"row 0: p_md {p_md!r} -> {p_md + 0.01!r}"]
+    # a golden rate of zero reads against the one-event SE, 1 / trials
+    zero = _with_cell(table1, 0, "p_md", "0.0")
+    ok, lines = compare(zero, _with_cell(zero, 0, "p_md", repr(2 / trials)), trials)
+    assert lines[0].startswith("row 0: |dp_md|/se 2.00; ")
+    # the counts are reproduce's search draws at the comparison's scale
+    assert module.SEARCH_TRIALS == {"table1": harness._desk(20_000, module.SCALE, floor=2_000),
+                                    "fig1": harness._desk(40_000, module.SCALE, floor=4_000)}
 
 
 def test_a_move_off_a_zero_error_row_reads_in_one_event_units():

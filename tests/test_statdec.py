@@ -383,6 +383,38 @@ def test_acceptance_counts_match_the_add_at_histogram():
     assert got[2, 3] == np.sum((psi <= theta_grid[2]) & (gam <= eps_grid[3]))
 
 
+def _counts_by_definition(psi, gam, theta_grid, eps_grid):
+    """counts[j, k] = #{psi <= theta_j and |gamma| <= eps_k}, one cell at a time."""
+    return np.array([[np.count_nonzero((psi <= t) & (gam <= e)) for e in eps_grid]
+                     for t in theta_grid])
+
+
+@pytest.mark.parametrize("where", ["mixed", "all below", "all above", "empty"])
+def test_acceptance_counts_are_their_definition(where):
+    # the rows below theta_0 are counted by one sort of their |gamma|, the
+    # rest binned; both must give the brute-force count at every grid pair
+    theta_grid = np.linspace(1.0, 4.0, statdec._GRID_POINTS)
+    eps_grid = np.linspace(0.0, 2.0, statdec._GRID_POINTS)
+    rng = Rng(52)
+    n = 3_000
+    # every third value sits exactly on a grid point, of theta and of eps
+    on_theta = theta_grid[rng.integers(0, theta_grid.size, n)]
+    on_eps = eps_grid[rng.integers(0, eps_grid.size, n)]
+    gam = np.where(np.arange(n) % 3 == 0, on_eps, rng.uniform(0.0, 2.5, n))
+    psi = {"mixed": np.where(np.arange(n) % 3 == 1, on_theta, rng.uniform(0.0, 5.0, n)),
+           "all below": np.concatenate([[theta_grid[0]], rng.uniform(0.0, 1.0, n - 1)]),
+           "all above": rng.uniform(4.0, 9.0, n) + np.spacing(4.0),
+           "empty": np.empty(0)}[where]
+    gam = gam[:psi.size]
+    got = statdec._acceptance_counts(psi, gam, theta_grid, eps_grid)
+    assert got.shape == (theta_grid.size, eps_grid.size) and got.dtype == np.int64
+    assert np.array_equal(got, _counts_by_definition(psi, gam, theta_grid, eps_grid))
+    if where == "all below":
+        assert np.array_equal(got[0], got[-1])  # every row passes every theta
+    if where in ("all above", "empty"):
+        assert not got.any()
+
+
 # ---------------------------------------------------------------------------
 # threshold optimization
 

@@ -17,15 +17,14 @@ import numpy as np
 from .channel import (
     ScenarioParams,
     _add_scaled,
-    bob_estimate_phase1,
     eve_observations,
-    forged_observation,
     genuine_arrival_law,
-    sample_channel,
+    pair_law,
+    reference_noise,
 )
 from .errors import ConfigError
 from .rng import Rng
-from .statdec import modulus_statistic, per_dim_variance
+from .statdec import llr_weights, modulus_statistic, weighted_exponential_sums
 
 # the exponent points the named replays sit on
 _EXPONENTS = {"simplified": (1.0, 1.0), "modulus": (-1.0, -1.0)}
@@ -129,73 +128,60 @@ class Forger:
         return self.strategy.forge(h_ae, h_eb, self.scn, out=h_ae)
 
     def arrival_law(self, phase: str = "II") -> tuple:
-        """``(coef, spread)`` of the forged arrival of a phase ("II", a
-        classification-phase packet; "I", a forged enrollment reference), as
-        ``pairs_given_exponentials`` and ``optimize_thresholds`` take it.
+        """``_forged_law`` of the strategy's coefficients: ``(coef, spread)`` of
+        the forged arrival of a phase ("II", a packet; "I", a reference)."""
+        return _forged_law(*self.strategy.coefficients(self.scn), self.scn, phase, self.m)
 
-        With (a, b) the strategy's coefficients, the forgery is
-        c * h + d * r + a * n_AE + b * n_EB, where c = a * rho_AE + b * rho_EB,
-        d = a * sqrt(1 - rho_AE^2) + b * sqrt(1 - rho_EB^2) and r is the shared
-        innovation (all three terms 1/m as wide when averaged); it then
-        crosses the epoch as a genuine estimate of that phase does.
-        """
-        scn = self.scn
-        a, b = self.strategy.coefficients(scn)
-        c = a * scn.rho_AE + b * scn.rho_EB
-        d = a * np.sqrt(1.0 - scn.rho_AE**2) + b * np.sqrt(1.0 - scn.rho_EB**2)
-        _, epoch = genuine_arrival_law(scn, phase)
-        observed = d * d * scn.power_delay + a * a * scn.sigma2_AE + b * b * scn.sigma2_EB
-        return c, observed / self.m + epoch
+
+def _forged_law(a, b, scn: ScenarioParams, phase: str = "II", m: int = 1) -> tuple:
+    """``(coef, spread)`` of the phase's arrival of g = a * h_ae + b * h_eb, per
+    carrier and broadcast over a and b. The forgery is c * h + d * r +
+    a * n_AE + b * n_EB, c = a * rho_AE + b * rho_EB and d = a * sqrt(1 - rho_AE^2) +
+    b * sqrt(1 - rho_EB^2), with r the shared innovation (all three terms 1/m as
+    wide when m observation pairs are averaged); it then crosses the epoch as
+    a genuine estimate of that phase does."""
+    c = a * scn.rho_AE + b * scn.rho_EB
+    d = a * np.sqrt(1.0 - scn.rho_AE**2) + b * np.sqrt(1.0 - scn.rho_EB**2)
+    _, epoch = genuine_arrival_law(scn, phase)
+    observed = d * d * scn.power_delay + a * a * scn.sigma2_AE + b * b * scn.sigma2_EB
+    return c, observed / m + epoch
 
 
 def _common_draw_pmd(strategies, scenario: ScenarioParams, n_mc: int, rng: Rng,
                      theta: float, epsilon: float | None) -> list:
     """P_MD of each strategy against one fixed (theta, epsilon), on shared draws.
 
-    One draw on ``rng.derive(0)`` (channel, reference, the adversary's
-    observations u, v, then the phase-II arrival p of a zero forgery)
-    serves every strategy: each forges a * u + b * v and crosses the same
-    perturbation p. With q = p - h_bar, Psi is
-    a^2 A + b^2 B + C + 2ab D + 2a E + 2b F, whose six terms are products
-    of u, v and q weighted by 2 / sigma_n^2 and reduced once. Gamma is
-    scored only where Psi passes.
-    """
+    A strategy's trial has Psi = sum_n weight_n E_n (``llr_weights`` of its
+    ``_forged_law``) and, given x = sqrt(v E), the reference beta x + sqrt(w) z
+    (``pair_law``). One draw serves every strategy: N exponentials E per trial
+    on ``rng.derive(0)``, ordered by S = sum_n E_n, and one ``reference_noise``
+    z per carrier and trial on ``rng.derive(1)``, which is independent of E.
+    As Psi >= min_n weight_n * S, Psi is scored only on the trials with
+    S <= theta / min_n weight_n (widened past round-off), and Gamma only where
+    Psi passes."""
     if n_mc < 1:
         raise ConfigError("n_mc must be positive")
-    draw = rng.derive(0)
-    h = sample_channel(scenario, draw, size=n_mc)
-    h_bar = bob_estimate_phase1(h, scenario, draw)
-    u, v = eve_observations(h, scenario, draw)
-    del h  # nothing reads the channel again; the zero forgery's copy takes its place
-    perturbation = forged_observation(np.zeros_like(u), scenario, draw)
-    q = perturbation - h_bar
-    w = 2.0 / per_dim_variance(scenario)
-    # w |u|^2, w |v|^2, w |q|^2, w Re(u v*), w Re(u q*), w Re(v q*) per carrier
-    pairs = ((u, u), (v, v), (q, q), (u, v), (u, q), (v, q))
-
-    def product(k):
-        s, t = pairs[k]
-        return w * (s.real * t.real + s.imag * t.imag)
-
-    sums = [product(k).sum(axis=-1) for k in range(len(pairs))]
-
-    def term(c, k):
-        # per-carrier coefficients weight the product, formed again, before the carrier sum
-        return c * sums[k] if np.ndim(c) == 0 else np.sum(c * product(k), axis=-1)
-
+    n = scenario.n_subcarriers
+    a, b = np.empty((2, len(strategies), n))
+    for i, strategy in enumerate(strategies):
+        a[i], b[i] = strategy.coefficients(scenario)
+    law = _forged_law(a, b, scenario)
+    weights, pairs = llr_weights(scenario, law), zip(*pair_law(scenario, law))
+    s, e = weighted_exponential_sums(np.ones(n), rng.derive(0), n_mc,
+                                     lambda s, e, fill: (s, e.T))
+    order = np.argsort(s)
+    s, e = s[order], e.T[:, order]  # carrier-major, so a prefix is one slice per carrier
+    z = reference_noise(rng.derive(1), (n_mc, n))
+    with np.errstate(divide="ignore"):  # a zero weight bounds nothing
+        ends = np.searchsorted(s, theta / weights.min(axis=1) * (1.0 + 1e-9), side="right")
     pmds = []
-    for strategy in strategies:
-        a, b = strategy.coefficients(scenario)
-        # paired so that where u = v, swapping a and b leaves every bit of Psi
-        psi = (term(a * a, 0) + term(b * b, 1)) + (term(2.0 * a, 4) + term(2.0 * b, 5))
-        psi += term(2.0 * a * b, 3) + sums[2]
+    for weight, (v, beta, w), end in zip(weights, pairs, ends):
+        psi = sum(w_n * e_n[:end] for w_n, e_n in zip(weight, e))
         rows = np.flatnonzero(psi <= theta)
-        if epsilon is not None:
-            # the forgery in the order AttackStrategy.forge builds it
-            forged = a * u.take(rows, axis=0)
-            forged += b * v.take(rows, axis=0)
-            forged += perturbation.take(rows, axis=0)
-            rows = rows[np.abs(modulus_statistic(h_bar.take(rows, axis=0), forged)) <= epsilon]
+        if epsilon is not None:  # x = sqrt(v E), real as in pairs_given_exponentials
+            x = np.sqrt(v * e[:, rows].T)
+            ref = beta * x + np.sqrt(w) * z[rows]
+            rows = rows[np.abs(modulus_statistic(ref, ref + x)) <= epsilon]
         pmds.append(rows.size / n_mc)
     return pmds
 
@@ -228,15 +214,12 @@ def optimize_attack_exponents(
     n_mc: int,
     rng: Rng,
 ) -> tuple[float, float, float]:
-    """Exhaustive search of the exponent grid against a fixed combined test.
-
-    ``bob`` is the defender's (theta, epsilon) pair. All grid cells are
-    evaluated on the same Monte Carlo draws (common random numbers), so the
-    landscape is smooth and the argmax is reproducible; ties prefer larger
-    x, then larger y. A cell the strategy cannot forge (a negative exponent
-    of a zero correlation) is no candidate. Returns (x, y, estimated P_MD
-    at the optimum), which ``mismatched_eval`` of that exponent strategy
-    reproduces exactly on the same ``rng``.
+    """Exhaustive search of the exponent grid against a fixed combined test,
+    ``bob``'s (theta, epsilon), every cell on the same draws (common random
+    numbers), so the landscape is smooth and the argmax reproducible; ties
+    prefer larger x, then larger y, and a cell no strategy can forge (a
+    negative exponent of a zero correlation) is no candidate. Returns (x, y,
+    P_MD at the optimum), which ``mismatched_eval`` reproduces on the same ``rng``.
     """
     grid = _search_grid(grid_step, n_mc)
     cells = [s for s in (AttackStrategy("exponent", x=x, y=y) for x in grid for y in grid)
@@ -254,11 +237,8 @@ def mismatched_eval(
     theta: float,
     epsilon: float | None = None,
 ) -> float:
-    """Monte Carlo P_MD of one attack against a fixed, already-calibrated test.
-
-    The test is the LLR test when ``epsilon`` is None and the combined test
-    otherwise, as in ``accepts``. The defender's thresholds stay fixed, so
-    evaluating several strategies against them quantifies the
-    matched/mismatched gap.
-    """
+    """Monte Carlo P_MD of one attack against a fixed, already-calibrated test:
+    the LLR test when ``epsilon`` is None and the combined test otherwise, as
+    in ``accepts``. With the thresholds fixed, evaluating several strategies
+    against them quantifies the matched/mismatched gap."""
     return _common_draw_pmd([attack], scenario, n_mc, rng, theta, epsilon)[0]

@@ -14,8 +14,8 @@ The adversary sees spatially correlated versions of the legitimate link,
 with correlations ``rho_AE`` and ``rho_EB`` sharing a common innovation
 term per observation.
 
-A statistical trial (a threshold calibration's, or an llr, combined or
-ideal shard's) is a fresh-channel universe: the enrollment reference and
+A statistical trial (a threshold calibration's, an llr, combined or ideal
+shard's, or an exponent search's) is a fresh-channel universe: the enrollment reference and
 one or more arrivals (genuine or forged packets, and for the ideal bound a
 forged reference), each coef * h plus its own independent circular
 Gaussian, by ``genuine_arrival_law`` or the forger's ``arrival_law`` of its
@@ -24,7 +24,8 @@ vector whose covariance these laws fix (``trial_covariance``). Its
 statistics are weighted sums of exponentials, with weights ``statdec``
 reads from that covariance, drawn by ``statdec.weighted_exponential_sums``;
 a calibration or combined shard completes a (reference, arrival) pair with
-``pairs_given_exponentials`` only on the rows whose distance it keeps.
+``pairs_given_exponentials`` only on the rows whose distance it keeps, and
+the exponent search those of all its laws from one ``reference_noise`` draw.
 
 The draw contract: one routine, ``_add_complex_gaussian``, makes every
 complex draw. It takes all real parts, then all imaginary parts, from the
@@ -274,22 +275,37 @@ def trial_covariance(params: ScenarioParams, laws) -> list:
             for i, (coef, spread) in enumerate(zip(coefs, spreads))]
 
 
-def pairs_given_exponentials(params: ScenarioParams, law, e, rng: Rng) -> tuple:
-    """(reference, arrival) of fresh-channel pairs, an arrival of the law
-    ``(coef, spread)``, given one Exp(1) draw ``e`` (rows, N) per row and carrier.
+def pair_law(params: ScenarioParams, law) -> tuple:
+    """Per-carrier ``(v, beta, w)`` of fresh-channel (reference, arrival) pairs
+    of the arrival law ``(coef, spread)``, broadcast over its leading axes.
 
     Per carrier (``trial_covariance``) x = arrival - reference is CN(0, v),
     v = Var ref + Var arrival - 2 Cov, and given x the reference is
     beta * x + CN(0, w), beta = (Cov - Var ref) / v, w = Var ref -
     beta * (Cov - Var ref) (v and w clipped at 0; beta is 0 where v is).
-    Psi and Gamma do not change when a carrier's pair is rotated by x's
-    phase, so x = sqrt(v * e) is real; only the reference's noise is drawn.
     """
     (var_ref, cov), (_, var_arrival) = trial_covariance(params, [law])
     var_x = np.maximum(var_ref + var_arrival - 2.0 * cov, 0.0)
     lift = cov - var_ref  # Cov(reference, x)
     beta = np.divide(lift, var_x, out=np.zeros_like(lift), where=var_x > 0)
+    return var_x, beta, np.maximum(var_ref - beta * lift, 0.0)
+
+
+def pairs_given_exponentials(params: ScenarioParams, law, e, rng: Rng) -> tuple:
+    """(reference, arrival) of fresh-channel pairs of the arrival law
+    ``(coef, spread)`` given one Exp(1) draw ``e`` (rows, N) per row and
+    carrier, with the law's ``pair_law`` (v, beta, w): x = sqrt(v * e), real
+    since Psi and Gamma do not change when a carrier's pair is rotated by x's
+    phase, and the reference beta * x + CN(0, w), of which only the noise is drawn."""
+    var_x, beta, noise = pair_law(params, law)
     x = np.sqrt(var_x * e)
     ref = np.multiply(beta, x, dtype=complex)
-    _add_complex_gaussian(ref, rng, np.maximum(var_ref - beta * lift, 0.0))
+    _add_complex_gaussian(ref, rng, noise)
     return ref, ref + x
+
+
+def reference_noise(rng: Rng, shape) -> ChannelVector:
+    """Unit circular draws z (total variance 1): given x, the reference of a
+    pair of any law is beta * x + sqrt(w) * z (``pair_law``), so one draw
+    serves pairs of every law."""
+    return complex_gaussian(rng, shape)

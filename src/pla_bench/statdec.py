@@ -19,6 +19,7 @@ from .channel import (
     _ROW_BLOCK,
     ScenarioParams,
     genuine_arrival_law,
+    pair_law,
     pairs_given_exponentials,
     trial_covariance,
 )
@@ -288,13 +289,11 @@ _GRID_POINTS = 64
 
 
 def _acceptance_counts(psi, gamma_abs, theta_grid, eps_grid):
-    """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k.
-
-    A trial with psi <= theta_0 passes every theta, so one sort of those
-    trials' |gamma| counts them for every eps; only the rest are binned."""
+    """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k. A trial with
+    psi <= theta_0 passes every theta, so one sort of those trials' |gamma|
+    counts them for every eps; only the rest are binned."""
     low = psi <= theta_grid[0]
-    passing = np.sort(gamma_abs[low])
-    psi, gamma_abs = psi[~low], gamma_abs[~low]
+    passing, psi, gamma_abs = np.sort(gamma_abs[low]), psi[~low], gamma_abs[~low]
     j_idx = np.searchsorted(theta_grid, psi, side="left")
     k_idx = np.searchsorted(eps_grid, gamma_abs, side="left")
     shape = (theta_grid.size + 1, eps_grid.size + 1)
@@ -430,12 +429,10 @@ def llr_weights(params: ScenarioParams, law: tuple) -> np.ndarray:
     """Per-carrier weights of ``llr_statistic(arrival, reference, s2)`` over
     fresh-channel trials whose arrival has the law ``(coef, spread)``.
 
-    x_n = arrival - reference is CN(0, v_n) with v_n = Var ref +
-    Var arrival - 2 Cov, so |x_n|^2 = v_n E_n and
-    Psi = sum_n (2 v_n / s2_n) E_n.
+    x_n = arrival - reference is CN(0, v_n), v_n of the law's ``pair_law``,
+    so |x_n|^2 = v_n E_n and Psi = sum_n (2 v_n / s2_n) E_n.
     """
-    (var_ref, cov), (_, var_arrival) = trial_covariance(params, [law])
-    return 2.0 * (var_ref + var_arrival - 2.0 * cov) / per_dim_variance(params)
+    return 2.0 * pair_law(params, law)[0] / per_dim_variance(params)
 
 
 def ideal_weights(params: ScenarioParams, forged_reference_law: tuple,

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from pla_bench import harness
+from pla_bench import channel, harness
 from pla_bench.attacks import (
     AttackStrategy,
     _common_draw_pmd,
+    _forged_law,
     mismatched_eval,
     optimize_attack_exponents,
 )
@@ -16,6 +17,7 @@ from pla_bench.channel import (
     bob_estimate_phase1,
     eve_observations,
     forged_observation,
+    pair_law,
     sample_channel,
 )
 from pla_bench.errors import ConfigError
@@ -25,7 +27,9 @@ from pla_bench.statdec import (
     llr_statistic,
     llr_threshold,
     modulus_statistic,
+    normal_upper_quantile,
     per_dim_variance,
+    weighted_exponential_sums,
 )
 
 
@@ -301,39 +305,67 @@ def test_common_draw_pmd_equals_one_mismatched_eval_per_strategy(epsilon):
 
 
 def _forged_arrivals(strategies, scn, n_mc, rng):
-    """(h_bar, sigma_n^2, each strategy's forged arrivals): every cell forged
-    whole, on the four calls ``_common_draw_pmd`` makes."""
-    draw = rng.derive(0)
-    h = sample_channel(scn, draw, size=n_mc)
-    h_bar = bob_estimate_phase1(h, scn, draw)
-    observed = eve_observations(h, scn, draw)
-    perturbation = forged_observation(np.zeros_like(h), scn, draw)
+    """(h_bar, sigma_n^2, each strategy's forged arrivals) of the physical
+    chain: channel, reference, the adversary's observations and a zero
+    forgery's phase-II arrival, every cell forged whole."""
+    h = sample_channel(scn, rng, size=n_mc)
+    h_bar = bob_estimate_phase1(h, scn, rng)
+    observed = eve_observations(h, scn, rng)
+    perturbation = forged_observation(np.zeros_like(h), scn, rng)
     return h_bar, per_dim_variance(scn), [s.forge(*observed, scn) + perturbation
                                           for s in strategies]
 
 
+def _grid_pairs(strategies, scn, n_mc, rng):
+    """Each strategy's (reference, arrival) pairs on the draws
+    ``_common_draw_pmd`` makes on ``rng``: the trials ordered by their sum of
+    exponentials, each row of reference noise paired with one ordered trial."""
+    s, e = weighted_exponential_sums(np.ones(scn.n_subcarriers), rng.derive(0), n_mc,
+                                     lambda s, e, fill: (s, e.T))
+    e = e[np.argsort(s)]
+    z = channel.reference_noise(rng.derive(1), e.shape)
+    pairs = []
+    for strategy in strategies:
+        v, beta, w = pair_law(scn, _forged_law(*strategy.coefficients(scn), scn))
+        x = np.sqrt(v * e)  # |x|^2 = v E, real
+        ref = beta * x + np.sqrt(w) * z
+        pairs.append((ref, ref + x))
+    return pairs
+
+
 def _assert_counts_agree(strategies, scn, seed, combined):
-    """``_common_draw_pmd`` counts within 2 of ``accepts`` on the forged
-    arrivals, at thresholds set at the median Psi (and median |Gamma|) of
-    all cells, so that the counts move with the coefficients."""
-    n_mc = 4000
+    """``_common_draw_pmd`` counts within 2 of ``accepts`` on the pairs it
+    scores, and each cell's P_MD agrees with forging the cell on the
+    physical chain, on independent draws, within a Bonferroni bound of
+    family-wise level 1e-3 over the cells. The thresholds sit at the median
+    Psi (and median |Gamma|) of all the chain's cells, so that the counts
+    move with the coefficients."""
+    n_mc = 20_000
     h_bar, s2, arrivals = _forged_arrivals(strategies, scn, n_mc, Rng(seed))
     theta = float(np.median([llr_statistic(f, h_bar, s2) for f in arrivals]))
     eps = None
     if combined:
         eps = float(np.median([np.abs(modulus_statistic(h_bar, f)) for f in arrivals]))
-    want = np.array([np.count_nonzero(accepts(f, h_bar, s2, theta, eps)) for f in arrivals])
-    got = np.rint(np.array(_common_draw_pmd(strategies, scn, n_mc, Rng(seed), theta, eps)) * n_mc)
-    assert np.all(np.abs(got - want) <= 2), np.abs(got - want).max()
-    assert np.any((0 < want) & (want < n_mc)), want
+    chain = np.array([np.count_nonzero(accepts(f, h_bar, s2, theta, eps)) for f in arrivals])
+    grid_rng = Rng(seed).derive(1)  # no stream the chain drew on
+    got = np.rint(np.array(_common_draw_pmd(strategies, scn, n_mc, grid_rng, theta, eps)) * n_mc)
+    own = np.array([np.count_nonzero(accepts(arrival, ref, s2, theta, eps))
+                    for ref, arrival in _grid_pairs(strategies, scn, n_mc, grid_rng)])
+    assert np.all(np.abs(got - own) <= 2), np.abs(got - own).max()
+    pooled = (got + chain) / (2 * n_mc)
+    se = np.maximum(np.sqrt(pooled * (1 - pooled) * 2 / n_mc), 1 / n_mc)
+    z = np.abs(got - chain) / n_mc / se
+    assert z.max() <= normal_upper_quantile(1e-3 / (2 * len(strategies))), z.max()
+    assert np.any((0 < chain) & (chain < n_mc)), chain
 
 
 @pytest.mark.parametrize("combined", [False, True])
 @pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_common_draw_pmd_agrees_with_forging_each_cell(n, alpha_ii, combined):
-    # Psi from six per-row sums must count what forging every cell and
-    # scoring it with accepts counts, up to round-off at the threshold
+    # Psi and Gamma on the per-carrier law, scored only on the trials whose
+    # Psi can pass, must count what accepts counts on the same pairs, and
+    # what forging every cell on the physical chain gives up to sampling
     scn = ScenarioParams.from_snr(n, 15.0, 20.0, rho_AE=0.6, rho_EB=0.4, alpha_II=alpha_ii)
     steps = (-1.0, -0.5, 0.0, 0.5, 1.0)
     cells = [AttackStrategy("exponent", x=x, y=y) for x in steps for y in steps]

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from pla_bench import channel, harness, statdec
-from pla_bench.attacks import AttackerSpec, AttackStrategy, optimize_attack_exponents
+from pla_bench.attacks import (
+    AttackerSpec,
+    AttackStrategy,
+    mismatched_eval,
+    optimize_attack_exponents,
+)
 from pla_bench.channel import (
     ScenarioParams,
     _add_complex_gaussian,
@@ -442,6 +447,20 @@ def test_ideal_shard_draws_four_complex_draws_per_carrier_and_trial(monkeypatch)
     assert _draw_counts(monkeypatch, _stat_shard("ideal", n, n_sub)) == (0, 2 * n_sub * 2 * n)
 
 
+@pytest.mark.parametrize("search", ["one attack", "4 cells", "441 cells"])
+def test_exponent_grid_draws_n_exponentials_and_n_complex_normals_per_trial(search, monkeypatch):
+    # one draw serves every cell: N exponentials and one complex normal (two
+    # normals) per carrier and trial, however many cells score it; forging
+    # every cell on the physical chain drew 8 complex normals per carrier and trial
+    n, n_sub = 20_000, 3
+    params = ScenarioParams.from_snr(n_sub, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5, alpha_II=0.8)
+    runs = {"one attack": lambda: mismatched_eval(AttackStrategy("ml"), params, n, Rng(58),
+                                                  9.0, 0.8),
+            "4 cells": lambda: optimize_attack_exponents((9.0, 0.8), params, 2.0, n, Rng(58)),
+            "441 cells": lambda: optimize_attack_exponents((9.0, 0.8), params, 0.1, n, Rng(58))}
+    assert _draw_counts(monkeypatch, runs[search]) == (2 * n_sub * n, n_sub * n)
+
+
 def _peak_arrays(run, n, n_sub):
     """tracemalloc peak of ``run()`` in whole (n, N) complex arrays."""
     tracemalloc.start()
@@ -498,19 +517,22 @@ def test_ideal_shard_peak_memory_is_bounded():
 
 @pytest.mark.parametrize("alpha_ii", [1.0, 0.8])
 def test_exponent_grid_peak_memory_is_bounded(alpha_ii):
-    # the reference, both observations, the perturbation and a few per-row
-    # products; holding the channel after the adversary observed it took 7.86
+    # the ordered exponentials, the reference noise and one cell's completed
+    # pairs: 1.88 and 2.43 measured, bounded with about an eighth to spare.
+    # Forging on the physical chain held the reference, both observations,
+    # the perturbation and per-row products (bound 7.0), and 7.86 while it
+    # held the channel after the adversary observed it
     n, n_sub = 100_000, 3
     params = ScenarioParams.from_snr(n_sub, 15.0, 20.0, rho_AE=0.5, rho_EB=0.5,
                                      alpha_II=alpha_ii)
     rng = Rng(57)
     assert _peak_arrays(lambda: optimize_attack_exponents((9.0, 0.8), params, 0.5, n, rng),
-                        n, n_sub) <= 7.0
+                        n, n_sub) <= 2.75
 
 
 def test_optimize_thresholds_peak_memory_is_bounded():
     # at most 1.25 whole (n, N) complex arrays: one hypothesis's Psi and |Gamma|
-    # vectors, the counting's index arrays and one row block's pair; drawing
+    # vectors, the counting's sort and index arrays and one row block's pair; drawing
     # whole trial arrays took 4.1, and 5.5 while H0's statistics outlived
     # their counts
     n, n_sub = 100_000, 3

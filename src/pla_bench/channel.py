@@ -291,13 +291,12 @@ def pair_law(params: ScenarioParams, law) -> tuple:
     return var_x, beta, np.maximum(var_ref - beta * lift, 0.0)
 
 
-def pairs_given_exponentials(params: ScenarioParams, law, e, rng: Rng) -> tuple:
-    """(reference, arrival) of fresh-channel pairs of the arrival law
-    ``(coef, spread)`` given one Exp(1) draw ``e`` (rows, N) per row and
-    carrier, with the law's ``pair_law`` (v, beta, w): x = sqrt(v * e), real
-    since Psi and Gamma do not change when a carrier's pair is rotated by x's
-    phase, and the reference beta * x + CN(0, w), of which only the noise is drawn."""
-    var_x, beta, noise = pair_law(params, law)
+def pairs_given_exponentials(pair: tuple, e, rng: Rng) -> tuple:
+    """(reference, arrival) of fresh-channel pairs given one Exp(1) draw ``e`` (rows, N)
+    per row and carrier and their law's ``pair_law`` (v, beta, w), read once for all blocks:
+    x = sqrt(v * e), real since Psi and Gamma do not change when a carrier's pair is rotated
+    by x's phase, and the reference beta * x + CN(0, w), of which only the noise is drawn."""
+    var_x, beta, noise = pair
     x = np.sqrt(var_x * e)
     ref = np.multiply(beta, x, dtype=complex)
     _add_complex_gaussian(ref, rng, noise)

@@ -38,6 +38,7 @@ from .channel import (
     complex_gaussian,  # noqa: F401  (an import site the perfbench tracer patches and checks)
     forged_observation,
     genuine_arrival_law,
+    pair_law,
     pairs_given_exponentials,
     sample_channel,
 )
@@ -242,8 +243,9 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tupl
                                   forger.arrival_law())
         return thr.theta, thr.epsilon
     theta, law = llr_threshold(scn, target / 2.0), genuine_arrival_law(scn)
+    pair = pair_law(scn, law)
     gamma, = weighted_exponential_sums(llr_weights(scn, law), rng, 100_000, lambda psi, e, fill: (
-        modulus_statistic(*pairs_given_exponentials(scn, law, e.T, fill)),))
+        modulus_statistic(*pairs_given_exponentials(pair, e.T, fill)),))
     return theta, float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
 
 
@@ -273,10 +275,11 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
         forger = attacker.forger(scn)
 
         def accepted(stream, law):
+            pair = pair_law(scn, law)
             def score(psi, e, fill):
                 ok = psi <= theta
                 if eps is not None:
-                    ref, arrival = pairs_given_exponentials(scn, law, e[:, ok].T, fill)
+                    ref, arrival = pairs_given_exponentials(pair, e[:, ok].T, fill)
                     ok[ok] = np.abs(modulus_statistic(ref, arrival)) <= eps
                 return ok,
 

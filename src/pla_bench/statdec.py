@@ -288,19 +288,19 @@ class ThresholdResult:
 _GRID_POINTS = 64
 
 
-def _acceptance_counts(psi, gamma_abs, theta_grid, eps_grid):
-    """counts[j, k] = #trials with psi <= theta_j and |gamma| <= eps_k. A trial with
-    psi <= theta_0 passes every theta, so one sort of those trials' |gamma|
-    counts them for every eps; only the rest are binned."""
-    low = psi <= theta_grid[0]
-    passing, psi, gamma_abs = np.sort(gamma_abs[low]), psi[~low], gamma_abs[~low]
-    j_idx = np.searchsorted(theta_grid, psi, side="left")
-    k_idx = np.searchsorted(eps_grid, gamma_abs, side="left")
-    shape = (theta_grid.size + 1, eps_grid.size + 1)
-    flat = np.ravel_multi_index((j_idx, k_idx), shape)
-    hist = np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
+def _acceptance_counts(j, gamma_abs, n_theta, eps_grid):
+    """counts[j', k] = #trials with j <= j' (``_pair_statistics``'s index: Psi <= theta_j')
+    and |gamma| <= eps_k. Rows with j = 0 pass every theta: the rest binned and their |gamma|
+    set to +inf, one sort in place counts them for every eps. Consumes ``gamma_abs``."""
+    above = j > 0
+    j, k = j[above], np.searchsorted(eps_grid, gamma_abs[above], side="left")
+    gamma_abs[above] = np.inf
+    gamma_abs.sort()
+    shape = (n_theta + 1, eps_grid.size + 1)
+    hist = np.bincount(np.ravel_multi_index((j, k), shape),
+                       minlength=shape[0] * shape[1]).reshape(shape)
     return (hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
-            + np.searchsorted(passing, eps_grid, side="right"))
+            + np.searchsorted(gamma_abs, eps_grid, side="right"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,14 +321,18 @@ def _genuine_laws(scenario: ScenarioParams) -> tuple:
             scenario.power_delay)
 
 
-def _pair_statistics(scenario, rng: Rng, n_mc: int, law: tuple, theta_max=np.inf) -> tuple:
-    """(Psi, |Gamma|) of n_mc fresh-channel pairs of one law, Psi drawn first:
-    all of them, or those with Psi <= ``theta_max`` (no other passes a theta
-    of the grid), the only ones ``pairs_given_exponentials`` completes."""
+def _pair_statistics(scenario, rng: Rng, n_mc: int, law, theta_grid, theta_max=np.inf) -> tuple:
+    """(j, |Gamma|) of n_mc fresh-channel pairs of one law, Psi drawn first: all of
+    them, or those with Psi <= ``theta_max`` (no other passes a theta of the grid), the
+    only ones ``pairs_given_exponentials`` completes. j, the first theta_j >= Psi, is
+    searched only above theta_0 and kept in the smallest unsigned type that holds it."""
+    pair = pair_law(scenario, law)
     def score(psi, e, fill):
         keep = psi <= theta_max
-        ref, arrival = pairs_given_exponentials(scenario, law, e[:, keep].T, fill)
-        return psi[keep], np.abs(modulus_statistic(ref, arrival))
+        psi = psi[keep]
+        j, above = np.zeros(psi.shape, np.min_scalar_type(theta_grid.size)), psi > theta_grid[0]
+        j[above] = np.searchsorted(theta_grid, psi[above], side="left")
+        return j, np.abs(modulus_statistic(*pairs_given_exponentials(pair, e[:, keep].T, fill)))
 
     return weighted_exponential_sums(llr_weights(scenario, law), rng, n_mc, score)
 
@@ -343,17 +347,20 @@ def null_calibration(scenario: ScenarioParams, target_pfa: float, n_mc: int,
         raise ConfigError("n_mc too small for the requested false-alarm target")
     if np.any(per_dim_variance(scenario) <= 0):
         raise SingularTestError("scenario gives zero per-dimension variance")
-    psi0, gam0 = _pair_statistics(scenario, rng, n_mc, genuine_arrival_law(scenario))
     theta_grid = np.linspace(llr_threshold(scenario, min(2.0 * target_pfa, 1.0 - 1e-9)),
                              llr_threshold(scenario, target_pfa / 10.0), _GRID_POINTS)
+    j0, gam0 = _pair_statistics(scenario, rng, n_mc, genuine_arrival_law(scenario), theta_grid)
     # the top of the epsilon grid leaves the modulus condition a false-alarm share well
-    # under the target: |Gamma|'s Gaussian-approximate quantile at a tenth of it
-    sig_g = float(np.sqrt(np.mean(gam0**2)))
+    # under the target: |Gamma|'s Gaussian-approximate quantile at a tenth of it. Squared in
+    # place and rooted back, |Gamma| is exact: sqrt(x * x) = |x| in binary floating point,
+    # rounding to nearest, unless x * x underflows (Boldo, ENTCS 317, 2015)
+    sig_g = float(np.sqrt(np.mean(np.square(gam0, out=gam0))))
+    np.sqrt(gam0, out=gam0)
     eps_hi = sig_g * normal_upper_quantile(min(target_pfa / 20.0, 0.25)) + 1e-12
     eps_grid = np.linspace(0.0, eps_hi, _GRID_POINTS)
 
-    acc0 = _acceptance_counts(psi0, gam0, theta_grid, eps_grid)
-    del psi0, gam0  # counted; only the grids and the counts are kept
+    acc0 = _acceptance_counts(j0, gam0, theta_grid.size, eps_grid)
+    del j0, gam0  # counted; only the grids and the counts are kept
     pfa_est = 1.0 - acc0 / float(n_mc)
     ci = 1.96 * math.sqrt(target_pfa * (1.0 - target_pfa) / n_mc)
     feasible = np.abs(pfa_est - target_pfa) <= ci
@@ -372,8 +379,9 @@ def select_thresholds(null: NullCalibration, scenario: ScenarioParams, forged_la
     theta, then epsilon. A null of other genuine laws is a ``ConfigError``."""
     if not all(map(np.array_equal, _genuine_laws(scenario), null.genuine_laws)):
         raise ConfigError("the null calibration was drawn for other genuine laws")
-    psi1, gam1 = _pair_statistics(scenario, rng, null.n_mc, forged_law, null.theta_grid[-1])
-    pmd_est = _acceptance_counts(psi1, gam1, null.theta_grid, null.eps_grid) / float(null.n_mc)
+    j1, gam1 = _pair_statistics(scenario, rng, null.n_mc, forged_law, null.theta_grid,
+                                null.theta_grid[-1])
+    pmd_est = _acceptance_counts(j1, gam1, null.theta_grid.size, null.eps_grid) / float(null.n_mc)
 
     # lexsort orders by its last key first: P_MD up, then theta down, then epsilon down
     jj, kk = np.nonzero(null.feasible)

@@ -420,9 +420,9 @@ def test_stat_shard_draws_two_complex_draws_per_carrier_trial_and_hypothesis(kin
         completed.append(0)
         return statdec.weighted_exponential_sums(*args)
 
-    def counting_pairs(params, law, e, rng):
+    def counting_pairs(pair, e, rng):
         completed[-1] += len(e)
-        return channel.pairs_given_exponentials(params, law, e, rng)
+        return channel.pairs_given_exponentials(pair, e, rng)
 
     monkeypatch.setattr(harness, "weighted_exponential_sums", counting_sums)
     monkeypatch.setattr(harness, "pairs_given_exponentials", counting_pairs)
@@ -531,12 +531,31 @@ def test_exponent_grid_peak_memory_is_bounded(alpha_ii):
 
 
 def test_optimize_thresholds_peak_memory_is_bounded():
-    # at most 1.25 whole (n, N) complex arrays: one hypothesis's Psi and |Gamma|
-    # vectors, the counting's sort and index arrays and one row block's pair; drawing
-    # whole trial arrays took 4.1, and 5.5 while H0's statistics outlived
-    # their counts
+    # at most 0.85 whole (n, N) complex arrays: one hypothesis's theta index byte
+    # and |Gamma| per trial, sorted in place, and one row block's pair: 0.75
+    # measured. Float Psi and |Gamma| vectors with the counting's copies took
+    # 0.92, drawing whole trial arrays 4.1, and 5.5 while H0's statistics
+    # outlived their counts
     n, n_sub = 100_000, 3
     params = ScenarioParams(n_subcarriers=n_sub, rho_AE=0.5, rho_EB=0.5)
     law = AttackerSpec(AttackStrategy("simplified")).forger(params).arrival_law()
     assert _peak_arrays(lambda: optimize_thresholds(params, 1e-3, n, Rng(54), law),
-                        n, n_sub) <= 1.25
+                        n, n_sub) <= 0.85
+
+
+def test_null_calibration_keeps_nine_bytes_per_trial():
+    # a calibration's peak grows by its theta index byte and |Gamma| double per
+    # trial (9.0 bytes measured): squaring |Gamma| for its spread and sorting it
+    # happen in place. Float Psi and |Gamma| with a squared copy, a copy and a
+    # sorted copy of |Gamma| for the counting grew by 33 bytes a trial
+    scn = ScenarioParams.from_snr(3, 15.0, 20.0)
+    peaks = []
+    for n in (200_000, 400_000):
+        rng = Rng(59)  # outside the trace: a first generator's setup is not the draw's
+        tracemalloc.start()
+        try:
+            statdec.null_calibration(scn, 1e-3, n, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 200_000 <= 12.0

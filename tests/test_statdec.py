@@ -13,6 +13,7 @@ from pla_bench.channel import (
     bob_estimate_phase1,
     forged_observation,
     genuine_arrival_law,
+    pair_law,
     pairs_given_exponentials,
     sample_channel,
 )
@@ -365,6 +366,11 @@ def test_accepts_gives_a_0d_result_for_one_vector():
         assert np.ndim(llr) == 0 and bool(llr) == want_llr
 
 
+def _theta_index(psi, theta_grid):
+    """``_pair_statistics``'s index: the first theta_j >= psi, theta_grid.size past it."""
+    return np.searchsorted(theta_grid, psi, side="left").astype(np.uint8)
+
+
 def test_acceptance_counts_match_the_add_at_histogram():
     theta_grid = np.linspace(1.0, 4.0, 7)
     eps_grid = np.linspace(0.0, 2.0, 5)
@@ -377,7 +383,8 @@ def test_acceptance_counts_match_the_add_at_histogram():
     hist = np.zeros((theta_grid.size + 1, eps_grid.size + 1), dtype=np.int64)
     np.add.at(hist, (j_idx, k_idx), 1)
     want = hist[:-1, :-1].cumsum(axis=0).cumsum(axis=1)
-    got = statdec._acceptance_counts(psi, gam, theta_grid, eps_grid)
+    got = statdec._acceptance_counts(_theta_index(psi, theta_grid), gam.copy(), theta_grid.size,
+                                     eps_grid)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     # the definition: psi <= theta_j and |gamma| <= eps_k
     assert got[2, 3] == np.sum((psi <= theta_grid[2]) & (gam <= eps_grid[3]))
@@ -406,13 +413,47 @@ def test_acceptance_counts_are_their_definition(where):
            "all above": rng.uniform(4.0, 9.0, n) + np.spacing(4.0),
            "empty": np.empty(0)}[where]
     gam = gam[:psi.size]
-    got = statdec._acceptance_counts(psi, gam, theta_grid, eps_grid)
+    consumed = gam.copy()
+    got = statdec._acceptance_counts(_theta_index(psi, theta_grid), consumed, theta_grid.size,
+                                     eps_grid)
     assert got.shape == (theta_grid.size, eps_grid.size) and got.dtype == np.int64
     assert np.array_equal(got, _counts_by_definition(psi, gam, theta_grid, eps_grid))
+    # the input is sorted in place, the rows above theta_0 set to +inf
+    assert np.array_equal(consumed, np.sort(np.where(psi <= theta_grid[0], gam, np.inf)))
     if where == "all below":
         assert np.array_equal(got[0], got[-1])  # every row passes every theta
     if where in ("all above", "empty"):
         assert not got.any()
+
+
+def test_pair_statistics_keep_the_first_theta_at_or_above_psi():
+    # the index of the first theta_j >= Psi, 64 past the grid, in one byte; screened
+    # by the top of the grid, only the rows that can pass are kept. The grid is
+    # drawn Psi values, so a row on a grid point takes that point's index
+    scn = _table1_scenario(3)
+    law = genuine_arrival_law(scn)
+    psi = weighted_exponential_sums(llr_weights(scn, law), Rng(53), 20_000)
+    theta_grid = np.quantile(psi, np.linspace(0.5, 0.99, statdec._GRID_POINTS),
+                             method="inverted_cdf")
+    assert np.isin(theta_grid, psi).all() and np.all(np.diff(theta_grid) > 0)
+    j, _ = statdec._pair_statistics(scn, Rng(53), 20_000, law, theta_grid)
+    assert j.dtype == np.uint8 and np.array_equal(j, np.searchsorted(theta_grid, psi))
+    assert 0 < np.count_nonzero(j == 0) < psi.size and np.any(j == theta_grid.size)
+    j, _ = statdec._pair_statistics(scn, Rng(53), 20_000, law, theta_grid, theta_grid[-1])
+    assert np.array_equal(j, np.searchsorted(theta_grid, psi[psi <= theta_grid[-1]]))
+
+
+def test_a_square_root_restores_the_square_of_a_double():
+    # null_calibration squares |Gamma| in place for its spread and roots it
+    # back: exact in binary floating point when the square does not underflow,
+    # on a 10^5-trial calibration's |Gamma| and on doubles from 2^-500 to 2^500
+    scn = _table1_scenario(3)
+    _, gam = statdec._pair_statistics(scn, Rng(53), 100_000, genuine_arrival_law(scn),
+                                      np.linspace(1.0, 2.0, statdec._GRID_POINTS))
+    rng = Rng(54)
+    doubles = rng.uniform(1.0, 2.0, 1_000_000) * np.exp2(rng.integers(-500, 500, 1_000_000))
+    for g in (gam, doubles, -doubles):
+        assert np.array_equal(np.sqrt(np.square(g)), np.abs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +684,10 @@ def _drawn_pairs(scn, rng, n, law, keep=lambda psi: np.full(psi.shape, True)):
     """The (reference, arrival) pairs ``weighted_exponential_sums`` draws with
     ``llr_weights`` and ``pairs_given_exponentials`` completes on the rows
     where ``keep(psi)`` holds, as the calibrations and combined shards do."""
+    pair = pair_law(scn, law)
+
     def score(psi, e, fill):
-        return pairs_given_exponentials(scn, law, e[:, keep(psi)].T, fill)
+        return pairs_given_exponentials(pair, e[:, keep(psi)].T, fill)
 
     return weighted_exponential_sums(llr_weights(scn, law), rng, n, score)
 
@@ -783,7 +826,7 @@ def test_sample_pairs_blocks_and_stream():
     def score(psi, e, fill):
         keep = e[0] > 1.0
         blocks.append((psi, e.copy(), keep))
-        return (psi[keep], *pairs_given_exponentials(scn, law, e[:, keep].T, fill))
+        return (psi[keep], *pairs_given_exponentials(pair_law(scn, law), e[:, keep].T, fill))
 
     psi, ref, arrival = weighted_exponential_sums(weights, Rng(62), n, score)
     assert [e.shape for _, e, _ in blocks] == [(3, channel._ROW_BLOCK)] * 2 + [(3, 5)]
@@ -804,7 +847,7 @@ def test_sample_pairs_draws_but_never_adds_a_zero_innovation():
     # the difference has zero variance and adds nothing to the reference
     scn = ScenarioParams.from_snr(2, math.inf, math.inf)
     e = Rng(63).standard_exponential((10, 2))
-    ref, arrival = pairs_given_exponentials(scn, genuine_arrival_law(scn), e, Rng(64))
+    ref, arrival = pairs_given_exponentials(pair_law(scn, genuine_arrival_law(scn)), e, Rng(64))
     assert np.array_equal(arrival, ref)
     assert np.all(ref != 0)
 
@@ -817,10 +860,10 @@ def test_score_pairs_gives_a_zero_pivot_weight_zero():
     scn = ScenarioParams.from_snr(2, math.inf, math.inf, rho_AE=1.0, rho_EB=1.0)
     forge = AttackerSpec().forger(scn)
     e = Rng(67).standard_exponential((10, 2))
-    ref, eve = pairs_given_exponentials(scn, forge.arrival_law(), e, Rng(68))
+    ref, eve = pairs_given_exponentials(pair_law(scn, forge.arrival_law()), e, Rng(68))
     assert np.all(np.isfinite(ref)) and np.all(ref != 0)
     assert np.array_equal(eve, 2.0 * ref)
-    ref, alice = pairs_given_exponentials(scn, genuine_arrival_law(scn), e, Rng(68))
+    ref, alice = pairs_given_exponentials(pair_law(scn, genuine_arrival_law(scn)), e, Rng(68))
     assert np.all(np.isfinite(ref)) and np.array_equal(alice, ref)
     # the rank-one covariance of the quadruple, against the chain's
     _assert_covariance_matches_the_physical_chain(scn, AttackerSpec(), MEMBER_SETS["ideal"])

@@ -249,11 +249,19 @@ def _point_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tupl
     return theta, float(np.std(gamma)) * normal_upper_quantile(target / 4.0)
 
 
+def _timed_thresholds(config: ExperimentConfig, p_idx: int, point: dict) -> tuple:
+    """The point's ``_point_thresholds`` and the seconds they took: its
+    statistical rows' set-up, which their ``train_seconds`` reports."""
+    t0 = time.perf_counter()
+    thresholds = _point_thresholds(config, p_idx, point)
+    return thresholds, time.perf_counter() - t0
+
+
 def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point: dict,
                thresholds: tuple | None = None) -> dict:
     """One (sweep point, dataset) cell; a pure function of its arguments.
 
-    ``thresholds`` is the point's ``_point_thresholds``, None for a learned
+    ``thresholds`` is the point's ``_timed_thresholds``, None for a learned
     defender. A statistical shard judges fresh-channel trials (the closed
     forms describe exactly that average), genuine ones on ``rng.derive(9, 0)``
     and forged ones on ``rng.derive(9, 1)``, each drawing Psi by
@@ -271,7 +279,7 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
     r_eval = rng.derive(9)
 
     if kind in STAT_DEFENDERS:
-        theta, eps = thresholds
+        (theta, eps), threshold_seconds = thresholds
         forger = attacker.forger(scn)
 
         def accepted(stream, law):
@@ -289,7 +297,7 @@ def _run_shard(config: ExperimentConfig, point_idx: int, dataset_idx: int, point
 
         return _shard_result(accepted(r_eval.derive(0), genuine_arrival_law(scn)),
                              accepted(r_eval.derive(1), forger.arrival_law()),
-                             {"theta": theta, "epsilon": eps}, 0.0)
+                             {"theta": theta, "epsilon": eps}, threshold_seconds)
 
     # learned defenders: one model per dataset on a fixed channel
     t0 = time.perf_counter()
@@ -488,7 +496,7 @@ def run_plan(configs: list, workers: int | None) -> list:
             deps = ()
             if config.defender.kind in STAT_DEFENDERS:  # one (theta, epsilon) per point
                 deps = (c_idx, 0, p_idx, 0),
-                tasks[deps[0]] = (_addressed, (_point_thresholds, config, (p_idx,), point), ())
+                tasks[deps[0]] = (_addressed, (_timed_thresholds, config, (p_idx,), point), ())
             for d_idx in range(config.n_datasets):
                 tasks[c_idx, 1, p_idx, d_idx] = (
                     _addressed, (_run_shard, config, (p_idx, d_idx), point), deps)

@@ -9,7 +9,8 @@ features. All solvers here are written out in full (a pairwise-update
 dual solver, Lloyd iterations) because their exact decision geometry is
 what the benchmark measures. One dual solver serves both SVMs: it works on
 a batch of problems over one Gram matrix in lockstep, each with its own
-box bounds per coordinate and a fixed sum. Both SVMs fit one KernelModel,
+box bounds per coordinate and a fixed sum, and drops a problem from the
+batch once it is within tolerance. Both SVMs fit one KernelModel,
 read by one svm_decision, and every classifier returns a boolean accept
 mask, one entry per query row. One-class cross-validation
 solves every (nu, fold) problem of one kernel width in one call, each
@@ -78,9 +79,32 @@ def _fold_gmean(pos_accept, neg_accept) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # features and metrics
 
+_BLOCK = 1 << 15  # output elements a row block of _sq_dists or _nearest spans
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows, each spanning about _BLOCK output elements."""
+    step = max(1, _BLOCK // max(1, n_cols))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b, unclipped."""
-    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    """Squared Euclidean distances between rows of a and rows of b, unclipped.
+
+    Each entry is (|a_i|^2 + |b_j|^2) - 2 (a_i . b_j). The products come from
+    one a @ b.T, whose buffer is then finished in place one row block at a
+    time, so no second (rows x cols) matrix exists. A BLAS product of a row
+    block need not match the same rows of the whole product in the last bit
+    (OpenBLAS picks its kernel, and the edge of its tiles, from the shape),
+    so only the elementwise work is blocked.
+    """
+    out = a @ b.T
+    a2, b2 = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+    for rows in _row_blocks(*out.shape):
+        blk = out[rows]
+        blk *= 2.0
+        np.subtract(a2[rows, None] + b2, blk, out=blk)
+    return out
 
 
 def featurize(h_hat) -> np.ndarray:
@@ -123,21 +147,31 @@ class DistanceMetric:
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         if self.kind == "euclidean":
-            return np.sqrt(np.maximum(_sq_dists(a, b), 0.0))
+            d = _sq_dists(a, b)
+            np.maximum(d, 0.0, out=d)
+            return np.sqrt(d, out=d)
         w = np.sqrt(np.repeat(2.0 / self.sigma2_n, 2))
-        return np.maximum(_sq_dists(a * w, b * w), 0.0)
+        d = _sq_dists(a * w, b * w)
+        return np.maximum(d, 0.0, out=d)
 
 
 # ---------------------------------------------------------------------------
 # one-class nearest neighbors
 
 def _nearest(d: np.ndarray, n: int) -> np.ndarray:
-    """Column indices of each row's n smallest entries of d, nearest first."""
+    """Column indices of each row's n smallest entries of d, nearest first.
+
+    Partitions one row block at a time, so its index work spans _BLOCK
+    entries, not a whole matrix of d's shape.
+    """
     if n == 1:
         return np.argmin(d, axis=1)[:, None]
-    idx = np.argpartition(d, n - 1, axis=1)[:, :n]
-    return np.take_along_axis(idx, np.argsort(np.take_along_axis(d, idx, axis=1), axis=1),
-                              axis=1)
+    out = np.empty((d.shape[0], n), dtype=np.intp)
+    for rows in _row_blocks(*d.shape):
+        idx = np.argpartition(d[rows], n - 1, axis=1)[:, :n]
+        order = np.argsort(np.take_along_axis(d[rows], idx, axis=1), axis=1)
+        out[rows] = np.take_along_axis(idx, order, axis=1)
+    return out
 
 
 def _ocnn_yz_table(metric, train, kmax):
@@ -245,7 +279,11 @@ def _gram(x: np.ndarray, y: np.ndarray, kernel: str, sigma_svm: float) -> np.nda
     if kernel == "gaussian":
         if not sigma_svm > 0:
             raise ConfigError("sigma_svm must be positive")
-        return np.exp(-np.maximum(_sq_dists(x, y), 0.0) / (2.0 * sigma_svm**2))
+        # in place on the distance buffer; -d / c and d / (-c) are the same double
+        k = _sq_dists(x, y)
+        np.maximum(k, 0.0, out=k)
+        np.divide(k, -(2.0 * sigma_svm**2), out=k)
+        return np.exp(k, out=k)
     if kernel == "linear":
         return x @ y.T
     if kernel == "poly":
@@ -278,12 +316,14 @@ def _dual_solve(kmat, lam, grad, lo, hi, tol: float):
 
     Row b keeps sum l fixed and lo[b] <= l <= hi[b]; lam is a feasible
     start and grad = K lam + p its gradient, and both are updated in place.
-    Each step moves mass, in every row at once, between the pair of
-    coordinates that most violates the KKT conditions: the smallest
+    Each step moves mass, in every row still stepping at once, between the
+    pair of coordinates that most violates the KKT conditions: the smallest
     gradient among coordinates below hi (up) and the largest among those
     above lo (down), first index on ties. A row whose violation is within
-    tol takes steps of 0 from then on. The cap is max(300 m, 20000) steps.
-    Returns each row's smallest up and largest down gradient at the stop.
+    tol could only take steps of 0 from then on, so it leaves the batch and
+    its l, gradient and (up, down) are written back as they stand; the rest
+    step on without it. The cap is max(300 m, 20000) steps of the batch.
+    Returns each row's smallest up and largest down gradient at its stop.
     """
     rows, m = lam.shape
     hi_box, lo_box = hi - _BOX, lo + _BOX
@@ -292,38 +332,50 @@ def _dual_solve(kmat, lam, grad, lo, hi, tol: float):
     # gradient plus penalty is the masked gradient the pair is chosen from
     up_pen = np.where(lam < hi_box, 0.0, np.inf)
     dn_pen = np.where(lam > lo_box, 0.0, -np.inf)
-    up, dn = np.empty_like(grad), np.empty_like(grad)
-    # per-row scalars are read and written through flat views at row * m + i
-    lam_f, up_f, dn_f = lam.reshape(-1), up.reshape(-1), dn.reshape(-1)
-    up_pen_f, dn_pen_f = up_pen.reshape(-1), dn_pen.reshape(-1)
-    lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
-    hi_box_f, lo_box_f = hi_box.reshape(-1), lo_box.reshape(-1)
-    row0 = np.arange(rows) * m
-    for _ in range(max(300 * m, 20_000)):
-        i = np.add(grad, up_pen, out=up).argmin(axis=1)
-        j = np.add(grad, dn_pen, out=dn).argmax(axis=1)
-        fi, fj = row0 + i, row0 + j
-        viol = dn_f[fj] - up_f[fi]
-        active = viol > tol
-        if not active.any():
-            return up_f[fi], dn_f[fj]
-        lam_i, lam_j = lam_f[fi], lam_f[fj]
-        denom = diag[i] + diag[j] - 2.0 * kmat[i, j]
-        t_max = np.minimum(hi_f[fi] - lam_i, lam_j - lo_f[fj])
-        step = np.divide(viol, denom, out=np.full(rows, np.inf), where=denom > 1e-15)
-        t = np.where(active, np.minimum(t_max, step), 0.0)
-        lam_f[fi] = lam_i + t
-        lam_f[fj] -= t
-        # kmat is symmetric, so row gathers stand in for its columns
-        delta = kmat[i]
-        np.subtract(delta, kmat[j], out=delta)
-        grad += np.multiply(delta, t[:, None], out=delta)
-        # only the pair's two coordinates can have reached or left a bound
-        fk = np.concatenate([fi, fj])
-        lam_k = lam_f[fk]
-        up_pen_f[fk] = np.where(lam_k < hi_box_f[fk], 0.0, np.inf)
-        dn_pen_f[fk] = np.where(lam_k > lo_box_f[fk], 0.0, -np.inf)
-    raise NumericError("dual solver hit its iteration cap")
+    up_stop, dn_stop = np.empty(rows), np.empty(rows)
+    # the batch index of each row still stepping, and its rows of each array
+    live, work = np.arange(rows), (lam, grad, up_pen, dn_pen, lo, hi, lo_box, hi_box)
+    steps = max(300 * m, 20_000)
+    while True:
+        lam_w, grad_w, up_pen, dn_pen = work[:4]
+        up, dn = np.empty_like(grad_w), np.empty_like(grad_w)
+        # per-row scalars are read and written through flat views at row * m + i
+        lam_f, up_f, dn_f = lam_w.reshape(-1), up.reshape(-1), dn.reshape(-1)
+        up_pen_f, dn_pen_f, lo_f, hi_f, lo_box_f, hi_box_f = (a.reshape(-1) for a in work[2:])
+        row0 = np.arange(len(live)) * m
+        while True:
+            i = np.add(grad_w, up_pen, out=up).argmin(axis=1)
+            j = np.add(grad_w, dn_pen, out=dn).argmax(axis=1)
+            fi, fj = row0 + i, row0 + j
+            viol = dn_f[fj] - up_f[fi]
+            active = viol > tol
+            if not active.all():
+                break
+            lam_i, lam_j = lam_f[fi], lam_f[fj]
+            denom = diag[i] + diag[j] - 2.0 * kmat[i, j]
+            t_max = np.minimum(hi_f[fi] - lam_i, lam_j - lo_f[fj])
+            step = np.divide(viol, denom, out=np.full(len(live), np.inf), where=denom > 1e-15)
+            t = np.minimum(t_max, step)
+            lam_f[fi] = lam_i + t
+            lam_f[fj] -= t
+            # kmat is symmetric, so row gathers stand in for its columns
+            delta = kmat[i]
+            np.subtract(delta, kmat[j], out=delta)
+            grad_w += np.multiply(delta, t[:, None], out=delta)
+            # only the pair's two coordinates can have reached or left a bound
+            fk = np.concatenate([fi, fj])
+            lam_k = lam_f[fk]
+            up_pen_f[fk] = np.where(lam_k < hi_box_f[fk], 0.0, np.inf)
+            dn_pen_f[fk] = np.where(lam_k > lo_box_f[fk], 0.0, -np.inf)
+            steps -= 1
+            if not steps:
+                raise NumericError("dual solver hit its iteration cap")
+        done = ~active
+        up_stop[live[done]], dn_stop[live[done]] = up_f[fi[done]], dn_f[fj[done]]
+        lam[live[done]], grad[live[done]] = lam_w[done], grad_w[done]
+        if done.all():
+            return up_stop, dn_stop
+        live, work = live[active], tuple(a[active] for a in work)
 
 
 def _ocsvm_start(kmat, train, ub):
@@ -346,9 +398,11 @@ def _ocsvm_start(kmat, train, ub):
         lam[b, start] = lam0
         # A pair step leaves its two gradients equal up to rounding, so the
         # next choice of pair is decided by the last bits: a row computes its
-        # start in the layout a lone solve on its points uses.
-        grad[b, idx] = kmat[np.ix_(idx, start)] @ lam0
-        grad[b, held] = kmat[np.ix_(held, start)] @ lam0
+        # start in the layout a lone solve on its points uses: the C-ordered
+        # kmat[np.ix_(idx, start)], gathered here as two cheaper takes.
+        cols = kmat.take(start, axis=1)
+        grad[b, idx] = cols.take(idx, axis=0) @ lam0
+        grad[b, held] = cols.take(held, axis=0) @ lam0
     return lam, grad
 
 

@@ -400,7 +400,7 @@ def _stat_shard(kind, n, n_sub):
     """That point's one shard as a thunk; its thresholds are fixed outside it."""
     cfg, point = _stat_point(kind, n, n_sub)
     thresholds = harness._point_thresholds(cfg, 0, point)
-    return lambda: harness._run_shard(cfg, 0, 0, point, thresholds)
+    return lambda: harness._run_shard(cfg, 0, 0, point, (thresholds, 0.0))
 
 
 @pytest.mark.parametrize("kind", ["llr", "combined"])

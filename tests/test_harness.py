@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import time
 from importlib import resources
 
 import jsonschema
@@ -360,6 +361,24 @@ def test_run_experiment_shard_rounding():
     assert table.rows[0]["n_alice"] == 3 * 667
 
 
+@pytest.mark.parametrize("kind", ["llr", "combined", "ideal"])
+def test_statistical_rows_time_their_threshold_task(monkeypatch, kind):
+    # a statistical row's set-up is its point's threshold task, shared by
+    # every dataset of the point: slowed by 0.05 s, it shows in train_seconds
+    point_thresholds = harness._point_thresholds
+
+    def slow(*args):
+        time.sleep(0.05)
+        return point_thresholds(*args)
+
+    monkeypatch.setattr(harness, "_point_thresholds", slow)
+    budget = {} if kind == "llr" else {"calibration_trials": 20_000}
+    table = run_experiment(_tiny_llr_config(defender=DefenderSpec(kind), n_subcarriers=(1, 2),
+                                            record_timing=True, **budget))
+    assert table.columns == _BASE_COLUMNS + ["train_seconds"]
+    assert [row["train_seconds"] >= 0.05 for row in table.rows] == [True, True]
+
+
 def test_shard_result_maps_all_four_outcomes():
     genuine = np.array([True, True, True, False])
     forged = np.array([True, False, False, False])
@@ -450,7 +469,7 @@ def _recorded_shard(monkeypatch, kind):
 
     monkeypatch.setattr(harness, "weighted_exponential_sums", recording_sums)
     monkeypatch.setattr(harness, "pairs_given_exponentials", recording_pairs)
-    harness._run_shard(cfg, 0, 0, point, thresholds)
+    harness._run_shard(cfg, 0, 0, point, (thresholds, 0.0))
     monkeypatch.undo()
     return blocks, pairs, ScenarioParams.from_snr(**point), thresholds
 

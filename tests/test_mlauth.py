@@ -1,10 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pla_bench import mlauth
+from pla_bench import harness, mlauth
 from pla_bench.channel import ScenarioParams, bob_estimate_phase1, sample_channel
 from pla_bench.errors import ConfigError, NumericError
-from pla_bench.harness import AttackerSpec, _forged_packets
+from pla_bench.harness import AttackerSpec, DefenderSpec, ExperimentConfig, _forged_packets
 from pla_bench.mlauth import (
     DistanceMetric,
     KernelModel,
@@ -25,13 +28,18 @@ from pla_bench.mlauth import (
     svm_decision,
 )
 from pla_bench.mlauth import (
+    _BOX,
+    _FOLDS,
+    _OCSVM_NUS,
     _THETA_GRID,
     _dual_solve,
     _fold_slices,
     _gram,
+    _nearest,
     _ocsvm_cv_scores,
     _ocsvm_solve,
     _ocsvm_start,
+    _sq_dists,
 )
 from pla_bench.rng import Rng
 from pla_bench.statdec import llr_statistic
@@ -107,6 +115,65 @@ def test_distance_metric_validation():
         DistanceMetric("llr")
     with pytest.raises(ConfigError):
         DistanceMetric("llr", sigma2_n=np.array([0.5, -0.1]))
+
+
+def _whole_sq_dists(a, b):
+    """_sq_dists as one whole-array expression, every entry at once."""
+    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+
+
+def _whole_nearest(d, n):
+    """_nearest as one whole-array partition and sort."""
+    if n == 1:
+        return np.argmin(d, axis=1)[:, None]
+    idx = np.argpartition(d, n - 1, axis=1)[:, :n]
+    return np.take_along_axis(idx, np.argsort(np.take_along_axis(d, idx, axis=1), axis=1), axis=1)
+
+
+# 503 columns: over an odd column count OpenBLAS's AVX-512 kernels give a
+# row block's product other last bits than the same rows of the whole
+# product, which is why _sq_dists blocks only the elementwise work
+_COLS = 503
+_EDGE = mlauth._BLOCK // _COLS  # the rows one block spans against _COLS columns
+_SQUARE = math.isqrt(mlauth._BLOCK)  # m x m in one block; m + 1 takes two
+_BLOCK_SHAPES = ([(rows, _COLS) for rows in (1, _EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE + 1)]
+                 + [(m, "same") for m in (_SQUARE, _SQUARE + 1, 1000)]
+                 + [(1000, 2)])  # kmeans_label's samples against its two centroids
+
+
+def _block_operands(rows, cols, features, seed):
+    rng = Rng(seed)
+    a = 3.0 * rng.standard_normal((rows, features)) + 1.0
+    b = a if cols == "same" else rng.standard_normal((cols, features))
+    return a, b
+
+
+@pytest.mark.parametrize("features", [1, 2, 6])
+@pytest.mark.parametrize("rows, cols", _BLOCK_SHAPES)
+def test_blocked_distances_match_the_whole_array_expressions(rows, cols, features):
+    # bit for bit, a is b (numpy's symmetric product) as well as a is not b
+    a, b = _block_operands(rows, cols, features, 60 + features)
+    d2 = _whole_sq_dists(a, b)
+    assert np.array_equal(_sq_dists(a, b), d2)
+    assert np.array_equal(DistanceMetric("euclidean").pairwise(a, b),
+                          np.sqrt(np.maximum(d2, 0.0)))
+    sigma = 0.7
+    assert np.array_equal(_gram(a, b, "gaussian", sigma),
+                          np.exp(-np.maximum(d2, 0.0) / (2.0 * sigma**2)))
+    if features % 2 == 0:
+        s2 = np.linspace(0.3, 1.1, features // 2)
+        w = np.sqrt(np.repeat(2.0 / s2, 2))
+        assert np.array_equal(DistanceMetric("llr", s2).pairwise(a, b),
+                              np.maximum(_whole_sq_dists(a * w, b * w), 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 3, 30])
+@pytest.mark.parametrize("rows", [1, _EDGE - 1, _EDGE, _EDGE + 1, 2 * _EDGE + 1])
+def test_blocked_nearest_matches_the_whole_array_partition(rows, n):
+    d = Rng(64).standard_normal((rows, _COLS))
+    assert np.array_equal(_nearest(d, n), _whole_nearest(d, n))
+    ties = np.round(d, 1)  # many equal entries per row
+    assert np.array_equal(_nearest(ties, n), _whole_nearest(ties, n))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +574,103 @@ def test_ocsvm_solve_iteration_cap():
         _dual_solve(kmat, lam, lam @ kmat, np.zeros_like(lam), hi, -1.0)
 
 
+def _lockstep_dual_solve(kmat, lam, grad, lo, hi, tol):
+    """_dual_solve without compaction: every row steps in lockstep until all
+    are within tol, a row that is by steps of 0. Returns each row's smallest
+    up and largest down gradient at the stop, and the step at which it first
+    came within tol."""
+    rows, m = lam.shape
+    hi_box, lo_box = hi - _BOX, lo + _BOX
+    diag = kmat.diagonal()
+    up_pen = np.where(lam < hi_box, 0.0, np.inf)
+    dn_pen = np.where(lam > lo_box, 0.0, -np.inf)
+    up, dn = np.empty_like(grad), np.empty_like(grad)
+    lam_f, up_f, dn_f = lam.reshape(-1), up.reshape(-1), dn.reshape(-1)
+    up_pen_f, dn_pen_f = up_pen.reshape(-1), dn_pen.reshape(-1)
+    lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
+    hi_box_f, lo_box_f = hi_box.reshape(-1), lo_box.reshape(-1)
+    row0 = np.arange(rows) * m
+    stopped = np.full(rows, -1)
+    for n_step in range(max(300 * m, 20_000)):
+        i = np.add(grad, up_pen, out=up).argmin(axis=1)
+        j = np.add(grad, dn_pen, out=dn).argmax(axis=1)
+        fi, fj = row0 + i, row0 + j
+        viol = dn_f[fj] - up_f[fi]
+        active = viol > tol
+        stopped[(stopped < 0) & ~active] = n_step
+        if not active.any():
+            return up_f[fi], dn_f[fj], stopped
+        lam_i, lam_j = lam_f[fi], lam_f[fj]
+        denom = diag[i] + diag[j] - 2.0 * kmat[i, j]
+        t_max = np.minimum(hi_f[fi] - lam_i, lam_j - lo_f[fj])
+        step = np.divide(viol, denom, out=np.full(rows, np.inf), where=denom > 1e-15)
+        t = np.where(active, np.minimum(t_max, step), 0.0)
+        lam_f[fi] = lam_i + t
+        lam_f[fj] -= t
+        delta = kmat[i]
+        np.subtract(delta, kmat[j], out=delta)
+        grad += np.multiply(delta, t[:, None], out=delta)
+        fk = np.concatenate([fi, fj])
+        lam_k = lam_f[fk]
+        up_pen_f[fk] = np.where(lam_k < hi_box_f[fk], 0.0, np.inf)
+        dn_pen_f[fk] = np.where(lam_k > lo_box_f[fk], 0.0, -np.inf)
+    raise NumericError("dual solver hit its iteration cap")
+
+
+def _cv_batch(kernel, m):
+    """A cross-validation batch as _ocsvm_cv_scores builds it: every (nu, fold)
+    row over one Gram matrix, from the one-class start."""
+    x = Rng(65).standard_normal((m, 2))
+    kmat = _gram(x, x, kernel, median_heuristic(x))
+    held = np.zeros((_FOLDS, m), dtype=bool)
+    for f, s in enumerate(_fold_slices(m)):
+        held[f, s] = True
+    n_train = m - held.sum(axis=1)
+    train = np.tile(~held, (len(_OCSVM_NUS), 1))
+    ub = 1.0 / (np.repeat(_OCSVM_NUS, _FOLDS) * np.tile(n_train, len(_OCSVM_NUS)))
+    lam, grad = _ocsvm_start(kmat, train, ub)
+    return kmat, lam, grad, np.zeros_like(lam), np.where(train, ub[:, None], 0.0)
+
+
+def _binary_batch(m):
+    """Binary SVM duals at three costs c over one Gram matrix, from beta = 0."""
+    x = Rng(66).standard_normal((m, 2))
+    y = np.where(x[:, 0] + 0.5 * Rng(67).standard_normal(m) > 0, 1.0, -1.0)
+    c = np.array([0.1, 1.0, 10.0])[:, None]
+    lam = np.zeros((3, m))
+    return (_gram(x, x, "gaussian", median_heuristic(x)), lam, np.tile(-y, (3, 1)),
+            np.where(y > 0, 0.0, -c), np.where(y > 0, c, 0.0))
+
+
+@pytest.mark.parametrize("batch, tol", [(("gaussian", 200), 1e-4), (("gaussian", 200), 1e-6),
+                                        (("linear", 120), 1e-4), (("poly", 120), 1e-4),
+                                        ("binary", 1e-6)], ids=str)
+def test_compacting_dual_solve_matches_the_lockstep_loop(batch, tol):
+    # rows leave the batch as they come within tol; the rest step on exactly
+    # as in lockstep, so l, the gradient and (up, down) match bit for bit
+    kmat, lam, grad, lo, hi = _binary_batch(90) if batch == "binary" else _cv_batch(*batch)
+    lam_ref, grad_ref = lam.copy(), grad.copy()
+    up_ref, dn_ref, stopped = _lockstep_dual_solve(kmat, lam_ref, grad_ref, lo, hi, tol)
+    assert len(set(stopped.tolist())) > 1  # the rows stop at different steps
+    up, dn = _dual_solve(kmat, lam, grad, lo, hi, tol)
+    for got, want in ((lam, lam_ref), (grad, grad_ref), (up, up_ref), (dn, dn_ref)):
+        assert np.array_equal(got, want)
+
+
+def test_dual_solve_cap_counts_steps_after_rows_leave():
+    # row 0 has no coordinate free to move (lo = hi = its start), so it stops
+    # at step 0 and leaves the batch; under a negative tolerance row 1 never
+    # stops, and the batch still ends at the cap of 20,000 steps
+    x = Rng(29).standard_normal((30, 2))
+    kmat = _gram(x, x, "gaussian", 1.0)
+    lam = np.full((2, 30), 1.0 / 30)
+    lo = np.vstack([lam[0], np.zeros(30)])
+    hi = np.vstack([lam[0], np.full(30, 1.0 / 15.0)])
+    for solve in (_lockstep_dual_solve, _dual_solve):
+        with pytest.raises(NumericError, match="iteration cap"):
+            solve(kmat, lam.copy(), lam @ kmat, lo, hi, -1.0)
+
+
 def test_median_heuristic_hand_case_and_degenerate():
     pts = np.array([[0.0], [1.0], [3.0]])
     assert median_heuristic(pts) == pytest.approx(2.0)
@@ -838,3 +1002,31 @@ def test_kmeans_oracle_labels_coin_split_when_one_cluster_takes_all():
     assert not kmeans_label(x, Rng(52)).any()
     y = np.array([1, 1, 1, 1, 0, 0, 0])
     assert np.array_equal(kmeans_oracle_labels(x, y, Rng(52)), [0, 1, 0, 1, 0, 1, 0])
+
+
+# ---------------------------------------------------------------------------
+# memory of a learned shard
+
+
+def _shard_peak_matrices(kind):
+    """tracemalloc peak of one table4-style shard (N = 3, m = 1,000, one
+    dataset of 1,000 evaluation trials) in whole m x m float64 matrices."""
+    cfg = ExperimentConfig(defender=DefenderSpec(kind), n_subcarriers=(3,), rho_AE=(0.1,),
+                           n_trials=1000, n_datasets=1, seed=42)
+    point = next(cfg.sweep_points())
+    tracemalloc.start()
+    try:
+        harness._run_shard(cfg, 0, 0, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * point["m_training"] ** 2)
+
+
+@pytest.mark.parametrize("kind, bound", [("ocnn", 1.3), ("ocsvm", 1.95)])
+def test_learned_shard_peak_memory_is_bounded(kind, bound):
+    # one m x m distance or Gram matrix, transformed in place, beside a row
+    # block of work and, for ocsvm, the per-row arrays of its 25-row lockstep
+    # batch: 1.13 (ocnn) and 1.75 (ocsvm) measured, bounded about 0.2 above.
+    # Whole-array distance expressions and partitions read 2.07 and 2.13
+    assert _shard_peak_matrices(kind) <= bound
